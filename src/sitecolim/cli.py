@@ -90,6 +90,12 @@ def _pick(env: Environment, kinds, name, what):
     return found[-1]
 
 
+def _vertex(run: Run, path, fixture_dir) -> CategoryBlock:
+    """The last category block of the vertex file, read on its own."""
+    env = _load(run, [path], fixture_dir)
+    return _pick(env, (CategoryBlock,), None, "category")[1]
+
+
 def _category_block_of(env: Environment, cat):
     for v in env.values():
         if isinstance(v, CategoryBlock) and v.cat is cat:
@@ -97,12 +103,19 @@ def _category_block_of(env: Environment, cat):
     raise FixtureError("no category block for %s" % cat.name)
 
 
-def _site_diagram(env: Environment, block: DiagramBlock) -> SiteDiagram:
+def _checked(obj):
+    bad = obj.validate()
+    if bad:
+        raise FixtureError("; ".join(bad))
+    return obj
+
+
+def _site_diagram(block: DiagramBlock) -> SiteDiagram:
     fiber_blocks = getattr(block, "fiber_blocks", None)
     if not fiber_blocks:
         raise FixtureError("diagram has no fiber categories with sites")
     sites = {A: b.site() for A, b in fiber_blocks.items()}
-    return SiteDiagram(block.diagram, sites)
+    return _checked(SiteDiagram(block.diagram, sites))
 
 
 def _ambient(block: DiagramBlock) -> AmbientDiagram:
@@ -114,7 +127,7 @@ def _ambient(block: DiagramBlock) -> AmbientDiagram:
         limits[A] = b.limits
     if not block.generators:
         raise FixtureError("diagram has no generator sets")
-    return AmbientDiagram(block.diagram, limits, block.generators)
+    return _checked(AmbientDiagram(block.diagram, limits, block.generators))
 
 
 def _guard(run: Run, fn):
@@ -135,6 +148,15 @@ def _guard(run: Run, fn):
         run.finish("error", 2)
 
 
+def _execute(ctx, command, files, body):
+    """Load `files`, run body(run, env) and finish the report: a true
+    result passes (exit 0), a false one is a verified failure (exit 1)."""
+    run = Run(command, Budget(ctx.obj["budget"]), ctx.obj["report"])
+    passed = _guard(run, lambda: body(
+        run, _load(run, files, ctx.obj["fixture_dir"])))
+    run.finish("pass" if passed else "fail", 0 if passed else 1)
+
+
 @click.group()
 @click.option("--budget", default=10 ** 6, show_default=True,
               help="Cap on enumeration candidates per run.")
@@ -152,11 +174,7 @@ def main(ctx, budget, fixture_dir, report_path, seed):
                "report": report_path, "seed": seed}
 
 
-def _start(ctx, command):
-    return Run(command, Budget(ctx.obj["budget"]), ctx.obj["report"])
-
-
-def _block_violations(env, name, v, budget):
+def _block_violations(v):
     if isinstance(v, CategoryBlock):
         out = list(validate_category(v.cat))
         if v.limits is not None:
@@ -186,22 +204,33 @@ def _block_violations(env, name, v, budget):
 @click.pass_context
 def validate(ctx, files):
     """Validate every block in the given fixture files."""
-    run = _start(ctx, "validate")
-
-    def go():
-        env = _load(run, files, ctx.obj["fixture_dir"])
+    def body(run, env):
         total = 0
         for name, v in env.items():
-            vio = _block_violations(env, name, v, run.budget)
+            vio = _block_violations(v)
             run.add("checked %s" % name, type(v).__name__)
             for msg in vio:
                 run.add("violation %s" % name, msg)
             total += len(vio)
         run.add("violations", total)
-        return total
+        return total == 0
 
-    total = _guard(run, go)
-    run.finish("pass" if total == 0 else "fail", 0 if total == 0 else 1)
+    _execute(ctx, "validate", files, body)
+
+
+def _seed_stable(run: Run, ctx, R):
+    """Rebuild R's colimit with the --seed refinement order and report
+    whether the category is unchanged; True without --seed."""
+    seed = ctx.obj["seed"]
+    if seed is None:
+        return True
+    R2 = build_pseudocolimit(R.diagram, Budget(run.budget.limit),
+                             apex_seed=seed)
+    stable = (R2.category.objects == R.category.objects
+              and R2.category.comp == R.category.comp)
+    run.add("seed", seed)
+    run.add("seed_stable", stable)
+    return stable
 
 
 @main.command()
@@ -210,10 +239,7 @@ def validate(ctx, files):
 @click.pass_context
 def colim(ctx, files, name):
     """Build the pseudocolimit category of a diagram."""
-    run = _start(ctx, "colim")
-
-    def go():
-        env = _load(run, files, ctx.obj["fixture_dir"])
+    def body(run, env):
         _, block = _pick(env, (DiagramBlock,), name, "diagram")
         R = build_pseudocolimit(block.diagram, run.budget)
         run.add("diagram", block.diagram.name)
@@ -221,19 +247,9 @@ def colim(ctx, files, name):
         run.add("morphisms", len(R.category.morphisms()))
         for o in R.category.objects:
             run.add("object", o)
-        seed = ctx.obj["seed"]
-        if seed is not None:
-            R2 = build_pseudocolimit(block.diagram, Budget(run.budget.limit),
-                                     apex_seed=seed)
-            stable = (R2.category.objects == R.category.objects
-                      and R2.category.comp == R.category.comp)
-            run.add("seed", seed)
-            run.add("seed_stable", stable)
-            return stable
-        return True
+        return _seed_stable(run, ctx, R)
 
-    ok = _guard(run, go)
-    run.finish("pass" if ok else "fail", 0 if ok else 1)
+    _execute(ctx, "colim", files, body)
 
 
 @main.command("site-colim")
@@ -242,16 +258,9 @@ def colim(ctx, files, name):
 @click.pass_context
 def site_colim(ctx, files, name):
     """Build the colimit site of a diagram of sites."""
-    run = _start(ctx, "site-colim")
-
-    def go():
-        env = _load(run, files, ctx.obj["fixture_dir"])
+    def body(run, env):
         _, block = _pick(env, (DiagramBlock,), name, "diagram")
-        D = _site_diagram(env, block)
-        bad = D.validate()
-        if bad:
-            raise FixtureError("; ".join(bad))
-        S, R = build_colim_site(D, run.budget)
+        S, R = build_colim_site(_site_diagram(block), run.budget)
         run.add("diagram", block.diagram.name)
         run.add("objects", len(S.cat.objects))
         run.add("morphisms", len(S.cat.morphisms()))
@@ -262,8 +271,7 @@ def site_colim(ctx, files, name):
             run.add("violation", msg)
         return not vio
 
-    ok = _guard(run, go)
-    run.finish("pass" if ok else "fail", 0 if ok else 1)
+    _execute(ctx, "site-colim", files, body)
 
 
 @main.command()
@@ -272,16 +280,9 @@ def site_colim(ctx, files, name):
 @click.pass_context
 def restrict(ctx, files, name):
     """Close generator sets under finite limits and transitions."""
-    run = _start(ctx, "restrict")
-
-    def go():
-        env = _load(run, files, ctx.obj["fixture_dir"])
+    def body(run, env):
         _, block = _pick(env, (DiagramBlock,), name, "diagram")
-        amb = _ambient(block)
-        bad = amb.validate()
-        if bad:
-            raise FixtureError("; ".join(bad))
-        r = restrict_diagram(amb)
+        r = restrict_diagram(_ambient(block))
         run.add("diagram", block.diagram.name)
         run.add("rounds", r.rounds)
         for A in sorted(r.objects):
@@ -291,8 +292,13 @@ def restrict(ctx, files, name):
             run.add("violation", msg)
         return not vio
 
-    ok = _guard(run, go)
-    run.finish("pass" if ok else "fail", 0 if ok else 1)
+    _execute(ctx, "restrict", files, body)
+
+
+# report fields shared by verify-bicolim and verify-site, in report order
+_VERIFY_FIELDS = ("vertex", "functor_objects", "cone_objects",
+                  "functor_morphisms", "cone_morphisms", "objects_bijective",
+                  "morphisms_bijective")
 
 
 @main.command("verify-bicolim")
@@ -303,35 +309,18 @@ def restrict(ctx, files, name):
 @click.pass_context
 def verify_bicolim_cmd(ctx, files, vertex, name):
     """Check the universal property of a pseudocolimit by enumeration."""
-    run = _start(ctx, "verify-bicolim")
-
-    def go():
-        env = _load(run, list(files) + [vertex], ctx.obj["fixture_dir"])
+    def body(run, env):
+        vblock = _vertex(run, vertex, ctx.obj["fixture_dir"])
         _, block = _pick(env, (DiagramBlock,), name, "diagram")
-        vparsed = parse(_resolve(vertex, ctx.obj["fixture_dir"]).read_text())
-        vname = [n for n, v in vparsed.items()
-                 if isinstance(v, CategoryBlock)][-1]
-        X = env[vname].cat
         R = build_pseudocolimit(block.diagram, run.budget)
-        rep = verify_bicolimit(R, X, run.budget)
+        rep = verify_bicolimit(R, vblock.cat, run.budget)
         run.add("diagram", block.diagram.name)
-        run.add("vertex", rep.vertex)
-        run.add("functor_objects", rep.functor_objects)
-        run.add("cone_objects", rep.cone_objects)
-        run.add("functor_morphisms", rep.functor_morphisms)
-        run.add("cone_morphisms", rep.cone_morphisms)
-        run.add("objects_bijective", rep.objects_bijective)
-        run.add("morphisms_bijective", rep.morphisms_bijective)
-        run.add("strict_triangle", rep.strict_triangle)
-        if ctx.obj["seed"] is not None:
-            R2 = build_pseudocolimit(block.diagram, Budget(run.budget.limit),
-                                     apex_seed=ctx.obj["seed"])
-            run.add("seed", ctx.obj["seed"])
-            run.add("seed_stable", R2.category.comp == R.category.comp)
-        return rep.isomorphism and rep.strict_triangle
+        for f in _VERIFY_FIELDS + ("strict_triangle",):
+            run.add(f, getattr(rep, f))
+        _seed_stable(run, ctx, R)
+        return rep.isomorphism
 
-    ok = _guard(run, go)
-    run.finish("pass" if ok else "fail", 0 if ok else 1)
+    _execute(ctx, "verify-bicolim", files, body)
 
 
 @main.command("verify-site")
@@ -342,35 +331,20 @@ def verify_bicolim_cmd(ctx, files, vertex, name):
 @click.pass_context
 def verify_site_cmd(ctx, files, vertex, name):
     """Check the universal property of a colimit site by enumeration."""
-    run = _start(ctx, "verify-site")
-
-    def go():
-        env = _load(run, list(files) + [vertex], ctx.obj["fixture_dir"])
+    def body(run, env):
+        vblock = _vertex(run, vertex, ctx.obj["fixture_dir"])
         _, block = _pick(env, (DiagramBlock,), name, "diagram")
-        vparsed = parse(_resolve(vertex, ctx.obj["fixture_dir"]).read_text())
-        vname = [n for n, v in vparsed.items()
-                 if isinstance(v, CategoryBlock)][-1]
-        X = env[vname].site()
-        D = _site_diagram(env, block)
-        bad = D.validate()
-        if bad:
-            raise FixtureError("; ".join(bad))
+        X = vblock.site()
+        D = _site_diagram(block)
         S, R = build_colim_site(D, run.budget)
         rep = verify_site_pseudocolimit(D, S, R, X, run.budget)
         run.add("diagram", block.diagram.name)
-        run.add("vertex", rep.vertex)
-        run.add("functor_objects", rep.functor_objects)
-        run.add("cone_objects", rep.cone_objects)
-        run.add("functor_morphisms", rep.functor_morphisms)
-        run.add("cone_morphisms", rep.cone_morphisms)
-        run.add("objects_bijective", rep.objects_bijective)
-        run.add("morphisms_bijective", rep.morphisms_bijective)
-        run.add("factored_functors_continuous",
-                rep.factored_functors_continuous)
-        return rep.isomorphism and rep.factored_functors_continuous
+        for f in _VERIFY_FIELDS + ("factored_functors_continuous",):
+            run.add(f, getattr(rep, f))
+        return (rep.objects_bijective and rep.morphisms_bijective
+                and rep.factored_functors_continuous)
 
-    ok = _guard(run, go)
-    run.finish("pass" if ok else "fail", 0 if ok else 1)
+    _execute(ctx, "verify-site", files, body)
 
 
 @main.command("sheaf-check")
@@ -378,10 +352,7 @@ def verify_site_cmd(ctx, files, vertex, name):
 @click.pass_context
 def sheaf_check(ctx, files):
     """Check every presheaf in the fixtures against its category's site."""
-    run = _start(ctx, "sheaf-check")
-
-    def go():
-        env = _load(run, files, ctx.obj["fixture_dir"])
+    def body(run, env):
         sheaves = [(n, v) for n, v in env.items() if isinstance(v, Presheaf)]
         if not sheaves:
             raise FixtureError("no presheaf in the given fixtures")
@@ -399,8 +370,7 @@ def sheaf_check(ctx, files):
                 all_ok = False
         return all_ok
 
-    ok = _guard(run, go)
-    run.finish("pass" if ok else "fail", 0 if ok else 1)
+    _execute(ctx, "sheaf-check", files, body)
 
 
 if __name__ == "__main__":

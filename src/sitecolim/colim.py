@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import Budget, FinCat, Functor, NatTrans, enumerate_functors, \
-    enumerate_nat_trans, validate_nat_trans
+from .core import (Budget, FinCat, Functor, NatTrans, enumerate_functors,
+                   enumerate_nat_trans, union_find, validate_nat_trans)
 from .cones import (Modification, Pseudocone, check_pseudocone,
                     enumerate_modifications, enumerate_pseudocones,
                     postcompose_cell, postcompose_cone)
@@ -139,12 +139,6 @@ class PseudocolimitResult:
     span_class: dict[Span, str]  # span -> morphism name
     obj_info: dict[str, tuple[str, str]]  # L object -> (index object, fiber object)
 
-    def class_of(self, s: Span) -> str:
-        return self.span_class[s]
-
-    def representative(self, m: str) -> Span:
-        return self.class_members[m][0]
-
 
 def build_pseudocolimit(F: TwoDiagram, budget: Budget | None = None,
                         apex_seed=None) -> PseudocolimitResult:
@@ -179,19 +173,12 @@ def build_pseudocolimit(F: TwoDiagram, budget: Budget | None = None,
             B, y = obj_info[q]
             spans = all_spans(F, A, x, B, y)
             bud.charge(len(spans) + 1)
-            parent = {s: s for s in spans}
-
-            def find(s):
-                while parent[s] != s:
-                    parent[s] = parent[parent[s]]
-                    s = parent[s]
-                return s
-
+            find, union = union_find(spans)
             for i, s in enumerate(spans):
                 for t in spans[i + 1:]:
                     bud.charge()
                     if find(s) != find(t) and span_related(F, s, t):
-                        parent[find(s)] = find(t)
+                        union(s, t)
             groups = {}
             for s in spans:
                 groups.setdefault(find(s), []).append(s)
@@ -329,6 +316,8 @@ class BicolimReport:
     objects_bijective: bool
     morphisms_bijective: bool
     strict_triangle: bool  # factor_cone is a section of postcomposition
+    # set by verify_site_pseudocolimit: every factored cone is continuous
+    factored_functors_continuous: bool | None = None
 
     @property
     def isomorphism(self):
@@ -337,13 +326,19 @@ class BicolimReport:
 
 
 def verify_bicolimit(R: PseudocolimitResult, X: FinCat,
-                     budget: Budget | None = None) -> BicolimReport:
+                     budget: Budget | None = None, funcs=None,
+                     cones=None) -> BicolimReport:
     """Check that postcomposition with lambda is an isomorphism of
-    categories Functors(L, X) -> Pseudocones(F, X), by double enumeration."""
+    categories Functors(L, X) -> Pseudocones(F, X), by double enumeration.
+
+    Given `funcs` and `cones`, the check runs between those full
+    subcategories instead of enumerating all functors L -> X and all
+    pseudocones with vertex X (see verify_site_pseudocolimit)."""
     bud = budget if budget is not None else Budget()
-    F = R.diagram
-    funcs = enumerate_functors(R.category, X, bud)
-    cones = enumerate_pseudocones(F, X, bud)
+    if funcs is None:
+        funcs = enumerate_functors(R.category, X, bud)
+    if cones is None:
+        cones = enumerate_pseudocones(R.diagram, X, bud)
     images = [postcompose_cone(R.cone, t) for t in funcs]
     image_keys = [c.key() for c in images]
     cone_keys = [c.key() for c in cones]
@@ -355,7 +350,6 @@ def verify_bicolimit(R: PseudocolimitResult, X: FinCat,
     f_mor = 0
     c_mor = 0
     morphisms_bijective = True
-    cones_by_key = {k: c for k, c in zip(cone_keys, cones)}
     for s, img_s in zip(funcs, images):
         for t, img_t in zip(funcs, images):
             nats = enumerate_nat_trans(s, t, bud)

@@ -8,7 +8,6 @@ their category; equality is identifier equality.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded, SaturationExceeded
@@ -155,6 +154,28 @@ def validate_category(C: FinCat) -> list[str]:
     return out
 
 
+def union_find(items):
+    """(find, union) on classes of `items`, each one a singleton at first.
+    union(a, b) hangs the class of a under that of b and says whether the
+    two were apart."""
+    parent = {x: x for x in items}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return False
+        parent[ra] = rb
+        return True
+
+    return find, union
+
+
 # ---------------------------------------------------------------------------
 # categories from presentations
 
@@ -199,20 +220,7 @@ def build_category(pres: Presentation, bound: int, name="presented") -> FinCat:
     """
     paths, tgt_of = _paths_up_to(pres, 2 * bound)
     index = {p: i for i, p in enumerate(paths)}
-    parent = list(range(len(paths)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            return True
-        return False
+    find, union = union_find(range(len(paths)))
 
     changed = True
     while changed:
@@ -282,12 +290,6 @@ class Functor:
     target: FinCat
     obj_map: dict[str, str]
     mor_map: dict[str, str]
-
-    def on_obj(self, o):
-        return self.obj_map[o]
-
-    def on_mor(self, m):
-        return self.mor_map[m]
 
     def key(self):
         return (tuple(sorted(self.obj_map.items())),
@@ -411,9 +413,6 @@ class NatTrans:
     source: Functor
     target: Functor
     components: dict[str, str]  # object of source cat -> morphism of target cat
-
-    def at(self, o):
-        return self.components[o]
 
     def key(self):
         return tuple(sorted(self.components.items()))

@@ -9,17 +9,15 @@ through it.  Sheaf compatibility uses the site's chosen fiber products.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .core import Budget, FinCat, Functor, enumerate_functors, \
-    enumerate_nat_trans
-from .cones import (Modification, Pseudocone, check_pseudocone,
-                    enumerate_modifications, enumerate_pseudocones,
-                    postcompose_cell, postcompose_cone)
-from .colim import (PseudocolimitResult, build_pseudocolimit,
-                    colim_limit_assignment, factor_cone)
+from .core import (Budget, FinCat, Functor, NatTrans, compose_functors,
+                   enumerate_functors)
+from .cones import Pseudocone, enumerate_pseudocones
+from .colim import (BicolimReport, PseudocolimitResult, build_pseudocolimit,
+                    colim_limit_assignment, factor_cone, verify_bicolimit)
 from .errors import ClosureViolation
-from .limits import Cone, Diagram, LimitAssignment, check_exact, chosen_limit
+from .limits import Diagram, LimitAssignment, check_exact, chosen_limit
 from .twocat import TwoDiagram
 
 
@@ -156,22 +154,6 @@ def build_colim_site(D: SiteDiagram, budget: Budget | None = None):
     return Site(R.category, limits, basis, generators), R
 
 
-@dataclass
-class SiteColimReport:
-    vertex: str
-    functor_objects: int
-    cone_objects: int
-    functor_morphisms: int
-    cone_morphisms: int
-    objects_bijective: bool
-    morphisms_bijective: bool
-    factored_functors_continuous: bool
-
-    @property
-    def isomorphism(self):
-        return self.objects_bijective and self.morphisms_bijective
-
-
 def _leg_is_site_morphism(h: Pseudocone, D: SiteDiagram, X: Site) -> bool:
     for A in sorted(h.legs):
         m = SiteMorphism(h.legs[A], D.sites[A], X)
@@ -182,40 +164,20 @@ def _leg_is_site_morphism(h: Pseudocone, D: SiteDiagram, X: Site) -> bool:
 
 def verify_site_pseudocolimit(D: SiteDiagram, colim: Site,
                               R: PseudocolimitResult, X: Site,
-                              budget: Budget | None = None) -> SiteColimReport:
-    """Double enumeration of continuous exact functors out of the colimit
-    site versus site-morphism pseudocones, with bijection tallies; also
-    checks that each factored functor preserving the generating covers is
-    continuous outright."""
+                              budget: Budget | None = None) -> BicolimReport:
+    """verify_bicolimit between continuous exact functors out of the colimit
+    site and site-morphism pseudocones; also checks that each factored
+    functor preserving the generating covers is continuous outright."""
     bud = budget if budget is not None else Budget()
     funcs = [t for t in enumerate_functors(colim.cat, X.cat, bud)
              if check_exact(t, colim.limits)[0]
              and check_continuous(t, colim, X)[0]]
     cones = [h for h in enumerate_pseudocones(D.diagram, X.cat, bud)
              if _leg_is_site_morphism(h, D, X)]
-    images = [postcompose_cone(R.cone, t) for t in funcs]
-    image_keys = sorted(c.key() for c in images)
-    cone_keys = sorted(c.key() for c in cones)
-    objects_bijective = image_keys == cone_keys
-    factored_continuous = all(
+    rep = verify_bicolimit(R, X.cat, bud, funcs, cones)
+    rep.factored_functors_continuous = all(
         check_continuous(factor_cone(R, h), colim, X)[0] for h in cones)
-    f_mor = 0
-    c_mor = 0
-    morphisms_bijective = True
-    for s, img_s in zip(funcs, images):
-        for t, img_t in zip(funcs, images):
-            nats = enumerate_nat_trans(s, t, bud)
-            mods = enumerate_modifications(img_s, img_t, bud)
-            f_mor += len(nats)
-            mapped = sorted(postcompose_cell(R.cone, xi).key() for xi in nats)
-            if mapped != sorted(m.key() for m in mods):
-                morphisms_bijective = False
-    for a in cones:
-        for b in cones:
-            c_mor += len(enumerate_modifications(a, b, bud))
-    return SiteColimReport(X.cat.name, len(funcs), len(cones), f_mor, c_mor,
-                           objects_bijective, morphisms_bijective,
-                           factored_continuous)
+    return rep
 
 
 def restrict_pseudocone(h: Pseudocone, inclusions: dict[str, Functor],
@@ -232,22 +194,16 @@ def restrict_pseudocone(h: Pseudocone, inclusions: dict[str, Functor],
             if amb != sub:
                 raise ClosureViolation(
                     "transition %s does not restrict at %s" % (u, o))
-    legs = {}
+    legs = {A: compose_functors(h.legs[A], inclusions[A]) for A in h.legs}
     coherence = {}
-    from .core import compose_functors, whisker_nat_functor
-    for A in h.legs:
-        legs[A] = compose_functors(h.legs[A], inclusions[A])
-    for u in F.index.one_cells():
-        a = C1.mor_src[u]
-        w = whisker_nat_functor(h.coherence[u], inclusions[a])
-        coherence[u] = w
-    out = Pseudocone("%s|res" % h.name, restricted, h.vertex, legs, coherence)
-    # re-target the coherence boundaries at the restricted diagram's functors
     for u in F.index.one_cells():
         a, b = C1.mor_src[u], C1.mor_tgt[u]
-        coherence[u].source = legs[a]
-        coherence[u].target = compose_functors(legs[b], restricted.on1[u])
-    return out
+        cell, incl = h.coherence[u], inclusions[a]
+        coherence[u] = NatTrans(
+            "(%s)%s" % (cell.name, incl.name), legs[a],
+            compose_functors(legs[b], restricted.on1[u]),
+            {o: cell.components[incl.obj_map[o]] for o in incl.source.objects})
+    return Pseudocone("%s|res" % h.name, restricted, h.vertex, legs, coherence)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ covariant convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import (FinCat, Functor, NatTrans, compose_functors, hcomp_nat,
                    identity_functor, identity_nat, validate_category,
@@ -54,10 +54,6 @@ class TwoCat:
     def whisker_post(self, w, g):
         """w . g for a 1-cell w composable after the boundary of g."""
         return self.hcomp[(self.two_id[w], g)]
-
-    def whisker_pre(self, g, w):
-        """g . w for a 1-cell w composable before the boundary of g."""
-        return self.hcomp[(g, self.two_id[w])]
 
 
 def two_cat_from_cat(C: FinCat, name=None) -> TwoCat:

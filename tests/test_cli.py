@@ -139,3 +139,15 @@ def test_report_file_and_determinism(runner, fixture_dir, tmp_path):
 def test_wall_time_not_in_report(runner, fixture_dir, tmp_path):
     _, text = report(runner, fixture_dir, tmp_path, "validate", "one.cat")
     assert "wall-time" not in text
+
+
+@pytest.mark.parametrize("command, diagram", [
+    ("verify-bicolim", "consttwo.diag"),
+    ("verify-site", "covereddiamond.diag"),
+])
+def test_vertex_without_category_exits_two(runner, fixture_dir, command,
+                                           diagram):
+    res = run(runner, fixture_dir, command, diagram, "--vertex", "chain3.2cat")
+    assert res.exit_code == 2
+    assert "error no category in the given fixtures" in res.output
+    assert "outcome error" in res.output

@@ -96,6 +96,29 @@ def _vertex(run: Run, path, fixture_dir) -> CategoryBlock:
     return _pick(env, (CategoryBlock,), None, "category")[1]
 
 
+def _diagram(env: Environment, name) -> DiagramBlock:
+    """The named (or last) diagram block, refused before any construction
+    unless its index is a 2-category, every fiber a category and the
+    diagram a strict 2-functor."""
+    _, block = _pick(env, (DiagramBlock,), name, "diagram")
+    dia = block.diagram
+    bad = validate_two_cat(dia.index)
+    if bad:
+        raise FixtureError("index %s: %s" % (dia.index.name, bad[0]))
+    seen = set()
+    for A, C in sorted(dia.fibers.items()):
+        if id(C) in seen:  # a constant diagram repeats one category
+            continue
+        seen.add(id(C))
+        bad = validate_category(C)
+        if bad:
+            raise FixtureError("fiber %s (%s): %s" % (A, C.name, bad[0]))
+    ok, why = check_two_functor(dia)
+    if not ok:
+        raise FixtureError("diagram %s: %s" % (dia.name, why))
+    return block
+
+
 def _category_block_of(env: Environment, cat):
     for v in env.values():
         if isinstance(v, CategoryBlock) and v.cat is cat:
@@ -240,7 +263,7 @@ def _seed_stable(run: Run, ctx, R):
 def colim(ctx, files, name):
     """Build the pseudocolimit category of a diagram."""
     def body(run, env):
-        _, block = _pick(env, (DiagramBlock,), name, "diagram")
+        block = _diagram(env, name)
         R = build_pseudocolimit(block.diagram, run.budget)
         run.add("diagram", block.diagram.name)
         run.add("objects", len(R.category.objects))
@@ -259,7 +282,7 @@ def colim(ctx, files, name):
 def site_colim(ctx, files, name):
     """Build the colimit site of a diagram of sites."""
     def body(run, env):
-        _, block = _pick(env, (DiagramBlock,), name, "diagram")
+        block = _diagram(env, name)
         S, R = build_colim_site(_site_diagram(block), run.budget)
         run.add("diagram", block.diagram.name)
         run.add("objects", len(S.cat.objects))
@@ -281,7 +304,7 @@ def site_colim(ctx, files, name):
 def restrict(ctx, files, name):
     """Close generator sets under finite limits and transitions."""
     def body(run, env):
-        _, block = _pick(env, (DiagramBlock,), name, "diagram")
+        block = _diagram(env, name)
         r = restrict_diagram(_ambient(block))
         run.add("diagram", block.diagram.name)
         run.add("rounds", r.rounds)
@@ -311,7 +334,7 @@ def verify_bicolim_cmd(ctx, files, vertex, name):
     """Check the universal property of a pseudocolimit by enumeration."""
     def body(run, env):
         vblock = _vertex(run, vertex, ctx.obj["fixture_dir"])
-        _, block = _pick(env, (DiagramBlock,), name, "diagram")
+        block = _diagram(env, name)
         R = build_pseudocolimit(block.diagram, run.budget)
         rep = verify_bicolimit(R, vblock.cat, run.budget)
         run.add("diagram", block.diagram.name)
@@ -333,7 +356,7 @@ def verify_site_cmd(ctx, files, vertex, name):
     """Check the universal property of a colimit site by enumeration."""
     def body(run, env):
         vblock = _vertex(run, vertex, ctx.obj["fixture_dir"])
-        _, block = _pick(env, (DiagramBlock,), name, "diagram")
+        block = _diagram(env, name)
         X = vblock.site()
         D = _site_diagram(block)
         S, R = build_colim_site(D, run.budget)

@@ -336,7 +336,7 @@ def verify_bicolimit(R: PseudocolimitResult, X: FinCat,
     pseudocones with vertex X (see verify_site_pseudocolimit)."""
     bud = budget if budget is not None else Budget()
     if funcs is None:
-        funcs = enumerate_functors(R.category, X, bud)
+        funcs = list(enumerate_functors(R.category, X, bud))
     if cones is None:
         cones = enumerate_pseudocones(R.diagram, X, bud)
     images = [postcompose_cone(R.cone, t) for t in funcs]

@@ -72,17 +72,17 @@ def check_pseudocone(h: Pseudocone):
     for B in A.objects():  # pc0
         if h.coherence[C1.identities[B]] != identity_nat(h.legs[B]):
             return False, "pc0 fails at %s" % B
+    X = h.vertex.comp
+    cells = {u: n.components for u, n in h.coherence.items()}
     for (v, u), w in C1.comp.items():  # pc1
-        lhs = vcomp_nat(whisker_nat_functor(h.coherence[v], F.on1[u]),
-                        h.coherence[u])
-        if lhs.components != h.coherence[w].components:
+        h_u, h_v, Fu = cells[u], cells[v], F.on1[u].obj_map
+        if {o: X[(h_v[Fu[o]], h_u[o])] for o in h_u} != cells[w]:
             return False, "pc1 fails at (%s, %s)" % (v, u)
     for g in A.two_cells():  # pc2
         u, v = A.parallel(g)
-        b = C1.mor_tgt[u]
-        lhs = vcomp_nat(whisker_functor_nat(h.legs[b], F.on2[g]),
-                        h.coherence[u])
-        if lhs.components != h.coherence[v].components:
+        h_u, Fg = cells[u], F.on2[g].components
+        h_B = h.legs[C1.mor_tgt[u]].mor_map
+        if {o: X[(h_B[Fg[o]], h_u[o])] for o in h_u} != cells[v]:
             return False, "pc2 fails at %s" % g
     return True, None
 
@@ -100,12 +100,14 @@ def check_modification(phi: Modification):
         if c is None or c.source != g.legs[B] or c.target != h.legs[B]:
             return False, "component at %s missing or mislabelled" % B
     C1 = F.index.cells1
-    for u in F.index.one_cells():
-        a, b = C1.mor_src[u], C1.mor_tgt[u]
-        lhs = vcomp_nat(h.coherence[u], phi.components[a])
-        rhs = vcomp_nat(whisker_nat_functor(phi.components[b], F.on1[u]),
-                        g.coherence[u])
-        if lhs.components != rhs.components:
+    X = g.vertex.comp
+    for u in F.index.one_cells():  # pcM
+        phi_a = phi.components[C1.mor_src[u]].components
+        phi_b = phi.components[C1.mor_tgt[u]].components
+        h_u, g_u = h.coherence[u].components, g.coherence[u].components
+        Fu = F.on1[u].obj_map
+        if ({o: X[(h_u[o], phi_a[o])] for o in phi_a}
+                != {o: X[(phi_b[Fu[o]], g_u[o])] for o in g_u}):
             return False, u
     return True, None
 
@@ -182,7 +184,8 @@ def enumerate_pseudocones(F: TwoDiagram, X: FinCat,
     A = F.index
     C1 = A.cells1
     objs = sorted(A.objects())
-    leg_choices = [enumerate_functors(F.fibers[B], X, bud) for B in objs]
+    leg_choices = [list(enumerate_functors(F.fibers[B], X, bud))
+                   for B in objs]
     non_id = [u for u in A.one_cells()
               if u not in C1.identities.values()]
     results = []

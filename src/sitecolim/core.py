@@ -40,6 +40,7 @@ class FinCat:
     comp: dict[tuple[str, str], str]
     _hom: dict = field(default=None, repr=False, compare=False)
     _inv: dict = field(default=None, repr=False, compare=False)
+    _squares: list = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.objects = tuple(self.objects)
@@ -48,6 +49,7 @@ class FinCat:
             hom.setdefault((self.mor_src[m], self.mor_tgt[m]), []).append(m)
         self._hom = {k: tuple(v) for k, v in hom.items()}
         self._inv = None
+        self._squares = None
 
     def morphisms(self):
         return sorted(self.mor_src)
@@ -118,8 +120,17 @@ def validate_category(C: FinCat) -> list[str]:
     if out:
         return out
     mors = C.morphisms()
+    out_of = {}  # object -> the morphisms leaving it, in `mors` order
+    for m in mors:
+        out_of.setdefault(C.mor_src[m], []).append(m)
+    entries_after = {}  # f -> every morphism g with a table entry g . f
+    for g, f in C.comp:
+        if g in C.mor_src:
+            entries_after.setdefault(f, set()).add(g)
     for f in mors:
-        for g in mors:
+        # only a composable pair or a pair with an entry can be at fault
+        for g in sorted(entries_after.get(f, set()).union(
+                out_of.get(C.mor_tgt[f], ()))):
             composable = C.mor_tgt[f] == C.mor_src[g]
             h = C.comp.get((g, f))
             if composable and h is None:
@@ -142,12 +153,8 @@ def validate_category(C: FinCat) -> list[str]:
         if C.comp[(i_t, f)] != f:
             out.append("identity law fails: %s . %s != %s" % (i_t, f, f))
     for f in mors:
-        for g in mors:
-            if C.mor_tgt[f] != C.mor_src[g]:
-                continue
-            for h in mors:
-                if C.mor_tgt[g] != C.mor_src[h]:
-                    continue
+        for g in out_of.get(C.mor_tgt[f], ()):
+            for h in out_of.get(C.mor_tgt[g], ()):
                 if C.comp[(h, C.comp[(g, f)])] != C.comp[(C.comp[(h, g)], f)]:
                     out.append(
                         "associativity fails on (%s, %s, %s)" % (h, g, f))
@@ -341,70 +348,89 @@ def validate_functor(F: Functor) -> list[str]:
     return out
 
 
+def _backtrack(variables, domains, watches, holds, bud, assignment):
+    """Depth-first search over the assignments of `variables`, extending
+    `assignment` in place and yielding it at every solution (callers copy
+    what they keep).
+
+    variables[i] takes the values of domains[i] in order, each one charged
+    to `bud` as a candidate.  watches[i] lists the constraints whose last
+    variable in this order is variables[i]; holds(assignment, watches[i])
+    decides them as soon as variables[i] is set, so each constraint is
+    tested once per candidate of its last variable and never again further
+    down.
+    """
+    n = len(variables)
+    if n == 0:
+        yield assignment
+        return
+    values = [iter(domains[0])]
+    while values:
+        i = len(values) - 1
+        var, watched = variables[i], watches[i]
+        for val in values[i]:
+            bud.charge()
+            assignment[var] = val
+            if holds(assignment, watched):
+                break
+        else:
+            values.pop()
+            continue
+        if i + 1 == n:
+            yield assignment
+        else:
+            values.append(iter(domains[i + 1]))
+
+
 def enumerate_functors(C: FinCat, D: FinCat, budget: Budget | None = None):
-    """All functors C -> D in a deterministic order.
+    """All functors C -> D, lazily, in a deterministic order.
 
     Backtracks over object images first (pruning on empty hom-sets), then
     over images of non-identity morphisms, checking each composition-table
-    entry as soon as all three of its morphisms have images.
+    entry as soon as the last of its non-identity morphisms has an image
+    (an entry of identities only is checked at the first morphism).
     """
     bud = budget if budget is not None else Budget()
     objs = sorted(C.objects)
-    mors = [m for m in C.morphisms() if not C.is_identity(m)]
-    comp_items = list(C.comp.items())
-    results = []
+    all_mors = C.morphisms()
+    mors = [m for m in all_mors if not C.is_identity(m)]
+    obj_rank = {o: i for i, o in enumerate(objs)}
+    obj_watches = [[] for _ in objs]
+    for s, t in dict.fromkeys((C.mor_src[m], C.mor_tgt[m]) for m in mors):
+        obj_watches[max(obj_rank[s], obj_rank[t])].append((s, t))
+    mor_rank = {m: i for i, m in enumerate(mors)}
+    mor_watches = [[] for _ in mors]
+    # an entry of identities only is watched by the first morphism; with no
+    # non-identity morphism no entry is checked
+    for (g, f), h in C.comp.items() if mors else ():
+        last = max((mor_rank[m] for m in (g, f, h) if m in mor_rank),
+                   default=0)
+        mor_watches[last].append((g, f, h))
+    D_objs = sorted(D.objects)
+    D_hom, D_comp = D._hom, D.comp
 
-    def mor_assigned(omap, mmap, m):
-        if C.is_identity(m):
-            return D.identities[omap[C.mor_src[m]]]
-        return mmap.get(m)
+    def homs_nonempty(omap, pairs):
+        for s, t in pairs:
+            if (omap[s], omap[t]) not in D_hom:
+                return False
+        return True
 
-    def assign_mors(omap, mmap, i):
-        if i == len(mors):
-            results.append(Functor(
-                "F%d" % len(results), C, D, dict(omap),
-                {m: mor_assigned(omap, mmap, m) for m in C.morphisms()}))
-            return
-        m = mors[i]
-        for cand in D.hom(omap[C.mor_src[m]], omap[C.mor_tgt[m]]):
-            bud.charge()
-            mmap[m] = cand
-            ok = True
-            for (g, f), h in comp_items:
-                ig = mor_assigned(omap, mmap, g)
-                if ig is None:
-                    continue
-                iff = mor_assigned(omap, mmap, f)
-                if iff is None:
-                    continue
-                ih = mor_assigned(omap, mmap, h)
-                if ih is not None and D.comp[(ig, iff)] != ih:
-                    ok = False
-                    break
-            if ok:
-                assign_mors(omap, mmap, i + 1)
-            del mmap[m]
+    def composites_preserved(mmap, entries):
+        for g, f, h in entries:
+            if D_comp[(mmap[g], mmap[f])] != mmap[h]:
+                return False
+        return True
 
-    def assign_objs(omap, i):
-        if i == len(objs):
-            assign_mors(omap, {}, 0)
-            return
-        o = objs[i]
-        for cand in sorted(D.objects):
-            bud.charge()
-            omap[o] = cand
-            ok = True
-            for m in mors:
-                s, t = C.mor_src[m], C.mor_tgt[m]
-                if s in omap and t in omap and not D.hom(omap[s], omap[t]):
-                    ok = False
-                    break
-            if ok:
-                assign_objs(omap, i + 1)
-            del omap[o]
-
-    assign_objs({}, 0)
-    return results
+    count = 0
+    for omap in _backtrack(objs, [D_objs] * len(objs), obj_watches,
+                           homs_nonempty, bud, {}):
+        ids = {C.identities[o]: D.identities[omap[o]] for o in objs}
+        homs = [D.hom(omap[C.mor_src[m]], omap[C.mor_tgt[m]]) for m in mors]
+        for mmap in _backtrack(mors, homs, mor_watches,
+                               composites_preserved, bud, ids):
+            yield Functor("F%d" % count, C, D, dict(omap),
+                          {m: mmap[m] for m in all_mors})
+            count += 1
 
 
 @dataclass
@@ -497,37 +523,40 @@ def invert_nat(a: NatTrans) -> NatTrans:
                     {o: D.inverse(m) for o, m in a.components.items()})
 
 
+def _naturality_watches(C: FinCat):
+    """Watch lists for enumerate_nat_trans: per object of C, in sorted
+    order, the morphisms (src, tgt, m) whose later endpoint it is.  They
+    depend on C alone, so they are computed once per category."""
+    if C._squares is None:
+        objs = sorted(C.objects)
+        rank = {o: i for i, o in enumerate(objs)}
+        squares = [[] for _ in objs]
+        for m, s in C.mor_src.items():
+            t = C.mor_tgt[m]
+            squares[max(rank[s], rank[t])].append((s, t, m))
+        C._squares = squares
+    return C._squares
+
+
 def enumerate_nat_trans(F: Functor, G: Functor, budget: Budget | None = None):
-    """All natural transformations F => G, deterministic order."""
+    """All natural transformations F => G, deterministic order.  The
+    naturality square at m is checked once both of its components are."""
     assert F.source.name == G.source.name and F.target.name == G.target.name
     bud = budget if budget is not None else Budget()
     C, D = F.source, F.target
     objs = sorted(C.objects)
-    mors = C.morphisms()
-    results = []
+    homs = [D.hom(F.obj_map[o], G.obj_map[o]) for o in objs]
+    D_comp, Fm, Gm = D.comp, F.mor_map, G.mor_map
 
-    def rec(comp, i):
-        if i == len(objs):
-            results.append(NatTrans("n%d" % len(results), F, G, dict(comp)))
-            return
-        o = objs[i]
-        for cand in D.hom(F.obj_map[o], G.obj_map[o]):
-            bud.charge()
-            comp[o] = cand
-            ok = True
-            for m in mors:
-                s, t = C.mor_src[m], C.mor_tgt[m]
-                if s in comp and t in comp:
-                    if D.comp[(G.mor_map[m], comp[s])] != \
-                            D.comp[(comp[t], F.mor_map[m])]:
-                        ok = False
-                        break
-            if ok:
-                rec(comp, i + 1)
-            del comp[o]
+    def natural(comp, watched):
+        for s, t, m in watched:
+            if D_comp[(Gm[m], comp[s])] != D_comp[(comp[t], Fm[m])]:
+                return False
+        return True
 
-    rec({}, 0)
-    return results
+    return [NatTrans("n%d" % i, F, G, dict(comp))
+            for i, comp in enumerate(_backtrack(
+                objs, homs, _naturality_watches(C), natural, bud, {}))]
 
 
 # ---------------------------------------------------------------------------
@@ -581,8 +610,8 @@ def equivalence_witness(C: FinCat, D: FinCat,
                         budget: Budget | None = None) -> EquivalenceSearch:
     """Search for an equivalence of categories C ~ D.
 
-    Scans functors C -> D for one that is fully faithful and essentially
-    surjective, then constructs the quasi-inverse and both isomorphisms
+    Scans functors C -> D lazily, stopping at the first one that is fully
+    faithful and essentially surjective, then constructs the quasi-inverse and both isomorphisms
     directly (no second functor enumeration).
     """
     bud = budget if budget is not None else Budget()

@@ -98,10 +98,15 @@ def parse(text: str, env: Environment | None = None) -> Environment:
             if cur is None:
                 raise FixtureError("content before first block", ln)
             cur[3].append((ln, toks))
+    defined = set()
     for kind, name, ln, body in blocks:
         builder = _BUILDERS.get(kind)
         if builder is None:
             raise FixtureError("unknown block kind %s" % kind, ln)
+        if name in defined:
+            raise FixtureError("block name %s repeated in one file" % name,
+                               ln)
+        defined.add(name)
         env[name] = builder(name, body, env)
     return env
 

@@ -1,0 +1,363 @@
+"""Frozen reference implementations of the enumeration kernel, the
+pseudocone coherence checks and the structure validators, kept as test
+oracles.
+
+These are the straightforward versions the library replaced: the
+enumerators rescan every constraint for every candidate and return lists;
+the coherence equations pc1/pc2/pcM are evaluated on whiskered and
+vertically composed NatTrans objects; the validators scan every pair of
+morphisms or 2-cells and compose every functor pair afresh.  They must keep
+giving the same functors, transformations, verdicts, messages and Budget
+counts as the library's watch-list kernel, table-level checks and indexed
+validators.
+"""
+
+from sitecolim.core import (Budget, Functor, NatTrans, compose_functors,
+                            hcomp_nat, identity_functor, identity_nat,
+                            nat_is_invertible, validate_functor,
+                            validate_nat_trans, vcomp_nat,
+                            whisker_functor_nat, whisker_nat_functor)
+
+
+def enumerate_functors(C, D, budget=None):
+    bud = budget if budget is not None else Budget()
+    objs = sorted(C.objects)
+    mors = [m for m in C.morphisms() if not C.is_identity(m)]
+    comp_items = list(C.comp.items())
+    results = []
+
+    def mor_assigned(omap, mmap, m):
+        if C.is_identity(m):
+            return D.identities[omap[C.mor_src[m]]]
+        return mmap.get(m)
+
+    def assign_mors(omap, mmap, i):
+        if i == len(mors):
+            results.append(Functor(
+                "F%d" % len(results), C, D, dict(omap),
+                {m: mor_assigned(omap, mmap, m) for m in C.morphisms()}))
+            return
+        m = mors[i]
+        for cand in D.hom(omap[C.mor_src[m]], omap[C.mor_tgt[m]]):
+            bud.charge()
+            mmap[m] = cand
+            ok = True
+            for (g, f), h in comp_items:
+                ig = mor_assigned(omap, mmap, g)
+                if ig is None:
+                    continue
+                iff = mor_assigned(omap, mmap, f)
+                if iff is None:
+                    continue
+                ih = mor_assigned(omap, mmap, h)
+                if ih is not None and D.comp[(ig, iff)] != ih:
+                    ok = False
+                    break
+            if ok:
+                assign_mors(omap, mmap, i + 1)
+            del mmap[m]
+
+    def assign_objs(omap, i):
+        if i == len(objs):
+            assign_mors(omap, {}, 0)
+            return
+        o = objs[i]
+        for cand in sorted(D.objects):
+            bud.charge()
+            omap[o] = cand
+            ok = True
+            for m in mors:
+                s, t = C.mor_src[m], C.mor_tgt[m]
+                if s in omap and t in omap and not D.hom(omap[s], omap[t]):
+                    ok = False
+                    break
+            if ok:
+                assign_objs(omap, i + 1)
+            del omap[o]
+
+    assign_objs({}, 0)
+    return results
+
+
+def enumerate_nat_trans(F, G, budget=None):
+    bud = budget if budget is not None else Budget()
+    C, D = F.source, F.target
+    objs = sorted(C.objects)
+    mors = C.morphisms()
+    results = []
+
+    def rec(comp, i):
+        if i == len(objs):
+            results.append(NatTrans("n%d" % len(results), F, G, dict(comp)))
+            return
+        o = objs[i]
+        for cand in D.hom(F.obj_map[o], G.obj_map[o]):
+            bud.charge()
+            comp[o] = cand
+            ok = True
+            for m in mors:
+                s, t = C.mor_src[m], C.mor_tgt[m]
+                if s in comp and t in comp:
+                    if D.comp[(G.mor_map[m], comp[s])] != \
+                            D.comp[(comp[t], F.mor_map[m])]:
+                        ok = False
+                        break
+            if ok:
+                rec(comp, i + 1)
+            del comp[o]
+
+    rec({}, 0)
+    return results
+
+
+def check_pseudocone(h):
+    F = h.diagram
+    A = F.index
+    C1 = A.cells1
+    for B in A.objects():
+        leg = h.legs.get(B)
+        if leg is None or leg.source.name != F.fibers[B].name \
+                or leg.target.name != h.vertex.name:
+            return False, "leg at %s missing or mislabelled" % B
+    for u in A.one_cells():
+        cell = h.coherence.get(u)
+        if cell is None:
+            return False, "coherence at %s missing" % u
+        a, b = C1.mor_src[u], C1.mor_tgt[u]
+        if cell.source != h.legs[a] or \
+                cell.target != compose_functors(h.legs[b], F.on1[u]):
+            return False, "coherence at %s has wrong boundary" % u
+        if not nat_is_invertible(cell):
+            return False, "coherence at %s not invertible" % u
+    for B in A.objects():  # pc0
+        if h.coherence[C1.identities[B]] != identity_nat(h.legs[B]):
+            return False, "pc0 fails at %s" % B
+    for (v, u), w in C1.comp.items():  # pc1
+        lhs = vcomp_nat(whisker_nat_functor(h.coherence[v], F.on1[u]),
+                        h.coherence[u])
+        if lhs.components != h.coherence[w].components:
+            return False, "pc1 fails at (%s, %s)" % (v, u)
+    for g in A.two_cells():  # pc2
+        u, v = A.parallel(g)
+        b = C1.mor_tgt[u]
+        lhs = vcomp_nat(whisker_functor_nat(h.legs[b], F.on2[g]),
+                        h.coherence[u])
+        if lhs.components != h.coherence[v].components:
+            return False, "pc2 fails at %s" % g
+    return True, None
+
+
+def check_modification(phi):
+    g, h = phi.source, phi.target
+    F = g.diagram
+    if h.diagram is not F and h.diagram.name != F.name:
+        return False, "boundary cones live over different diagrams"
+    if g.vertex.name != h.vertex.name:
+        return False, "boundary cones have different vertices"
+    for B in F.index.objects():
+        c = phi.components.get(B)
+        if c is None or c.source != g.legs[B] or c.target != h.legs[B]:
+            return False, "component at %s missing or mislabelled" % B
+    C1 = F.index.cells1
+    for u in F.index.one_cells():
+        a, b = C1.mor_src[u], C1.mor_tgt[u]
+        lhs = vcomp_nat(h.coherence[u], phi.components[a])
+        rhs = vcomp_nat(whisker_nat_functor(phi.components[b], F.on1[u]),
+                        g.coherence[u])
+        if lhs.components != rhs.components:
+            return False, u
+    return True, None
+
+
+def validate_category(C):
+    """Every violated constraint, as a human-readable line.  Empty iff C is
+    a category."""
+    out = []
+    seen = set()
+    for o in C.objects:
+        if o in seen:
+            out.append("duplicate object %s" % o)
+        seen.add(o)
+    for m in C.morphisms():
+        if C.mor_src[m] not in seen:
+            out.append("morphism %s has unknown source %s" % (m, C.mor_src[m]))
+        if C.mor_tgt[m] not in seen:
+            out.append("morphism %s has unknown target %s" % (m, C.mor_tgt[m]))
+    for o in C.objects:
+        i = C.identities.get(o)
+        if i is None:
+            out.append("object %s has no identity" % o)
+        elif i not in C.mor_src:
+            out.append("identity %s of %s is not a morphism" % (i, o))
+        elif C.mor_src[i] != o or C.mor_tgt[i] != o:
+            out.append("identity %s of %s has wrong endpoints" % (i, o))
+    if out:
+        return out
+    mors = C.morphisms()
+    for f in mors:
+        for g in mors:
+            composable = C.mor_tgt[f] == C.mor_src[g]
+            h = C.comp.get((g, f))
+            if composable and h is None:
+                out.append("missing composite %s . %s" % (g, f))
+            elif not composable and h is not None:
+                out.append("spurious composite %s . %s" % (g, f))
+            elif h is not None:
+                if h not in C.mor_src:
+                    out.append("composite %s . %s = %s is not a morphism" % (g, f, h))
+                elif (C.mor_src[h] != C.mor_src[f]
+                      or C.mor_tgt[h] != C.mor_tgt[g]):
+                    out.append("composite %s . %s = %s has wrong endpoints" % (g, f, h))
+    if out:
+        return out
+    for f in mors:
+        i_s = C.identities[C.mor_src[f]]
+        i_t = C.identities[C.mor_tgt[f]]
+        if C.comp[(f, i_s)] != f:
+            out.append("identity law fails: %s . %s != %s" % (f, i_s, f))
+        if C.comp[(i_t, f)] != f:
+            out.append("identity law fails: %s . %s != %s" % (i_t, f, f))
+    for f in mors:
+        for g in mors:
+            if C.mor_tgt[f] != C.mor_src[g]:
+                continue
+            for h in mors:
+                if C.mor_tgt[g] != C.mor_src[h]:
+                    continue
+                if C.comp[(h, C.comp[(g, f)])] != C.comp[(C.comp[(h, g)], f)]:
+                    out.append(
+                        "associativity fails on (%s, %s, %s)" % (h, g, f))
+    return out
+
+
+def validate_two_cat(A):
+    """Enrichment and interchange constraints, exhaustively."""
+    out = list(validate_category(A.cells1))
+    if out:
+        return ["1-cell layer: %s" % v for v in out]
+    C = A.cells1
+    cells = A.two_cells()
+    for g in cells:
+        u, v = A.parallel(g)
+        if u not in C.mor_src or v not in C.mor_src:
+            out.append("2-cell %s has unknown boundary" % g)
+        elif (C.mor_src[u], C.mor_tgt[u]) != (C.mor_src[v], C.mor_tgt[v]):
+            out.append("2-cell %s boundary not parallel" % g)
+    for u in C.morphisms():
+        g = A.two_id.get(u)
+        if g is None or A.two_src.get(g) != u or A.two_tgt.get(g) != u:
+            out.append("1-cell %s has no valid identity 2-cell" % u)
+    if out:
+        return out
+    # each hom-category is a category
+    for g in cells:
+        for h in cells:
+            composable = A.two_tgt[g] == A.two_src[h]
+            k = A.vcomp.get((h, g))
+            if composable and k is None:
+                out.append("missing vertical composite %s . %s" % (h, g))
+            elif not composable and k is not None:
+                out.append("spurious vertical composite %s . %s" % (h, g))
+            elif k is not None and (A.two_src[k] != A.two_src[g]
+                                    or A.two_tgt[k] != A.two_tgt[h]):
+                out.append("vertical composite %s . %s mislabelled" % (h, g))
+    if out:
+        return out
+    for g in cells:
+        u, v = A.parallel(g)
+        if A.vcomp[(g, A.two_id[u])] != g or A.vcomp[(A.two_id[v], g)] != g:
+            out.append("vertical identity law fails at %s" % g)
+    for g in cells:
+        for h in cells:
+            if A.two_tgt[g] != A.two_src[h]:
+                continue
+            for k in cells:
+                if A.two_tgt[h] != A.two_src[k]:
+                    continue
+                if A.vcomp[(k, A.vcomp[(h, g)])] != A.vcomp[(A.vcomp[(k, h)], g)]:
+                    out.append("vertical associativity fails at (%s,%s,%s)"
+                               % (k, h, g))
+    # horizontal layer
+    def h_composable(b, a):
+        return C.mor_tgt[A.two_src[a]] == C.mor_src[A.two_src[b]]
+
+    for a in cells:
+        for b in cells:
+            c = A.hcomp.get((b, a))
+            if h_composable(b, a) and c is None:
+                out.append("missing horizontal composite %s * %s" % (b, a))
+            elif not h_composable(b, a) and c is not None:
+                out.append("spurious horizontal composite %s * %s" % (b, a))
+            elif c is not None:
+                su = C.comp[(A.two_src[b], A.two_src[a])]
+                tv = C.comp[(A.two_tgt[b], A.two_tgt[a])]
+                if A.two_src[c] != su or A.two_tgt[c] != tv:
+                    out.append("horizontal composite %s * %s mislabelled"
+                               % (b, a))
+    if out:
+        return out
+    for u in C.morphisms():
+        for v in C.morphisms():
+            if C.mor_tgt[u] != C.mor_src[v]:
+                continue
+            if A.hcomp[(A.two_id[v], A.two_id[u])] != A.two_id[C.comp[(v, u)]]:
+                out.append("horizontal identity law fails at (%s, %s)" % (v, u))
+    for a in cells:
+        for b in cells:
+            if not h_composable(b, a):
+                continue
+            for a2 in cells:
+                if A.two_tgt[a] != A.two_src[a2]:
+                    continue
+                for b2 in cells:
+                    if A.two_tgt[b] != A.two_src[b2]:
+                        continue
+                    lhs = A.hcomp[(A.vcomp[(b2, b)], A.vcomp[(a2, a)])]
+                    rhs = A.vcomp[(A.hcomp[(b2, a2)], A.hcomp[(b, a)])]
+                    if lhs != rhs:
+                        out.append("interchange fails at (%s,%s,%s,%s)"
+                                   % (b2, b, a2, a))
+    return out
+
+
+def check_two_functor(F):
+    """Strict functoriality at all three levels.  (ok, counterexample)."""
+    A = F.index
+    C1 = A.cells1
+    for B in A.objects():
+        if B not in F.fibers:
+            return False, "no fiber at %s" % B
+    for u in A.one_cells():
+        f = F.on1.get(u)
+        if f is None:
+            return False, "no functor at %s" % u
+        if (f.source.name != F.fibers[C1.mor_src[u]].name
+                or f.target.name != F.fibers[C1.mor_tgt[u]].name):
+            return False, "functor at %s has wrong boundary" % u
+        if validate_functor(f):
+            return False, "functor at %s is invalid" % u
+    for B in A.objects():
+        if F.on1[C1.identities[B]] != identity_functor(F.fibers[B]):
+            return False, "identity 1-cell at %s not sent to identity" % B
+    for (v, u), w in C1.comp.items():
+        if F.on1[w] != compose_functors(F.on1[v], F.on1[u]):
+            return False, "composition %s . %s not preserved" % (v, u)
+    for g in A.two_cells():
+        n = F.on2.get(g)
+        if n is None:
+            return False, "no transformation at %s" % g
+        u, v = A.parallel(g)
+        if n.source != F.on1[u] or n.target != F.on1[v]:
+            return False, "transformation at %s has wrong boundary" % g
+        if validate_nat_trans(n):
+            return False, "transformation at %s is invalid" % g
+    for u in A.one_cells():
+        if F.on2[A.two_id[u]] != identity_nat(F.on1[u]):
+            return False, "identity 2-cell at %s not sent to identity" % u
+    for (h, g), k in A.vcomp.items():
+        if F.on2[k] != vcomp_nat(F.on2[h], F.on2[g]):
+            return False, "vertical composition %s . %s not preserved" % (h, g)
+    for (b, a), c in A.hcomp.items():
+        if F.on2[c] != hcomp_nat(F.on2[b], F.on2[a]):
+            return False, "horizontal composition %s * %s not preserved" % (b, a)
+    return True, None

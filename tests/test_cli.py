@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from click.testing import CliRunner
 
@@ -151,3 +153,61 @@ def test_vertex_without_category_exits_two(runner, fixture_dir, command,
     assert res.exit_code == 2
     assert "error no category in the given fixtures" in res.output
     assert "outcome error" in res.output
+
+
+def _mutated(fixture_dir, tmp_path, old, new):
+    text = (fixture_dir / "consttwo.diag").read_text()
+    assert text.count(old) == 1
+    path = tmp_path / "consttwo.diag"
+    path.write_text(text.replace(old, new))
+    return str(path)
+
+
+DIAGRAM_COMMANDS = [("colim",), ("site-colim",), ("restrict",),
+                    ("verify-bicolim", "--vertex", "two.cat"),
+                    ("verify-site", "--vertex", "one.cat")]
+
+
+@pytest.mark.parametrize("command", DIAGRAM_COMMANDS,
+                         ids=[c[0] for c in DIAGRAM_COMMANDS])
+def test_missing_index_composite_exits_two(runner, fixture_dir, tmp_path,
+                                           command):
+    """A diagram whose index misses a composite is refused before any
+    construction instead of crashing inside the span quotient."""
+    bad = _mutated(fixture_dir, tmp_path, "comp 0_1 . id_0 = 0_1\n", "")
+    res = run(runner, fixture_dir, command[0], bad, *command[1:])
+    assert res.exit_code == 2, res.output
+    assert ("error index chain3: 1-cell layer: missing composite 0_1 . id_0"
+            in res.output)
+    assert "outcome error" in res.output
+
+
+def test_missing_fiber_composite_exits_two(runner, fixture_dir, tmp_path):
+    bad = _mutated(fixture_dir, tmp_path, "comp a . id_0 = a\n", "")
+    res = run(runner, fixture_dir, "colim", bad)
+    assert res.exit_code == 2, res.output
+    assert "error fiber 0 (two): missing composite a . id_0" in res.output
+
+
+def test_invalid_transition_exits_two(runner, fixture_dir, tmp_path):
+    bad = _mutated(fixture_dir, tmp_path, "mor a -> a\n", "mor a -> id_0\n")
+    res = run(runner, fixture_dir, "colim", bad)
+    assert res.exit_code == 2, res.output
+    assert re.search(r"error diagram consttwo: functor at \S+ is invalid",
+                     res.output)
+
+
+def test_repeated_block_name_exits_two(runner, fixture_dir, tmp_path):
+    bad = tmp_path / "twice.cat"
+    bad.write_text((fixture_dir / "two.cat").read_text()
+                   + "\n[category two]\nobject x\nmor id_x : x -> x\n"
+                   "id x = id_x\ncomp id_x . id_x = id_x\n")
+    res = run(runner, fixture_dir, "validate", str(bad))
+    assert res.exit_code == 2, res.output
+    assert re.search(r"error line \d+: block name two repeated in one file",
+                     res.output)
+
+
+def test_block_name_may_repeat_across_files(runner, fixture_dir):
+    res = run(runner, fixture_dir, "validate", "two.cat", "consttwo.diag")
+    assert res.exit_code == 0, res.output

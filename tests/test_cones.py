@@ -63,7 +63,7 @@ def test_postcompose_cone_and_cell(consttwo, two_cat):
             pc = postcompose_cone(c, F)
             ok, why = check_pseudocone(pc)
             assert ok, why
-    s, t = enumerate_functors(two_cat, two_cat)[:2]
+    s, t = list(enumerate_functors(two_cat, two_cat))[:2]
     for xi in enumerate_nat_trans(s, t):
         for c in cones:
             m = postcompose_cell(c, xi)
@@ -128,7 +128,7 @@ def test_conjugate_is_unique_coherence(consttwo):
     modification."""
     X, cones = _chaotic_cones(consttwo)
     g = cones[0]
-    targets = enumerate_functors(g.legs["0"].source, X)
+    targets = list(enumerate_functors(g.legs["0"].source, X))
     t0 = targets[-1]
     phi = {A: [n for n in enumerate_nat_trans(g.legs[A], t0)
                if nat_is_invertible(n)][0] for A in g.legs}

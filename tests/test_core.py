@@ -80,9 +80,9 @@ def test_build_category_saturation_exceeded():
 
 
 def test_enumerate_functors_counts(one_cat, two_cat):
-    assert len(enumerate_functors(one_cat, two_cat)) == 2
+    assert len(list(enumerate_functors(one_cat, two_cat))) == 2
     # two -> two: constant 0, constant 1, identity
-    fs = enumerate_functors(two_cat, two_cat)
+    fs = list(enumerate_functors(two_cat, two_cat))
     assert len(fs) == 3
     for F in fs:
         assert validate_functor(F) == []
@@ -96,7 +96,7 @@ def test_enumerate_functors_deterministic(two_cat, diamond):
 
 def test_enumerate_functors_budget(two_cat, diamond):
     with pytest.raises(BudgetExceeded):
-        enumerate_functors(two_cat, diamond, Budget(3))
+        list(enumerate_functors(two_cat, diamond, Budget(3)))
 
 
 def test_functor_composition(two_cat, diamond):
@@ -117,7 +117,7 @@ def test_validate_functor_catches_bad_composition(two_cat, diamond):
 
 
 def test_nat_trans_enumeration_and_algebra(two_cat):
-    fs = enumerate_functors(two_cat, two_cat)
+    fs = list(enumerate_functors(two_cat, two_cat))
     const0 = next(F for F in fs if set(F.obj_map.values()) == {"0"})
     const1 = next(F for F in fs if set(F.obj_map.values()) == {"1"})
     ident = next(F for F in fs if F.obj_map == {"0": "0", "1": "1"})

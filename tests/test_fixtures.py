@@ -106,3 +106,18 @@ def test_op_orientation_flips_index(fixture_dir):
     assert not dia.covariant
     # the stored index is flipped: 0_1 now runs 1 -> 0
     assert dia.index.cells1.mor_src["0_1"] == "1"
+
+
+def test_repeated_block_name_in_one_text():
+    block = "[category c]\nobject x\nmor id_x : x -> x\nid x = id_x\n"
+    with pytest.raises(FixtureError,
+                       match="line 6: block name c repeated in one file"):
+        parse("%fixture 1\n" + block + block)
+
+
+def test_block_name_may_repeat_across_texts():
+    def text(o):
+        return ("%%fixture 1\n[category c]\nobject %s\nmor i : %s -> %s\n"
+                "id %s = i\ncomp i . i = i\n" % (o, o, o, o))
+    env = parse(text("y"), parse(text("x")))
+    assert env["c"].cat.objects == ("y",)

@@ -1,0 +1,139 @@
+"""The watch-list enumeration kernel, the table-level coherence checks and
+the shared-composite 2-functor check against the frozen reference versions
+in oracle_kernel.py, and the lazy first-witness equivalence search."""
+
+import pytest
+
+import oracle_kernel as oracle
+from sitecolim import build_pseudocolimit, cones, standard
+from sitecolim.core import (Budget, FinCat, NatTrans, enumerate_functors,
+                            equivalence_witness, identity_functor,
+                            identity_nat)
+from sitecolim.errors import BudgetExceeded
+from sitecolim.twocat import TwoDiagram, check_two_functor
+
+
+def z2():
+    """The group of order two as a one-object category: its automorphism
+    makes some coherence candidates fail."""
+    return FinCat("z2", ("*",), {"e": "*", "s": "*"}, {"e": "*", "s": "*"},
+                  {"*": "e"}, {("e", "e"): "e", ("e", "s"): "s",
+                               ("s", "e"): "s", ("s", "s"): "e"})
+
+
+def _with_oracle(monkeypatch, name, reference, seen):
+    """Route cones.<name> through a wrapper that asserts the oracle's
+    verdict and message on every call and records the result."""
+    checked = getattr(cones, name)
+
+    def both(x):
+        got = checked(x)
+        assert got == reference(x)
+        seen.append(got)
+        return got
+    monkeypatch.setattr(cones, name, both)
+
+
+# (diagram, vertex, equations some candidate cone violates)
+CONE_CASES = [
+    (standard.const_two_diagram, z2, {"pc1"}),
+    (standard.const_two_diagram, standard.parallel_pair_cat, set()),
+    (standard.const_two_diagram, standard.two, set()),
+    (standard.inclusion_chain_diagram, z2, {"pc1"}),
+    (standard.inclusion_chain_diagram, standard.chaotic_pair, set()),
+    (standard.swap_chain_diagram, standard.two, set()),
+    (standard.swap_chain_diagram, standard.parallel_pair_cat, set()),
+    (standard.walking_iso_diagram, z2, {"pc2"}),
+    (standard.walking_iso_diagram, standard.parallel_pair_cat, set()),
+]
+
+
+@pytest.mark.parametrize("diagram,vertex,violated", CONE_CASES,
+                         ids=["%s-%s" % (d.__name__, v.__name__)
+                              for d, v, _ in CONE_CASES])
+def test_coherence_checks_match_oracle(monkeypatch, diagram, vertex,
+                                       violated):
+    """Every candidate enumerate_pseudocones and enumerate_modifications
+    build gets the reference verdict and first-violation message."""
+    dia, X = diagram(), vertex()
+    cone_checks, mod_checks = [], []
+    _with_oracle(monkeypatch, "check_pseudocone", oracle.check_pseudocone,
+                 cone_checks)
+    _with_oracle(monkeypatch, "check_modification",
+                 oracle.check_modification, mod_checks)
+    found = cones.enumerate_pseudocones(dia, X)
+    for g in found:
+        for h in found:
+            cones.enumerate_modifications(g, h)
+    assert [ok for ok, _ in cone_checks].count(True) == len(found) > 0
+    assert {why.split()[0] for ok, why in cone_checks if not ok} == violated
+    assert any(ok for ok, _ in mod_checks)
+    if violated:  # pcM rejects some candidates as well
+        assert not all(ok for ok, _ in mod_checks)
+
+
+# ---------------------------------------------------------------------------
+# lazy enumeration
+
+
+@pytest.fixture(scope="module")
+def swapchain_L():
+    return build_pseudocolimit(standard.swap_chain_diagram()).category
+
+
+def _full_count(C, D):
+    bud = Budget()
+    n = len(list(enumerate_functors(C, D, bud)))
+    return n, bud.used
+
+
+def test_witness_stops_at_first_equivalence(swapchain_L):
+    Q = standard.diamond()
+    _, full = _full_count(swapchain_L, Q)
+    bud = Budget()
+    res = equivalence_witness(swapchain_L, Q, bud)
+    assert res.witness is not None and not res.exhausted
+    assert bud.used < full
+
+
+def test_witness_negative_pair_charges_full_enumeration(swapchain_L):
+    Q = standard.chain_cat(4)
+    n, full = _full_count(swapchain_L, Q)
+    assert n > 0
+    bud = Budget()
+    res = equivalence_witness(swapchain_L, Q, bud)
+    assert res.witness is None and res.exhausted
+    assert bud.used == full
+
+
+def test_enumeration_charges_only_while_iterating(two_cat, diamond):
+    bud = Budget(3)
+    functors = enumerate_functors(two_cat, diamond, bud)
+    assert bud.used == 0
+    with pytest.raises(BudgetExceeded):
+        for _ in functors:
+            pass
+    assert bud.used == 4
+
+
+def test_witness_budget_exceeded_while_scanning(swapchain_L):
+    with pytest.raises(BudgetExceeded):
+        equivalence_witness(swapchain_L, standard.chain_cat(4), Budget(100))
+
+
+def test_check_two_functor_compares_horizontal_components():
+    """A diagram that fails only at a horizontal composite: the walking iso
+    sent to z2 with its 2-cell on the non-trivial automorphism, and one
+    hcomp entry of the index redirected to an identity 2-cell."""
+    idx = standard.walking_iso_twocat()
+    X = z2()
+    ident = identity_functor(X)
+    on1 = {u: ident for u in idx.one_cells()}
+    on2 = {g: identity_nat(ident) for g in idx.two_cells()}
+    for g in ("g", "ginv"):
+        on2[g] = NatTrans(g, ident, ident, {"*": "s"})
+    D = TwoDiagram("flip", idx, {"A": X, "B": X}, on1, on2)
+    assert check_two_functor(D) == oracle.check_two_functor(D) == (True, None)
+    idx.hcomp[("2id_id_B", "g")] = "2id_u"
+    want = (False, "horizontal composition 2id_id_B * g not preserved")
+    assert check_two_functor(D) == oracle.check_two_functor(D) == want

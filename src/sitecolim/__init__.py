@@ -21,7 +21,7 @@ from .colim import (BicolimReport, PseudocolimitResult, Span,
                     verify_bicolimit, verify_cone_exactness)
 from .sites import (Presheaf, Site, SiteDiagram, SiteMorphism,
                     build_colim_site, check_continuous, check_sheaf,
-                    restrict_pseudocone, validate_presheaf, validate_site,
+                    validate_presheaf, validate_site,
                     verify_site_pseudocolimit)
 from .restriction import (AmbientDiagram, RestrictionResult,
                           finite_limit_closure, restrict_diagram,

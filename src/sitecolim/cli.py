@@ -96,15 +96,13 @@ def _vertex(run: Run, path, fixture_dir) -> CategoryBlock:
     return _pick(env, (CategoryBlock,), None, "category")[1]
 
 
-def _diagram(env: Environment, name) -> DiagramBlock:
-    """The named (or last) diagram block, refused before any construction
-    unless its index is a 2-category, every fiber a category and the
-    diagram a strict 2-functor."""
-    _, block = _pick(env, (DiagramBlock,), name, "diagram")
-    dia = block.diagram
+def _diagram_violations(dia):
+    """(where, violations) of a diagram's first failing layer, checked in
+    the order index, each distinct fiber, 2-functor (where None); no
+    violations when every layer holds."""
     bad = validate_two_cat(dia.index)
     if bad:
-        raise FixtureError("index %s: %s" % (dia.index.name, bad[0]))
+        return "index %s" % dia.index.name, bad
     seen = set()
     for A, C in sorted(dia.fibers.items()):
         if id(C) in seen:  # a constant diagram repeats one category
@@ -112,10 +110,20 @@ def _diagram(env: Environment, name) -> DiagramBlock:
         seen.add(id(C))
         bad = validate_category(C)
         if bad:
-            raise FixtureError("fiber %s (%s): %s" % (A, C.name, bad[0]))
+            return "fiber %s (%s)" % (A, C.name), bad
     ok, why = check_two_functor(dia)
-    if not ok:
-        raise FixtureError("diagram %s: %s" % (dia.name, why))
+    return None, ([] if ok else [why])
+
+
+def _diagram(env: Environment, name) -> DiagramBlock:
+    """The named (or last) diagram block, refused before any construction
+    unless its index is a 2-category, every fiber a category and the
+    diagram a strict 2-functor."""
+    _, block = _pick(env, (DiagramBlock,), name, "diagram")
+    where, bad = _diagram_violations(block.diagram)
+    if bad:
+        raise FixtureError("%s: %s" % (
+            where or "diagram %s" % block.diagram.name, bad[0]))
     return block
 
 
@@ -134,17 +142,15 @@ def _checked(obj):
 
 
 def _site_diagram(block: DiagramBlock) -> SiteDiagram:
-    fiber_blocks = getattr(block, "fiber_blocks", None)
-    if not fiber_blocks:
+    if not block.fiber_blocks:
         raise FixtureError("diagram has no fiber categories with sites")
-    sites = {A: b.site() for A, b in fiber_blocks.items()}
+    sites = {A: b.site() for A, b in block.fiber_blocks.items()}
     return _checked(SiteDiagram(block.diagram, sites))
 
 
 def _ambient(block: DiagramBlock) -> AmbientDiagram:
-    fiber_blocks = getattr(block, "fiber_blocks", {})
     limits = {}
-    for A, b in fiber_blocks.items():
+    for A, b in block.fiber_blocks.items():
         if b.limits is None:
             raise FixtureError("fiber %s has no limit assignment" % A)
         limits[A] = b.limits
@@ -199,10 +205,11 @@ def main(ctx, budget, fixture_dir, report_path, seed):
 
 def _block_violations(v):
     if isinstance(v, CategoryBlock):
-        out = list(validate_category(v.cat))
-        if v.limits is not None:
-            out += validate_assignment(v.limits)
-        if (v.covers or v.generators) and v.limits is not None:
+        out = validate_category(v.cat)
+        if out or v.limits is None:  # later checks assume a category
+            return out
+        out = validate_assignment(v.limits)
+        if v.covers or v.generators:
             out += validate_site(v.site())
         return out
     if isinstance(v, TwoCat):
@@ -212,8 +219,8 @@ def _block_violations(v):
     if isinstance(v, NatTrans):
         return validate_nat_trans(v)
     if isinstance(v, DiagramBlock):
-        ok, why = check_two_functor(v.diagram)
-        return [] if ok else [why]
+        where, bad = _diagram_violations(v.diagram)
+        return ["%s: %s" % (where, msg) for msg in bad] if where else bad
     if isinstance(v, Pseudocone):
         ok, why = check_pseudocone(v)
         return [] if ok else [why]

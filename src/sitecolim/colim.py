@@ -21,11 +21,11 @@ from .core import (Budget, FinCat, Functor, NatTrans, enumerate_functors,
 from .cones import (Modification, Pseudocone, check_pseudocone,
                     enumerate_modifications, enumerate_pseudocones,
                     postcompose_cell, postcompose_cone)
-from .errors import (AmbiguousSolution, IllFormedCone, IncompleteAssignment,
-                     NoSolution, NotFiltered, NotLiftable)
-from .limits import (Cone, Diagram, LimitAssignment, chosen_limit,
-                     discrete_pair, empty_diagram, is_limiting_cone,
-                     parallel_pair)
+from .errors import (IllFormedCone, IncompleteAssignment, NoSolution,
+                     NotFiltered, NotLiftable)
+from .limits import (Cone, Diagram, LimitAssignment, check_exact,
+                     chosen_limit, discrete_pair, empty_diagram,
+                     is_limiting_cone, parallel_pair)
 from .twocat import TwoDiagram, check_2filtered
 
 
@@ -62,14 +62,6 @@ def all_spans(F: TwoDiagram, A, x, B, y):
     return out
 
 
-def _invertible_cells_between(A, u, v):
-    out = []
-    for g in A.two_cells_between(u, v):
-        if A.vinverse(g) is not None:
-            out.append(g)
-    return out
-
-
 def span_related(F: TwoDiagram, s: Span, t: Span) -> bool:
     """Single-step relation: a common refinement with invertible comparison
     2-cells transporting one fiber morphism onto the other."""
@@ -81,12 +73,12 @@ def span_related(F: TwoDiagram, s: Span, t: Span) -> bool:
     for D in sorted(A_idx.objects()):
         for w1 in C1.hom(s.apex, D):
             for w2 in C1.hom(t.apex, D):
-                alphas = _invertible_cells_between(
-                    A_idx, C1.comp[(w1, s.left)], C1.comp[(w2, t.left)])
+                alphas = A_idx.invertible_cells_between(
+                    C1.comp[(w1, s.left)], C1.comp[(w2, t.left)])
                 if not alphas:
                     continue
-                betas = _invertible_cells_between(
-                    A_idx, C1.comp[(w1, s.right)], C1.comp[(w2, t.right)])
+                betas = A_idx.invertible_cells_between(
+                    C1.comp[(w1, s.right)], C1.comp[(w2, t.right)])
                 if not betas:
                     continue
                 fD = F.fibers[D]
@@ -117,7 +109,7 @@ def compose_spans(F: TwoDiagram, s: Span, t: Span, apex_order=None):
             for w2 in C1.hom(t.apex, D):
                 mid1 = C1.comp[(w1, s.right)]
                 mid2 = C1.comp[(w2, t.left)]
-                for alpha in _invertible_cells_between(A_idx, mid1, mid2):
+                for alpha in A_idx.invertible_cells_between(mid1, mid2):
                     fD = F.fibers[D]
                     y = s.tgt_obj
                     f1 = F.on1[w1].mor_map[s.mor]
@@ -206,11 +198,9 @@ def build_pseudocolimit(F: TwoDiagram, budget: Budget | None = None,
 
     comp = {}
     for (p, q), names in hom_classes.items():
-        for (q2, r), names2 in hom_classes.items():
-            if q2 != q:
-                continue
+        for r in objs:
             for m1 in names:
-                for m2 in names2:
+                for m2 in hom_classes[(q, r)]:
                     bud.charge()
                     s = class_members[m1][0]
                     t = class_members[m2][0]
@@ -286,20 +276,6 @@ def factor_cell(R: PseudocolimitResult, t: Functor,
     if bad:
         raise NoSolution("induced 2-cell is not natural: %s" % bad[0])
     return xi
-
-
-def enumerate_factor_cells(R: PseudocolimitResult, ell: Functor, t: Functor,
-                           phi: Modification):
-    """Brute-force search for all xi with xi . lambda = phi (oracle for the
-    uniqueness clause; must return exactly one element)."""
-    out = []
-    for xi in enumerate_nat_trans(ell, t):
-        if all(xi.components[obj_name(A, x)] == phi.components[A].components[x]
-               for p, (A, x) in R.obj_info.items()):
-            out.append(xi)
-    if len(out) > 1:
-        raise AmbiguousSolution("%d mediating 2-cells" % len(out))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +467,6 @@ def colim_limit_assignment(R: PseudocolimitResult,
 def verify_cone_exactness(R: PseudocolimitResult,
                           fiber_limits: dict[str, LimitAssignment]):
     """check_exact for every cone leg.  Returns {index object: (ok, bad)}."""
-    from .limits import check_exact
     out = {}
     for A in sorted(R.diagram.index.objects()):
         out[A] = check_exact(R.cone.legs[A], fiber_limits[A])

@@ -57,12 +57,6 @@ class FinCat:
     def hom(self, a, b):
         return self._hom.get((a, b), ())
 
-    def src(self, m):
-        return self.mor_src[m]
-
-    def tgt(self, m):
-        return self.mor_tgt[m]
-
     def compose(self, g, f):
         """g after f."""
         return self.comp[(g, f)]

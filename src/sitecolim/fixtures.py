@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import FinCat, Functor, NatTrans
+from .core import FinCat, Functor, NatTrans, identity_functor, identity_nat
 from .cones import Pseudocone
 from .errors import FixtureError
 from .limits import LimitAssignment
@@ -54,7 +54,7 @@ class CategoryBlock:
 class DiagramBlock:
     diagram: TwoDiagram
     generators: dict[str, frozenset] = field(default_factory=dict)
-    fiber_names: dict[str, str] = field(default_factory=dict)
+    fiber_blocks: dict[str, CategoryBlock] = field(default_factory=dict)
 
 
 class Environment(dict):
@@ -116,28 +116,39 @@ def _expect(cond, msg, ln):
         raise FixtureError(msg, ln)
 
 
+def _core_line(tables, ln, t):
+    """Read an object, mor, id or comp line into tables, the FinCat
+    arguments after the name; False for any other line.  Shared by
+    category and twocat blocks."""
+    objects, mor_src, mor_tgt, identities, comp = tables
+    if t[0] == "object":
+        _expect(len(t) == 2, "object takes one name", ln)
+        objects.append(t[1])
+    elif t[0] == "mor":
+        _expect(len(t) == 6 and t[2] == ":" and t[4] == "->",
+                "mor f : a -> b", ln)
+        mor_src[t[1]], mor_tgt[t[1]] = t[3], t[5]
+    elif t[0] == "id":
+        _expect(len(t) == 4 and t[2] == "=", "id o = f", ln)
+        identities[t[1]] = t[3]
+    elif t[0] == "comp":
+        _expect(len(t) == 6 and t[2] == "." and t[4] == "=",
+                "comp g . f = h", ln)
+        comp[(t[1], t[3])] = t[5]
+    else:
+        return False
+    return True
+
+
 def _parse_category(name, body, env) -> CategoryBlock:
-    objects = []
-    mor_src, mor_tgt, identities, comp = {}, {}, {}, {}
+    tables = [], {}, {}, {}, {}
     terminal, tmap, products, equalizers = None, {}, {}, {}
     covers, generators = {}, set()
     has_limits = False
     for ln, t in body:
-        if t[0] == "object":
-            _expect(len(t) == 2, "object takes one name", ln)
-            objects.append(t[1])
-        elif t[0] == "mor":
-            _expect(len(t) == 6 and t[2] == ":" and t[4] == "->",
-                    "mor f : a -> b", ln)
-            mor_src[t[1]], mor_tgt[t[1]] = t[3], t[5]
-        elif t[0] == "id":
-            _expect(len(t) == 4 and t[2] == "=", "id o = f", ln)
-            identities[t[1]] = t[3]
-        elif t[0] == "comp":
-            _expect(len(t) == 6 and t[2] == "." and t[4] == "=",
-                    "comp g . f = h", ln)
-            comp[(t[1], t[3])] = t[5]
-        elif t[0] == "terminal":
+        if _core_line(tables, ln, t):
+            continue
+        if t[0] == "terminal":
             _expect(len(t) == 2, "terminal t", ln)
             terminal = t[1]
             has_limits = True
@@ -160,7 +171,7 @@ def _parse_category(name, body, env) -> CategoryBlock:
             generators.add(t[1])
         else:
             raise FixtureError("unknown category line %s" % t[0], ln)
-    cat = FinCat(name, tuple(objects), mor_src, mor_tgt, identities, comp)
+    cat = FinCat(name, *tables)
     limits = None
     if has_limits:
         limits = LimitAssignment(cat, terminal, tmap, products, equalizers)
@@ -170,21 +181,12 @@ def _parse_category(name, body, env) -> CategoryBlock:
 
 
 def _parse_twocat(name, body, env) -> TwoCat:
-    objects = []
-    mor_src, mor_tgt, identities, comp = {}, {}, {}, {}
+    tables = [], {}, {}, {}, {}
     two_src, two_tgt, two_id, vcomp, hcomp = {}, {}, {}, {}, {}
     for ln, t in body:
-        if t[0] == "object":
-            objects.append(t[1])
-        elif t[0] == "mor":
-            _expect(len(t) == 6 and t[2] == ":" and t[4] == "->",
-                    "mor u : A -> B", ln)
-            mor_src[t[1]], mor_tgt[t[1]] = t[3], t[5]
-        elif t[0] == "id":
-            identities[t[1]] = t[3]
-        elif t[0] == "comp":
-            comp[(t[1], t[3])] = t[5]
-        elif t[0] == "twocell":
+        if _core_line(tables, ln, t):
+            continue
+        if t[0] == "twocell":
             _expect(len(t) == 6 and t[2] == ":" and t[4] == "=>",
                     "twocell g : u => v", ln)
             two_src[t[1]], two_tgt[t[1]] = t[3], t[5]
@@ -201,9 +203,8 @@ def _parse_twocat(name, body, env) -> TwoCat:
             hcomp[(t[1], t[3])] = t[5]
         else:
             raise FixtureError("unknown twocat line %s" % t[0], ln)
-    cells1 = FinCat(name + ".1", tuple(objects), mor_src, mor_tgt,
-                    identities, comp)
-    return TwoCat(name, cells1, two_src, two_tgt, two_id, vcomp, hcomp)
+    return TwoCat(name, FinCat(name + ".1", *tables), two_src, two_tgt,
+                  two_id, vcomp, hcomp)
 
 
 def _cat_of(value, where, ln):
@@ -255,7 +256,6 @@ def _parse_diagram(name, body, env) -> DiagramBlock:
     index = None
     orientation = "covariant"
     fibers, on1, on2 = {}, {}, {}
-    fiber_names = {}
     generators = {}
     for ln, t in body:
         if t[0] == "index":
@@ -267,7 +267,6 @@ def _parse_diagram(name, body, env) -> DiagramBlock:
             _expect(len(t) == 4 and t[2] == "=", "fiber A = C", ln)
             block = env.lookup(t[3], (CategoryBlock,), ln)
             fibers[t[1]] = block
-            fiber_names[t[1]] = t[3]
         elif t[0] == "transition":
             _expect(len(t) == 4 and t[2] == "=", "transition u = F", ln)
             on1[t[1]] = env.lookup(t[3], (Functor,), ln)
@@ -284,7 +283,10 @@ def _parse_diagram(name, body, env) -> DiagramBlock:
     covariant = orientation == "covariant"
     if not covariant:
         index = opposite_two_cat(index)
-    from .core import identity_functor, identity_nat
+    for A in index.objects():
+        if A not in fibers:
+            raise FixtureError("diagram %s: no fiber for index object %s"
+                               % (name, A))
     full_on1 = {}
     for u in index.one_cells():
         a = index.cells1.mor_src[u]
@@ -307,9 +309,7 @@ def _parse_diagram(name, body, env) -> DiagramBlock:
                                % (name, g))
     dia = TwoDiagram(name, index, {A: b.cat for A, b in fibers.items()},
                      full_on1, full_on2, covariant)
-    block = DiagramBlock(dia, generators, fiber_names)
-    block.fiber_blocks = fibers
-    return block
+    return DiagramBlock(dia, generators, fibers)
 
 
 def _parse_cone(name, body, env) -> Pseudocone:
@@ -330,7 +330,6 @@ def _parse_cone(name, body, env) -> Pseudocone:
             raise FixtureError("unknown cone line %s" % t[0], ln)
     _expect(diagram is not None and vertex is not None,
             "cone needs diagram and vertex", body[0][0] if body else 1)
-    from .core import identity_nat
     for u in diagram.index.one_cells():
         a = diagram.index.cells1.mor_src[u]
         if u not in coherence and u == diagram.index.cells1.identities.get(a):

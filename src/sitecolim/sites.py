@@ -11,12 +11,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import (Budget, FinCat, Functor, NatTrans, compose_functors,
-                   enumerate_functors)
+from .core import Budget, FinCat, Functor, enumerate_functors
 from .cones import Pseudocone, enumerate_pseudocones
 from .colim import (BicolimReport, PseudocolimitResult, build_pseudocolimit,
                     colim_limit_assignment, factor_cone, verify_bicolimit)
-from .errors import ClosureViolation
 from .limits import Diagram, LimitAssignment, check_exact, chosen_limit
 from .twocat import TwoDiagram
 
@@ -178,32 +176,6 @@ def verify_site_pseudocolimit(D: SiteDiagram, colim: Site,
     rep.factored_functors_continuous = all(
         check_continuous(factor_cone(R, h), colim, X)[0] for h in cones)
     return rep
-
-
-def restrict_pseudocone(h: Pseudocone, inclusions: dict[str, Functor],
-                        restricted: TwoDiagram) -> Pseudocone:
-    """Restrict a cone over the ambient diagram along full inclusions that
-    are closed under the transitions."""
-    F = h.diagram
-    C1 = F.index.cells1
-    for u in F.index.one_cells():
-        a, b = C1.mor_src[u], C1.mor_tgt[u]
-        for o in inclusions[a].source.objects:
-            amb = F.on1[u].obj_map[inclusions[a].obj_map[o]]
-            sub = inclusions[b].obj_map[restricted.on1[u].obj_map[o]]
-            if amb != sub:
-                raise ClosureViolation(
-                    "transition %s does not restrict at %s" % (u, o))
-    legs = {A: compose_functors(h.legs[A], inclusions[A]) for A in h.legs}
-    coherence = {}
-    for u in F.index.one_cells():
-        a, b = C1.mor_src[u], C1.mor_tgt[u]
-        cell, incl = h.coherence[u], inclusions[a]
-        coherence[u] = NatTrans(
-            "(%s)%s" % (cell.name, incl.name), legs[a],
-            compose_functors(legs[b], restricted.on1[u]),
-            {o: cell.components[incl.obj_map[o]] for o in incl.source.objects})
-    return Pseudocone("%s|res" % h.name, restricted, h.vertex, legs, coherence)
 
 
 # ---------------------------------------------------------------------------

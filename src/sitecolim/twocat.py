@@ -9,7 +9,7 @@ covariant convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import (FinCat, Functor, NatTrans, compose_functors,
                    identity_functor, identity_nat, validate_category,
@@ -25,6 +25,14 @@ class TwoCat:
     two_id: dict[str, str]  # 1-cell -> identity 2-cell
     vcomp: dict[tuple[str, str], str]
     hcomp: dict[tuple[str, str], str]  # (beta over B->C, alpha over A->B)
+    # (source 1-cell, target 1-cell) -> sorted 2-cells, built once
+    _between: dict = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        between = {}
+        for g in sorted(self.two_src):
+            between.setdefault(self.parallel(g), []).append(g)
+        self._between = {k: tuple(v) for k, v in between.items()}
 
     def objects(self):
         return self.cells1.objects
@@ -40,8 +48,11 @@ class TwoCat:
         return self.two_src[g], self.two_tgt[g]
 
     def two_cells_between(self, u, v):
-        return tuple(g for g in self.two_cells()
-                     if self.two_src[g] == u and self.two_tgt[g] == v)
+        return self._between.get((u, v), ())
+
+    def invertible_cells_between(self, u, v):
+        return [g for g in self.two_cells_between(u, v)
+                if self.vinverse(g) is not None]
 
     def vinverse(self, g):
         u, v = self.parallel(g)
@@ -188,9 +199,6 @@ class TwoDiagram:
     on2: dict[str, NatTrans]
     covariant: bool = True
 
-    def fiber(self, A):
-        return self.fibers[A]
-
 
 def constant_diagram(index: TwoCat, C: FinCat, name=None) -> TwoDiagram:
     on1 = {u: identity_functor(C) for u in index.one_cells()}
@@ -273,51 +281,14 @@ def check_2filtered(A: TwoCat):
         for b in objs:
             for u in C.hom(a, b):
                 for v in C.hom(a, b):
-                    ok = False
-                    for c in objs:
-                        for w in C.hom(b, c):
-                            wu, wv = C.comp[(w, u)], C.comp[(w, v)]
-                            for g in A.two_cells_between(wu, wv):
-                                if A.vinverse(g) is not None:
-                                    ok = True
-                                    break
-                            if ok:
-                                break
-                        if ok:
-                            break
-                    if not ok:
+                    if not any(A.invertible_cells_between(C.comp[(w, u)],
+                                                          C.comp[(w, v)])
+                               for c in objs for w in C.hom(b, c)):
                         return False, ("F2", u, v)
     for g in A.two_cells():  # F3: equalize parallel 2-cells
-        for h in A.two_cells():
-            if A.parallel(g) != A.parallel(h):
-                continue
-            u, _ = A.parallel(g)
-            b = C.mor_tgt[u]
-            ok = False
-            for c in objs:
-                for w in C.hom(b, c):
-                    if A.whisker_post(w, g) == A.whisker_post(w, h):
-                        ok = True
-                        break
-                if ok:
-                    break
-            if not ok:
+        b = C.mor_tgt[A.two_src[g]]
+        for h in A.two_cells_between(*A.parallel(g)):
+            if not any(A.whisker_post(w, g) == A.whisker_post(w, h)
+                       for c in objs for w in C.hom(b, c)):
                 return False, ("F3", g, h)
     return True, None
-
-
-def classical_filtered(C: FinCat):
-    """Direct filteredness test for plain categories (independent of
-    check_2filtered): nonempty, cospans, coequalizing arrows."""
-    if not C.objects:
-        return False
-    for a in C.objects:
-        for b in C.objects:
-            if not any(C.hom(a, c) and C.hom(b, c) for c in C.objects):
-                return False
-    for f in C.morphisms():
-        for g in C.hom(C.mor_src[f], C.mor_tgt[f]):
-            if not any(C.comp[(h, f)] == C.comp[(h, g)]
-                       for c in C.objects for h in C.hom(C.mor_tgt[f], c)):
-                return False
-    return True

@@ -1,15 +1,17 @@
 """Frozen reference implementations of the enumeration kernel, the
-pseudocone coherence checks and the structure validators, kept as test
-oracles.
+pseudocone coherence checks, the structure validators, the 2-cell lookup
+and the 2-filteredness check, kept as test oracles.
 
 These are the straightforward versions the library replaced: the
 enumerators rescan every constraint for every candidate and return lists;
 the coherence equations pc1/pc2/pcM are evaluated on whiskered and
 vertically composed NatTrans objects; the validators scan every pair of
-morphisms or 2-cells and compose every functor pair afresh.  They must keep
-giving the same functors, transformations, verdicts, messages and Budget
-counts as the library's watch-list kernel, table-level checks and indexed
-validators.
+morphisms or 2-cells and compose every functor pair afresh; the 2-cells
+between two 1-cells are found by scanning every 2-cell, and F3 filters all
+pairs of 2-cells.  They must keep giving the same functors,
+transformations, verdicts, messages and Budget counts as the library's
+watch-list kernel, table-level checks, indexed validators and boundary
+index of 2-cells.
 """
 
 from sitecolim.core import (Budget, Functor, NatTrans, compose_functors,
@@ -360,4 +362,64 @@ def check_two_functor(F):
     for (b, a), c in A.hcomp.items():
         if F.on2[c] != hcomp_nat(F.on2[b], F.on2[a]):
             return False, "horizontal composition %s * %s not preserved" % (b, a)
+    return True, None
+
+
+def two_cells_between(A, u, v):
+    return tuple(g for g in A.two_cells()
+                 if A.two_src[g] == u and A.two_tgt[g] == v)
+
+
+def vinverse(A, g):
+    u, v = A.parallel(g)
+    for h in two_cells_between(A, v, u):
+        if (A.vcomp.get((h, g)) == A.two_id[u]
+                and A.vcomp.get((g, h)) == A.two_id[v]):
+            return h
+    return None
+
+
+def check_2filtered(A):
+    """Conditions F1-F3 by exhaustive search.  (ok, failing datum)."""
+    C = A.cells1
+    objs = sorted(C.objects)
+    for a in objs:  # F1: cospans
+        for b in objs:
+            if not any(C.hom(a, c) and C.hom(b, c) for c in objs):
+                return False, ("F1", a, b)
+    for a in objs:  # F2: invertibly merge parallel 1-cells
+        for b in objs:
+            for u in C.hom(a, b):
+                for v in C.hom(a, b):
+                    ok = False
+                    for c in objs:
+                        for w in C.hom(b, c):
+                            wu, wv = C.comp[(w, u)], C.comp[(w, v)]
+                            for g in two_cells_between(A, wu, wv):
+                                if vinverse(A, g) is not None:
+                                    ok = True
+                                    break
+                            if ok:
+                                break
+                        if ok:
+                            break
+                    if not ok:
+                        return False, ("F2", u, v)
+    for g in A.two_cells():  # F3: equalize parallel 2-cells
+        for h in A.two_cells():
+            if A.parallel(g) != A.parallel(h):
+                continue
+            u, _ = A.parallel(g)
+            b = C.mor_tgt[u]
+            ok = False
+            for c in objs:
+                for w in C.hom(b, c):
+                    if (A.hcomp[(A.two_id[w], g)]
+                            == A.hcomp[(A.two_id[w], h)]):
+                        ok = True
+                        break
+                if ok:
+                    break
+            if not ok:
+                return False, ("F3", g, h)
     return True, None

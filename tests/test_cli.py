@@ -155,10 +155,10 @@ def test_vertex_without_category_exits_two(runner, fixture_dir, command,
     assert "outcome error" in res.output
 
 
-def _mutated(fixture_dir, tmp_path, old, new):
-    text = (fixture_dir / "consttwo.diag").read_text()
+def _mutated(fixture_dir, tmp_path, old, new, name="consttwo.diag"):
+    text = (fixture_dir / name).read_text()
     assert text.count(old) == 1
-    path = tmp_path / "consttwo.diag"
+    path = tmp_path / name
     path.write_text(text.replace(old, new))
     return str(path)
 
@@ -182,6 +182,18 @@ def test_missing_index_composite_exits_two(runner, fixture_dir, tmp_path,
     assert "outcome error" in res.output
 
 
+@pytest.mark.parametrize("command", DIAGRAM_COMMANDS,
+                         ids=[c[0] for c in DIAGRAM_COMMANDS])
+def test_missing_fiber_line_exits_two(runner, fixture_dir, tmp_path,
+                                      command):
+    bad = _mutated(fixture_dir, tmp_path, "fiber 2 = two\n", "")
+    res = run(runner, fixture_dir, command[0], bad, *command[1:])
+    assert res.exit_code == 2, res.output
+    assert ("error diagram consttwo: no fiber for index object 2"
+            in res.output)
+    assert "outcome error" in res.output
+
+
 def test_missing_fiber_composite_exits_two(runner, fixture_dir, tmp_path):
     bad = _mutated(fixture_dir, tmp_path, "comp a . id_0 = a\n", "")
     res = run(runner, fixture_dir, "colim", bad)
@@ -194,6 +206,11 @@ def test_invalid_transition_exits_two(runner, fixture_dir, tmp_path):
     res = run(runner, fixture_dir, "colim", bad)
     assert res.exit_code == 2, res.output
     assert re.search(r"error diagram consttwo: functor at \S+ is invalid",
+                     res.output)
+    # validate words the same 2-functor violation without the prefix
+    res = run(runner, fixture_dir, "validate", bad)
+    assert res.exit_code == 1, res.output
+    assert re.search(r"violation consttwo functor at \S+ is invalid",
                      res.output)
 
 
@@ -211,3 +228,32 @@ def test_repeated_block_name_exits_two(runner, fixture_dir, tmp_path):
 def test_block_name_may_repeat_across_files(runner, fixture_dir):
     res = run(runner, fixture_dir, "validate", "two.cat", "consttwo.diag")
     assert res.exit_code == 0, res.output
+
+
+def test_validate_stops_at_a_broken_category(runner, fixture_dir, tmp_path):
+    """A category with limits that misses a composite is reported, and its
+    limit assignment is not checked against the broken table."""
+    bad = _mutated(fixture_dir, tmp_path, "comp a . id_0 = a\n", "",
+                   "two.cat")
+    res = run(runner, fixture_dir, "validate", bad)
+    assert res.exit_code == 1, res.output
+    assert "violation two missing composite a . id_0" in res.output
+    assert "outcome fail" in res.output
+
+
+def test_validate_diagram_over_a_broken_fiber(runner, fixture_dir, tmp_path):
+    bad = _mutated(fixture_dir, tmp_path, "comp a . id_0 = a\n", "")
+    res = run(runner, fixture_dir, "validate", bad)
+    assert res.exit_code == 1, res.output
+    assert "violation two missing composite a . id_0" in res.output
+    assert ("violation consttwo fiber 0 (two): missing composite a . id_0"
+            in res.output)
+    assert "violations 2" in res.output
+
+
+def test_twocat_comp_line_arity_exits_two(runner, fixture_dir, tmp_path):
+    bad = _mutated(fixture_dir, tmp_path, "comp 1_2 . 0_1 = 0_2\n",
+                   "comp 1_2 . 0_1\n", "chain3.2cat")
+    res = run(runner, fixture_dir, "validate", bad)
+    assert res.exit_code == 2, res.output
+    assert re.search(r"error line \d+: comp g \. f = h", res.output)

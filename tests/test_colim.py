@@ -2,16 +2,28 @@ import pytest
 
 from sitecolim import standard
 from sitecolim.colim import (build_pseudocolimit, colim_finite_limit,
-                             colim_limit_assignment, enumerate_factor_cells,
-                             factor_cell, factor_cone, verify_bicolimit,
-                             verify_cone_exactness)
+                             colim_limit_assignment, factor_cell, factor_cone,
+                             obj_name, verify_bicolimit, verify_cone_exactness)
 from sitecolim.cones import enumerate_modifications, enumerate_pseudocones
-from sitecolim.core import (Budget, equivalence_witness, validate_category,
-                            validate_functor)
-from sitecolim.errors import BudgetExceeded, NotFiltered
+from sitecolim.core import (Budget, enumerate_nat_trans, equivalence_witness,
+                            validate_category, validate_functor)
+from sitecolim.errors import AmbiguousSolution, BudgetExceeded, NotFiltered
 from sitecolim.limits import (discrete_pair, empty_diagram, is_limiting_cone,
                               parallel_pair, validate_assignment)
 from sitecolim.twocat import constant_diagram
+
+
+def enumerate_factor_cells(R, ell, t, phi):
+    """Brute-force search for all xi with xi . lambda = phi (oracle for the
+    uniqueness clause; must return exactly one element)."""
+    out = []
+    for xi in enumerate_nat_trans(ell, t):
+        if all(xi.components[obj_name(A, x)] == phi.components[A].components[x]
+               for p, (A, x) in R.obj_info.items()):
+            out.append(xi)
+    if len(out) > 1:
+        raise AmbiguousSolution("%d mediating 2-cells" % len(out))
+    return out
 
 
 def test_consttwo_colim_shape(consttwo_colim):

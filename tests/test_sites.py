@@ -4,12 +4,38 @@ import pytest
 
 from sitecolim import standard
 from sitecolim.colim import build_pseudocolimit
+from sitecolim.cones import Pseudocone
+from sitecolim.core import NatTrans, compose_functors
 from sitecolim.errors import ClosureViolation
 from sitecolim.sites import (Presheaf, Site, SiteDiagram, SiteMorphism,
                              build_colim_site, check_continuous, check_sheaf,
-                             family_is_cover, restrict_pseudocone,
-                             trivial_site, validate_presheaf, validate_site,
-                             verify_site_pseudocolimit)
+                             family_is_cover, trivial_site, validate_presheaf,
+                             validate_site, verify_site_pseudocolimit)
+
+
+def restrict_pseudocone(h, inclusions, restricted):
+    """Restrict a cone over the ambient diagram along full inclusions that
+    are closed under the transitions."""
+    F = h.diagram
+    C1 = F.index.cells1
+    for u in F.index.one_cells():
+        a, b = C1.mor_src[u], C1.mor_tgt[u]
+        for o in inclusions[a].source.objects:
+            amb = F.on1[u].obj_map[inclusions[a].obj_map[o]]
+            sub = inclusions[b].obj_map[restricted.on1[u].obj_map[o]]
+            if amb != sub:
+                raise ClosureViolation(
+                    "transition %s does not restrict at %s" % (u, o))
+    legs = {A: compose_functors(h.legs[A], inclusions[A]) for A in h.legs}
+    coherence = {}
+    for u in F.index.one_cells():
+        a, b = C1.mor_src[u], C1.mor_tgt[u]
+        cell, incl = h.coherence[u], inclusions[a]
+        coherence[u] = NatTrans(
+            "(%s)%s" % (cell.name, incl.name), legs[a],
+            compose_functors(legs[b], restricted.on1[u]),
+            {o: cell.components[incl.obj_map[o]] for o in incl.source.objects})
+    return Pseudocone("%s|res" % h.name, restricted, h.vertex, legs, coherence)
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,33 @@
+from pathlib import Path
+
+import pytest
+
+import oracle_kernel as oracle
 from sitecolim import standard
-from sitecolim.twocat import (check_2filtered, check_two_functor,
-                              classical_filtered, constant_diagram,
-                              opposite_two_cat, two_cat_from_cat,
-                              validate_two_cat)
+from sitecolim.core import FinCat
+from sitecolim.fixtures import DiagramBlock, parse
+from sitecolim.twocat import (TwoCat, check_2filtered, check_two_functor,
+                              constant_diagram, opposite_two_cat,
+                              two_cat_from_cat, validate_two_cat)
+
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def classical_filtered(C):
+    """Direct filteredness test for plain categories (independent of
+    check_2filtered): nonempty, cospans, coequalizing arrows."""
+    if not C.objects:
+        return False
+    for a in C.objects:
+        for b in C.objects:
+            if not any(C.hom(a, c) and C.hom(b, c) for c in C.objects):
+                return False
+    for f in C.morphisms():
+        for g in C.hom(C.mor_src[f], C.mor_tgt[f]):
+            if not any(C.comp[(h, f)] == C.comp[(h, g)]
+                       for c in C.objects for h in C.hom(C.mor_tgt[f], c)):
+                return False
+    return True
 
 
 def test_chain3_valid():
@@ -84,3 +109,84 @@ def test_classical_filtered_agrees():
     for C in (standard.one(), standard.chain_cat(2), standard.chaotic_pair()):
         ok, _ = check_2filtered(two_cat_from_cat(C))
         assert ok == classical_filtered(C)
+
+
+def z2_loop_twocat():
+    """One object whose identity 1-cell carries the group Z/2 of 2-cells:
+    whiskering cannot equalize 2id and s, so F3 fails."""
+    cells1 = FinCat("pt", ("*",), {"id": "*"}, {"id": "*"}, {"*": "id"},
+                    {("id", "id"): "id"})
+    z2 = {("2id", "2id"): "2id", ("2id", "s"): "s", ("s", "2id"): "s",
+          ("s", "s"): "2id"}
+    return TwoCat("z2_loop", cells1, {"2id": "id", "s": "id"},
+                  {"2id": "id", "s": "id"}, {"id": "2id"}, dict(z2), dict(z2))
+
+
+def walking_two_cell():
+    """The parallel pair f, g : s -> t with one non-invertible 2-cell
+    theta : f => g, so F2 fails although a 2-cell joins f and g."""
+    A = two_cat_from_cat(standard.parallel_pair_cat(), "walking_two_cell")
+    two_src = dict(A.two_src, theta="f")
+    two_tgt = dict(A.two_tgt, theta="g")
+    vcomp, hcomp = dict(A.vcomp), dict(A.hcomp)
+    vcomp[("theta", "2id_f")] = vcomp[("2id_g", "theta")] = "theta"
+    hcomp[("theta", "2id_id_s")] = hcomp[("2id_id_t", "theta")] = "theta"
+    return TwoCat(A.name, A.cells1, two_src, two_tgt, A.two_id, vcomp, hcomp)
+
+
+def corpus_indices():
+    out = []
+    for path in sorted(FIXTURE_DIR.iterdir()):
+        if path.suffix in (".2cat", ".diag"):
+            for v in parse(path.read_text()).values():
+                if isinstance(v, TwoCat):
+                    out.append(v)
+                elif isinstance(v, DiagramBlock):
+                    out.append(v.diagram.index)
+    return out
+
+
+STANDARD_TWO_CATS = [
+    standard.chain3_twocat(), standard.chain2_twocat(),
+    standard.point_twocat(), standard.discrete_pair_twocat(),
+    standard.walking_iso_twocat(),
+    opposite_two_cat(standard.walking_iso_twocat()),
+    two_cat_from_cat(standard.one()), two_cat_from_cat(standard.two()),
+    two_cat_from_cat(standard.chaotic_pair()),
+    two_cat_from_cat(standard.diamond()),
+    two_cat_from_cat(standard.parallel_pair_cat()),
+    two_cat_from_cat(standard.chain_cat(5)),
+    z2_loop_twocat(), walking_two_cell()]
+ALL_TWO_CATS = STANDARD_TWO_CATS + corpus_indices()
+
+
+def test_hand_built_two_cats_valid():
+    assert validate_two_cat(z2_loop_twocat()) == []
+    assert validate_two_cat(walking_two_cell()) == []
+
+
+@pytest.mark.parametrize("A", ALL_TWO_CATS, ids=lambda A: A.name)
+def test_two_cells_between_matches_scan(A):
+    ones = A.one_cells()
+    for u in ones:
+        for v in ones:
+            scanned = oracle.two_cells_between(A, u, v)
+            assert A.two_cells_between(u, v) == scanned
+            assert A.invertible_cells_between(u, v) == [
+                g for g in scanned if oracle.vinverse(A, g) is not None]
+
+
+@pytest.mark.parametrize("A", ALL_TWO_CATS, ids=lambda A: A.name)
+def test_check_2filtered_matches_reference(A):
+    assert check_2filtered(A) == oracle.check_2filtered(A)
+
+
+def test_f2_fails_with_a_non_invertible_cell():
+    A = walking_two_cell()
+    assert A.two_cells_between("f", "g") == ("theta",)
+    assert A.invertible_cells_between("f", "g") == []
+    assert check_2filtered(A) == (False, ("F2", "f", "g"))
+
+
+def test_z2_loop_fails_f3():
+    assert check_2filtered(z2_loop_twocat()) == (False, ("F3", "2id", "s"))

@@ -17,17 +17,12 @@ from pathlib import Path
 import click
 
 from .colim import build_pseudocolimit, verify_bicolimit
-from .cones import Pseudocone, check_pseudocone
-from .core import (Budget, Functor, NatTrans, validate_category,
-                   validate_functor, validate_nat_trans)
+from .core import Budget
 from .errors import BudgetExceeded, FixtureError, NotFiltered, SitecolimError
 from .fixtures import CategoryBlock, DiagramBlock, Environment, parse
-from .limits import validate_assignment
 from .restriction import AmbientDiagram, restrict_diagram, verify_restriction
 from .sites import (Presheaf, SiteDiagram, build_colim_site, check_sheaf,
-                    validate_presheaf, validate_site,
-                    verify_site_pseudocolimit)
-from .twocat import TwoCat, check_two_functor, validate_two_cat
+                    validate_site, verify_site_pseudocolimit)
 
 
 class Run:
@@ -79,52 +74,25 @@ def _load(run: Run, paths, fixture_dir) -> Environment:
 
 
 def _pick(env: Environment, kinds, name, what):
+    """The named (or last) block of one of `kinds`, refused with its first
+    violation unless it holds."""
     if name:
-        v = env.get(name)
-        if not isinstance(v, kinds):
+        if not isinstance(env.get(name), kinds):
             raise FixtureError("no %s named %s" % (what, name))
-        return name, v
-    found = [(n, v) for n, v in env.items() if isinstance(v, kinds)]
-    if not found:
-        raise FixtureError("no %s in the given fixtures" % what)
-    return found[-1]
+    else:
+        found = [n for n, v in env.items() if isinstance(v, kinds)]
+        if not found:
+            raise FixtureError("no %s in the given fixtures" % what)
+        name = found[-1]
+    for where, msg in env.violations[name][:1]:
+        raise FixtureError("%s: %s" % (where or "%s %s" % (what, name), msg))
+    return env[name]
 
 
 def _vertex(run: Run, path, fixture_dir) -> CategoryBlock:
     """The last category block of the vertex file, read on its own."""
     env = _load(run, [path], fixture_dir)
-    return _pick(env, (CategoryBlock,), None, "category")[1]
-
-
-def _diagram_violations(dia):
-    """(where, violations) of a diagram's first failing layer, checked in
-    the order index, each distinct fiber, 2-functor (where None); no
-    violations when every layer holds."""
-    bad = validate_two_cat(dia.index)
-    if bad:
-        return "index %s" % dia.index.name, bad
-    seen = set()
-    for A, C in sorted(dia.fibers.items()):
-        if id(C) in seen:  # a constant diagram repeats one category
-            continue
-        seen.add(id(C))
-        bad = validate_category(C)
-        if bad:
-            return "fiber %s (%s)" % (A, C.name), bad
-    ok, why = check_two_functor(dia)
-    return None, ([] if ok else [why])
-
-
-def _diagram(env: Environment, name) -> DiagramBlock:
-    """The named (or last) diagram block, refused before any construction
-    unless its index is a 2-category, every fiber a category and the
-    diagram a strict 2-functor."""
-    _, block = _pick(env, (DiagramBlock,), name, "diagram")
-    where, bad = _diagram_violations(block.diagram)
-    if bad:
-        raise FixtureError("%s: %s" % (
-            where or "diagram %s" % block.diagram.name, bad[0]))
-    return block
+    return _pick(env, (CategoryBlock,), None, "category")
 
 
 def _category_block_of(env: Environment, cat):
@@ -203,32 +171,6 @@ def main(ctx, budget, fixture_dir, report_path, seed):
                "report": report_path, "seed": seed}
 
 
-def _block_violations(v):
-    if isinstance(v, CategoryBlock):
-        out = validate_category(v.cat)
-        if out or v.limits is None:  # later checks assume a category
-            return out
-        out = validate_assignment(v.limits)
-        if v.covers or v.generators:
-            out += validate_site(v.site())
-        return out
-    if isinstance(v, TwoCat):
-        return validate_two_cat(v)
-    if isinstance(v, Functor):
-        return validate_functor(v)
-    if isinstance(v, NatTrans):
-        return validate_nat_trans(v)
-    if isinstance(v, DiagramBlock):
-        where, bad = _diagram_violations(v.diagram)
-        return ["%s: %s" % (where, msg) for msg in bad] if where else bad
-    if isinstance(v, Pseudocone):
-        ok, why = check_pseudocone(v)
-        return [] if ok else [why]
-    if isinstance(v, Presheaf):
-        return validate_presheaf(v)
-    return []
-
-
 @main.command()
 @click.argument("files", nargs=-1, required=True)
 @click.pass_context
@@ -237,11 +179,11 @@ def validate(ctx, files):
     def body(run, env):
         total = 0
         for name, v in env.items():
-            vio = _block_violations(v)
             run.add("checked %s" % name, type(v).__name__)
-            for msg in vio:
-                run.add("violation %s" % name, msg)
-            total += len(vio)
+            for where, msg in env.violations[name]:
+                run.add("violation %s" % name,
+                        "%s: %s" % (where, msg) if where else msg)
+            total += len(env.violations[name])
         run.add("violations", total)
         return total == 0
 
@@ -270,7 +212,7 @@ def _seed_stable(run: Run, ctx, R):
 def colim(ctx, files, name):
     """Build the pseudocolimit category of a diagram."""
     def body(run, env):
-        block = _diagram(env, name)
+        block = _pick(env, (DiagramBlock,), name, "diagram")
         R = build_pseudocolimit(block.diagram, run.budget)
         run.add("diagram", block.diagram.name)
         run.add("objects", len(R.category.objects))
@@ -289,7 +231,7 @@ def colim(ctx, files, name):
 def site_colim(ctx, files, name):
     """Build the colimit site of a diagram of sites."""
     def body(run, env):
-        block = _diagram(env, name)
+        block = _pick(env, (DiagramBlock,), name, "diagram")
         S, R = build_colim_site(_site_diagram(block), run.budget)
         run.add("diagram", block.diagram.name)
         run.add("objects", len(S.cat.objects))
@@ -311,7 +253,7 @@ def site_colim(ctx, files, name):
 def restrict(ctx, files, name):
     """Close generator sets under finite limits and transitions."""
     def body(run, env):
-        block = _diagram(env, name)
+        block = _pick(env, (DiagramBlock,), name, "diagram")
         r = restrict_diagram(_ambient(block))
         run.add("diagram", block.diagram.name)
         run.add("rounds", r.rounds)
@@ -341,7 +283,7 @@ def verify_bicolim_cmd(ctx, files, vertex, name):
     """Check the universal property of a pseudocolimit by enumeration."""
     def body(run, env):
         vblock = _vertex(run, vertex, ctx.obj["fixture_dir"])
-        block = _diagram(env, name)
+        block = _pick(env, (DiagramBlock,), name, "diagram")
         R = build_pseudocolimit(block.diagram, run.budget)
         rep = verify_bicolimit(R, vblock.cat, run.budget)
         run.add("diagram", block.diagram.name)
@@ -363,7 +305,7 @@ def verify_site_cmd(ctx, files, vertex, name):
     """Check the universal property of a colimit site by enumeration."""
     def body(run, env):
         vblock = _vertex(run, vertex, ctx.obj["fixture_dir"])
-        block = _diagram(env, name)
+        block = _pick(env, (DiagramBlock,), name, "diagram")
         X = vblock.site()
         D = _site_diagram(block)
         S, R = build_colim_site(D, run.budget)
@@ -383,14 +325,12 @@ def verify_site_cmd(ctx, files, vertex, name):
 def sheaf_check(ctx, files):
     """Check every presheaf in the fixtures against its category's site."""
     def body(run, env):
-        sheaves = [(n, v) for n, v in env.items() if isinstance(v, Presheaf)]
-        if not sheaves:
+        names = [n for n, v in env.items() if isinstance(v, Presheaf)]
+        if not names:
             raise FixtureError("no presheaf in the given fixtures")
         all_ok = True
-        for pname, P in sheaves:
-            bad = validate_presheaf(P)
-            if bad:
-                raise FixtureError("presheaf %s: %s" % (pname, bad[0]))
+        for pname in names:
+            P = _pick(env, (Presheaf,), pname, "presheaf")
             S = _category_block_of(env, P.cat).site()
             ok, where = check_sheaf(P, S)
             run.add("sheaf %s" % pname, ok)

@@ -111,6 +111,10 @@ def validate_category(C: FinCat) -> list[str]:
             out.append("identity %s of %s is not a morphism" % (i, o))
         elif C.mor_src[i] != o or C.mor_tgt[i] != o:
             out.append("identity %s of %s has wrong endpoints" % (i, o))
+    for g, f in C.comp:
+        if g not in C.mor_src or f not in C.mor_src:
+            out.append("composite %s . %s names an unknown morphism"
+                       % (g, f))
     if out:
         return out
     mors = C.morphisms()
@@ -119,8 +123,7 @@ def validate_category(C: FinCat) -> list[str]:
         out_of.setdefault(C.mor_src[m], []).append(m)
     entries_after = {}  # f -> every morphism g with a table entry g . f
     for g, f in C.comp:
-        if g in C.mor_src:
-            entries_after.setdefault(f, set()).add(g)
+        entries_after.setdefault(f, set()).add(g)
     for f in mors:
         # only a composable pair or a pair with an entry can be at fault
         for g in sorted(entries_after.get(f, set()).union(
@@ -328,8 +331,8 @@ def validate_functor(F: Functor) -> list[str]:
         fm = F.mor_map.get(m)
         if fm not in D.mor_src:
             out.append("morphism %s not mapped into target" % m)
-        elif (D.mor_src[fm] != F.obj_map[C.mor_src[m]]
-              or D.mor_tgt[fm] != F.obj_map[C.mor_tgt[m]]):
+        elif (D.mor_src[fm] != F.obj_map.get(C.mor_src[m])
+              or D.mor_tgt[fm] != F.obj_map.get(C.mor_tgt[m])):
             out.append("morphism %s image has wrong endpoints" % m)
     if out:
         return out
@@ -453,6 +456,8 @@ def identity_nat(F: Functor) -> NatTrans:
 def validate_nat_trans(a: NatTrans) -> list[str]:
     F, G = a.source, a.target
     D = F.target
+    if (F.source.name, D.name) != (G.source.name, G.target.name):
+        return ["source and target functors are not parallel"]
     out = []
     for o in F.source.objects:
         m = a.components.get(o)

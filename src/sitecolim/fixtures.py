@@ -19,18 +19,28 @@ Block kinds and their lines:
                       transition u = F, cell g = N, generators A : a b
   [cone NAME]         diagram D, vertex X, leg A = F, coh u = N
   [presheaf NAME]     category C, set a : e1 e2, map f e = e'
+
+Parsing validates each block as it is built, before anything is derived
+from it, and records the violations on the environment.  A category is
+checked table, limit assignment, site; a diagram index, fibers, 2-functor.
+A block that names a block with violations inherits its first one under
+the naming line (`index chain3: ...`, `fiber 0 (two): ...`) and derives
+nothing more: no identity transitions, 2-cells or coherences, no empty
+presheaf sets.  Malformed lines and unknown names raise FixtureError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import FinCat, Functor, NatTrans, identity_functor, identity_nat
-from .cones import Pseudocone
+from .core import (FinCat, Functor, NatTrans, identity_functor, identity_nat,
+                   validate_category, validate_functor, validate_nat_trans)
+from .cones import Pseudocone, check_pseudocone
 from .errors import FixtureError
-from .limits import LimitAssignment
-from .sites import Presheaf, Site
-from .twocat import TwoCat, TwoDiagram, opposite_two_cat
+from .limits import LimitAssignment, validate_assignment
+from .sites import Presheaf, Site, validate_presheaf, validate_site
+from .twocat import (TwoCat, TwoDiagram, check_two_functor, opposite_two_cat,
+                     validate_two_cat)
 
 HEADER = "%fixture 1"
 
@@ -59,7 +69,14 @@ class DiagramBlock:
 
 class Environment(dict):
     """name -> parsed value (CategoryBlock, TwoCat, Functor, NatTrans,
-    DiagramBlock, Pseudocone, Presheaf)."""
+    DiagramBlock, Pseudocone, Presheaf).  `violations` maps each name to
+    its block's violations as (where, message) pairs; where is None, or the
+    naming line through which the message was inherited.  A block holds
+    iff its list is empty."""
+
+    def __init__(self, blocks=(), violations=None):
+        super().__init__(blocks)
+        self.violations = dict(violations or {})
 
     def lookup(self, name, kinds, line):
         v = self.get(name)
@@ -81,7 +98,7 @@ def _tokens(text):
 
 def parse(text: str, env: Environment | None = None) -> Environment:
     """Parse a fixture file into (a copy of) the environment."""
-    env = Environment(env or {})
+    env = Environment(env or {}, env.violations if env else None)
     lines = list(_tokens(text))
     if not lines or lines[0][1] != HEADER.split():
         raise FixtureError("missing '%s' header" % HEADER,
@@ -107,8 +124,21 @@ def parse(text: str, env: Environment | None = None) -> Environment:
             raise FixtureError("block name %s repeated in one file" % name,
                                ln)
         defined.add(name)
-        env[name] = builder(name, body, env)
+        env[name], env.violations[name] = builder(name, body, env)
     return env
+
+
+def _own(messages):
+    return [(None, msg) for msg in messages]
+
+
+def _inherited(env, named):
+    """The first violation of the first block among `named`, (where, block
+    name) pairs, that has any, as [(where, message)]; [] when all hold."""
+    for where, name in named:
+        for inner, msg in env.violations.get(name, ())[:1]:
+            return [(where, "%s: %s" % (inner, msg) if inner else msg)]
+    return []
 
 
 def _expect(cond, msg, ln):
@@ -140,7 +170,7 @@ def _core_line(tables, ln, t):
     return True
 
 
-def _parse_category(name, body, env) -> CategoryBlock:
+def _parse_category(name, body, env):
     tables = [], {}, {}, {}, {}
     terminal, tmap, products, equalizers = None, {}, {}, {}
     covers, generators = {}, set()
@@ -175,12 +205,18 @@ def _parse_category(name, body, env) -> CategoryBlock:
     limits = None
     if has_limits:
         limits = LimitAssignment(cat, terminal, tmap, products, equalizers)
-    return CategoryBlock(cat, limits,
-                         {c: tuple(fs) for c, fs in covers.items()},
-                         frozenset(generators))
+    block = CategoryBlock(cat, limits,
+                          {c: tuple(fs) for c, fs in covers.items()},
+                          frozenset(generators))
+    bad = validate_category(cat)
+    if not bad and limits is not None:  # later checks assume a category
+        bad = validate_assignment(limits)
+        if block.covers or block.generators:
+            bad += validate_site(block.site())
+    return block, _own(bad)
 
 
-def _parse_twocat(name, body, env) -> TwoCat:
+def _parse_twocat(name, body, env):
     tables = [], {}, {}, {}, {}
     two_src, two_tgt, two_id, vcomp, hcomp = {}, {}, {}, {}, {}
     for ln, t in body:
@@ -203,8 +239,17 @@ def _parse_twocat(name, body, env) -> TwoCat:
             hcomp[(t[1], t[3])] = t[5]
         else:
             raise FixtureError("unknown twocat line %s" % t[0], ln)
-    return TwoCat(name, FinCat(name + ".1", *tables), two_src, two_tgt,
-                  two_id, vcomp, hcomp)
+    A = TwoCat(name, FinCat(name + ".1", *tables), two_src, two_tgt, two_id,
+               vcomp, hcomp)
+    return A, _own(validate_two_cat(A))
+
+
+def _ref(env, t, ln, named, kinds=()):
+    """The block named by a one-name line such as `source C`; the line and
+    the name go on `named`, the blocks whose violations are inherited."""
+    _expect(len(t) == 2, "%s takes one name" % t[0], ln)
+    named.append((" ".join(t), t[1]))
+    return env.lookup(t[1], kinds, ln)
 
 
 def _cat_of(value, where, ln):
@@ -213,14 +258,11 @@ def _cat_of(value, where, ln):
     raise FixtureError("%s must name a category" % where, ln)
 
 
-def _parse_functor(name, body, env) -> Functor:
-    source = target = None
-    obj_map, mor_map = {}, {}
+def _parse_functor(name, body, env):
+    ends, obj_map, mor_map, named = {}, {}, {}, []
     for ln, t in body:
-        if t[0] == "source":
-            source = _cat_of(env.lookup(t[1], (), ln), "source", ln)
-        elif t[0] == "target":
-            target = _cat_of(env.lookup(t[1], (), ln), "target", ln)
+        if t[0] in ("source", "target"):
+            ends[t[0]] = _cat_of(_ref(env, t, ln, named), t[0], ln)
         elif t[0] == "obj":
             _expect(len(t) == 4 and t[2] == "->", "obj a -> x", ln)
             obj_map[t[1]] = t[3]
@@ -229,44 +271,43 @@ def _parse_functor(name, body, env) -> Functor:
             mor_map[t[1]] = t[3]
         else:
             raise FixtureError("unknown functor line %s" % t[0], ln)
-    _expect(source is not None and target is not None,
+    _expect(len(ends) == 2,
             "functor needs source and target", body[0][0] if body else 1)
-    return Functor(name, source, target, obj_map, mor_map)
+    F = Functor(name, ends["source"], ends["target"], obj_map, mor_map)
+    return F, _inherited(env, named) or _own(validate_functor(F))
 
 
-def _parse_nattrans(name, body, env) -> NatTrans:
-    source = target = None
-    components = {}
+def _parse_nattrans(name, body, env):
+    ends, components, named = {}, {}, []
     for ln, t in body:
-        if t[0] == "source":
-            source = env.lookup(t[1], (Functor,), ln)
-        elif t[0] == "target":
-            target = env.lookup(t[1], (Functor,), ln)
+        if t[0] in ("source", "target"):
+            ends[t[0]] = _ref(env, t, ln, named, (Functor,))
         elif t[0] == "at":
             _expect(len(t) == 4 and t[2] == "=", "at a = m", ln)
             components[t[1]] = t[3]
         else:
             raise FixtureError("unknown nattrans line %s" % t[0], ln)
-    _expect(source is not None and target is not None,
+    _expect(len(ends) == 2,
             "nattrans needs source and target", body[0][0] if body else 1)
-    return NatTrans(name, source, target, components)
+    a = NatTrans(name, ends["source"], ends["target"], components)
+    return a, _inherited(env, named) or _own(validate_nat_trans(a))
 
 
-def _parse_diagram(name, body, env) -> DiagramBlock:
+def _parse_diagram(name, body, env):
     index = None
     orientation = "covariant"
     fibers, on1, on2 = {}, {}, {}
-    generators = {}
+    generators, named = {}, []
     for ln, t in body:
         if t[0] == "index":
-            index = env.lookup(t[1], (TwoCat,), ln)
+            index = _ref(env, t, ln, named, (TwoCat,))
         elif t[0] == "orientation":
-            _expect(t[1] in ("covariant", "op"), "orientation covariant|op", ln)
+            _expect(len(t) == 2 and t[1] in ("covariant", "op"),
+                    "orientation covariant|op", ln)
             orientation = t[1]
         elif t[0] == "fiber":
             _expect(len(t) == 4 and t[2] == "=", "fiber A = C", ln)
-            block = env.lookup(t[3], (CategoryBlock,), ln)
-            fibers[t[1]] = block
+            fibers[t[1]] = env.lookup(t[3], (CategoryBlock,), ln)
         elif t[0] == "transition":
             _expect(len(t) == 4 and t[2] == "=", "transition u = F", ln)
             on1[t[1]] = env.lookup(t[3], (Functor,), ln)
@@ -281,69 +322,88 @@ def _parse_diagram(name, body, env) -> DiagramBlock:
     _expect(index is not None, "diagram needs an index",
             body[0][0] if body else 1)
     covariant = orientation == "covariant"
+    dia = TwoDiagram(name, index, {A: b.cat for A, b in fibers.items()},
+                     {}, {}, covariant)
+    out = DiagramBlock(dia, generators, fibers)
+    bad = _inherited(env, named + [("fiber %s (%s)" % (A, b.cat.name),
+                                    b.cat.name)
+                                   for A, b in sorted(fibers.items())])
+    if bad:
+        return out, bad
     if not covariant:
-        index = opposite_two_cat(index)
+        dia.index = index = opposite_two_cat(index)
     for A in index.objects():
         if A not in fibers:
             raise FixtureError("diagram %s: no fiber for index object %s"
                                % (name, A))
-    full_on1 = {}
     for u in index.one_cells():
         a = index.cells1.mor_src[u]
         if u in on1:
-            full_on1[u] = on1[u]
+            dia.on1[u] = on1[u]
         elif u == index.cells1.identities.get(a):
-            full_on1[u] = identity_functor(fibers[a].cat)
+            dia.on1[u] = identity_functor(fibers[a].cat)
         else:
             raise FixtureError("diagram %s: no transition for 1-cell %s"
                                % (name, u))
-    full_on2 = {}
+    # identity 2-cells are derived only from transitions that hold
+    broken = ["functor at %s is invalid" % u for u in index.one_cells()
+              if u in on1 and env.violations.get(on1[u].name)]
+    broken += ["transformation at %s is invalid" % g
+               for g in index.two_cells()
+               if g in on2 and env.violations.get(on2[g].name)]
+    if broken:
+        return out, _own(broken[:1])
     for g in index.two_cells():
         if g in on2:
-            full_on2[g] = on2[g]
+            dia.on2[g] = on2[g]
         elif g in index.two_id.values():
-            u = index.two_src[g]
-            full_on2[g] = identity_nat(full_on1[u])
+            dia.on2[g] = identity_nat(dia.on1[index.two_src[g]])
         else:
             raise FixtureError("diagram %s: no transformation for 2-cell %s"
                                % (name, g))
-    dia = TwoDiagram(name, index, {A: b.cat for A, b in fibers.items()},
-                     full_on1, full_on2, covariant)
-    return DiagramBlock(dia, generators, fibers)
+    ok, why = check_two_functor(dia)
+    return out, [] if ok else [(None, why)]
 
 
-def _parse_cone(name, body, env) -> Pseudocone:
+def _parse_cone(name, body, env):
     diagram = vertex = None
-    legs, coherence = {}, {}
+    legs, coherence, named = {}, {}, []
     for ln, t in body:
         if t[0] == "diagram":
-            diagram = env.lookup(t[1], (DiagramBlock,), ln).diagram
+            diagram = _ref(env, t, ln, named, (DiagramBlock,)).diagram
         elif t[0] == "vertex":
-            vertex = _cat_of(env.lookup(t[1], (), ln), "vertex", ln)
+            vertex = _cat_of(_ref(env, t, ln, named), "vertex", ln)
         elif t[0] == "leg":
             _expect(len(t) == 4 and t[2] == "=", "leg A = F", ln)
             legs[t[1]] = env.lookup(t[3], (Functor,), ln)
+            named.append(("leg %s (%s)" % (t[1], t[3]), t[3]))
         elif t[0] == "coh":
             _expect(len(t) == 4 and t[2] == "=", "coh u = N", ln)
             coherence[t[1]] = env.lookup(t[3], (NatTrans,), ln)
+            named.append(("coh %s (%s)" % (t[1], t[3]), t[3]))
         else:
             raise FixtureError("unknown cone line %s" % t[0], ln)
     _expect(diagram is not None and vertex is not None,
             "cone needs diagram and vertex", body[0][0] if body else 1)
+    h = Pseudocone(name, diagram, vertex, legs, coherence)
+    bad = _inherited(env, named)
+    if bad:
+        return h, bad
     for u in diagram.index.one_cells():
         a = diagram.index.cells1.mor_src[u]
-        if u not in coherence and u == diagram.index.cells1.identities.get(a):
+        if (u not in coherence and a in legs
+                and u == diagram.index.cells1.identities.get(a)):
             coherence[u] = identity_nat(legs[a])
-    return Pseudocone(name, diagram, vertex, legs, coherence)
+    ok, why = check_pseudocone(h)
+    return h, [] if ok else [(None, why)]
 
 
-def _parse_presheaf(name, body, env) -> Presheaf:
+def _parse_presheaf(name, body, env):
     cat = None
-    sets = {}
-    maps = {}
+    sets, maps, named = {}, {}, []
     for ln, t in body:
         if t[0] == "category":
-            cat = _cat_of(env.lookup(t[1], (), ln), "category", ln)
+            cat = _cat_of(_ref(env, t, ln, named), "category", ln)
         elif t[0] == "set":
             _expect(len(t) >= 3 and t[2] == ":", "set a : e1 ...", ln)
             sets[t[1]] = tuple(t[3:])
@@ -354,11 +414,15 @@ def _parse_presheaf(name, body, env) -> Presheaf:
             raise FixtureError("unknown presheaf line %s" % t[0], ln)
     _expect(cat is not None, "presheaf needs a category",
             body[0][0] if body else 1)
+    P = Presheaf(name, cat, sets, maps)
+    bad = _inherited(env, named)
+    if bad:
+        return P, bad
     for o in cat.objects:
         sets.setdefault(o, ())
     for m in cat.morphisms():
         maps.setdefault(m, {})
-    return Presheaf(name, cat, sets, maps)
+    return P, _own(validate_presheaf(P))
 
 
 _BUILDERS = {

@@ -248,7 +248,9 @@ def test_validate_diagram_over_a_broken_fiber(runner, fixture_dir, tmp_path):
     assert "violation two missing composite a . id_0" in res.output
     assert ("violation consttwo fiber 0 (two): missing composite a . id_0"
             in res.output)
-    assert "violations 2" in res.output
+    assert ("violation idtwo source two: missing composite a . id_0"
+            in res.output)
+    assert "violations 3" in res.output
 
 
 def test_twocat_comp_line_arity_exits_two(runner, fixture_dir, tmp_path):
@@ -257,3 +259,51 @@ def test_twocat_comp_line_arity_exits_two(runner, fixture_dir, tmp_path):
     res = run(runner, fixture_dir, "validate", bad)
     assert res.exit_code == 2, res.output
     assert re.search(r"error line \d+: comp g \. f = h", res.output)
+
+
+def test_unmapped_transition_object(runner, fixture_dir, tmp_path):
+    """validate reports the functor; a diagram command refuses the diagram
+    before deriving identity 2-cells from it."""
+    bad = _mutated(fixture_dir, tmp_path, "obj 0 -> 0\n", "")
+    res = run(runner, fixture_dir, "validate", bad)
+    assert res.exit_code == 1, res.output
+    assert "violation idtwo object 0 not mapped into target" in res.output
+    res = run(runner, fixture_dir, "colim", bad)
+    assert res.exit_code == 2, res.output
+    assert "error diagram consttwo: functor at 0_1 is invalid" in res.output
+
+
+def test_sheaf_check_refuses_a_broken_category(runner, fixture_dir,
+                                               tmp_path):
+    bad = _mutated(fixture_dir, tmp_path, "object bot\n", "", "sheaves.pre")
+    res = run(runner, fixture_dir, "sheaf-check", bad)
+    assert res.exit_code == 2, res.output
+    assert ("error category diamond: morphism bot_a has unknown source bot"
+            in res.output)
+
+
+@pytest.mark.parametrize("command, diagram", [
+    ("verify-bicolim", "consttwo.diag"),
+    ("verify-site", "covereddiamond.diag"),
+])
+def test_broken_vertex_exits_two(runner, fixture_dir, tmp_path, command,
+                                 diagram):
+    bad = _mutated(fixture_dir, tmp_path, "comp a . id_0 = a\n", "",
+                   "two.cat")
+    res = run(runner, fixture_dir, command, diagram, "--vertex", bad)
+    assert res.exit_code == 2, res.output
+    assert "error category two: missing composite a . id_0" in res.output
+
+
+@pytest.mark.parametrize("command", DIAGRAM_COMMANDS,
+                         ids=[c[0] for c in DIAGRAM_COMMANDS])
+def test_malformed_fiber_cover_exits_two(runner, fixture_dir, tmp_path,
+                                         command):
+    """Every command refuses a diagram whose fiber site is malformed, also
+    those that never read the covers."""
+    bad = _mutated(fixture_dir, tmp_path, "cover top : a_top b_top\n",
+                   "cover top : a_top bot_a\n", "covereddiamond.diag")
+    res = run(runner, fixture_dir, command[0], bad, *command[1:])
+    assert res.exit_code == 2, res.output
+    assert ("error fiber 0 (diamond): cover of top contains bot_a not into "
+            "it" in res.output)

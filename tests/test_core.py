@@ -1,7 +1,7 @@
 import pytest
 
 from sitecolim import standard
-from sitecolim.core import (Budget, FinCat, Functor, Presentation,
+from sitecolim.core import (Budget, FinCat, Functor, NatTrans, Presentation,
                             build_category, compose_functors,
                             enumerate_functors, enumerate_nat_trans,
                             equivalence_witness, hcomp_nat, identity_functor,
@@ -38,6 +38,18 @@ def test_validate_catches_missing_composite(two_cat):
     broken = FinCat("broken", two_cat.objects, dict(two_cat.mor_src),
                     dict(two_cat.mor_tgt), dict(two_cat.identities), comp)
     assert any("missing composite" in v for v in validate_category(broken))
+
+
+def test_validate_catches_composite_of_unknown_morphism(two_cat):
+    """Entries that name a deleted morphism are structural faults, found
+    before any later phase reads the table."""
+    mor_src, mor_tgt = dict(two_cat.mor_src), dict(two_cat.mor_tgt)
+    del mor_src["a"], mor_tgt["a"]
+    broken = FinCat("broken", two_cat.objects, mor_src, mor_tgt,
+                    dict(two_cat.identities), dict(two_cat.comp))
+    assert validate_category(broken) == [
+        "composite a . id_0 names an unknown morphism",
+        "composite id_1 . a names an unknown morphism"]
 
 
 def test_hom_and_inverse(diamond):
@@ -114,6 +126,24 @@ def test_validate_functor_catches_bad_composition(two_cat, diamond):
     F2 = Functor("bad2", two_cat, diamond, {"0": "bot", "1": "top"},
                  {"id_0": "id_bot", "id_1": "id_bot", "a": "bot_top"})
     assert validate_functor(F2) != []
+
+
+def test_validate_functor_reports_unmapped_object(two_cat):
+    F = Functor("partial", two_cat, two_cat, {"1": "1"},
+                {m: m for m in two_cat.morphisms()})
+    assert validate_functor(F) == ["object 0 not mapped into target",
+                                   "morphism a image has wrong endpoints",
+                                   "morphism id_0 image has wrong endpoints"]
+
+
+def test_validate_nat_trans_reports_non_parallel_functors(two_cat,
+                                                          diamond):
+    F = identity_functor(two_cat)
+    G = Functor("G", two_cat, diamond, {"0": "bot", "1": "top"},
+                {"id_0": "id_bot", "id_1": "id_top", "a": "bot_top"})
+    a = NatTrans("a", F, G, {"0": "id_0", "1": "id_1"})
+    assert validate_nat_trans(a) == [
+        "source and target functors are not parallel"]
 
 
 def test_nat_trans_enumeration_and_algebra(two_cat):

@@ -1,5 +1,7 @@
 import pytest
+from click.testing import CliRunner
 
+from sitecolim.cli import main
 from sitecolim.core import Functor, validate_category
 from sitecolim.errors import FixtureError
 from sitecolim.fixtures import (CategoryBlock, DiagramBlock, parse,
@@ -121,3 +123,40 @@ def test_block_name_may_repeat_across_texts():
                 "id %s = i\ncomp i . i = i\n" % (o, o, o, o))
     env = parse(text("y"), parse(text("x")))
     assert env["c"].cat.objects == ("y",)
+
+
+IDENTITY_CELL = ("[nattrans one_idtwo]\nsource idtwo\ntarget idtwo\n"
+                 "at 0 = id_0\nat 1 = id_1\n")
+
+
+def _cone(legs, coherences=()):
+    return "".join(["\n[cone c]\ndiagram consttwo\nvertex two\n"]
+                   + ["leg %s = idtwo\n" % A for A in legs]
+                   + ["coh %s = one_idtwo\n" % u for u in coherences])
+
+
+def test_cone_block_derives_identity_coherences(fixture_dir):
+    text = (fixture_dir / "consttwo.diag").read_text()
+    env = parse(text + "\n" + IDENTITY_CELL
+                + _cone("012", ["0_1", "0_2", "1_2"]))
+    assert env.violations["one_idtwo"] == []
+    assert env.violations["c"] == []
+    assert env["c"].coherence["id_1"].components == {"0": "id_0",
+                                                      "1": "id_1"}
+
+
+def test_cone_block_without_a_leg(fixture_dir, tmp_path):
+    path = tmp_path / "cone.diag"
+    path.write_text((fixture_dir / "consttwo.diag").read_text()
+                    + _cone("12"))
+    res = CliRunner().invoke(main, ["validate", str(path)])
+    assert res.exit_code == 1, res.output
+    assert "violation c leg at 0 missing or mislabelled" in res.output
+
+
+def test_cone_block_over_a_broken_diagram(fixture_dir):
+    text = (fixture_dir / "consttwo.diag").read_text()
+    env = parse(text.replace("comp a . id_0 = a\n", "") + _cone("012"))
+    assert env.violations["c"] == [
+        ("diagram consttwo", "fiber 0 (two): missing composite a . id_0")]
+    assert env["c"].coherence == {}

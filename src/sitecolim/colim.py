@@ -7,6 +7,12 @@ Two spans are identified when a common refinement (D, w1, w2) with
 invertible comparison 2-cells makes the transported fiber morphisms equal;
 the implemented relation is the transitive closure of that single-step
 relation, decided by exhaustive search over the (finite) index.
+
+A composite of spans is taken at a common refinement too.  Which
+refinements two spans have depends on the index alone, so each
+build_pseudocolimit call tables them once per distinct index key
+(_Refinements); comparing and composing spans then costs one lookup plus
+the fiber equation or composite.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from .errors import (IllFormedCone, IncompleteAssignment, NoSolution,
 from .limits import (Cone, Diagram, LimitAssignment, check_exact,
                      chosen_limit, discrete_pair, empty_diagram,
                      is_limiting_cone, parallel_pair)
-from .twocat import TwoDiagram, check_2filtered
+from .twocat import TwoCat, TwoDiagram, check_2filtered
 
 
 class Span(NamedTuple):
@@ -49,77 +55,123 @@ def identity_span(F: TwoDiagram, A, x):
     return Span(A, x, A, x, A, i, i, F.fibers[A].identities[x])
 
 
-def all_spans(F: TwoDiagram, A, x, B, y):
+class _Refinements:
+    """The index-only half of the span search, tabled for one build.
+
+    Which apexes carry spans from A to B, and which common refinements
+    (D, w1, w2) with invertible comparison 2-cells two spans have, depend on
+    their index objects and 1-cells alone; fiber data enters only in the
+    final equation.  Each table fills on first use of a key.  One object
+    lives exactly as long as the build_pseudocolimit call that made it, so
+    `apex_order` (the --seed shuffle) is that build's own.
+    """
+
+    def __init__(self, index: TwoCat, apex_order):
+        self.index = index
+        self.apex_order = apex_order
+        self._apexes = {}
+        self._relating = {}
+        self._composing = {}
+
+    def apexes(self, A, B):
+        """Every (apex, u, v) with u : A -> apex and v : B -> apex, apexes
+        in sorted order."""
+        out = self._apexes.get((A, B))
+        if out is None:
+            C1 = self.index.cells1
+            out = self._apexes[(A, B)] = [
+                (apex, u, v) for apex in sorted(self.index.objects())
+                for u in C1.hom(A, apex) for v in C1.hom(B, apex)]
+        return out
+
+    def relating(self, s: Span, t: Span):
+        """Every (D, w1, w2, alphas, betas), D sorted, with w1 : s.apex -> D,
+        w2 : t.apex -> D and nonempty lists of the invertible 2-cells
+        alphas : w1.s.left => w2.t.left and
+        betas : w1.s.right => w2.t.right."""
+        key = (s.apex, s.left, s.right, t.apex, t.left, t.right)
+        out = self._relating.get(key)
+        if out is None:
+            A_idx = self.index
+            C1 = A_idx.cells1
+            out = self._relating[key] = []
+            for D in sorted(A_idx.objects()):
+                for w1 in C1.hom(s.apex, D):
+                    for w2 in C1.hom(t.apex, D):
+                        alphas = A_idx.invertible_cells_between(
+                            C1.comp[(w1, s.left)], C1.comp[(w2, t.left)])
+                        if not alphas:
+                            continue
+                        betas = A_idx.invertible_cells_between(
+                            C1.comp[(w1, s.right)], C1.comp[(w2, t.right)])
+                        if betas:
+                            out.append((D, w1, w2, alphas, betas))
+        return out
+
+    def composing(self, s: Span, t: Span):
+        """The first (D, w1, w2, alpha) with w1 : s.apex -> D,
+        w2 : t.apex -> D and alpha : w1.s.right => w2.t.left invertible,
+        searching D in apex order, or None."""
+        key = (s.apex, s.right, t.apex, t.left)
+        if key not in self._composing:
+            A_idx = self.index
+            C1 = A_idx.cells1
+            self._composing[key] = next(
+                ((D, w1, w2, alpha) for D in self.apex_order
+                 for w1 in C1.hom(s.apex, D) for w2 in C1.hom(t.apex, D)
+                 for alpha in A_idx.invertible_cells_between(
+                     C1.comp[(w1, s.right)], C1.comp[(w2, t.left)])),
+                None)
+        return self._composing[key]
+
+
+def all_spans(F: TwoDiagram, A, x, B, y, refinements: _Refinements):
     """Every span from (A, x) to (B, y), deterministic order."""
-    C1 = F.index.cells1
     out = []
-    for apex in sorted(F.index.objects()):
-        for u in C1.hom(A, apex):
-            for v in C1.hom(B, apex):
-                fib = F.fibers[apex]
-                for f in fib.hom(F.on1[u].obj_map[x], F.on1[v].obj_map[y]):
-                    out.append(Span(A, x, B, y, apex, u, v, f))
+    for apex, u, v in refinements.apexes(A, B):
+        for f in F.fibers[apex].hom(F.on1[u].obj_map[x], F.on1[v].obj_map[y]):
+            out.append(Span(A, x, B, y, apex, u, v, f))
     return out
 
 
-def span_related(F: TwoDiagram, s: Span, t: Span) -> bool:
+def span_related(F: TwoDiagram, s: Span, t: Span,
+                 refinements: _Refinements) -> bool:
     """Single-step relation: a common refinement with invertible comparison
     2-cells transporting one fiber morphism onto the other."""
     if s[:4] != t[:4]:
         return False
-    A_idx = F.index
-    C1 = A_idx.cells1
     x, y = s.src_obj, s.tgt_obj
-    for D in sorted(A_idx.objects()):
-        for w1 in C1.hom(s.apex, D):
-            for w2 in C1.hom(t.apex, D):
-                alphas = A_idx.invertible_cells_between(
-                    C1.comp[(w1, s.left)], C1.comp[(w2, t.left)])
-                if not alphas:
-                    continue
-                betas = A_idx.invertible_cells_between(
-                    C1.comp[(w1, s.right)], C1.comp[(w2, t.right)])
-                if not betas:
-                    continue
-                fD = F.fibers[D]
-                for alpha in alphas:
-                    for beta in betas:
-                        lhs = fD.comp[(F.on2[beta].components[y],
-                                       F.on1[w1].mor_map[s.mor])]
-                        rhs = fD.comp[(F.on1[w2].mor_map[t.mor],
-                                       F.on2[alpha].components[x])]
-                        if lhs == rhs:
-                            return True
+    for D, w1, w2, alphas, betas in refinements.relating(s, t):
+        fD = F.fibers[D]
+        f1 = F.on1[w1].mor_map[s.mor]
+        f2 = F.on1[w2].mor_map[t.mor]
+        for alpha in alphas:
+            rhs = fD.comp[(f2, F.on2[alpha].components[x])]
+            for beta in betas:
+                if fD.comp[(F.on2[beta].components[y], f1)] == rhs:
+                    return True
     return False
 
 
-def compose_spans(F: TwoDiagram, s: Span, t: Span, apex_order=None):
-    """Composite span t after s, via the first common refinement found.
-
-    Searches apexes in `apex_order` (default: sorted), then 1-cells and
-    comparison 2-cells in a fixed order; well-definedness on classes is a
-    checked invariant, so the first success is taken.
-    """
+def compose_spans(F: TwoDiagram, s: Span, t: Span,
+                  refinements: _Refinements):
+    """Composite span t after s, via the first common refinement in the
+    build's apex order (then 1-cells and comparison 2-cells in a fixed
+    order).  The composite's class does not depend on the members chosen
+    or on the order: tests/test_span_layer.py composes every member pair of
+    every composable class pair and checks each lands in the class L.comp
+    records."""
     assert (s.tgt_idx, s.tgt_obj) == (t.src_idx, t.src_obj)
-    A_idx = F.index
-    C1 = A_idx.cells1
-    order = apex_order if apex_order is not None else sorted(A_idx.objects())
-    for D in order:
-        for w1 in C1.hom(s.apex, D):
-            for w2 in C1.hom(t.apex, D):
-                mid1 = C1.comp[(w1, s.right)]
-                mid2 = C1.comp[(w2, t.left)]
-                for alpha in A_idx.invertible_cells_between(mid1, mid2):
-                    fD = F.fibers[D]
-                    y = s.tgt_obj
-                    f1 = F.on1[w1].mor_map[s.mor]
-                    f2 = F.on1[w2].mor_map[t.mor]
-                    comp = fD.compose_path(
-                        f2, F.on2[alpha].components[y], f1)
-                    return Span(s.src_idx, s.src_obj, t.tgt_idx, t.tgt_obj,
-                                D, C1.comp[(w1, s.left)],
-                                C1.comp[(w2, t.right)], comp)
-    raise NotLiftable("no common refinement for %r ; %r" % (s, t))
+    found = refinements.composing(s, t)
+    if found is None:
+        raise NotLiftable("no common refinement for %r ; %r" % (s, t))
+    D, w1, w2, alpha = found
+    C1 = F.index.cells1
+    comp = F.fibers[D].compose_path(
+        F.on1[w2].mor_map[t.mor], F.on2[alpha].components[s.tgt_obj],
+        F.on1[w1].mor_map[s.mor])
+    return Span(s.src_idx, s.src_obj, t.tgt_idx, t.tgt_obj, D,
+                C1.comp[(w1, s.left)], C1.comp[(w2, t.right)], comp)
 
 
 @dataclass
@@ -154,6 +206,7 @@ def build_pseudocolimit(F: TwoDiagram, budget: Budget | None = None,
     if apex_seed is not None:
         rng = random.Random(apex_seed)
         rng.shuffle(apex_order)
+    refinements = _Refinements(F.index, apex_order)
 
     # quotient the spans between each object pair
     span_class = {}
@@ -163,13 +216,14 @@ def build_pseudocolimit(F: TwoDiagram, budget: Budget | None = None,
         for q in objs:
             A, x = obj_info[p]
             B, y = obj_info[q]
-            spans = all_spans(F, A, x, B, y)
+            spans = all_spans(F, A, x, B, y, refinements)
             bud.charge(len(spans) + 1)
             find, union = union_find(spans)
             for i, s in enumerate(spans):
                 for t in spans[i + 1:]:
                     bud.charge()
-                    if find(s) != find(t) and span_related(F, s, t):
+                    if (find(s) != find(t)
+                            and span_related(F, s, t, refinements)):
                         union(s, t)
             groups = {}
             for s in spans:
@@ -205,7 +259,7 @@ def build_pseudocolimit(F: TwoDiagram, budget: Budget | None = None,
                     s = class_members[m1][0]
                     t = class_members[m2][0]
                     comp[(m2, m1)] = span_class[
-                        compose_spans(F, s, t, apex_order)]
+                        compose_spans(F, s, t, refinements)]
 
     L = FinCat("colim_%s" % F.name, tuple(objs), mor_src, mor_tgt,
                identities, comp)

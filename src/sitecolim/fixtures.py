@@ -22,11 +22,12 @@ Block kinds and their lines:
 
 Parsing validates each block as it is built, before anything is derived
 from it, and records the violations on the environment.  A category is
-checked table, limit assignment, site; a diagram index, fibers, 2-functor.
-A block that names a block with violations inherits its first one under
-the naming line (`index chain3: ...`, `fiber 0 (two): ...`) and derives
-nothing more: no identity transitions, 2-cells or coherences, no empty
-presheaf sets.  Malformed lines and unknown names raise FixtureError.
+checked table, limit assignment, site; a diagram index, fibers, 2-functor
+and generator sets.  A block that names a block with violations inherits
+its first one under the naming line (`index chain3: ...`,
+`fiber 0 (two): ...`) and derives nothing more: no identity transitions,
+2-cells or coherences, no empty presheaf sets.  Malformed lines and
+unknown block names raise FixtureError.
 """
 
 from __future__ import annotations
@@ -362,7 +363,24 @@ def _parse_diagram(name, body, env):
             raise FixtureError("diagram %s: no transformation for 2-cell %s"
                                % (name, g))
     ok, why = check_two_functor(dia)
-    return out, [] if ok else [(None, why)]
+    return out, _own(_generator_violations(index, fibers, generators)
+                     + ([] if ok else [why]))
+
+
+def _generator_violations(index, fibers, generators):
+    """A message for every generator set of a diagram block that is not
+    at an index object or names an object its fiber lacks."""
+    out = []
+    for A, names in sorted(generators.items()):
+        if A not in index.objects():
+            out.append("generators %s: %s is not an index object" % (A, A))
+            continue
+        cat = fibers[A].cat
+        for c in sorted(names):
+            if c not in cat.objects:
+                out.append("generators %s: %s is not an object of %s"
+                           % (A, c, cat.name))
+    return out
 
 
 def _parse_cone(name, body, env):

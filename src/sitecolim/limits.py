@@ -106,28 +106,59 @@ class LimitAssignment:
         return True
 
 
+def _unknown(C: FinCat, objects=(), morphisms=()):
+    """The first of `objects`, then of `morphisms`, that C lacks, or None."""
+    for o in objects:
+        if o not in C.objects:
+            return o
+    for m in morphisms:
+        if m not in C.mor_src:
+            return m
+    return None
+
+
 def validate_assignment(A: LimitAssignment) -> list[str]:
-    """Each chosen cone must satisfy its universal property (exhaustively)."""
+    """Each chosen cone must be made of objects and morphisms of the
+    category, with matching endpoints, and satisfy its universal property
+    (exhaustively).  An entry that names something else is reported and
+    checked no further."""
     C = A.cat
     out = []
     if A.terminal is not None:
-        cone = Cone(A.terminal, {})
-        if not is_limiting_cone(C, empty_diagram(), cone):
+        if _unknown(C, [A.terminal]) is not None:
+            out.append("chosen terminal %s is not an object" % A.terminal)
+        elif not is_limiting_cone(C, empty_diagram(), Cone(A.terminal, {})):
             out.append("chosen terminal %s is not terminal" % A.terminal)
         for o, m in A.tmap.items():
-            if C.mor_src[m] != o or C.mor_tgt[m] != A.terminal:
+            bad = _unknown(C, [o], [m])
+            if bad is not None:
+                out.append("tmap at %s names unknown %s" % (o, bad))
+            elif C.mor_src[m] != o or C.mor_tgt[m] != A.terminal:
                 out.append("tmap at %s has wrong endpoints" % o)
     for (a, b), (p, p1, p2) in A.products.items():
-        cone = Cone(p, {"l": p1, "r": p2})
-        if not is_limiting_cone(C, discrete_pair(a, b), cone):
-            out.append("chosen product of (%s, %s) is not a product" % (a, b))
+        what = "chosen product of (%s, %s)" % (a, b)
+        bad = _unknown(C, [a, b, p], [p1, p2])
+        if bad is not None:
+            out.append("%s names unknown %s" % (what, bad))
+        elif not is_limiting_cone(C, discrete_pair(a, b),
+                                  Cone(p, {"l": p1, "r": p2})):
+            out.append("%s is not a product" % what)
     for (f, g), (e, incl) in A.equalizers.items():
-        D = parallel_pair(C, f, g)
-        cone = Cone(e, {"l": incl, "r": C.comp[(f, incl)]})
-        if C.comp[(f, incl)] != C.comp[(g, incl)]:
-            out.append("chosen equalizer of (%s, %s) does not equalize" % (f, g))
-        elif not is_limiting_cone(C, D, cone):
-            out.append("chosen equalizer of (%s, %s) is not an equalizer" % (f, g))
+        what = "chosen equalizer of (%s, %s)" % (f, g)
+        bad = _unknown(C, [e], [f, g, incl])
+        if bad is not None:
+            out.append("%s names unknown %s" % (what, bad))
+        elif (C.mor_src[f], C.mor_tgt[f]) != (C.mor_src[g], C.mor_tgt[g]):
+            out.append("%s: %s and %s are not parallel" % (what, f, g))
+        elif (C.mor_src[incl], C.mor_tgt[incl]) != (e, C.mor_src[f]):
+            out.append("%s: %s is not a morphism %s -> %s"
+                       % (what, incl, e, C.mor_src[f]))
+        elif C.comp[(f, incl)] != C.comp[(g, incl)]:
+            out.append("%s does not equalize" % what)
+        elif not is_limiting_cone(C, parallel_pair(C, f, g),
+                                  Cone(e, {"l": incl,
+                                           "r": C.comp[(f, incl)]})):
+            out.append("%s is not an equalizer" % what)
     return out
 
 

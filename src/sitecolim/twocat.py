@@ -96,6 +96,13 @@ def validate_two_cat(A: TwoCat) -> list[str]:
         g = A.two_id.get(u)
         if g is None or A.two_src.get(g) != u or A.two_tgt.get(g) != u:
             out.append("1-cell %s has no valid identity 2-cell" % u)
+    known = set(cells)
+    for kind, op, table in (("vertical", ".", A.vcomp),
+                            ("horizontal", "*", A.hcomp)):
+        for (h, g), k in table.items():
+            if not {h, g, k} <= known:
+                out.append("%s composite %s %s %s = %s names an unknown "
+                           "2-cell" % (kind, h, op, g, k))
     if out:
         return out
     starting = {}  # 1-cell -> the 2-cells out of it, in `cells` order
@@ -103,12 +110,10 @@ def validate_two_cat(A: TwoCat) -> list[str]:
     for g in cells:
         starting.setdefault(A.two_src[g], []).append(g)
         leaving.setdefault(C.mor_src[A.two_src[g]], []).append(g)
-    known = set(cells)
     v_after, h_after = {}, {}  # g -> the cells h with a table entry (h, g)
     for table, after in ((A.vcomp, v_after), (A.hcomp, h_after)):
         for h, g in table:
-            if h in known:
-                after.setdefault(g, set()).add(h)
+            after.setdefault(g, set()).add(h)
     # each hom-category is a category; only a composable pair or a pair
     # with an entry can be at fault
     for g in cells:

@@ -1,24 +1,32 @@
 """Frozen reference implementations of the enumeration kernel, the
-pseudocone coherence checks, the structure validators, the 2-cell lookup
-and the 2-filteredness check, kept as test oracles.
+pseudocone coherence checks, the structure validators, the 2-cell lookup,
+the 2-filteredness check and the span layer of the pseudocolimit, kept as
+test oracles.
 
 These are the straightforward versions the library replaced: the
 enumerators rescan every constraint for every candidate and return lists;
 the coherence equations pc1/pc2/pcM are evaluated on whiskered and
 vertically composed NatTrans objects; the validators scan every pair of
 morphisms or 2-cells and compose every functor pair afresh; the 2-cells
-between two 1-cells are found by scanning every 2-cell, and F3 filters all
-pairs of 2-cells.  They must keep giving the same functors,
-transformations, verdicts, messages and Budget counts as the library's
-watch-list kernel, table-level checks, indexed validators and boundary
-index of 2-cells.
+between two 1-cells are found by scanning every 2-cell; F3 filters all
+pairs of 2-cells; and every span comparison and composite searches the
+index for its common refinement afresh.  They must keep giving the same
+functors, transformations, verdicts, messages, colimit categories, span
+classes and Budget counts as the library's watch-list kernel, table-level
+checks, indexed validators, boundary index of 2-cells and per-build
+refinement tables.
 """
 
-from sitecolim.core import (Budget, Functor, NatTrans, compose_functors,
-                            hcomp_nat, identity_functor, identity_nat,
-                            nat_is_invertible, validate_functor,
-                            validate_nat_trans, vcomp_nat,
+import random
+
+from sitecolim.colim import PseudocolimitResult, Span, identity_span, obj_name
+from sitecolim.cones import Pseudocone
+from sitecolim.core import (Budget, FinCat, Functor, NatTrans,
+                            compose_functors, hcomp_nat, identity_functor,
+                            identity_nat, nat_is_invertible, union_find,
+                            validate_functor, validate_nat_trans, vcomp_nat,
                             whisker_functor_nat, whisker_nat_functor)
+from sitecolim.errors import NotFiltered, NotLiftable
 
 
 def enumerate_functors(C, D, budget=None):
@@ -423,3 +431,184 @@ def check_2filtered(A):
             if not ok:
                 return False, ("F3", g, h)
     return True, None
+
+
+def all_spans(F, A, x, B, y):
+    """Every span from (A, x) to (B, y), deterministic order."""
+    C1 = F.index.cells1
+    out = []
+    for apex in sorted(F.index.objects()):
+        for u in C1.hom(A, apex):
+            for v in C1.hom(B, apex):
+                fib = F.fibers[apex]
+                for f in fib.hom(F.on1[u].obj_map[x], F.on1[v].obj_map[y]):
+                    out.append(Span(A, x, B, y, apex, u, v, f))
+    return out
+
+
+def span_related(F, s, t):
+    """Single-step relation: a common refinement with invertible comparison
+    2-cells transporting one fiber morphism onto the other."""
+    if s[:4] != t[:4]:
+        return False
+    A_idx = F.index
+    C1 = A_idx.cells1
+    x, y = s.src_obj, s.tgt_obj
+    for D in sorted(A_idx.objects()):
+        for w1 in C1.hom(s.apex, D):
+            for w2 in C1.hom(t.apex, D):
+                alphas = A_idx.invertible_cells_between(
+                    C1.comp[(w1, s.left)], C1.comp[(w2, t.left)])
+                if not alphas:
+                    continue
+                betas = A_idx.invertible_cells_between(
+                    C1.comp[(w1, s.right)], C1.comp[(w2, t.right)])
+                if not betas:
+                    continue
+                fD = F.fibers[D]
+                for alpha in alphas:
+                    for beta in betas:
+                        lhs = fD.comp[(F.on2[beta].components[y],
+                                       F.on1[w1].mor_map[s.mor])]
+                        rhs = fD.comp[(F.on1[w2].mor_map[t.mor],
+                                       F.on2[alpha].components[x])]
+                        if lhs == rhs:
+                            return True
+    return False
+
+
+def compose_spans(F, s, t, apex_order=None):
+    """Composite span t after s, via the first common refinement found.
+
+    Searches apexes in `apex_order` (default: sorted), then 1-cells and
+    comparison 2-cells in a fixed order; well-definedness on classes is a
+    checked invariant, so the first success is taken.
+    """
+    assert (s.tgt_idx, s.tgt_obj) == (t.src_idx, t.src_obj)
+    A_idx = F.index
+    C1 = A_idx.cells1
+    order = apex_order if apex_order is not None else sorted(A_idx.objects())
+    for D in order:
+        for w1 in C1.hom(s.apex, D):
+            for w2 in C1.hom(t.apex, D):
+                mid1 = C1.comp[(w1, s.right)]
+                mid2 = C1.comp[(w2, t.left)]
+                for alpha in A_idx.invertible_cells_between(mid1, mid2):
+                    fD = F.fibers[D]
+                    y = s.tgt_obj
+                    f1 = F.on1[w1].mor_map[s.mor]
+                    f2 = F.on1[w2].mor_map[t.mor]
+                    comp = fD.compose_path(
+                        f2, F.on2[alpha].components[y], f1)
+                    return Span(s.src_idx, s.src_obj, t.tgt_idx, t.tgt_obj,
+                                D, C1.comp[(w1, s.left)],
+                                C1.comp[(w2, t.right)], comp)
+    raise NotLiftable("no common refinement for %r ; %r" % (s, t))
+
+
+def build_pseudocolimit(F, budget=None, apex_seed=None):
+    """Materialize the colimit category and its cone.
+
+    apex_seed shuffles the refinement search order used for composition;
+    the result must not depend on it (well-definedness stress knob).
+    """
+    ok, datum = check_2filtered(F.index)
+    if not ok:
+        raise NotFiltered("index fails %s at %r" % (datum[0], datum[1:]))
+    bud = budget if budget is not None else Budget()
+    objs = []
+    obj_info = {}
+    for A in sorted(F.index.objects()):
+        for x in sorted(F.fibers[A].objects):
+            objs.append(obj_name(A, x))
+            obj_info[obj_name(A, x)] = (A, x)
+
+    apex_order = sorted(F.index.objects())
+    if apex_seed is not None:
+        rng = random.Random(apex_seed)
+        rng.shuffle(apex_order)
+
+    # quotient the spans between each object pair
+    span_class = {}
+    class_members = {}
+    hom_classes = {}  # (p, q) -> ordered class names
+    for p in objs:
+        for q in objs:
+            A, x = obj_info[p]
+            B, y = obj_info[q]
+            spans = all_spans(F, A, x, B, y)
+            bud.charge(len(spans) + 1)
+            find, union = union_find(spans)
+            for i, s in enumerate(spans):
+                for t in spans[i + 1:]:
+                    bud.charge()
+                    if find(s) != find(t) and span_related(F, s, t):
+                        union(s, t)
+            groups = {}
+            for s in spans:
+                groups.setdefault(find(s), []).append(s)
+            named = []
+            for k, members in sorted(groups.items(),
+                                     key=lambda kv: min(kv[1])):
+                members = tuple(sorted(members))
+                name = "%s>%s#%d" % (p, q, len(named))
+                named.append(name)
+                class_members[name] = members
+                for s in members:
+                    span_class[s] = name
+            hom_classes[(p, q)] = named
+
+    mor_src = {}
+    mor_tgt = {}
+    for (p, q), names in hom_classes.items():
+        for n in names:
+            mor_src[n] = p
+            mor_tgt[n] = q
+    identities = {}
+    for p in objs:
+        A, x = obj_info[p]
+        identities[p] = span_class[identity_span(F, A, x)]
+
+    comp = {}
+    for (p, q), names in hom_classes.items():
+        for r in objs:
+            for m1 in names:
+                for m2 in hom_classes[(q, r)]:
+                    bud.charge()
+                    s = class_members[m1][0]
+                    t = class_members[m2][0]
+                    comp[(m2, m1)] = span_class[
+                        compose_spans(F, s, t, apex_order)]
+
+    L = FinCat("colim_%s" % F.name, tuple(objs), mor_src, mor_tgt,
+               identities, comp)
+
+    legs = {}
+    for A in F.index.objects():
+        fib = F.fibers[A]
+        legs[A] = Functor(
+            "lam_%s" % A, fib, L,
+            {x: obj_name(A, x) for x in fib.objects},
+            {f: span_class[Span(A, fib.mor_src[f], A, fib.mor_tgt[f], A,
+                                F.index.cells1.identities[A],
+                                F.index.cells1.identities[A], f)]
+             for f in fib.morphisms()})
+    coherence = {}
+    C1 = F.index.cells1
+    for u in F.index.one_cells():
+        a, b = C1.mor_src[u], C1.mor_tgt[u]
+        comps = {}
+        for x in F.fibers[a].objects:
+            fx = F.on1[u].obj_map[x]
+            comps[x] = span_class[Span(a, x, b, fx, b, u, C1.identities[b],
+                                       F.fibers[b].identities[fx])]
+        coherence[u] = NatTrans(
+            "lam_%s" % u, legs[a],
+            Functor("lam_%s.F%s" % (b, u), F.fibers[a], L,
+                    {x: legs[b].obj_map[F.on1[u].obj_map[x]]
+                     for x in F.fibers[a].objects},
+                    {m: legs[b].mor_map[F.on1[u].mor_map[m]]
+                     for m in F.fibers[a].morphisms()}),
+            comps)
+    lam = Pseudocone("lambda_%s" % F.name, F, L, legs, coherence)
+    return PseudocolimitResult(F, L, lam, class_members, span_class, obj_info)

@@ -307,3 +307,56 @@ def test_malformed_fiber_cover_exits_two(runner, fixture_dir, tmp_path,
     assert res.exit_code == 2, res.output
     assert ("error fiber 0 (diamond): cover of top contains bot_a not into "
             "it" in res.output)
+
+
+VERTEX_COMMANDS = [("verify-bicolim", "consttwo.diag"),
+                   ("verify-site", "covereddiamond.diag")]
+
+
+@pytest.mark.parametrize("name, old, new, message", [
+    ("one.cat", "tmap o = id_o\n", "tmap o = zz\n",
+     "tmap at o names unknown zz"),
+    ("one.cat", "product o o = o id_o id_o\n", "product o o = o zz id_o\n",
+     "chosen product of (o, o) names unknown zz"),
+    ("diamond.cat", "equalizer bot_a bot_a = bot id_bot\n",
+     "equalizer bot_a bot_a = bot a_top\n",
+     "chosen equalizer of (bot_a, bot_a): a_top is not a morphism "
+     "bot -> bot"),
+])
+def test_ill_named_limit_line(runner, fixture_dir, tmp_path, name, old, new,
+                              message):
+    """validate reports the limit line; a command reading the category as
+    its vertex refuses it."""
+    bad = _mutated(fixture_dir, tmp_path, old, new, name)
+    res = run(runner, fixture_dir, "validate", bad)
+    assert res.exit_code == 1, res.output
+    assert "violation %s %s" % (name[:-4], message) in res.output
+    for command, diagram in VERTEX_COMMANDS:
+        res = run(runner, fixture_dir, command, diagram, "--vertex", bad)
+        assert res.exit_code == 2, res.output
+        assert "error category %s: %s" % (name[:-4], message) in res.output
+
+
+@pytest.mark.parametrize("command", DIAGRAM_COMMANDS,
+                         ids=[c[0] for c in DIAGRAM_COMMANDS])
+def test_unknown_generator_exits_two(runner, fixture_dir, tmp_path, command):
+    bad = _mutated(fixture_dir, tmp_path, "generators 0 : a b\n",
+                   "generators 0 : zz\n", "covereddiamond.diag")
+    res = run(runner, fixture_dir, "validate", bad)
+    assert res.exit_code == 1, res.output
+    message = "generators 0: zz is not an object of diamond"
+    assert "violation covereddiamond %s" % message in res.output
+    res = run(runner, fixture_dir, command[0], bad, *command[1:])
+    assert res.exit_code == 2, res.output
+    assert "error diagram covereddiamond: %s" % message in res.output
+
+
+def test_generators_off_the_index_are_reported(runner, fixture_dir,
+                                                tmp_path):
+    bad = _mutated(fixture_dir, tmp_path, "generators 0 : a b\n",
+                   "generators 0 : a b\ngenerators 9 : a\n",
+                   "covereddiamond.diag")
+    res = run(runner, fixture_dir, "validate", bad)
+    assert res.exit_code == 1, res.output
+    assert ("violation covereddiamond generators 9: 9 is not an index object"
+            in res.output)

@@ -1,10 +1,17 @@
-"""The exit-code contract under every single-line deletion of the corpus.
+"""The exit-code contract under single-line edits of the corpus.
 
-Each case deletes one non-blank line (other than the `%fixture 1` header)
-from one corpus fixture and runs, in process, `validate` and every other
-command that reads that kind of file.  A deletion in `one.cat`, `two.cat`
-or `diamond.cat` is also read as the `--vertex` of `verify-bicolim` and
-`verify-site`.  For every run:
+Each case edits one line of one corpus fixture and runs, in process,
+`validate` and every other command that reads that kind of file.  There
+are two sweeps:
+
+- every deletion of one non-blank line other than the `%fixture 1` header;
+- one substitution per line kind (a block kind and a first token, such as
+  `tmap` in a category or `generators` in a diagram): the last name on the
+  first such line becomes the unknown name `zz`.  A deletion never brings
+  in an unknown name; this sweep does.
+
+An edited `one.cat`, `two.cat` or `diamond.cat` is also read as the
+`--vertex` of `verify-bicolim` and `verify-site`.  For every run:
 
 - no exception other than `SystemExit` escapes the command;
 - the exit code is one of 0 pass, 1 verified failure, 2 input error,
@@ -57,6 +64,25 @@ def deletions(name):
             yield i + 1, "".join(lines[:i] + lines[i + 1:])
 
 
+def substitutions(name):
+    """(line number, text with that line's last name replaced by `zz`) for
+    the first line of each kind."""
+    lines = (FIXTURE_DIR / name).read_text().splitlines(keepends=True)
+    block, seen = None, set()
+    for i, line in enumerate(lines):
+        tokens = line.split("#", 1)[0].split()
+        if not tokens or tokens[0] == "%fixture":
+            continue
+        if tokens[0].startswith("["):
+            block = tokens[0]
+            continue
+        if (block, tokens[0]) in seen:
+            continue
+        seen.add((block, tokens[0]))
+        edited = " ".join(tokens[:-1] + ["zz"]) + "\n"
+        yield i + 1, "".join(lines[:i] + [edited] + lines[i + 1:])
+
+
 def invoke(args):
     """(exit code, None) for a command that exited, or (None, exception)
     for one that raised anything else."""
@@ -68,13 +94,13 @@ def invoke(args):
     return res.exit_code, None
 
 
-def sweep(name, tmp_path, commands):
-    """Every breach of the contract over the deletions of fixture `name`:
+def sweep(name, mutations, tmp_path, commands):
+    """Every breach of the contract over the mutations of fixture `name`:
     each mutated file is passed to `validate`, then to each argument list
     of commands(path)."""
     out = []
     path = tmp_path / name
-    for line, text in deletions(name):
+    for line, text in mutations(name):
         path.write_text(text)
         validated = None
         for args in [["validate", str(path)]] + commands(str(path)):
@@ -93,19 +119,41 @@ def sweep(name, tmp_path, commands):
     return out
 
 
-@pytest.mark.parametrize("name", sorted(
-    p.name for p in FIXTURE_DIR.iterdir() if p.suffix in COMMANDS))
-def test_every_deletion_keeps_the_exit_contract(name, tmp_path):
+FIXTURES = sorted(p.name for p in FIXTURE_DIR.iterdir()
+                  if p.suffix in COMMANDS)
+VERTICES = ["one.cat", "two.cat", "diamond.cat"]
+
+
+def commands_for(name):
     suffix = name[name.rindex("."):]
-    assert sweep(name, tmp_path, lambda path: [
-        [c[0], path] + c[1:] for c in COMMANDS[suffix]]) == []
+    return lambda path: [[c[0], path] + c[1:] for c in COMMANDS[suffix]]
 
 
-@pytest.mark.parametrize("name", ["one.cat", "two.cat", "diamond.cat"])
-def test_every_vertex_deletion_keeps_the_exit_contract(name, tmp_path):
+def vertex_commands(tmp_path):
     constone = tmp_path / "constone.diag"
     constone.write_text(CONSTONE)
-    assert sweep(name, tmp_path, lambda path: [
+    return lambda path: [
         ["verify-bicolim", "consttwo.diag", "--vertex", path],
         ["verify-site", "chain3.2cat", "one.cat", str(constone),
-         "--vertex", path]]) == []
+         "--vertex", path]]
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_every_deletion_keeps_the_exit_contract(name, tmp_path):
+    assert sweep(name, deletions, tmp_path, commands_for(name)) == []
+
+
+@pytest.mark.parametrize("name", VERTICES)
+def test_every_vertex_deletion_keeps_the_exit_contract(name, tmp_path):
+    assert sweep(name, deletions, tmp_path, vertex_commands(tmp_path)) == []
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_every_substitution_keeps_the_exit_contract(name, tmp_path):
+    assert sweep(name, substitutions, tmp_path, commands_for(name)) == []
+
+
+@pytest.mark.parametrize("name", VERTICES)
+def test_every_vertex_substitution_keeps_the_exit_contract(name, tmp_path):
+    assert sweep(name, substitutions, tmp_path,
+                 vertex_commands(tmp_path)) == []

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from sitecolim import standard
@@ -80,3 +82,32 @@ def test_check_exact_failure(diamond, diamond_limits):
     ok, bad = check_exact(const_bot, diamond_limits)
     assert not ok
     assert bad is not None
+
+
+def _with(limits, **changes):
+    """A copy of a limit assignment with some entries replaced."""
+    return dataclasses.replace(limits, **{
+        k: v if k == "terminal" else {**getattr(limits, k), **v}
+        for k, v in changes.items()})
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"terminal": "zz"}, "chosen terminal zz is not an object"),
+    ({"tmap": {"a": "zz"}}, "tmap at a names unknown zz"),
+    ({"tmap": {"zz": "id_top"}}, "tmap at zz names unknown zz"),
+    ({"products": {("a", "b"): ("bot", "zz", "bot_b")}},
+     "chosen product of (a, b) names unknown zz"),
+    ({"products": {("a", "zz"): ("bot", "bot_a", "bot_b")}},
+     "chosen product of (a, zz) names unknown zz"),
+    ({"equalizers": {("zz", "bot_a"): ("bot", "id_bot")}},
+     "chosen equalizer of (zz, bot_a) names unknown zz"),
+    ({"equalizers": {("bot_a", "bot_a"): ("bot", "a_top")}},
+     "chosen equalizer of (bot_a, bot_a): a_top is not a morphism "
+     "bot -> bot"),
+    ({"equalizers": {("bot_a", "bot_b"): ("bot", "id_bot")}},
+     "chosen equalizer of (bot_a, bot_b): bot_a and bot_b are not parallel"),
+])
+def test_ill_named_entries_are_reported(diamond_limits, changes, message):
+    """An entry naming an unknown or non-composable morphism is a
+    violation, not a KeyError."""
+    assert message in validate_assignment(_with(diamond_limits, **changes))

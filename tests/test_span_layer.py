@@ -1,0 +1,119 @@
+"""The span layer of the pseudocolimit against its frozen reference, and
+the invariants the construction only claims, checked after the build.
+
+The library finds common refinements in index-only tables made once per
+build; oracle_kernel.build_pseudocolimit searches the index afresh for
+every span comparison and composite.  Both must give the same colimit
+category (with `comp` in the same insertion order), the same classes and
+the same Budget count, in the default apex order and a seeded one.
+"""
+
+import random
+
+import pytest
+
+import oracle_kernel as oracle
+from sitecolim import colim, standard
+from sitecolim.cones import check_pseudocone
+from sitecolim.core import (Budget, NatTrans, identity_functor, identity_nat,
+                            validate_category)
+from sitecolim.fixtures import parse
+from sitecolim.twocat import (TwoDiagram, check_two_functor,
+                              constant_diagram, two_cat_from_cat)
+
+from conftest import FIXTURE_DIR
+from test_kernel import z2
+
+
+def covered_diamond():
+    return parse((FIXTURE_DIR / "covereddiamond.diag").read_text())[
+        "covereddiamond"].diagram
+
+
+def const_z2():
+    """The constant diagram at z2 over chain3: unlike the poset fibers of
+    the standard diagrams, its hom-sets have two elements, so the fiber
+    equation of span_related decides."""
+    return constant_diagram(standard.chain3_twocat(), z2(), "constz2")
+
+
+def walking_iso_z2():
+    """The walking iso's invertible 2-cell sent to the automorphism s of
+    the identity functor on z2: spans are identified only through the
+    transport along s."""
+    idx = standard.walking_iso_twocat()
+    Z = z2()
+    ident = identity_functor(Z)
+    flip = NatTrans("flip", ident, ident, {"*": "s"})
+    on2 = {g: flip if g in ("g", "ginv") else identity_nat(ident)
+           for g in idx.two_cells()}
+    F = TwoDiagram("walkingiso_z2", idx, {"A": Z, "B": Z},
+                   {u: ident for u in idx.one_cells()}, on2)
+    assert check_two_functor(F) == (True, None)
+    return F
+
+
+STANDARD = {
+    "consttwo": standard.const_two_diagram,
+    "inclchain": standard.inclusion_chain_diagram,
+    "swapchain": standard.swap_chain_diagram,
+    "diamondchain": standard.diamond_chain_diagram,
+    "walkingiso": standard.walking_iso_diagram,
+    "covereddiamond": covered_diamond,
+    "constz2": const_z2,
+    "walkingiso_z2": walking_iso_z2,
+}
+
+
+def chain_diagram(n, fiber):
+    """The constant diagram at `fiber` over the linear order chain_n."""
+    index = two_cat_from_cat(standard.chain_cat(n), "chain%d" % n)
+    return constant_diagram(index, fiber(), "chain%d_%s" % (n, fiber.__name__))
+
+
+LADDER = {"chain%d_%s" % (n, fiber.__name__):
+          (lambda n=n, fiber=fiber: chain_diagram(n, fiber))
+          for n in (3, 6, 9) for fiber in (standard.two, standard.diamond)}
+
+CASES = {**STANDARD, **LADDER}
+
+
+@pytest.mark.parametrize("seed", [None, 7], ids=["sorted", "seed7"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_build_matches_reference(case, seed):
+    F = CASES[case]()
+    got_budget, want_budget = Budget(), Budget()
+    got = colim.build_pseudocolimit(F, got_budget, apex_seed=seed)
+    want = oracle.build_pseudocolimit(F, want_budget, apex_seed=seed)
+    L, M = got.category, want.category
+    assert L.objects == M.objects
+    assert L.morphisms() == M.morphisms()
+    assert (L.mor_src, L.mor_tgt) == (M.mor_src, M.mor_tgt)
+    assert L.identities == M.identities
+    assert list(L.comp.items()) == list(M.comp.items())
+    assert got.class_members == want.class_members
+    assert got.span_class == want.span_class
+    assert got.cone.key() == want.cone.key()
+    assert got_budget.used == want_budget.used
+
+
+@pytest.mark.parametrize("case", sorted(STANDARD))
+def test_composition_is_well_defined_on_classes(case):
+    """Every member pair of every composable class pair composes, in the
+    sorted and in a shuffled apex order, into the class L.comp records;
+    L is a category and lambda a pseudocone."""
+    F = STANDARD[case]()
+    R = colim.build_pseudocolimit(F)
+    L = R.category
+    assert validate_category(L) == []
+    ok, why = check_pseudocone(R.cone)
+    assert ok, why
+    shuffled = sorted(F.index.objects())
+    random.Random(7).shuffle(shuffled)
+    for order in (sorted(F.index.objects()), shuffled):
+        refinements = colim._Refinements(F.index, order)
+        for (m2, m1), m in L.comp.items():
+            for s in R.class_members[m1]:
+                for t in R.class_members[m2]:
+                    composite = colim.compose_spans(F, s, t, refinements)
+                    assert R.span_class[composite] == m, (s, t)

@@ -18,7 +18,7 @@ from .cones import (Modification, Pseudocone, check_modification,
 from .colim import (BicolimReport, PseudocolimitResult, Span,
                     build_pseudocolimit, colim_finite_limit,
                     colim_limit_assignment, factor_cell, factor_cone,
-                    verify_bicolimit, verify_cone_exactness)
+                    verify_bicolimit)
 from .sites import (Presheaf, Site, SiteDiagram, SiteMorphism,
                     build_colim_site, check_continuous, check_sheaf,
                     validate_presheaf, validate_site,

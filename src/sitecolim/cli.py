@@ -313,8 +313,7 @@ def verify_site_cmd(ctx, files, vertex, name):
         run.add("diagram", block.diagram.name)
         for f in _VERIFY_FIELDS + ("factored_functors_continuous",):
             run.add(f, getattr(rep, f))
-        return (rep.objects_bijective and rep.morphisms_bijective
-                and rep.factored_functors_continuous)
+        return rep.isomorphism and rep.factored_functors_continuous
 
     _execute(ctx, "verify-site", files, body)
 

@@ -26,12 +26,12 @@ from .core import (Budget, FinCat, Functor, NatTrans, enumerate_functors,
                    enumerate_nat_trans, union_find, validate_nat_trans)
 from .cones import (Modification, Pseudocone, check_pseudocone,
                     enumerate_modifications, enumerate_pseudocones,
-                    postcompose_cell, postcompose_cone)
+                    postcompose_cone)
 from .errors import (IllFormedCone, IncompleteAssignment, NoSolution,
                      NotFiltered, NotLiftable)
-from .limits import (Cone, Diagram, LimitAssignment, check_exact,
-                     chosen_limit, discrete_pair, empty_diagram,
-                     is_limiting_cone, parallel_pair)
+from .limits import (Cone, Diagram, LimitAssignment, chosen_limit,
+                     discrete_pair, empty_diagram, is_limiting_cone,
+                     parallel_pair)
 from .twocat import TwoCat, TwoDiagram, check_2filtered
 
 
@@ -359,7 +359,9 @@ def verify_bicolimit(R: PseudocolimitResult, X: FinCat,
                      budget: Budget | None = None, funcs=None,
                      cones=None) -> BicolimReport:
     """Check that postcomposition with lambda is an isomorphism of
-    categories Functors(L, X) -> Pseudocones(F, X), by double enumeration.
+    categories Functors(L, X) -> Pseudocones(F, X), by enumeration.  Each
+    hom-set of pseudocones is enumerated once per call; a transformation xi
+    maps to the modification {A: {x: xi[lambda_A(x)]}}.
 
     Given `funcs` and `cones`, the check runs between those full
     subcategories instead of enumerating all functors L -> X and all
@@ -377,23 +379,30 @@ def verify_bicolimit(R: PseudocolimitResult, X: FinCat,
     strict_triangle = all(
         factor_cone(R, c).key() == t.key()
         for c, t in zip(images, funcs))
+    cone_of = dict(zip(image_keys, images)) | dict(zip(cone_keys, cones))
+    hom = {}  # (source key, target key) -> sorted modification keys
+
+    def mod_keys(a, b):
+        if (a, b) not in hom:
+            hom[a, b] = sorted(m.key() for m in enumerate_modifications(
+                cone_of[a], cone_of[b], bud))
+        return hom[a, b]
+
+    # postcompose_cell(R.cone, xi).key(), read off the leg tables
+    legs = [(A, sorted(leg.obj_map.items()))
+            for A, leg in sorted(R.cone.legs.items())]
     f_mor = 0
-    c_mor = 0
     morphisms_bijective = True
-    for s, img_s in zip(funcs, images):
-        for t, img_t in zip(funcs, images):
+    for s, ks in zip(funcs, image_keys):
+        for t, kt in zip(funcs, image_keys):
             nats = enumerate_nat_trans(s, t, bud)
-            mods = enumerate_modifications(img_s, img_t, bud)
             f_mor += len(nats)
-            mapped = [postcompose_cell(R.cone, xi).key() for xi in nats]
+            mapped = [tuple((A, tuple((x, xi.components[o]) for x, o in objs))
+                            for A, objs in legs) for xi in nats]
             if (len(set(mapped)) != len(nats)
-                    or sorted(mapped) != sorted(m.key() for m in mods)):
+                    or sorted(mapped) != mod_keys(ks, kt)):
                 morphisms_bijective = False
-    # count modification sides over all cone pairs (must equal f_mor when
-    # the object sides biject)
-    for a in cones:
-        for b in cones:
-            c_mor += len(enumerate_modifications(a, b, bud))
+    c_mor = sum(len(mod_keys(a, b)) for a in cone_keys for b in cone_keys)
     return BicolimReport(X.name, len(funcs), len(cones), f_mor, c_mor,
                          objects_bijective, morphisms_bijective,
                          strict_triangle)
@@ -516,12 +525,3 @@ def colim_limit_assignment(R: PseudocolimitResult,
             cone = colim_finite_limit(R, parallel_pair(L, f, g), fiber_limits)
             equalizers[(f, g)] = (cone.apex, cone.legs["l"])
     return LimitAssignment(L, term.apex, tmap, products, equalizers)
-
-
-def verify_cone_exactness(R: PseudocolimitResult,
-                          fiber_limits: dict[str, LimitAssignment]):
-    """check_exact for every cone leg.  Returns {index object: (ok, bad)}."""
-    out = {}
-    for A in sorted(R.diagram.index.objects()):
-        out[A] = check_exact(R.cone.legs[A], fiber_limits[A])
-    return out

@@ -33,10 +33,6 @@ class NoSolution(SitecolimError):
     """A mediating cell guaranteed to exist was not found (internal bug)."""
 
 
-class AmbiguousSolution(SitecolimError):
-    """A mediating cell guaranteed unique was not unique (internal bug)."""
-
-
 class NonInvertibleComponent(SitecolimError):
     """A component required to be invertible is not."""
 

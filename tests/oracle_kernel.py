@@ -10,17 +10,24 @@ vertically composed NatTrans objects; the validators scan every pair of
 morphisms or 2-cells and compose every functor pair afresh; the 2-cells
 between two 1-cells are found by scanning every 2-cell; F3 filters all
 pairs of 2-cells; and every span comparison and composite searches the
-index for its common refinement afresh.  They must keep giving the same
-functors, transformations, verdicts, messages, colimit categories, span
-classes and Budget counts as the library's watch-list kernel, table-level
-checks, indexed validators, boundary index of 2-cells and per-build
-refinement tables.
+index for its common refinement afresh; and the universal-property
+verifier enumerates the modifications between two images, and again
+between every two cones, and whiskers each transformation with the colimit
+cone.  They must keep giving the same functors, transformations, verdicts,
+messages, colimit categories, span classes, verification reports and
+Budget counts (the verifier: no fewer) as the library's watch-list kernel,
+table-level checks, indexed validators, boundary index of 2-cells,
+per-build refinement tables and once-per-hom-set verifier.
 """
 
 import random
 
-from sitecolim.colim import PseudocolimitResult, Span, identity_span, obj_name
-from sitecolim.cones import Pseudocone
+from sitecolim import core
+from sitecolim.colim import (BicolimReport, PseudocolimitResult, Span,
+                             factor_cone, identity_span, obj_name)
+from sitecolim.cones import (Pseudocone, enumerate_modifications,
+                             enumerate_pseudocones, postcompose_cell,
+                             postcompose_cone)
 from sitecolim.core import (Budget, FinCat, Functor, NatTrans,
                             compose_functors, hcomp_nat, identity_functor,
                             identity_nat, nat_is_invertible, union_find,
@@ -612,3 +619,39 @@ def build_pseudocolimit(F, budget=None, apex_seed=None):
             comps)
     lam = Pseudocone("lambda_%s" % F.name, F, L, legs, coherence)
     return PseudocolimitResult(F, L, lam, class_members, span_class, obj_info)
+
+
+def verify_bicolimit(R, X, budget=None, funcs=None, cones=None):
+    """Postcomposition with lambda, Functors(L, X) -> Pseudocones(F, X),
+    checked by double enumeration on the library's kernel."""
+    bud = budget if budget is not None else Budget()
+    if funcs is None:
+        funcs = list(core.enumerate_functors(R.category, X, bud))
+    if cones is None:
+        cones = enumerate_pseudocones(R.diagram, X, bud)
+    images = [postcompose_cone(R.cone, t) for t in funcs]
+    image_keys = [c.key() for c in images]
+    cone_keys = [c.key() for c in cones]
+    objects_bijective = (len(set(image_keys)) == len(funcs)
+                         and sorted(image_keys) == sorted(cone_keys))
+    strict_triangle = all(
+        factor_cone(R, c).key() == t.key()
+        for c, t in zip(images, funcs))
+    f_mor = 0
+    c_mor = 0
+    morphisms_bijective = True
+    for s, img_s in zip(funcs, images):
+        for t, img_t in zip(funcs, images):
+            nats = core.enumerate_nat_trans(s, t, bud)
+            mods = enumerate_modifications(img_s, img_t, bud)
+            f_mor += len(nats)
+            mapped = [postcompose_cell(R.cone, xi).key() for xi in nats]
+            if (len(set(mapped)) != len(nats)
+                    or sorted(mapped) != sorted(m.key() for m in mods)):
+                morphisms_bijective = False
+    for a in cones:
+        for b in cones:
+            c_mor += len(enumerate_modifications(a, b, bud))
+    return BicolimReport(X.name, len(funcs), len(cones), f_mor, c_mor,
+                         objects_bijective, morphisms_bijective,
+                         strict_triangle)

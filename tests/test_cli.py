@@ -3,7 +3,9 @@ import re
 import pytest
 from click.testing import CliRunner
 
+from sitecolim import cli
 from sitecolim.cli import main
+from sitecolim.colim import BicolimReport
 
 
 @pytest.fixture()
@@ -102,6 +104,19 @@ def test_verify_site(runner, fixture_dir):
               "--vertex", "one.cat")
     assert res.exit_code == 0
     assert "factored_functors_continuous true" in res.output
+
+
+def test_verify_site_fails_on_strict_triangle(runner, fixture_dir,
+                                              monkeypatch):
+    """A site report whose only false field is strict_triangle is a
+    verified failure, although verify-site does not print that field."""
+    rep = BicolimReport("one", 1, 1, 1, 1, True, True, False, True)
+    monkeypatch.setattr(cli, "verify_site_pseudocolimit",
+                        lambda *args: rep)
+    res = run(runner, fixture_dir, "verify-site", "covereddiamond.diag",
+              "--vertex", "one.cat")
+    assert res.exit_code == 1
+    assert "outcome fail" in res.output
 
 
 def test_restrict(runner, fixture_dir):

@@ -21,21 +21,11 @@ CHAIN3 = standard.chain3_twocat()
 
 
 def one_limits():
-    from sitecolim.limits import LimitAssignment
-    return LimitAssignment(ONE, "o", {"o": "id_o"},
-                           {("o", "o"): ("o", "id_o", "id_o")},
-                           {("id_o", "id_o"): ("o", "id_o")})
+    return standard.poset_limits(ONE, lambda x, y: x == y)
 
 
 def two_limits():
-    from sitecolim.limits import LimitAssignment
-    prods = {("0", "0"): ("0", "id_0", "id_0"),
-             ("0", "1"): ("0", "id_0", "a"),
-             ("1", "0"): ("0", "a", "id_0"),
-             ("1", "1"): ("1", "id_1", "id_1")}
-    eqs = {(m, m): (TWO.mor_src[m], TWO.identities[TWO.mor_src[m]])
-           for m in TWO.morphisms()}
-    return LimitAssignment(TWO, "1", {"0": "a", "1": "id_1"}, prods, eqs)
+    return standard.poset_limits(TWO, lambda x, y: x <= y)
 
 
 def ident_functor_block(name, C):

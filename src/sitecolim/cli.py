@@ -131,9 +131,6 @@ def _guard(run: Run, fn):
     """Run fn(); map library faults to report outcomes and exit codes."""
     try:
         return fn()
-    except FixtureError as exc:
-        run.add("error", str(exc))
-        run.finish("error", 2)
     except NotFiltered as exc:
         run.add("error", "index is not 2-filtered: %s" % exc)
         run.finish("error", 2)

@@ -221,29 +221,23 @@ def build_category(pres: Presentation, bound: int, name="presented") -> FinCat:
     composites of two bounded normal forms stay inside the search space.
     Raises SaturationExceeded when a composite falls into a class whose
     shortest representative is longer than `bound`.
+
+    Each path is joined to each of its one-step lhs -> rhs rewrites that is
+    itself a path in the space.  These pairs depend on the paths alone, so
+    one pass finds them all; an rhs -> lhs rewrite joins the same pair read
+    backwards.
     """
     paths, tgt_of = _paths_up_to(pres, 2 * bound)
     index = {p: i for i, p in enumerate(paths)}
     find, union = union_find(range(len(paths)))
-
-    changed = True
-    while changed:
-        changed = False
-        for src, names in paths:
-            for lhs, rhs in pres.relations:
-                n = len(lhs)
-                for k in range(len(names) - n + 1):
-                    if names[k:k + n] == lhs:
-                        new = names[:k] + rhs + names[k + n:]
-                        j = index.get((src, new))
-                        if j is not None and union(index[(src, names)], j):
-                            changed = True
-                for k in range(len(names) - len(rhs) + 1):
-                    if names[k:k + len(rhs)] == rhs:
-                        new = names[:k] + lhs + names[k + len(rhs):]
-                        j = index.get((src, new))
-                        if j is not None and union(index[(src, names)], j):
-                            changed = True
+    for i, (src, names) in enumerate(paths):
+        for lhs, rhs in pres.relations:
+            n = len(lhs)
+            for k in range(len(names) - n + 1):
+                if names[k:k + n] == lhs:
+                    j = index.get((src, names[:k] + rhs + names[k + n:]))
+                    if j is not None:
+                        union(i, j)
 
     classes = {}
     for i, p in enumerate(paths):

@@ -3,7 +3,7 @@
 A fixture file starts with the header line `%fixture 1` and contains named
 blocks introduced by `[kind name]`.  Tokens are whitespace-separated; `#`
 starts a comment.  Blocks may reference names defined earlier in the same
-file or in the preloaded environment (see load_environment).  Printing is
+file or in the environment passed as parse's `env` argument.  Printing is
 canonical: parse -> print is byte-stable on its own output.
 
 Block kinds and their lines:

@@ -3,45 +3,28 @@ test corpus and the documentation."""
 
 from __future__ import annotations
 
-from .core import FinCat, Functor, identity_functor, identity_nat
+from .core import (FinCat, Functor, Presentation, build_category,
+                   identity_functor, identity_nat)
 from .limits import LimitAssignment
 from .twocat import TwoCat, TwoDiagram, constant_diagram, two_cat_from_cat
 
 
 def one() -> FinCat:
     """The terminal category."""
-    return FinCat("one", ("o",), {"id_o": "o"}, {"id_o": "o"},
-                  {"o": "id_o"}, {("id_o", "id_o"): "id_o"})
+    return build_category(Presentation(("o",), ()), 1, "one")
 
 
 def two() -> FinCat:
     """The arrow category 0 -> 1."""
-    mor_src = {"id_0": "0", "id_1": "1", "a": "0"}
-    mor_tgt = {"id_0": "0", "id_1": "1", "a": "1"}
-    comp = {("id_0", "id_0"): "id_0", ("id_1", "id_1"): "id_1",
-            ("a", "id_0"): "a", ("id_1", "a"): "a"}
-    return FinCat("two", ("0", "1"), mor_src, mor_tgt,
-                  {"0": "id_0", "1": "id_1"}, comp)
+    return build_category(Presentation(("0", "1"), (("a", "0", "1"),)), 1,
+                          "two")
 
 
 def chaotic_pair() -> FinCat:
     """Two objects, every hom-set a singleton (equivalent to the point)."""
-    objs = ("p", "q")
-    mor_src, mor_tgt = {}, {}
-    names = {}
-    for a in objs:
-        for b in objs:
-            n = "id_%s" % a if a == b else "%s%s" % (a, b)
-            names[(a, b)] = n
-            mor_src[n] = a
-            mor_tgt[n] = b
-    comp = {}
-    for a in objs:
-        for b in objs:
-            for c in objs:
-                comp[(names[(b, c)], names[(a, b)])] = names[(a, c)]
-    return FinCat("chaotic_pair", objs, mor_src, mor_tgt,
-                  {"p": "id_p", "q": "id_q"}, comp)
+    pres = Presentation(("p", "q"), (("pq", "p", "q"), ("qp", "q", "p")),
+                        ((("pq", "qp"), ()), (("qp", "pq"), ())))
+    return build_category(pres, 1, "chaotic_pair")
 
 
 def poset_category(name, elements, le) -> FinCat:
@@ -94,21 +77,15 @@ def poset_limits(C: FinCat, le) -> LimitAssignment:
     return LimitAssignment(C, top, tmap, products, equalizers)
 
 
-def diamond() -> FinCat:
-    """The lattice bot < a, b < top."""
-    order = {("bot", "a"), ("bot", "b"), ("bot", "top"),
-             ("a", "top"), ("b", "top")}
-
-    def le(x, y):
-        return x == y or (x, y) in order
-
-    return poset_category("diamond", ("bot", "a", "b", "top"), le)
-
-
 def diamond_le(x, y):
     order = {("bot", "a"), ("bot", "b"), ("bot", "top"),
              ("a", "top"), ("b", "top")}
     return x == y or (x, y) in order
+
+
+def diamond() -> FinCat:
+    """The lattice bot < a, b < top."""
+    return poset_category("diamond", ("bot", "a", "b", "top"), diamond_le)
 
 
 def diamond_limits() -> LimitAssignment:
@@ -147,77 +124,41 @@ def point_twocat() -> TwoCat:
 
 def parallel_pair_cat() -> FinCat:
     """Two objects with two parallel non-identity arrows (not filtered)."""
-    mor_src = {"id_s": "s", "id_t": "t", "f": "s", "g": "s"}
-    mor_tgt = {"id_s": "s", "id_t": "t", "f": "t", "g": "t"}
-    comp = {("id_s", "id_s"): "id_s", ("id_t", "id_t"): "id_t",
-            ("f", "id_s"): "f", ("id_t", "f"): "f",
-            ("g", "id_s"): "g", ("id_t", "g"): "g"}
-    return FinCat("parallel_pair", ("s", "t"), mor_src, mor_tgt,
-                  {"s": "id_s", "t": "id_t"}, comp)
+    pres = Presentation(("s", "t"), (("f", "s", "t"), ("g", "s", "t")))
+    return build_category(pres, 1, "parallel_pair")
 
 
 def discrete_pair_twocat() -> TwoCat:
-    C = FinCat("discrete_pair", ("x", "y"),
-               {"id_x": "x", "id_y": "y"}, {"id_x": "x", "id_y": "y"},
-               {"x": "id_x", "y": "id_y"},
-               {("id_x", "id_x"): "id_x", ("id_y", "id_y"): "id_y"})
-    return two_cat_from_cat(C)
+    return two_cat_from_cat(
+        build_category(Presentation(("x", "y"), ()), 1, "discrete_pair"))
 
 
 def walking_iso_twocat() -> TwoCat:
-    """Two parallel 1-cells u, v : A -> B and an invertible 2-cell between
-    them (plus identities)."""
-    mor_src = {"id_A": "A", "id_B": "B", "u": "A", "v": "A"}
-    mor_tgt = {"id_A": "A", "id_B": "B", "u": "B", "v": "B"}
-    comp = {("id_A", "id_A"): "id_A", ("id_B", "id_B"): "id_B",
-            ("u", "id_A"): "u", ("id_B", "u"): "u",
-            ("v", "id_A"): "v", ("id_B", "v"): "v"}
-    cells1 = FinCat("walking_iso_1", ("A", "B"), mor_src, mor_tgt,
-                    {"A": "id_A", "B": "id_B"}, comp)
+    """Two parallel 1-cells u, v : A -> B and an invertible 2-cell
+    g : u => v with inverse ginv (plus identities)."""
+    pres = Presentation(("A", "B"), (("u", "A", "B"), ("v", "A", "B")))
+    cells1 = build_category(pres, 1, "walking_iso_1")
     two_id = {m: "2id_%s" % m for m in cells1.morphisms()}
-    two_src = {g: m for m, g in two_id.items()}
-    two_tgt = dict(two_src)
-    two_src.update({"g": "u", "ginv": "v"})
-    two_tgt.update({"g": "v", "ginv": "u"})
-    vcomp = {}
-    cells = {"2id_id_A": ("id_A", "id_A"), "2id_id_B": ("id_B", "id_B"),
-             "2id_u": ("u", "u"), "2id_v": ("v", "v"),
-             "g": ("u", "v"), "ginv": ("v", "u")}
-
-    def vc(h, g):
-        """Compose in the free groupoid on g: u <-> v."""
-        table = {("2id_u", "2id_u"): "2id_u", ("2id_v", "2id_v"): "2id_v",
-                 ("g", "2id_u"): "g", ("2id_v", "g"): "g",
-                 ("ginv", "2id_v"): "ginv", ("2id_u", "ginv"): "ginv",
-                 ("ginv", "g"): "2id_u", ("g", "ginv"): "2id_v"}
-        return table.get((h, g))
-
-    for gname, (gs, gt) in cells.items():
-        for hname, (hs, ht) in cells.items():
-            if gt != hs:
-                continue
-            if gname.startswith("2id_id") or hname.startswith("2id_id"):
-                out = gname if hname.startswith("2id_id") else hname
-                if gname.startswith("2id_id") and hname.startswith("2id_id"):
-                    out = gname
-                vcomp[(hname, gname)] = out
-            else:
-                vcomp[(hname, gname)] = vc(hname, gname)
-    hcomp = {}
-    for gname, (gs, gt) in cells.items():
-        for hname, (hs, ht) in cells.items():
-            # h after g horizontally: boundary 1-cells composable
-            if cells1.mor_tgt[gs] != cells1.mor_src[hs]:
-                continue
-            if hname.startswith("2id_id"):
-                hcomp[(hname, gname)] = gname
-            elif gname.startswith("2id_id"):
-                hcomp[(hname, gname)] = hname
-            else:
-                # never happens: u, v do not compose with themselves
-                raise AssertionError
-    return TwoCat("walking_iso", cells1, two_src, two_tgt,
-                  {m: "2id_%s" % m for m in cells1.morphisms()}, vcomp, hcomp)
+    two_src = {c: m for m, c in two_id.items()}
+    two_tgt = dict(two_src, g="v", ginv="u")
+    two_src.update(g="u", ginv="v")
+    # the free groupoid on g, and the identity 2-cells of id_A, id_B
+    vcomp = {("2id_id_A", "2id_id_A"): "2id_id_A",
+             ("2id_id_B", "2id_id_B"): "2id_id_B",
+             ("2id_u", "2id_u"): "2id_u", ("2id_v", "2id_v"): "2id_v",
+             ("g", "2id_u"): "g", ("2id_v", "g"): "g",
+             ("ginv", "2id_v"): "ginv", ("2id_u", "ginv"): "ginv",
+             ("ginv", "g"): "2id_u", ("g", "ginv"): "2id_v"}
+    # u and v do not compose with each other, so every horizontal composite
+    # has an identity 2-cell of id_A or id_B as one factor
+    hcomp = {("2id_id_A", "2id_id_A"): "2id_id_A",
+             ("2id_u", "2id_id_A"): "2id_u", ("2id_v", "2id_id_A"): "2id_v",
+             ("g", "2id_id_A"): "g", ("ginv", "2id_id_A"): "ginv",
+             ("2id_id_B", "2id_id_B"): "2id_id_B",
+             ("2id_id_B", "2id_u"): "2id_u", ("2id_id_B", "2id_v"): "2id_v",
+             ("2id_id_B", "g"): "g", ("2id_id_B", "ginv"): "ginv"}
+    return TwoCat("walking_iso", cells1, two_src, two_tgt, two_id, vcomp,
+                  hcomp)
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,14 @@ pairs of 2-cells; and every span comparison and composite searches the
 index for its common refinement afresh; and the universal-property
 verifier enumerates the modifications between two images, and again
 between every two cones, and whiskers each transformation with the colimit
-cone.  They must keep giving the same functors, transformations, verdicts,
-messages, colimit categories, span classes, verification reports and
-Budget counts (the verifier: no fewer) as the library's watch-list kernel,
-table-level checks, indexed validators, boundary index of 2-cells,
-per-build refinement tables and once-per-hom-set verifier.
+cone; build_category saturates to a fixpoint, rewriting in both
+directions; and the standard categories and 2-categories are written out
+table by table.  They must keep giving the same functors, transformations,
+verdicts, messages, colimit categories, span classes, verification reports,
+presented categories, standard tables and Budget counts (the verifier: no
+fewer) as the library's watch-list kernel, table-level checks, indexed
+validators, boundary index of 2-cells, per-build refinement tables,
+once-per-hom-set verifier, one-pass saturation and presentations.
 """
 
 import random
@@ -33,7 +36,9 @@ from sitecolim.core import (Budget, FinCat, Functor, NatTrans,
                             identity_nat, nat_is_invertible, union_find,
                             validate_functor, validate_nat_trans, vcomp_nat,
                             whisker_functor_nat, whisker_nat_functor)
-from sitecolim.errors import NotFiltered, NotLiftable
+from sitecolim.errors import NotFiltered, NotLiftable, SaturationExceeded
+from sitecolim.standard import poset_category
+from sitecolim.twocat import TwoCat, two_cat_from_cat
 
 
 def enumerate_functors(C, D, budget=None):
@@ -655,3 +660,221 @@ def verify_bicolimit(R, X, budget=None, funcs=None, cones=None):
     return BicolimReport(X.name, len(funcs), len(cones), f_mor, c_mor,
                          objects_bijective, morphisms_bijective,
                          strict_triangle)
+
+
+# ---------------------------------------------------------------------------
+# categories from presentations and the standard corpus: build_category
+# saturated to a fixpoint in both rewrite directions, and the standard
+# categories and 2-categories were written out table by table
+
+
+def _paths_up_to(pres, bound):
+    by_src = {}
+    tgt_of = {}
+    for name, s, t in pres.generators:
+        by_src.setdefault(s, []).append(name)
+        tgt_of[name] = t
+    paths = []  # (src_obj, names)
+    for o in pres.objects:
+        frontier = [(o, ())]
+        paths.extend(frontier)
+        for _ in range(bound):
+            nxt = []
+            for src, names in frontier:
+                end = tgt_of[names[-1]] if names else src
+                for g in sorted(by_src.get(end, ())):
+                    nxt.append((src, names + (g,)))
+            paths.extend(nxt)
+            frontier = nxt
+    return paths, tgt_of
+
+
+def build_category(pres, bound, name="presented"):
+    """Saturate paths up to length `bound` modulo the relations.
+
+    Congruence classes are computed over paths of length <= 2*bound so that
+    composites of two bounded normal forms stay inside the search space.
+    Raises SaturationExceeded when a composite falls into a class whose
+    shortest representative is longer than `bound`.
+    """
+    paths, tgt_of = _paths_up_to(pres, 2 * bound)
+    index = {p: i for i, p in enumerate(paths)}
+    find, union = union_find(range(len(paths)))
+
+    changed = True
+    while changed:
+        changed = False
+        for src, names in paths:
+            for lhs, rhs in pres.relations:
+                n = len(lhs)
+                for k in range(len(names) - n + 1):
+                    if names[k:k + n] == lhs:
+                        new = names[:k] + rhs + names[k + n:]
+                        j = index.get((src, new))
+                        if j is not None and union(index[(src, names)], j):
+                            changed = True
+                for k in range(len(names) - len(rhs) + 1):
+                    if names[k:k + len(rhs)] == rhs:
+                        new = names[:k] + lhs + names[k + len(rhs):]
+                        j = index.get((src, new))
+                        if j is not None and union(index[(src, names)], j):
+                            changed = True
+
+    classes = {}
+    for i, p in enumerate(paths):
+        classes.setdefault(find(i), []).append(p)
+    canon = {}
+    for root, members in classes.items():
+        rep = min(members, key=lambda p: (len(p[1]), p))
+        for m in members:
+            canon[m] = rep
+
+    def path_name(p):
+        src, names = p
+        return "id_%s" % src if not names else ".".join(names)
+
+    def path_tgt(p):
+        src, names = p
+        return tgt_of[names[-1]] if names else src
+
+    reps = sorted({canon[p] for p in paths if len(canon[p][1]) <= bound},
+                  key=lambda p: (len(p[1]), p))
+    mor_src = {path_name(p): p[0] for p in reps}
+    mor_tgt = {path_name(p): path_tgt(p) for p in reps}
+    identities = {o: "id_%s" % o for o in pres.objects}
+    comp = {}
+    for p in reps:
+        for q in reps:
+            if path_tgt(p) != q[0]:
+                continue
+            # q after p, diagrammatic concatenation
+            whole = (p[0], p[1] + q[1])
+            rep = canon.get(whole)
+            if rep is None or len(rep[1]) > bound:
+                raise SaturationExceeded(
+                    "composite %s then %s does not normalize within bound %d"
+                    % (path_name(p), path_name(q), bound))
+            comp[(path_name(q), path_name(p))] = path_name(rep)
+    return FinCat(name, tuple(pres.objects), mor_src, mor_tgt, identities, comp)
+
+
+def one():
+    """The terminal category."""
+    return FinCat("one", ("o",), {"id_o": "o"}, {"id_o": "o"},
+                  {"o": "id_o"}, {("id_o", "id_o"): "id_o"})
+
+
+def two():
+    """The arrow category 0 -> 1."""
+    mor_src = {"id_0": "0", "id_1": "1", "a": "0"}
+    mor_tgt = {"id_0": "0", "id_1": "1", "a": "1"}
+    comp = {("id_0", "id_0"): "id_0", ("id_1", "id_1"): "id_1",
+            ("a", "id_0"): "a", ("id_1", "a"): "a"}
+    return FinCat("two", ("0", "1"), mor_src, mor_tgt,
+                  {"0": "id_0", "1": "id_1"}, comp)
+
+
+def chaotic_pair():
+    """Two objects, every hom-set a singleton (equivalent to the point)."""
+    objs = ("p", "q")
+    mor_src, mor_tgt = {}, {}
+    names = {}
+    for a in objs:
+        for b in objs:
+            n = "id_%s" % a if a == b else "%s%s" % (a, b)
+            names[(a, b)] = n
+            mor_src[n] = a
+            mor_tgt[n] = b
+    comp = {}
+    for a in objs:
+        for b in objs:
+            for c in objs:
+                comp[(names[(b, c)], names[(a, b)])] = names[(a, c)]
+    return FinCat("chaotic_pair", objs, mor_src, mor_tgt,
+                  {"p": "id_p", "q": "id_q"}, comp)
+
+
+def diamond():
+    """The lattice bot < a, b < top."""
+    order = {("bot", "a"), ("bot", "b"), ("bot", "top"),
+             ("a", "top"), ("b", "top")}
+
+    def le(x, y):
+        return x == y or (x, y) in order
+
+    return poset_category("diamond", ("bot", "a", "b", "top"), le)
+
+
+def parallel_pair_cat():
+    """Two objects with two parallel non-identity arrows (not filtered)."""
+    mor_src = {"id_s": "s", "id_t": "t", "f": "s", "g": "s"}
+    mor_tgt = {"id_s": "s", "id_t": "t", "f": "t", "g": "t"}
+    comp = {("id_s", "id_s"): "id_s", ("id_t", "id_t"): "id_t",
+            ("f", "id_s"): "f", ("id_t", "f"): "f",
+            ("g", "id_s"): "g", ("id_t", "g"): "g"}
+    return FinCat("parallel_pair", ("s", "t"), mor_src, mor_tgt,
+                  {"s": "id_s", "t": "id_t"}, comp)
+
+
+def discrete_pair_twocat():
+    C = FinCat("discrete_pair", ("x", "y"),
+               {"id_x": "x", "id_y": "y"}, {"id_x": "x", "id_y": "y"},
+               {"x": "id_x", "y": "id_y"},
+               {("id_x", "id_x"): "id_x", ("id_y", "id_y"): "id_y"})
+    return two_cat_from_cat(C)
+
+
+def walking_iso_twocat():
+    """Two parallel 1-cells u, v : A -> B and an invertible 2-cell between
+    them (plus identities)."""
+    mor_src = {"id_A": "A", "id_B": "B", "u": "A", "v": "A"}
+    mor_tgt = {"id_A": "A", "id_B": "B", "u": "B", "v": "B"}
+    comp = {("id_A", "id_A"): "id_A", ("id_B", "id_B"): "id_B",
+            ("u", "id_A"): "u", ("id_B", "u"): "u",
+            ("v", "id_A"): "v", ("id_B", "v"): "v"}
+    cells1 = FinCat("walking_iso_1", ("A", "B"), mor_src, mor_tgt,
+                    {"A": "id_A", "B": "id_B"}, comp)
+    two_id = {m: "2id_%s" % m for m in cells1.morphisms()}
+    two_src = {g: m for m, g in two_id.items()}
+    two_tgt = dict(two_src)
+    two_src.update({"g": "u", "ginv": "v"})
+    two_tgt.update({"g": "v", "ginv": "u"})
+    vcomp = {}
+    cells = {"2id_id_A": ("id_A", "id_A"), "2id_id_B": ("id_B", "id_B"),
+             "2id_u": ("u", "u"), "2id_v": ("v", "v"),
+             "g": ("u", "v"), "ginv": ("v", "u")}
+
+    def vc(h, g):
+        """Compose in the free groupoid on g: u <-> v."""
+        table = {("2id_u", "2id_u"): "2id_u", ("2id_v", "2id_v"): "2id_v",
+                 ("g", "2id_u"): "g", ("2id_v", "g"): "g",
+                 ("ginv", "2id_v"): "ginv", ("2id_u", "ginv"): "ginv",
+                 ("ginv", "g"): "2id_u", ("g", "ginv"): "2id_v"}
+        return table.get((h, g))
+
+    for gname, (gs, gt) in cells.items():
+        for hname, (hs, ht) in cells.items():
+            if gt != hs:
+                continue
+            if gname.startswith("2id_id") or hname.startswith("2id_id"):
+                out = gname if hname.startswith("2id_id") else hname
+                if gname.startswith("2id_id") and hname.startswith("2id_id"):
+                    out = gname
+                vcomp[(hname, gname)] = out
+            else:
+                vcomp[(hname, gname)] = vc(hname, gname)
+    hcomp = {}
+    for gname, (gs, gt) in cells.items():
+        for hname, (hs, ht) in cells.items():
+            # h after g horizontally: boundary 1-cells composable
+            if cells1.mor_tgt[gs] != cells1.mor_src[hs]:
+                continue
+            if hname.startswith("2id_id"):
+                hcomp[(hname, gname)] = gname
+            elif gname.startswith("2id_id"):
+                hcomp[(hname, gname)] = hname
+            else:
+                # never happens: u, v do not compose with themselves
+                raise AssertionError
+    return TwoCat("walking_iso", cells1, two_src, two_tgt,
+                  {m: "2id_%s" % m for m in cells1.morphisms()}, vcomp, hcomp)

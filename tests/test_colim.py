@@ -136,10 +136,10 @@ def test_colim_terminal(diamondchain_colim, diamond_fiber_limits):
 def test_colim_cross_fiber_product(diamondchain_colim, diamond_fiber_limits):
     L = diamondchain_colim.category
     dia = discrete_pair("0.a", "2.b")
-    cone = colim_finite_limit(diamondchain_colim, dia, diamond_fiber_limits,
-                              verify=True)
+    cone = colim_finite_limit(diamondchain_colim, dia, diamond_fiber_limits)
     _, x = diamondchain_colim.obj_info[cone.apex]
     assert x == "bot"
+    assert is_limiting_cone(L, dia, cone)
 
 
 def test_colim_equalizer(diamondchain_colim, diamond_fiber_limits):

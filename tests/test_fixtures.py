@@ -1,3 +1,8 @@
+import os
+import shutil
+import subprocess
+import sys
+
 import pytest
 from click.testing import CliRunner
 
@@ -160,3 +165,22 @@ def test_cone_block_over_a_broken_diagram(fixture_dir):
     assert env.violations["c"] == [
         ("diagram consttwo", "fiber 0 (two): missing composite a . id_0")]
     assert env["c"].coherence == {}
+
+
+def test_gen_rewrites_the_corpus(fixture_dir, tmp_path):
+    """fixtures/gen.py writes exactly the committed corpus, byte for byte:
+    the goldens hash only the committed files, not how they were made."""
+    shutil.copy(fixture_dir / "gen.py", tmp_path / "gen.py")
+    env = dict(os.environ, PYTHONPATH=str(fixture_dir.parent / "src"))
+    subprocess.run([sys.executable, str(tmp_path / "gen.py")], env=env,
+                   cwd=tmp_path, check=True, capture_output=True)
+
+    def corpus(d):
+        return sorted(p.name for p in d.iterdir()
+                      if p.is_file() and p.suffix != ".py")
+
+    written, committed = corpus(tmp_path), corpus(fixture_dir)
+    assert written == committed
+    for name in written:
+        assert ((tmp_path / name).read_bytes()
+                == (fixture_dir / name).read_bytes()), name

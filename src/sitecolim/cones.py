@@ -178,49 +178,85 @@ def enumerate_pseudocones(F: TwoDiagram, X: FinCat,
 
     Legs range over all functors fiber -> X; coherence over invertible
     transformations per non-identity 1-cell (pc0 pins the identities), then
-    pc1/pc2 filter.
+    pc1/pc2 filter.  The candidates for h_u : h_A => h_B . Fu depend only on
+    u and the two legs, so they are read from one table per call, keyed by
+    u and the legs' positions in their leg_choices lists; it lives as long
+    as the call.  An empty list is kept too: it rules out every leg
+    combination that contains that pair.
     """
     bud = budget if budget is not None else Budget()
     A = F.index
     C1 = A.cells1
     objs = sorted(A.objects())
+    rank = {B: i for i, B in enumerate(objs)}
     leg_choices = [list(enumerate_functors(F.fibers[B], X, bud))
                    for B in objs]
-    non_id = [u for u in A.one_cells()
-              if u not in C1.identities.values()]
+    non_id = [(u, rank[C1.mor_src[u]], rank[C1.mor_tgt[u]])
+              for u in A.one_cells() if u not in C1.identities.values()]
+    coherence_cands = {}  # (u, leg index at src u, at tgt u) -> list
     results = []
-    for combo in itertools.product(*leg_choices):
-        legs = dict(zip(objs, combo))
+    for picks in itertools.product(*(range(len(c)) for c in leg_choices)):
+        legs = dict(zip(objs, (c[p] for c, p in zip(leg_choices, picks))))
         cell_choices = []
-        feasible = True
-        for u in non_id:
-            a, b = C1.mor_src[u], C1.mor_tgt[u]
-            cands = [n for n in enumerate_nat_trans(
-                legs[a], compose_functors(legs[b], F.on1[u]), bud)
-                if nat_is_invertible(n)]
+        for u, a, b in non_id:
+            key = (u, picks[a], picks[b])
+            cands = coherence_cands.get(key)
+            if cands is None:
+                cands = coherence_cands[key] = [
+                    n for n in enumerate_nat_trans(
+                        legs[objs[a]],
+                        compose_functors(legs[objs[b]], F.on1[u]), bud)
+                    if nat_is_invertible(n)]
             if not cands:
-                feasible = False
                 break
             cell_choices.append(cands)
-        if not feasible:
-            continue
-        for cells in itertools.product(*cell_choices):
-            bud.charge()
-            coherence = dict(zip(non_id, cells))
-            for B in objs:
-                coherence[C1.identities[B]] = identity_nat(legs[B])
-            cone = Pseudocone("pc%d" % len(results), F, X, legs, coherence)
-            if check_pseudocone(cone)[0]:
-                results.append(cone)
+        else:
+            for cells in itertools.product(*cell_choices):
+                bud.charge()
+                coherence = {u: n for (u, _, _), n in zip(non_id, cells)}
+                for B in objs:
+                    coherence[C1.identities[B]] = identity_nat(legs[B])
+                cone = Pseudocone("pc%d" % len(results), F, X, legs,
+                                  coherence)
+                if check_pseudocone(cone)[0]:
+                    results.append(cone)
     return results
 
 
+class ComponentTable:
+    """The transformations g_A => h_A by (index object A, g_A, h_A), shared
+    by the enumerate_modifications calls of one verify_bicolimit call.  A
+    component of a modification depends only on A and the two legs, so
+    each list is enumerated once per table.  Legs are numbered by key() on
+    first sight (all legs at A have the fiber at A and the same vertex), so
+    an entry holds three small values however many cone pairs reach it."""
+
+    def __init__(self):
+        self._legs = {}  # leg key -> number
+        self._lists = {}  # (A, g_A number, h_A number) -> transformations
+
+    def transformations(self, A, g_A: Functor, h_A: Functor, bud: Budget):
+        legs = self._legs
+        key = (A, legs.setdefault(g_A.key(), len(legs)),
+               legs.setdefault(h_A.key(), len(legs)))
+        out = self._lists.get(key)
+        if out is None:
+            out = self._lists[key] = enumerate_nat_trans(g_A, h_A, bud)
+        return out
+
+
 def enumerate_modifications(g: Pseudocone, h: Pseudocone,
-                            budget: Budget | None = None):
-    """All modifications g => h, deterministic order."""
+                            budget: Budget | None = None,
+                            components: ComponentTable | None = None):
+    """All modifications g => h, deterministic order.  The candidate
+    components are read from (and added to) `components`, which lives as
+    long as the verify_bicolimit call that made it; without one, a table of
+    this call's own, so each component family is enumerated once."""
     bud = budget if budget is not None else Budget()
+    table = components if components is not None else ComponentTable()
     objs = sorted(g.legs)
-    choices = [enumerate_nat_trans(g.legs[A], h.legs[A], bud) for A in objs]
+    choices = [table.transformations(A, g.legs[A], h.legs[A], bud)
+               for A in objs]
     results = []
     for combo in itertools.product(*choices):
         bud.charge()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceeded, SaturationExceeded
+from .errors import BudgetExceeded, IllTypedRelation, SaturationExceeded
 
 DEFAULT_BUDGET = 10**6
 
@@ -214,6 +214,33 @@ def _paths_up_to(pres: Presentation, bound: int):
     return paths, tgt_of
 
 
+def _check_relations(pres: Presentation):
+    """Raise IllTypedRelation unless each side of every relation is a path
+    of generators and both sides run between the same two objects; an empty
+    side is the identity at the other side's source."""
+    ends_of = {g: (s, t) for g, s, t in pres.generators}
+    for lhs, rhs in pres.relations:
+        text = "relation %s = %s" % tuple(".".join(p) or "()"
+                                          for p in (lhs, rhs))
+        ends = []
+        for side in (lhs, rhs):
+            if any(g not in ends_of for g in side) or any(
+                    ends_of[g][1] != ends_of[h][0]
+                    for g, h in zip(side, side[1:])):
+                raise IllTypedRelation("%s: %s is not a path of generators"
+                                       % (text, ".".join(side)))
+            ends.append((ends_of[side[0]][0], ends_of[side[-1]][1])
+                        if side else None)
+        left, right = ends
+        if left is None and right is None:
+            continue
+        left = left or (right[0], right[0])
+        right = right or (left[0], left[0])
+        if left != right:
+            raise IllTypedRelation("%s: sides are not parallel (%s -> %s, "
+                                   "%s -> %s)" % ((text,) + left + right))
+
+
 def build_category(pres: Presentation, bound: int, name="presented") -> FinCat:
     """Saturate paths up to length `bound` modulo the relations.
 
@@ -225,8 +252,10 @@ def build_category(pres: Presentation, bound: int, name="presented") -> FinCat:
     Each path is joined to each of its one-step lhs -> rhs rewrites that is
     itself a path in the space.  These pairs depend on the paths alone, so
     one pass finds them all; an rhs -> lhs rewrite joins the same pair read
-    backwards.
+    backwards.  Raises IllTypedRelation, naming the relation, when a
+    relation's sides are not parallel paths.
     """
+    _check_relations(pres)
     paths, tgt_of = _paths_up_to(pres, 2 * bound)
     index = {p: i for i, p in enumerate(paths)}
     find, union = union_find(range(len(paths)))

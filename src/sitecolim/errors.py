@@ -13,6 +13,10 @@ class SaturationExceeded(SitecolimError):
     """Path saturation did not stabilize within the given bound."""
 
 
+class IllTypedRelation(SitecolimError):
+    """A relation of a presentation equates paths that are not parallel."""
+
+
 class IncompleteAssignment(SitecolimError):
     """A needed chosen limit is missing from the limit assignment."""
 

@@ -13,23 +13,28 @@ pairs of 2-cells; and every span comparison and composite searches the
 index for its common refinement afresh; and the universal-property
 verifier enumerates the modifications between two images, and again
 between every two cones, and whiskers each transformation with the colimit
-cone; build_category saturates to a fixpoint, rewriting in both
+cone; the pseudocone and modification enumerators enumerate every
+coherence cell and every modification component afresh for each leg
+combination and each pair of cones; build_category saturates to a fixpoint, rewriting in both
 directions; and the standard categories and 2-categories are written out
 table by table.  They must keep giving the same functors, transformations,
 verdicts, messages, colimit categories, span classes, verification reports,
 presented categories, standard tables and Budget counts (the verifier: no
 fewer) as the library's watch-list kernel, table-level checks, indexed
 validators, boundary index of 2-cells, per-build refinement tables,
-once-per-hom-set verifier, one-pass saturation and presentations.
+once-per-hom-set verifier, per-call coherence and component tables,
+one-pass saturation and presentations.
 """
 
 import random
 
+import itertools
+
+from sitecolim import cones as library_cones
 from sitecolim import core
 from sitecolim.colim import (BicolimReport, PseudocolimitResult, Span,
                              factor_cone, identity_span, obj_name)
-from sitecolim.cones import (Pseudocone, enumerate_modifications,
-                             enumerate_pseudocones, postcompose_cell,
+from sitecolim.cones import (Modification, Pseudocone, postcompose_cell,
                              postcompose_cone)
 from sitecolim.core import (Budget, FinCat, Functor, NatTrans,
                             compose_functors, hcomp_nat, identity_functor,
@@ -626,9 +631,64 @@ def build_pseudocolimit(F, budget=None, apex_seed=None):
     return PseudocolimitResult(F, L, lam, class_members, span_class, obj_info)
 
 
+def enumerate_pseudocones(F, X, budget=None):
+    """Every leg combination enumerates the coherence candidates of each
+    non-identity 1-cell afresh; the library's kernel and pc checks."""
+    bud = budget if budget is not None else Budget()
+    A = F.index
+    C1 = A.cells1
+    objs = sorted(A.objects())
+    leg_choices = [list(core.enumerate_functors(F.fibers[B], X, bud))
+                   for B in objs]
+    non_id = [u for u in A.one_cells()
+              if u not in C1.identities.values()]
+    results = []
+    for combo in itertools.product(*leg_choices):
+        legs = dict(zip(objs, combo))
+        cell_choices = []
+        feasible = True
+        for u in non_id:
+            a, b = C1.mor_src[u], C1.mor_tgt[u]
+            cands = [n for n in core.enumerate_nat_trans(
+                legs[a], compose_functors(legs[b], F.on1[u]), bud)
+                if nat_is_invertible(n)]
+            if not cands:
+                feasible = False
+                break
+            cell_choices.append(cands)
+        if not feasible:
+            continue
+        for cells in itertools.product(*cell_choices):
+            bud.charge()
+            coherence = dict(zip(non_id, cells))
+            for B in objs:
+                coherence[C1.identities[B]] = identity_nat(legs[B])
+            cone = Pseudocone("pc%d" % len(results), F, X, legs, coherence)
+            if library_cones.check_pseudocone(cone)[0]:
+                results.append(cone)
+    return results
+
+
+def enumerate_modifications(g, h, budget=None):
+    """Every call enumerates its components afresh; the library's kernel
+    and pcM check."""
+    bud = budget if budget is not None else Budget()
+    objs = sorted(g.legs)
+    choices = [core.enumerate_nat_trans(g.legs[A], h.legs[A], bud)
+               for A in objs]
+    results = []
+    for combo in itertools.product(*choices):
+        bud.charge()
+        mod = Modification("m%d" % len(results), g, h, dict(zip(objs, combo)))
+        if library_cones.check_modification(mod)[0]:
+            results.append(mod)
+    return results
+
+
 def verify_bicolimit(R, X, budget=None, funcs=None, cones=None):
     """Postcomposition with lambda, Functors(L, X) -> Pseudocones(F, X),
-    checked by double enumeration on the library's kernel."""
+    checked by double enumeration on the library's kernel and the frozen
+    enumerators above."""
     bud = budget if budget is not None else Budget()
     if funcs is None:
         funcs = list(core.enumerate_functors(R.category, X, bud))

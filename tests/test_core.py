@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from sitecolim import standard
@@ -8,7 +10,8 @@ from sitecolim.core import (Budget, FinCat, Functor, NatTrans, Presentation,
                             identity_nat, invert_nat, nat_is_invertible,
                             validate_category, validate_functor,
                             validate_nat_trans, vcomp_nat)
-from sitecolim.errors import BudgetExceeded, SaturationExceeded
+from sitecolim.errors import (BudgetExceeded, IllTypedRelation,
+                              SaturationExceeded)
 
 
 def test_validate_one_empty(one_cat):
@@ -89,6 +92,31 @@ def test_build_category_saturation_exceeded():
     pres = Presentation(("x",), (("f", "x", "x"),))
     with pytest.raises(SaturationExceeded):
         build_category(pres, bound=2)
+
+
+@pytest.mark.parametrize("relations, message", [
+    # f : x -> y equated with the identity at x
+    (((("f",), ()),), "relation f = (): sides are not parallel "
+                      "(x -> y, x -> x)"),
+    (((("f",), ("g",)),), "relation f = g: sides are not parallel "
+                          "(x -> y, y -> x)"),
+    (((("f", "f"), ("f",)),), "relation f.f = f: f.f is not a path"),
+    (((("f", "h"), ("f",)),), "relation f.h = f: f.h is not a path"),
+])
+def test_build_category_rejects_ill_typed_relation(relations, message):
+    pres = Presentation(("x", "y"), (("f", "x", "y"), ("g", "y", "x")),
+                        relations)
+    with pytest.raises(IllTypedRelation, match=re.escape(message)):
+        build_category(pres, bound=2)
+
+
+def test_build_category_accepts_parallel_and_empty_sides():
+    """f.g = () is a loop at x equated with id_x; () = () says nothing."""
+    pres = Presentation(("x", "y"), (("f", "x", "y"), ("g", "y", "x")),
+                        ((("f", "g"), ()), ((), ())))
+    C = build_category(pres, bound=2)
+    assert C.comp[("g", "f")] == "id_x"
+    assert C.comp[("f", "g")] == "g.f"
 
 
 def test_enumerate_functors_counts(one_cat, two_cat):

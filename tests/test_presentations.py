@@ -2,7 +2,9 @@
 oracle_kernel.py: build_category saturates in one pass and one rewrite
 direction, and the standard categories and 2-categories are presented
 rather than written out; both must give the same tables, names and
-SaturationExceeded messages as before."""
+SaturationExceeded messages as before.  A relation whose sides are not
+parallel is rejected with IllTypedRelation, which the reference did not
+check."""
 
 import pytest
 
@@ -13,14 +15,17 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 import oracle_kernel as oracle  # noqa: E402
 from sitecolim import standard  # noqa: E402
 from sitecolim.core import Presentation, build_category  # noqa: E402
-from sitecolim.errors import SaturationExceeded  # noqa: E402
+from sitecolim.errors import (IllTypedRelation,  # noqa: E402
+                              SaturationExceeded)
 
 
 @st.composite
 def presentations(draw):
-    """Up to three objects, three generators and two relations; each side
-    of a relation is a path of up to three generators from a shared source,
-    so a relation may also equate paths with different targets."""
+    """Up to three objects, three generators and two relations, and whether
+    every relation is well-typed.  Each side of a relation is a path of up
+    to three generators from a shared source, so a relation may also
+    equate paths with different targets; it is well-typed when the two
+    targets agree."""
     objs = ("x", "y", "z")[:draw(st.integers(1, 3))]
     gens = tuple(("g%d" % i, draw(st.sampled_from(objs)),
                   draw(st.sampled_from(objs)))
@@ -34,13 +39,15 @@ def presentations(draw):
                 break
             name, _, end = draw(st.sampled_from(out))
             names += (name,)
-        return names
+        return names, end
 
-    rels = []
+    rels, well_typed = [], True
     for _ in range(draw(st.integers(0, 2))):
         src = draw(st.sampled_from(objs))
-        rels.append((path(src), path(src)))
-    return Presentation(objs, gens, tuple(rels))
+        (lhs, lhs_end), (rhs, rhs_end) = path(src), path(src)
+        rels.append((lhs, rhs))
+        well_typed = well_typed and lhs_end == rhs_end
+    return Presentation(objs, gens, tuple(rels)), well_typed
 
 
 def _build(build, pres, bound):
@@ -53,7 +60,12 @@ def _build(build, pres, bound):
 
 @settings(max_examples=300, deadline=None)
 @given(presentations(), st.integers(1, 3))
-def test_build_category_matches_reference(pres, bound):
+def test_build_category_matches_reference(drawn, bound):
+    pres, well_typed = drawn
+    if not well_typed:
+        with pytest.raises(IllTypedRelation):
+            build_category(pres, bound)
+        return
     assert (_build(build_category, pres, bound)
             == _build(oracle.build_category, pres, bound))
 

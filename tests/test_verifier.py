@@ -1,21 +1,33 @@
-"""The universal-property verifier against its frozen reference.
+"""The universal-property verifier and the pseudocone enumerators against
+their frozen references.
 
 The library enumerates each hom-set of pseudocones once per verify call
 and maps a transformation to its modification through the leg tables;
 oracle_kernel.verify_bicolimit enumerates the modifications between two
 images and again between every two cones, and whiskers each
-transformation with the colimit cone.  Both must give the same report,
-and the library must spend no more Budget.
+transformation with the colimit cone.  The library's enumerators read the
+coherence candidates of a 1-cell and the components of a modification
+from per-call tables; oracle_kernel's enumerate them afresh for every leg
+combination and every pair of cones.  Both must give the same cones,
+modifications and reports, and the library must spend no more Budget.
 """
 
+import collections
 import dataclasses
+import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
 import oracle_kernel as oracle
-from sitecolim import colim, sites, standard
-from sitecolim.cones import enumerate_pseudocones, postcompose_cone
-from sitecolim.core import Budget, Functor
+from sitecolim import colim, cones, sites, standard
+from sitecolim.cones import (ComponentTable, enumerate_modifications,
+                             enumerate_pseudocones, postcompose_cone)
+from sitecolim.core import (Budget, Functor, compose_functors,
+                            enumerate_functors, enumerate_nat_trans,
+                            nat_is_invertible)
 from sitecolim.fixtures import parse
 from sitecolim.sites import (SiteDiagram, build_colim_site,
                              verify_site_pseudocolimit)
@@ -95,3 +107,146 @@ def test_site_report_matches_reference(monkeypatch):
     assert got == want
     assert got.isomorphism and got.factored_functors_continuous
     assert got_budget.used <= want_budget.used
+
+
+ENUMERATION_CASES = sorted(k for k, (_, _, extra) in CASES.items()
+                           if extra is None)
+
+
+def _named_keys(items):
+    return [(x.name, x.key()) for x in items]
+
+
+@pytest.mark.parametrize("case", ENUMERATION_CASES)
+def test_pseudocones_match_reference(case):
+    diagram, vertex, _ = CASES[case]
+    F, X = diagram(), vertex()
+    got_budget, want_budget = Budget(), Budget()
+    got = enumerate_pseudocones(F, X, got_budget)
+    want = oracle.enumerate_pseudocones(F, X, want_budget)
+    assert _named_keys(got) == _named_keys(want)
+    assert got_budget.used <= want_budget.used
+
+
+@pytest.mark.parametrize("case", ENUMERATION_CASES)
+def test_modifications_match_reference(case):
+    """With one shared table, every hom-set has the reference's
+    modification keys; without one, the same list in the same order for
+    the same Budget."""
+    diagram, vertex, _ = CASES[case]
+    found = oracle.enumerate_pseudocones(diagram(), vertex())
+    table = ComponentTable()
+    tabled, untabled, want_budget = Budget(), Budget(), Budget()
+    for g, h in itertools.product(found, repeat=2):
+        want = oracle.enumerate_modifications(g, h, want_budget)
+        got = enumerate_modifications(g, h, tabled, table)
+        assert sorted(m.key() for m in got) == sorted(m.key() for m in want)
+        assert _named_keys(enumerate_modifications(g, h, untabled)) \
+            == _named_keys(want)
+    assert untabled.used == want_budget.used
+    assert tabled.used <= want_budget.used
+
+
+@pytest.mark.parametrize("case, rejected", [
+    ("constz2-z2", {"pc1", "pcM"}), ("walkingiso_z2-z2", {"pc2", "pcM"})])
+def test_z2_cases_reject_candidates(case, rejected, monkeypatch):
+    """The comparisons above see the coherence checks fail, not only
+    pass."""
+    seen = set()
+    check_cone, check_mod = cones.check_pseudocone, cones.check_modification
+
+    def cone_verdict(h):
+        ok, why = check_cone(h)
+        seen.update([] if ok else [why.split()[0]])
+        return ok, why
+
+    def mod_verdict(phi):
+        ok, why = check_mod(phi)
+        seen.update([] if ok else ["pcM"])
+        return ok, why
+
+    monkeypatch.setattr(cones, "check_pseudocone", cone_verdict)
+    monkeypatch.setattr(cones, "check_modification", mod_verdict)
+    diagram, vertex, _ = CASES[case]
+    found = enumerate_pseudocones(diagram(), vertex())
+    table = ComponentTable()
+    for g, h in itertools.product(found, repeat=2):
+        enumerate_modifications(g, h, None, table)
+    assert seen == rejected
+
+
+def _coherence_keys(F, X):
+    """The (u, leg at src u, leg at tgt u) the pseudocone search reaches,
+    legs by position: in each leg combination, in order, the non-identity
+    1-cells up to the first with no invertible candidate."""
+    C1 = F.index.cells1
+    objs = sorted(F.index.objects())
+    legs = {B: list(enumerate_functors(F.fibers[B], X)) for B in objs}
+    non_id = [u for u in F.index.one_cells()
+              if u not in C1.identities.values()]
+    keys = set()
+    for combo in itertools.product(*(range(len(legs[B])) for B in objs)):
+        pick = dict(zip(objs, combo))
+        for u in non_id:
+            a, b = C1.mor_src[u], C1.mor_tgt[u]
+            keys.add((u, pick[a], pick[b]))
+            cands = enumerate_nat_trans(
+                legs[a][pick[a]],
+                compose_functors(legs[b][pick[b]], F.on1[u]))
+            if not any(map(nat_is_invertible, cands)):
+                break
+    return keys
+
+
+def _count_nat_trans_calls(monkeypatch):
+    calls = collections.Counter()
+    for module in (cones, colim):
+        def counted(F, G, budget=None, _name=module.__name__):
+            calls[_name] += 1
+            return enumerate_nat_trans(F, G, budget)
+        monkeypatch.setattr(module, "enumerate_nat_trans", counted)
+    return calls
+
+
+def test_each_coherence_and_component_list_enumerated_once(monkeypatch):
+    """consttwo x diamond: enumerate_pseudocones enumerates one list per
+    (u, leg, leg) key; verify_bicolimit adds one per (A, leg, leg) key
+    over every pair of cones, and one per pair of functors."""
+    R, X = _built(standard.const_two_diagram), standard.diamond()
+    keys = _coherence_keys(R.diagram, X)
+    calls = _count_nat_trans_calls(monkeypatch)
+    found = enumerate_pseudocones(R.diagram, X)
+    assert sum(calls.values()) == len(keys)
+    calls.clear()
+    rep = colim.verify_bicolimit(R, X)
+    assert rep.isomorphism
+    components = {(A, g.legs[A].key(), h.legs[A].key())
+                  for g, h in itertools.product(found, repeat=2)
+                  for A in g.legs}
+    assert sum(calls.values()) == (len(keys) + len(components)
+                                   + rep.functor_objects ** 2)
+
+
+FRESH_VERIFY = """
+from sitecolim import colim, standard
+from sitecolim.core import Budget
+R = colim.build_pseudocolimit(standard.const_two_diagram())
+budget = Budget()
+rep = colim.verify_bicolimit(R, standard.diamond(), budget)
+print(repr(rep), budget.used)
+"""
+
+
+def test_no_state_survives_a_verify_call():
+    """Two calls in this process, after the tests above ran the same case,
+    and one call in a fresh interpreter give the same report for the same
+    Budget: no table outlives its call."""
+    R, X = _built(standard.const_two_diagram), standard.diamond()
+    first, second = Budget(), Budget()
+    rep = colim.verify_bicolimit(R, X, first)
+    assert rep == colim.verify_bicolimit(R, X, second)
+    env = dict(os.environ, PYTHONPATH=str(FIXTURE_DIR.parent / "src"))
+    fresh = subprocess.run([sys.executable, "-c", FRESH_VERIFY], env=env,
+                           check=True, capture_output=True, text=True)
+    assert fresh.stdout.split("\n")[0] \
+        == "%r %d" % (rep, first.used) == "%r %d" % (rep, second.used)

@@ -25,9 +25,9 @@ from typing import NamedTuple
 from .core import (Budget, FinCat, Functor, NatTrans, compose_functors,
                    enumerate_functors, enumerate_nat_trans, union_find,
                    validate_nat_trans)
-from .cones import (ComponentTable, Modification, Pseudocone,
-                    check_pseudocone, enumerate_modifications,
-                    enumerate_pseudocones, postcompose_cone)
+from .cones import (Modification, Pseudocone, check_pseudocone,
+                    enumerate_modifications, enumerate_pseudocones,
+                    postcompose_cone)
 from .errors import (IllFormedCone, IncompleteAssignment, NoSolution,
                      NotFiltered, NotLiftable)
 from .limits import (Cone, Diagram, LimitAssignment, chosen_limit,
@@ -354,10 +354,8 @@ def verify_bicolimit(R: PseudocolimitResult, X: FinCat,
                      cones=None) -> BicolimReport:
     """Check that postcomposition with lambda is an isomorphism of
     categories Functors(L, X) -> Pseudocones(F, X), by enumeration.  Each
-    hom-set of pseudocones is enumerated once per call, and each component
-    family g_A => h_A once per (A, g_A, h_A) in a table that all of them
-    share; a transformation xi maps to the modification
-    {A: {x: xi[lambda_A(x)]}}.
+    hom-set of pseudocones is enumerated once per call; a transformation xi
+    maps to the modification {A: {x: xi[lambda_A(x)]}}.
 
     Given `funcs` and `cones`, the check runs between those full
     subcategories instead of enumerating all functors L -> X and all
@@ -377,12 +375,11 @@ def verify_bicolimit(R: PseudocolimitResult, X: FinCat,
         for c, t in zip(images, funcs))
     cone_of = dict(zip(image_keys, images)) | dict(zip(cone_keys, cones))
     hom = {}  # (source key, target key) -> sorted modification keys
-    components = ComponentTable()
 
     def mod_keys(a, b):
         if (a, b) not in hom:
             hom[a, b] = sorted(m.key() for m in enumerate_modifications(
-                cone_of[a], cone_of[b], bud, components))
+                cone_of[a], cone_of[b], bud))
         return hom[a, b]
 
     # postcompose_cell(R.cone, xi).key(), read off the leg tables

@@ -223,40 +223,14 @@ def enumerate_pseudocones(F: TwoDiagram, X: FinCat,
     return results
 
 
-class ComponentTable:
-    """The transformations g_A => h_A by (index object A, g_A, h_A), shared
-    by the enumerate_modifications calls of one verify_bicolimit call.  A
-    component of a modification depends only on A and the two legs, so
-    each list is enumerated once per table.  Legs are numbered by key() on
-    first sight (all legs at A have the fiber at A and the same vertex), so
-    an entry holds three small values however many cone pairs reach it."""
-
-    def __init__(self):
-        self._legs = {}  # leg key -> number
-        self._lists = {}  # (A, g_A number, h_A number) -> transformations
-
-    def transformations(self, A, g_A: Functor, h_A: Functor, bud: Budget):
-        legs = self._legs
-        key = (A, legs.setdefault(g_A.key(), len(legs)),
-               legs.setdefault(h_A.key(), len(legs)))
-        out = self._lists.get(key)
-        if out is None:
-            out = self._lists[key] = enumerate_nat_trans(g_A, h_A, bud)
-        return out
-
-
 def enumerate_modifications(g: Pseudocone, h: Pseudocone,
-                            budget: Budget | None = None,
-                            components: ComponentTable | None = None):
+                            budget: Budget | None = None):
     """All modifications g => h, deterministic order.  The candidate
-    components are read from (and added to) `components`, which lives as
-    long as the verify_bicolimit call that made it; without one, a table of
-    this call's own, so each component family is enumerated once."""
+    components g_A => h_A are enumerated afresh in each call; no table
+    outlives it."""
     bud = budget if budget is not None else Budget()
-    table = components if components is not None else ComponentTable()
     objs = sorted(g.legs)
-    choices = [table.transformations(A, g.legs[A], h.legs[A], bud)
-               for A in objs]
+    choices = [enumerate_nat_trans(g.legs[A], h.legs[A], bud) for A in objs]
     results = []
     for combo in itertools.product(*choices):
         bud.charge()

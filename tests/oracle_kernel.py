@@ -13,22 +13,21 @@ pairs of 2-cells; and every span comparison and composite searches the
 index for its common refinement afresh; and the universal-property
 verifier enumerates the modifications between two images, and again
 between every two cones, and whiskers each transformation with the colimit
-cone; the pseudocone and modification enumerators enumerate every
-coherence cell and every modification component afresh for each leg
-combination and each pair of cones; build_category saturates to a fixpoint, rewriting in both
-directions; and the standard categories and 2-categories are written out
-table by table.  They must keep giving the same functors, transformations,
+cone; the pseudocone enumerator enumerates every coherence cell afresh
+for each leg combination; build_category saturates to a fixpoint,
+rewriting in both directions; and the standard categories and
+2-categories are written out table by table.  They must keep giving the same functors, transformations,
 verdicts, messages, colimit categories, span classes, verification reports,
 presented categories, standard tables and Budget counts (the verifier: no
 fewer) as the library's watch-list kernel, table-level checks, indexed
 validators, boundary index of 2-cells, per-build refinement tables,
-once-per-hom-set verifier, per-call coherence and component tables,
-one-pass saturation and presentations.
+once-per-hom-set verifier, per-call coherence table, one-pass saturation
+and presentations.  The modification enumerator is the library's, frozen
+so that the reference verifier does not run the code it checks.
 """
 
-import random
-
 import itertools
+import random
 
 from sitecolim import cones as library_cones
 from sitecolim import core
@@ -670,8 +669,8 @@ def enumerate_pseudocones(F, X, budget=None):
 
 
 def enumerate_modifications(g, h, budget=None):
-    """Every call enumerates its components afresh; the library's kernel
-    and pcM check."""
+    """The library's enumerator as frozen: every call enumerates its
+    components afresh, on the library's kernel and pcM check."""
     bud = budget if budget is not None else Budget()
     objs = sorted(g.legs)
     choices = [core.enumerate_nat_trans(g.legs[A], h.legs[A], bud)

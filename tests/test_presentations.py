@@ -23,9 +23,11 @@ from sitecolim.errors import (IllTypedRelation,  # noqa: E402
 def presentations(draw):
     """Up to three objects, three generators and two relations, and whether
     every relation is well-typed.  Each side of a relation is a path of up
-    to three generators from a shared source, so a relation may also
-    equate paths with different targets; it is well-typed when the two
-    targets agree."""
+    to three generators from a shared source.  Three times in four the
+    right side is drawn among the other paths of up to three generators
+    that end where the left side ends, when there are any, so most
+    relations are well-typed and not trivial; the rest may equate paths
+    with different targets."""
     objs = ("x", "y", "z")[:draw(st.integers(1, 3))]
     gens = tuple(("g%d" % i, draw(st.sampled_from(objs)),
                   draw(st.sampled_from(objs)))
@@ -41,10 +43,23 @@ def presentations(draw):
             names += (name,)
         return names, end
 
+    def paths_to(src, tgt):
+        found, frontier = [], [((), src)]
+        for _ in range(4):
+            found += [names for names, end in frontier if end == tgt]
+            frontier = [(names + (g,), t) for names, end in frontier
+                        for g, s, t in gens if s == end]
+        return found
+
     rels, well_typed = [], True
     for _ in range(draw(st.integers(0, 2))):
         src = draw(st.sampled_from(objs))
-        (lhs, lhs_end), (rhs, rhs_end) = path(src), path(src)
+        lhs, lhs_end = path(src)
+        typed = [p for p in paths_to(src, lhs_end) if p != lhs]
+        if typed and draw(st.integers(0, 3)):
+            rhs, rhs_end = draw(st.sampled_from(typed)), lhs_end
+        else:
+            rhs, rhs_end = path(src)
         rels.append((lhs, rhs))
         well_typed = well_typed and lhs_end == rhs_end
     return Presentation(objs, gens, tuple(rels)), well_typed
@@ -58,7 +73,7 @@ def _build(build, pres, bound):
     return (C.objects, C.mor_src, C.mor_tgt, C.identities, C.comp)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(presentations(), st.integers(1, 3))
 def test_build_category_matches_reference(drawn, bound):
     pres, well_typed = drawn

@@ -12,13 +12,11 @@ from .twocat import (TwoCat, TwoDiagram, check_2filtered, check_two_functor,
                      constant_diagram, opposite_two_cat, two_cat_from_cat,
                      validate_two_cat)
 from .cones import (Modification, Pseudocone, check_modification,
-                    check_pseudocone, compose_modifications, conjugate,
-                    enumerate_modifications, enumerate_pseudocones,
-                    identity_modification, postcompose_cell, postcompose_cone)
+                    check_pseudocone, conjugate, enumerate_modifications,
+                    enumerate_pseudocones, postcompose_cell, postcompose_cone)
 from .colim import (BicolimReport, PseudocolimitResult, Span,
                     build_pseudocolimit, colim_finite_limit,
-                    colim_limit_assignment, factor_cell, factor_cone,
-                    verify_bicolimit)
+                    colim_limit_assignment, factor_cone, verify_bicolimit)
 from .sites import (Presheaf, Site, SiteDiagram, SiteMorphism,
                     build_colim_site, check_continuous, check_sheaf,
                     validate_presheaf, validate_site,

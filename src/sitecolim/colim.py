@@ -23,13 +23,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import (Budget, FinCat, Functor, NatTrans, compose_functors,
-                   enumerate_functors, enumerate_nat_trans, union_find,
-                   validate_nat_trans)
-from .cones import (Modification, Pseudocone, check_pseudocone,
-                    enumerate_modifications, enumerate_pseudocones,
-                    postcompose_cone)
-from .errors import (IllFormedCone, IncompleteAssignment, NoSolution,
-                     NotFiltered, NotLiftable)
+                   enumerate_functors, enumerate_nat_trans, union_find)
+from .cones import (Pseudocone, check_pseudocone, enumerate_modifications,
+                    enumerate_pseudocones, postcompose_cone)
+from .errors import (IllFormedCone, IncompleteAssignment, NotFiltered,
+                     NotLiftable)
 from .limits import (Cone, Diagram, LimitAssignment, chosen_limit,
                      discrete_pair, empty_diagram, parallel_pair)
 from .twocat import TwoCat, TwoDiagram, check_2filtered
@@ -309,21 +307,6 @@ def factor_cone(R: PseudocolimitResult, h: Pseudocone) -> Functor:
         mid = h.legs[s.apex].mor_map[s.mor]
         mor_map[name] = X.compose_path(X.inverse(hv), mid, hu)
     return Functor("fact_%s" % h.name, R.category, X, obj_map, mor_map)
-
-
-def factor_cell(R: PseudocolimitResult, t: Functor,
-                phi: Modification) -> NatTrans:
-    """The unique 2-cell xi : l => t with (xi . lambda) = phi, where
-    l = factor_cone(phi.source).  Invertible whenever phi is."""
-    ell = factor_cone(R, phi.source)
-    comps = {}
-    for p, (A, x) in R.obj_info.items():
-        comps[p] = phi.components[A].components[x]
-    xi = NatTrans("xi_%s" % phi.name, ell, t, comps)
-    bad = validate_nat_trans(xi)
-    if bad:
-        raise NoSolution("induced 2-cell is not natural: %s" % bad[0])
-    return xi
 
 
 # ---------------------------------------------------------------------------

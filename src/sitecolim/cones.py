@@ -112,20 +112,6 @@ def check_modification(phi: Modification):
     return True, None
 
 
-def identity_modification(h: Pseudocone) -> Modification:
-    return Modification("id_%s" % h.name, h, h,
-                        {A: identity_nat(h.legs[A]) for A in h.legs})
-
-
-def compose_modifications(psi: Modification, phi: Modification) -> Modification:
-    """psi after phi, componentwise vertical composition."""
-    if psi.source.key() != phi.target.key():
-        raise ValueError("boundary mismatch composing modifications")
-    return Modification("%s.%s" % (psi.name, phi.name), phi.source, psi.target,
-                        {A: vcomp_nat(psi.components[A], phi.components[A])
-                         for A in phi.components})
-
-
 def postcompose_cone(h: Pseudocone, s: Functor) -> Pseudocone:
     """Whisker a cone to Z with a functor s : Z -> X."""
     assert s.source.name == h.vertex.name

@@ -506,18 +506,6 @@ def vcomp_nat(b: NatTrans, a: NatTrans) -> NatTrans:
                      for o in a.components})
 
 
-def hcomp_nat(b: NatTrans, a: NatTrans) -> NatTrans:
-    """Horizontal composite: a between C -> D, b between D -> E."""
-    E = b.source.target
-    H = b.source
-    return NatTrans("%s*%s" % (b.name, a.name),
-                    compose_functors(b.source, a.source),
-                    compose_functors(b.target, a.target),
-                    {o: E.comp[(b.components[a.target.obj_map[o]],
-                                H.mor_map[a.components[o]])]
-                     for o in a.components})
-
-
 def whisker_functor_nat(H: Functor, a: NatTrans) -> NatTrans:
     """H a : H.F => H.G for a : F => G with F, G landing in H's source."""
     return NatTrans("%s(%s)" % (H.name, a.name),

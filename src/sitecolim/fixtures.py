@@ -534,18 +534,3 @@ def render(blocks: list[list[str]]) -> str:
         lines.append("")
         lines.extend(b)
     return "\n".join(lines) + "\n"
-
-
-def print_environment(env: Environment) -> str:
-    """Canonical text for the printable members of an environment."""
-    blocks = []
-    for name, v in env.items():
-        if isinstance(v, CategoryBlock):
-            blocks.append(print_category(v))
-        elif isinstance(v, TwoCat):
-            blocks.append(print_twocat(v))
-        elif isinstance(v, Functor):
-            blocks.append(print_functor(v))
-        elif isinstance(v, Presheaf):
-            blocks.append(print_presheaf(v))
-    return render(blocks)

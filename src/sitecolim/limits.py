@@ -213,24 +213,68 @@ def map_cone(F: Functor, cone: Cone) -> Cone:
                 {n: F.mor_map[m] for n, m in cone.legs.items()})
 
 
-def check_exact(F: Functor, src_limits: LimitAssignment):
+def _chosen_cone(A: LimitAssignment | None, D: Diagram) -> Cone | None:
+    """A's chosen limit cone over D, which is empty, a discrete pair or a
+    parallel pair; None when A has no entry for it."""
+    if A is None:
+        return None
+    if not D.nodes:
+        return None if A.terminal is None else Cone(A.terminal, {})
+    if not D.edges:
+        hit = A.products.get((D.nodes["l"], D.nodes["r"]))
+        return hit and Cone(hit[0], {"l": hit[1], "r": hit[2]})
+    f, g = D.edges["f"][2], D.edges["g"][2]
+    hit = A.equalizers.get((f, g))
+    return hit and Cone(hit[0], {"l": hit[1], "r": A.cat.comp[(f, hit[1])]})
+
+
+def _mediator_is_iso(C: FinCat, cone: Cone, limit: Cone) -> bool:
+    """Whether the mediator from `cone` into the limiting cone `limit` has a
+    two-sided inverse."""
+    meds = mediators(C, limit, cone)
+    if len(meds) != 1:
+        return False
+    m = meds[0]
+    return any(C.comp[(m, n)] == C.identities[limit.apex]
+               and C.comp[(n, m)] == C.identities[cone.apex]
+               for n in C.hom(limit.apex, cone.apex))
+
+
+def check_exact(F: Functor, src_limits: LimitAssignment,
+                target_limits: LimitAssignment | None = None):
     """True iff F carries every chosen limiting cone of its source to a
-    limiting cone in its target (up to universal property, checked
-    exhaustively).  Returns (ok, counterexample diagram or None)."""
+    limiting cone in its target.  Returns (ok, counterexample diagram or
+    None).
+
+    `target_limits`, when given, must be an assignment on F.target that
+    passed `validate_assignment`, so each of its chosen cones L is limiting.
+    An image cone c over the same diagram then has exactly one mediator
+    m : c -> L, and c is limiting iff m is an isomorphism, tested by a
+    two-sided inverse in hom(L, c).  Without a target assignment on the
+    very category F.target (compared by identity), or without the needed
+    entry, the image cone is checked exhaustively against every competing
+    cone instead."""
     C, D = F.source, F.target
     assert src_limits.cat.name == C.name
+    if target_limits is not None and target_limits.cat is not D:
+        target_limits = None
+
+    def limiting(dia, cone):
+        image, cone = map_diagram(F, dia), map_cone(F, cone)
+        limit = _chosen_cone(target_limits, image)
+        if limit is None:
+            return is_limiting_cone(D, image, cone)
+        return is_cone(D, image, cone) and _mediator_is_iso(D, cone, limit)
+
     if src_limits.terminal is not None:
-        cone = Cone(F.obj_map[src_limits.terminal], {})
-        if not is_limiting_cone(D, empty_diagram(), cone):
+        if not limiting(empty_diagram(), Cone(src_limits.terminal, {})):
             return False, empty_diagram()
     for (a, b), (p, p1, p2) in sorted(src_limits.products.items()):
         dia = discrete_pair(a, b)
-        if not is_limiting_cone(D, map_diagram(F, dia),
-                                map_cone(F, Cone(p, {"l": p1, "r": p2}))):
+        if not limiting(dia, Cone(p, {"l": p1, "r": p2})):
             return False, dia
     for (f, g), (e, incl) in sorted(src_limits.equalizers.items()):
         dia = parallel_pair(C, f, g)
-        cone = Cone(e, {"l": incl, "r": C.comp[(f, incl)]})
-        if not is_limiting_cone(D, map_diagram(F, dia), map_cone(F, cone)):
+        if not limiting(dia, Cone(e, {"l": incl, "r": C.comp[(f, incl)]})):
             return False, dia
     return True, None

@@ -75,12 +75,14 @@ class AmbientDiagram:
                 out.append("fiber %s has no complete limit assignment" % A)
             if not self.generators.get(A):
                 out.append("fiber %s has an empty generator set" % A)
+        C1 = self.diagram.index.cells1
         for u in self.diagram.index.one_cells():
-            a = self.diagram.index.cells1.mor_src[u]
-            if a in self.fiber_limits:
-                ok, _ = check_exact(self.diagram.on1[u], self.fiber_limits[a])
-                if not ok:
-                    out.append("transition %s is not exact" % u)
+            src = self.fiber_limits.get(C1.mor_src[u])
+            tgt = self.fiber_limits.get(C1.mor_tgt[u])
+            if src is None or tgt is None:  # reported above
+                continue
+            if not check_exact(self.diagram.on1[u], src, tgt)[0]:
+                out.append("transition %s is not exact" % u)
         return out
 
 

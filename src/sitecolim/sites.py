@@ -97,7 +97,8 @@ class SiteMorphism:
 
     def validate(self) -> list[str]:
         out = []
-        ok, _ = check_exact(self.functor, self.source.limits)
+        ok, _ = check_exact(self.functor, self.source.limits,
+                            self.target.limits)
         if not ok:
             out.append("underlying functor is not exact")
         ok, bad = check_continuous(self.functor, self.source, self.target)
@@ -168,7 +169,7 @@ def verify_site_pseudocolimit(D: SiteDiagram, colim: Site,
     functor preserving the generating covers is continuous outright."""
     bud = budget if budget is not None else Budget()
     funcs = [t for t in enumerate_functors(colim.cat, X.cat, bud)
-             if check_exact(t, colim.limits)[0]
+             if check_exact(t, colim.limits, X.limits)[0]
              and check_continuous(t, colim, X)[0]]
     cones = [h for h in enumerate_pseudocones(D.diagram, X.cat, bud)
              if _leg_is_site_morphism(h, D, X)]

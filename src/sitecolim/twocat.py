@@ -261,7 +261,8 @@ def check_two_functor(F: TwoDiagram):
             return False, "vertical composition %s . %s not preserved" % (h, g)
     for (b, a), c in A.hcomp.items():
         beta, alpha, gamma = F.on2[b], F.on2[a], F.on2[c]
-        # gamma == hcomp_nat(beta, alpha), with the boundary composites shared
+        # gamma is the horizontal composite beta * alpha, with the boundary
+        # composites shared
         E, H = beta.source.target, beta.source
         if (gamma.source != once(compose_functors, beta.source, alpha.source)
                 or gamma.target != once(compose_functors, beta.target,

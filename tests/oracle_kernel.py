@@ -15,15 +15,19 @@ verifier enumerates the modifications between two images, and again
 between every two cones, and whiskers each transformation with the colimit
 cone; the pseudocone enumerator enumerates every coherence cell afresh
 for each leg combination; build_category saturates to a fixpoint,
-rewriting in both directions; and the standard categories and
-2-categories are written out table by table.  They must keep giving the same functors, transformations,
+rewriting in both directions; the standard categories and
+2-categories are written out table by table; and exactness decides each
+image cone against every competing cone at every object of the target.
+They must keep giving the same functors, transformations,
 verdicts, messages, colimit categories, span classes, verification reports,
-presented categories, standard tables and Budget counts (the verifier: no
-fewer) as the library's watch-list kernel, table-level checks, indexed
-validators, boundary index of 2-cells, per-build refinement tables,
-once-per-hom-set verifier, per-call coherence table, one-pass saturation
-and presentations.  The modification enumerator is the library's, frozen
-so that the reference verifier does not run the code it checks.
+presented categories, standard tables, exactness counterexamples and Budget
+counts (the verifier: no fewer) as the library's watch-list kernel,
+table-level checks, indexed validators, boundary index of 2-cells,
+per-build refinement tables, once-per-hom-set verifier, per-call coherence
+table, one-pass saturation, presentations and mediator-iso exactness test.
+The modification enumerator is the library's, frozen so that the reference
+verifier does not run the code it checks; `hcomp_nat`, which only the
+reference 2-functor check uses, lives here too.
 """
 
 import itertools
@@ -36,11 +40,13 @@ from sitecolim.colim import (BicolimReport, PseudocolimitResult, Span,
 from sitecolim.cones import (Modification, Pseudocone, postcompose_cell,
                              postcompose_cone)
 from sitecolim.core import (Budget, FinCat, Functor, NatTrans,
-                            compose_functors, hcomp_nat, identity_functor,
+                            compose_functors, identity_functor,
                             identity_nat, nat_is_invertible, union_find,
                             validate_functor, validate_nat_trans, vcomp_nat,
                             whisker_functor_nat, whisker_nat_functor)
 from sitecolim.errors import NotFiltered, NotLiftable, SaturationExceeded
+from sitecolim.limits import (Cone, Diagram, discrete_pair, empty_diagram,
+                              parallel_pair)
 from sitecolim.standard import poset_category
 from sitecolim.twocat import TwoCat, two_cat_from_cat
 
@@ -344,6 +350,18 @@ def validate_two_cat(A):
                         out.append("interchange fails at (%s,%s,%s,%s)"
                                    % (b2, b, a2, a))
     return out
+
+
+def hcomp_nat(b, a):
+    """Horizontal composite: a between C -> D, b between D -> E."""
+    E = b.source.target
+    H = b.source
+    return NatTrans("%s*%s" % (b.name, a.name),
+                    compose_functors(b.source, a.source),
+                    compose_functors(b.target, a.target),
+                    {o: E.comp[(b.components[a.target.obj_map[o]],
+                                H.mor_map[a.components[o]])]
+                     for o in a.components})
 
 
 def check_two_functor(F):
@@ -937,3 +955,59 @@ def walking_iso_twocat():
                 raise AssertionError
     return TwoCat("walking_iso", cells1, two_src, two_tgt,
                   {m: "2id_%s" % m for m in cells1.morphisms()}, vcomp, hcomp)
+
+
+# ---------------------------------------------------------------------------
+# exactness: every image cone is decided exhaustively, against every
+# competing cone at every object of the target
+
+
+def is_limiting_cone(C, D, cone):
+    for n, obj in D.nodes.items():
+        leg = cone.legs.get(n)
+        if leg is None or C.mor_src[leg] != cone.apex or C.mor_tgt[leg] != obj:
+            return False
+    for (i, j, f) in D.edges.values():
+        if C.comp[(f, cone.legs[i])] != cone.legs[j]:
+            return False
+    nodes = sorted(D.nodes)
+    for w in C.objects:
+        for combo in itertools.product(*[C.hom(w, D.nodes[n])
+                                         for n in nodes]):
+            legs = dict(zip(nodes, combo))
+            if not all(C.comp[(f, legs[i])] == legs[j]
+                       for (i, j, f) in D.edges.values()):
+                continue
+            meds = [m for m in C.hom(w, cone.apex)
+                    if all(C.comp[(cone.legs[n], m)] == legs[n]
+                           for n in cone.legs)]
+            if len(meds) != 1:
+                return False
+    return True
+
+
+def check_exact(F, src_limits):
+    C, D = F.source, F.target
+    assert src_limits.cat.name == C.name
+
+    def image(dia, cone):
+        return (Diagram({n: F.obj_map[o] for n, o in dia.nodes.items()},
+                        {e: (i, j, F.mor_map[f])
+                         for e, (i, j, f) in dia.edges.items()}),
+                Cone(F.obj_map[cone.apex],
+                     {n: F.mor_map[m] for n, m in cone.legs.items()}))
+
+    if src_limits.terminal is not None:
+        if not is_limiting_cone(D, *image(empty_diagram(),
+                                          Cone(src_limits.terminal, {}))):
+            return False, empty_diagram()
+    for (a, b), (p, p1, p2) in sorted(src_limits.products.items()):
+        dia = discrete_pair(a, b)
+        if not is_limiting_cone(D, *image(dia, Cone(p, {"l": p1, "r": p2}))):
+            return False, dia
+    for (f, g), (e, incl) in sorted(src_limits.equalizers.items()):
+        dia = parallel_pair(C, f, g)
+        cone = Cone(e, {"l": incl, "r": C.comp[(f, incl)]})
+        if not is_limiting_cone(D, *image(dia, cone)):
+            return False, dia
+    return True, None

@@ -2,16 +2,31 @@ import pytest
 
 from sitecolim import standard
 from sitecolim.colim import (build_pseudocolimit, colim_finite_limit,
-                             colim_limit_assignment, factor_cell, factor_cone,
-                             obj_name, verify_bicolimit)
+                             colim_limit_assignment, factor_cone, obj_name,
+                             verify_bicolimit)
 from sitecolim.cones import enumerate_modifications, enumerate_pseudocones
-from sitecolim.core import (Budget, enumerate_nat_trans, equivalence_witness,
-                            validate_category, validate_functor)
-from sitecolim.errors import BudgetExceeded, NotFiltered
+from sitecolim.core import (Budget, NatTrans, enumerate_nat_trans,
+                            equivalence_witness, validate_category,
+                            validate_functor, validate_nat_trans)
+from sitecolim.errors import BudgetExceeded, NoSolution, NotFiltered
 from sitecolim.limits import (check_exact, discrete_pair, empty_diagram,
                               is_limiting_cone, parallel_pair,
                               validate_assignment)
 from sitecolim.twocat import constant_diagram
+
+
+def factor_cell(R, t, phi):
+    """The unique 2-cell xi : l => t with (xi . lambda) = phi, where
+    l = factor_cone(phi.source).  Invertible whenever phi is."""
+    ell = factor_cone(R, phi.source)
+    comps = {}
+    for p, (A, x) in R.obj_info.items():
+        comps[p] = phi.components[A].components[x]
+    xi = NatTrans("xi_%s" % phi.name, ell, t, comps)
+    bad = validate_nat_trans(xi)
+    if bad:
+        raise NoSolution("induced 2-cell is not natural: %s" % bad[0])
+    return xi
 
 
 def enumerate_factor_cells(R, ell, t, phi):

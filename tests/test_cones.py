@@ -2,13 +2,26 @@ import pytest
 
 from sitecolim import standard
 from sitecolim.cones import (Modification, Pseudocone, check_modification,
-                             check_pseudocone, compose_modifications,
-                             conjugate, enumerate_modifications,
-                             enumerate_pseudocones, identity_modification,
+                             check_pseudocone, conjugate,
+                             enumerate_modifications, enumerate_pseudocones,
                              postcompose_cell, postcompose_cone)
 from sitecolim.core import (NatTrans, enumerate_functors, enumerate_nat_trans,
-                            identity_nat, nat_is_invertible)
+                            identity_nat, nat_is_invertible, vcomp_nat)
 from sitecolim.errors import NonInvertibleComponent
+
+
+def identity_modification(h: Pseudocone) -> Modification:
+    return Modification("id_%s" % h.name, h, h,
+                        {A: identity_nat(h.legs[A]) for A in h.legs})
+
+
+def compose_modifications(psi: Modification, phi: Modification) -> Modification:
+    """psi after phi, componentwise vertical composition."""
+    if psi.source.key() != phi.target.key():
+        raise ValueError("boundary mismatch composing modifications")
+    return Modification("%s.%s" % (psi.name, phi.name), phi.source, psi.target,
+                        {A: vcomp_nat(psi.components[A], phi.components[A])
+                         for A in phi.components})
 
 
 def test_enumerate_pseudocones_consttwo_two(consttwo, two_cat):

@@ -9,9 +9,9 @@ from click.testing import CliRunner
 from sitecolim.cli import main
 from sitecolim.core import Functor, validate_category
 from sitecolim.errors import FixtureError
-from sitecolim.fixtures import (CategoryBlock, DiagramBlock, parse,
-                                print_category, print_environment,
-                                print_functor, render)
+from sitecolim.fixtures import (CategoryBlock, DiagramBlock, Environment,
+                                parse, print_category, print_functor,
+                                print_presheaf, print_twocat, render)
 from sitecolim.sites import Presheaf
 from sitecolim.twocat import TwoCat, check_two_functor
 
@@ -19,6 +19,21 @@ ALL_FIXTURES = ["one.cat", "two.cat", "chaotic.cat", "diamond.cat",
                 "chain3.2cat", "consttwo.diag", "inclchain.diag",
                 "swapchain.diag", "notfiltered.diag", "covereddiamond.diag",
                 "sheaves.pre", "nonsheaf.pre"]
+
+
+def print_environment(env: Environment) -> str:
+    """Canonical text for the printable members of an environment."""
+    blocks = []
+    for name, v in env.items():
+        if isinstance(v, CategoryBlock):
+            blocks.append(print_category(v))
+        elif isinstance(v, TwoCat):
+            blocks.append(print_twocat(v))
+        elif isinstance(v, Functor):
+            blocks.append(print_functor(v))
+        elif isinstance(v, Presheaf):
+            blocks.append(print_presheaf(v))
+    return render(blocks)
 
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)

@@ -1,9 +1,10 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and every import sits at module level.
+every import sits at module level, and no public function is there only
+for the tests.
 
 A stdlib-only stand-in for an unused-import lint.  `__init__.py` is left
 out of the unused-import check because its imports are the package's
-public re-exports.
+public re-exports, and its re-exports do not count as uses.
 """
 
 import ast
@@ -11,9 +12,12 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sitecolim"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "sitecolim"
 ALL_MODULES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
+# the paper's API that only the acceptance gate calls
+TEST_ONLY_ALLOWED = {"conjugate", "trivial_site"}
 
 
 def unused_imports(source):
@@ -65,3 +69,62 @@ def test_local_imports_detected():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
 def test_no_function_local_imports(path):
     assert local_imports(path.read_text()) == []
+
+
+def public_functions(source):
+    """Names of the undecorated public top-level functions."""
+    return [n.name for n in ast.parse(source).body
+            if isinstance(n, ast.FunctionDef) and not n.decorator_list
+            and not n.name.startswith("_")]
+
+
+def referenced_names(source):
+    """Every name the source loads, reads as an attribute or spells as a
+    string, except where a top-level function names itself."""
+    found = set()
+    for top in ast.parse(source).body:
+        own = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Constant) and isinstance(node.value,
+                                                               str):
+                name = node.value
+            else:
+                continue
+            if name != own:
+                found.add(name)
+    return found
+
+
+def unreferenced_functions(modules, users, allowed=()):
+    """(module, function) for each public function of `modules` (name ->
+    source) that no source in `users` references."""
+    used = set().union(*map(referenced_names, users))
+    return sorted((m, f) for m, source in modules.items()
+                  for f in public_functions(source)
+                  if f not in used and f not in allowed)
+
+
+def test_unreferenced_functions_detected():
+    lib = ("def used():\n    return 1\n"
+           "def only_tests():\n    return only_tests()\n"
+           "def by_name():\n    pass\n"
+           "@command\ndef cli():\n    pass\n"
+           "def _private():\n    pass\n"
+           "def allowed():\n    pass\n"
+           "class K:\n    def method(self):\n        pass\n")
+    users = [lib, "x = mod.used()\nLAYERS = ('by_name',)\n"]
+    assert unreferenced_functions({"lib": lib}, users, {"allowed"}) == [
+        ("lib", "only_tests")]
+
+
+def test_no_test_only_functions():
+    users = [p.read_text() for p in MODULES]
+    users += [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    users.append((ROOT / "fixtures" / "gen.py").read_text())
+    modules = {p.name: p.read_text() for p in MODULES
+               if p.name != "standard.py"}
+    assert unreferenced_functions(modules, users, TEST_ONLY_ALLOWED) == []

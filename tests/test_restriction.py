@@ -6,7 +6,7 @@ from sitecolim.limits import LimitAssignment
 from sitecolim.restriction import (AmbientDiagram, finite_limit_closure,
                                    full_subcategory, restrict_diagram,
                                    verify_restriction)
-from sitecolim.twocat import TwoDiagram, two_cat_from_cat
+from sitecolim.twocat import TwoDiagram, constant_diagram, two_cat_from_cat
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +119,19 @@ def test_validate_catches_missing_limits():
     dia = standard.diamond_chain_diagram()
     amb = AmbientDiagram(dia, {}, {A: frozenset({"a"}) for A in "012"})
     assert any("complete limit" in v for v in amb.validate())
+
+
+@pytest.mark.parametrize("valid", [(), ("1",)])
+def test_validate_reports_a_none_assignment(valid):
+    """A fiber whose assignment is None is reported, and no transition
+    into or out of it is checked for exactness."""
+    D = standard.diamond()
+    dia = constant_diagram(standard.chain2_twocat(), D)
+    limits = {A: standard.poset_limits(D, standard.diamond_le)
+              if A in valid else None for A in "01"}
+    amb = AmbientDiagram(dia, limits, {A: frozenset({"a"}) for A in "01"})
+    assert amb.validate() == ["fiber %s has no complete limit assignment" % A
+                              for A in "01" if A not in valid]
 
 
 def test_validate_catches_inexact_transition():

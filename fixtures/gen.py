@@ -3,6 +3,7 @@
 Run from the repository root:  python3 fixtures/gen.py
 """
 
+import dataclasses
 from pathlib import Path
 
 from sitecolim import standard
@@ -33,6 +34,12 @@ def ident_functor_block(name, C):
             "target %s" % C.name] + \
         ["obj %s -> %s" % (o, o) for o in C.objects] + \
         ["mor %s -> %s" % (m, m) for m in sorted(C.morphisms())]
+
+
+def ident_nattrans_block(name, functor, C):
+    return ["[nattrans %s]" % name, "source %s" % functor,
+            "target %s" % functor] + \
+        ["at %s = %s" % (o, C.identities[o]) for o in C.objects]
 
 
 def chain3_diag(name, fibers, transitions, generators=None):
@@ -90,6 +97,21 @@ write("swapchain.diag", [
     chain3_diag("swapchain",
                 [("0", "diamond"), ("1", "diamond"), ("2", "diamond")],
                 [("0_1", "swap"), ("1_2", "swap"), ("0_2", "iddiamond")]),
+])
+
+# a name of its own, so tests that take index names as ids keep the
+# standard walking_iso's id
+iso_index = dataclasses.replace(standard.walking_iso_twocat(),
+                                name="walkingiso_index")
+write("walkingiso.diag", [
+    print_twocat(iso_index),
+    print_category(CategoryBlock(TWO)),
+    ident_functor_block("idtwo", TWO),
+    ident_nattrans_block("ididtwo", "idtwo", TWO),
+    ["[diagram walkingiso]", "index walkingiso_index",
+     "orientation covariant", "fiber A = two", "fiber B = two",
+     "transition u = idtwo", "transition v = idtwo",
+     "cell g = ididtwo", "cell ginv = ididtwo"],
 ])
 
 write("notfiltered.diag", [

@@ -9,6 +9,7 @@ codes: 0 pass, 1 verified failure or counterexample, 2 input error,
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import sys
 import time
@@ -26,20 +27,31 @@ from .sites import (Presheaf, SiteDiagram, build_colim_site, check_sheaf,
 
 
 class Run:
-    """Collects report lines and input digests for one invocation."""
+    """Collects report lines and input digests for one invocation, and
+    decides its outcome: a run passes iff it reports no false boolean and
+    no `violation` line.  Both are recorded as the line is added, from the
+    value's type and the key, never from the printed text."""
 
     def __init__(self, command, budget, report_path):
         self.lines = [("command", command), ("budget", str(budget.limit))]
         self.budget = budget
         self.report_path = report_path
         self.started = time.monotonic()
+        self.failed = False
 
     def add(self, key, value):
         if isinstance(value, bool):
+            self.failed |= not value
             value = "true" if value else "false"
+        elif key.split()[0] == "violation":
+            self.failed = True
         self.lines.append((key, str(value)))
 
-    def finish(self, outcome, code):
+    def finish(self, outcome=None, code=None):
+        """Write the report and exit; without an outcome, pass (exit 0) or
+        fail (exit 1) by the lines added."""
+        if outcome is None:
+            outcome, code = ("fail", 1) if self.failed else ("pass", 0)
         self.add("outcome", outcome)
         text = "%report 1\n" + "".join("%s %s\n" % kv for kv in self.lines)
         if self.report_path:
@@ -130,7 +142,7 @@ def _ambient(block: DiagramBlock) -> AmbientDiagram:
 def _guard(run: Run, fn):
     """Run fn(); map library faults to report outcomes and exit codes."""
     try:
-        return fn()
+        fn()
     except NotFiltered as exc:
         run.add("error", "index is not 2-filtered: %s" % exc)
         run.finish("error", 2)
@@ -143,12 +155,10 @@ def _guard(run: Run, fn):
 
 
 def _execute(ctx, command, files, body):
-    """Load `files`, run body(run, env) and finish the report: a true
-    result passes (exit 0), a false one is a verified failure (exit 1)."""
+    """Load `files`, run body(run, env) and finish the report."""
     run = Run(command, Budget(ctx.obj["budget"]), ctx.obj["report"])
-    passed = _guard(run, lambda: body(
-        run, _load(run, files, ctx.obj["fixture_dir"])))
-    run.finish("pass" if passed else "fail", 0 if passed else 1)
+    _guard(run, lambda: body(run, _load(run, files, ctx.obj["fixture_dir"])))
+    run.finish()
 
 
 @click.group()
@@ -174,32 +184,27 @@ def main(ctx, budget, fixture_dir, report_path, seed):
 def validate(ctx, files):
     """Validate every block in the given fixture files."""
     def body(run, env):
-        total = 0
         for name, v in env.items():
             run.add("checked %s" % name, type(v).__name__)
             for where, msg in env.violations[name]:
                 run.add("violation %s" % name,
                         "%s: %s" % (where, msg) if where else msg)
-            total += len(env.violations[name])
-        run.add("violations", total)
-        return total == 0
+        run.add("violations", sum(len(env.violations[n]) for n in env))
 
     _execute(ctx, "validate", files, body)
 
 
 def _seed_stable(run: Run, ctx, R):
-    """Rebuild R's colimit with the --seed refinement order and report
-    whether the category is unchanged; True without --seed."""
+    """With --seed, rebuild R's colimit in the seeded refinement order and
+    report whether the category is unchanged."""
     seed = ctx.obj["seed"]
     if seed is None:
-        return True
+        return
     R2 = build_pseudocolimit(R.diagram, Budget(run.budget.limit),
                              apex_seed=seed)
-    stable = (R2.category.objects == R.category.objects
-              and R2.category.comp == R.category.comp)
     run.add("seed", seed)
-    run.add("seed_stable", stable)
-    return stable
+    run.add("seed_stable", R2.category.objects == R.category.objects
+            and R2.category.comp == R.category.comp)
 
 
 @main.command()
@@ -216,7 +221,7 @@ def colim(ctx, files, name):
         run.add("morphisms", len(R.category.morphisms()))
         for o in R.category.objects:
             run.add("object", o)
-        return _seed_stable(run, ctx, R)
+        _seed_stable(run, ctx, R)
 
     _execute(ctx, "colim", files, body)
 
@@ -235,10 +240,8 @@ def site_colim(ctx, files, name):
         run.add("morphisms", len(S.cat.morphisms()))
         run.add("covers", sum(len(f) for f in S.basis.values()))
         run.add("generators", " ".join(sorted(S.generators)))
-        vio = validate_site(S)
-        for msg in vio:
+        for msg in validate_site(S):
             run.add("violation", msg)
-        return not vio
 
     _execute(ctx, "site-colim", files, body)
 
@@ -256,18 +259,18 @@ def restrict(ctx, files, name):
         run.add("rounds", r.rounds)
         for A in sorted(r.objects):
             run.add("objects %s" % A, " ".join(sorted(r.objects[A])))
-        vio = verify_restriction(r)
-        for msg in vio:
+        for msg in verify_restriction(r):
             run.add("violation", msg)
-        return not vio
 
     _execute(ctx, "restrict", files, body)
 
 
-# report fields shared by verify-bicolim and verify-site, in report order
-_VERIFY_FIELDS = ("vertex", "functor_objects", "cone_objects",
-                  "functor_morphisms", "cone_morphisms", "objects_bijective",
-                  "morphisms_bijective")
+def _add_report(run: Run, rep):
+    """Every field the verifier's report sets, in field order."""
+    for f in dataclasses.fields(rep):
+        value = getattr(rep, f.name)
+        if value is not None:
+            run.add(f.name, value)
 
 
 @main.command("verify-bicolim")
@@ -284,10 +287,8 @@ def verify_bicolim_cmd(ctx, files, vertex, name):
         R = build_pseudocolimit(block.diagram, run.budget)
         rep = verify_bicolimit(R, vblock.cat, run.budget)
         run.add("diagram", block.diagram.name)
-        for f in _VERIFY_FIELDS + ("strict_triangle",):
-            run.add(f, getattr(rep, f))
+        _add_report(run, rep)
         _seed_stable(run, ctx, R)
-        return rep.isomorphism
 
     _execute(ctx, "verify-bicolim", files, body)
 
@@ -308,9 +309,7 @@ def verify_site_cmd(ctx, files, vertex, name):
         S, R = build_colim_site(D, run.budget)
         rep = verify_site_pseudocolimit(D, S, R, X, run.budget)
         run.add("diagram", block.diagram.name)
-        for f in _VERIFY_FIELDS + ("factored_functors_continuous",):
-            run.add(f, getattr(rep, f))
-        return rep.isomorphism and rep.factored_functors_continuous
+        _add_report(run, rep)
 
     _execute(ctx, "verify-site", files, body)
 
@@ -324,7 +323,6 @@ def sheaf_check(ctx, files):
         names = [n for n, v in env.items() if isinstance(v, Presheaf)]
         if not names:
             raise FixtureError("no presheaf in the given fixtures")
-        all_ok = True
         for pname in names:
             P = _pick(env, (Presheaf,), pname, "presheaf")
             S = _category_block_of(env, P.cat).site()
@@ -333,8 +331,6 @@ def sheaf_check(ctx, files):
             if not ok:
                 run.add("counterexample %s" % pname,
                         "%s %s" % (where[0], " ".join(where[1])))
-                all_ok = False
-        return all_ok
 
     _execute(ctx, "sheaf-check", files, body)
 

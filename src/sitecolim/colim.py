@@ -353,9 +353,10 @@ def verify_bicolimit(R: PseudocolimitResult, X: FinCat,
     cone_keys = [c.key() for c in cones]
     objects_bijective = (len(set(image_keys)) == len(funcs)
                          and sorted(image_keys) == sorted(cone_keys))
-    strict_triangle = all(
-        factor_cone(R, c).key() == t.key()
-        for c, t in zip(images, funcs))
+    # factor_cone(R, t . lambda) = t . factor_cone(R, lambda) table for
+    # table, as t preserves composites and inverses: factor lambda once
+    phi = factor_cone(R, R.cone) if funcs else None
+    strict_triangle = all(compose_functors(t, phi) == t for t in funcs)
     cone_of = dict(zip(image_keys, images)) | dict(zip(cone_keys, cones))
     hom = {}  # (source key, target key) -> sorted modification keys
 

@@ -33,10 +33,6 @@ class IllFormedCone(SitecolimError):
     """A pseudocone fails its coherence equations."""
 
 
-class NoSolution(SitecolimError):
-    """A mediating cell guaranteed to exist was not found (internal bug)."""
-
-
 class NonInvertibleComponent(SitecolimError):
     """A component required to be invertible is not."""
 

@@ -175,25 +175,21 @@ def _parse_category(name, body, env):
     tables = [], {}, {}, {}, {}
     terminal, tmap, products, equalizers = None, {}, {}, {}
     covers, generators = {}, set()
-    has_limits = False
     for ln, t in body:
         if _core_line(tables, ln, t):
             continue
         if t[0] == "terminal":
             _expect(len(t) == 2, "terminal t", ln)
             terminal = t[1]
-            has_limits = True
         elif t[0] == "tmap":
             _expect(len(t) == 4 and t[2] == "=", "tmap o = f", ln)
             tmap[t[1]] = t[3]
         elif t[0] == "product":
             _expect(len(t) == 7 and t[3] == "=", "product a b = p p1 p2", ln)
             products[(t[1], t[2])] = (t[4], t[5], t[6])
-            has_limits = True
         elif t[0] == "equalizer":
             _expect(len(t) == 6 and t[3] == "=", "equalizer f g = e m", ln)
             equalizers[(t[1], t[2])] = (t[4], t[5])
-            has_limits = True
         elif t[0] == "cover":
             _expect(len(t) >= 4 and t[2] == ":", "cover o : m1 ...", ln)
             covers.setdefault(t[1], []).append(tuple(t[3:]))
@@ -204,7 +200,7 @@ def _parse_category(name, body, env):
             raise FixtureError("unknown category line %s" % t[0], ln)
     cat = FinCat(name, *tables)
     limits = None
-    if has_limits:
+    if terminal is not None or tmap or products or equalizers:
         limits = LimitAssignment(cat, terminal, tmap, products, equalizers)
     block = CategoryBlock(cat, limits,
                           {c: tuple(fs) for c, fs in covers.items()},

@@ -129,12 +129,14 @@ def validate_assignment(A: LimitAssignment) -> list[str]:
             out.append("chosen terminal %s is not an object" % A.terminal)
         elif not is_limiting_cone(C, empty_diagram(), Cone(A.terminal, {})):
             out.append("chosen terminal %s is not terminal" % A.terminal)
-        for o, m in A.tmap.items():
-            bad = _unknown(C, [o], [m])
-            if bad is not None:
-                out.append("tmap at %s names unknown %s" % (o, bad))
-            elif C.mor_src[m] != o or C.mor_tgt[m] != A.terminal:
-                out.append("tmap at %s has wrong endpoints" % o)
+    for o, m in A.tmap.items():
+        bad = _unknown(C, [o], [m])
+        if bad is not None:
+            out.append("tmap at %s names unknown %s" % (o, bad))
+        elif A.terminal is None:
+            out.append("tmap at %s has no chosen terminal" % o)
+        elif C.mor_src[m] != o or C.mor_tgt[m] != A.terminal:
+            out.append("tmap at %s has wrong endpoints" % o)
     for (a, b), (p, p1, p2) in A.products.items():
         what = "chosen product of (%s, %s)" % (a, b)
         bad = _unknown(C, [a, b, p], [p1, p2])

@@ -192,8 +192,8 @@ def swap_chain_diagram() -> TwoDiagram:
     """Diamond fibers over chain3 with the a<->b symmetry as both steps
     (their composite is the identity)."""
     idx = chain3_twocat()
-    D = diamond()
     sw = diamond_swap()
+    D = sw.source
     on1 = {"id_0": identity_functor(D), "id_1": identity_functor(D),
            "id_2": identity_functor(D),
            "0_1": sw, "1_2": sw, "0_2": identity_functor(D)}

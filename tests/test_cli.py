@@ -1,4 +1,5 @@
 import re
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
@@ -108,15 +109,47 @@ def test_verify_site(runner, fixture_dir):
 
 def test_verify_site_fails_on_strict_triangle(runner, fixture_dir,
                                               monkeypatch):
-    """A site report whose only false field is strict_triangle is a
-    verified failure, although verify-site does not print that field."""
+    """A site report whose only false field is strict_triangle prints that
+    field and is a verified failure."""
     rep = BicolimReport("one", 1, 1, 1, 1, True, True, False, True)
     monkeypatch.setattr(cli, "verify_site_pseudocolimit",
                         lambda *args: rep)
     res = run(runner, fixture_dir, "verify-site", "covereddiamond.diag",
               "--vertex", "one.cat")
     assert res.exit_code == 1
+    assert "strict_triangle false\n" in res.output
     assert "outcome fail" in res.output
+
+
+@pytest.mark.parametrize("command", [["colim"],
+                                     ["verify-bicolim", "--vertex",
+                                      "two.cat"]], ids=lambda c: c[0])
+def test_unstable_seed_fails(runner, fixture_dir, monkeypatch, command):
+    """A seeded rebuild whose category differs is reported as
+    `seed_stable false` and fails the run."""
+    build = cli.build_pseudocolimit
+
+    def unstable(diagram, budget, apex_seed=None):
+        if apex_seed is None:
+            return build(diagram, budget)
+        return SimpleNamespace(category=SimpleNamespace(objects=(), comp={}))
+
+    monkeypatch.setattr(cli, "build_pseudocolimit", unstable)
+    res = runner.invoke(main, ["--fixture-dir", str(fixture_dir), "--seed",
+                               "7", command[0], "consttwo.diag"]
+                        + command[1:])
+    assert res.exit_code == 1, res.output
+    assert "seed_stable false\n" in res.output
+    assert res.output.endswith("outcome fail\n")
+
+
+def test_value_named_false_is_not_a_verdict(runner, fixture_dir, tmp_path):
+    """The outcome reads the type of a reported value, not its text."""
+    path = _mutated(fixture_dir, tmp_path, "[diagram consttwo]\n",
+                    "[diagram false]\n")
+    res = run(runner, fixture_dir, "colim", path)
+    assert res.exit_code == 0, res.output
+    assert "diagram false\n" in res.output
 
 
 def test_restrict(runner, fixture_dir):
@@ -350,6 +383,31 @@ def test_ill_named_limit_line(runner, fixture_dir, tmp_path, name, old, new,
         res = run(runner, fixture_dir, command, diagram, "--vertex", bad)
         assert res.exit_code == 2, res.output
         assert "error category %s: %s" % (name[:-4], message) in res.output
+
+
+@pytest.mark.parametrize("drop, tmap, message", [
+    (["terminal o\n"], "id_o", "tmap at o has no chosen terminal"),
+    (["terminal o\n"], "zz", "tmap at o names unknown zz"),
+    (["terminal o\n", "product o o = o id_o id_o\n",
+      "equalizer id_o id_o = o id_o\n"], "zz", "tmap at o names unknown zz"),
+], ids=["no-terminal", "unknown", "only-tmap"])
+def test_tmap_without_terminal_is_checked(runner, fixture_dir, tmp_path,
+                                          drop, tmap, message):
+    """A tmap line makes a limit assignment and is checked with no chosen
+    terminal: validate reports it, a vertex command refuses it."""
+    text = (fixture_dir / "one.cat").read_text()
+    for line in drop:
+        assert text.count(line) == 1
+        text = text.replace(line, "")
+    bad = tmp_path / "one.cat"
+    bad.write_text(text.replace("tmap o = id_o", "tmap o = %s" % tmap))
+    res = run(runner, fixture_dir, "validate", str(bad))
+    assert res.exit_code == 1, res.output
+    assert "violation one %s" % message in res.output
+    for command, diagram in VERTEX_COMMANDS:
+        res = run(runner, fixture_dir, command, diagram, "--vertex", str(bad))
+        assert res.exit_code == 2, res.output
+        assert "error category one: %s" % message in res.output
 
 
 @pytest.mark.parametrize("command", DIAGRAM_COMMANDS,

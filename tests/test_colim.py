@@ -2,17 +2,22 @@ import pytest
 
 from sitecolim import standard
 from sitecolim.colim import (build_pseudocolimit, colim_finite_limit,
-                             colim_limit_assignment, factor_cone, obj_name,
+                             colim_limit_assignment, factor_cone,
+                             lift_diagram, obj_name, reindex_iso,
                              verify_bicolimit)
 from sitecolim.cones import enumerate_modifications, enumerate_pseudocones
 from sitecolim.core import (Budget, NatTrans, enumerate_nat_trans,
                             equivalence_witness, validate_category,
                             validate_functor, validate_nat_trans)
-from sitecolim.errors import BudgetExceeded, NoSolution, NotFiltered
-from sitecolim.limits import (check_exact, discrete_pair, empty_diagram,
-                              is_limiting_cone, parallel_pair,
+from sitecolim.errors import BudgetExceeded, NotFiltered, SitecolimError
+from sitecolim.limits import (Diagram, check_exact, discrete_pair,
+                              empty_diagram, is_limiting_cone, parallel_pair,
                               validate_assignment)
 from sitecolim.twocat import constant_diagram
+
+
+class NoSolution(SitecolimError):
+    """A mediating cell guaranteed to exist was not found."""
 
 
 def factor_cell(R, t, phi):
@@ -163,6 +168,44 @@ def test_colim_equalizer(diamondchain_colim, diamond_fiber_limits):
              for g in L.hom(L.mor_src[f], L.mor_tgt[f]) if f != g]
     # identity transitions on a poset: all parallel pairs are equal classes
     assert pairs == []
+
+
+def _non_identity_morphisms(L):
+    return [m for m in L.morphisms() if not L.is_identity(m)]
+
+
+def test_lift_one_edge_diagrams(diamondchain_colim):
+    """Every non-identity morphism m, as a one-edge diagram, lifts to one
+    fiber, and the lifted edge pushed forward through lambda_A and the
+    re-indexing isos is m again."""
+    R = diamondchain_colim
+    L = R.category
+    ms = _non_identity_morphisms(L)
+    assert len(ms) == 69
+    for m in ms:
+        dia = Diagram({"s": L.mor_src[m], "t": L.mor_tgt[m]},
+                      {"e": ("s", "t", m)})
+        A, pick, lifted = lift_diagram(R, dia)
+        i, j, f = lifted.edges["e"]
+        assert (i, j) == ("s", "t")
+        fiber = R.diagram.fibers[A]
+        assert lifted.nodes == {"s": fiber.mor_src[f], "t": fiber.mor_tgt[f]}
+        into_s = reindex_iso(R, A, pick["s"], L.mor_src[m])
+        into_t = reindex_iso(R, A, pick["t"], L.mor_tgt[m])
+        pushed = R.cone.legs[A].mor_map[f]
+        assert L.compose_path(into_t, pushed, L.inverse(into_s)) == m
+
+
+def test_colim_limits_of_lifted_diagrams(diamondchain_colim,
+                                         diamond_fiber_limits):
+    R = diamondchain_colim
+    L = R.category
+    for m in _non_identity_morphisms(L):
+        for dia in (Diagram({"s": L.mor_src[m], "t": L.mor_tgt[m]},
+                            {"e": ("s", "t", m)}),
+                    parallel_pair(L, m, m)):
+            cone = colim_finite_limit(R, dia, diamond_fiber_limits)
+            assert is_limiting_cone(L, dia, cone), (m, dia)
 
 
 def test_colim_limit_assignment_valid(diamondchain_colim,

@@ -111,8 +111,10 @@ def test_standard_diagrams(build, exhaustive_calls):
     fl = {A: poset_limits(C) for A, C in dia.fibers.items()}
     C1 = dia.index.cells1
     for u in dia.index.one_cells():
-        F = dia.on1[u]  # swap_chain's transitions land in another diamond
-        agrees(F, fl[C1.mor_src[u]], poset_limits(F.target), exhaustive_calls)
+        F = dia.on1[u]
+        assert F.source is dia.fibers[C1.mor_src[u]]
+        assert F.target is dia.fibers[C1.mor_tgt[u]]
+        agrees(F, fl[C1.mor_src[u]], fl[C1.mor_tgt[u]], exhaustive_calls)
     R = build_pseudocolimit(dia)
     L = colim_limit_assignment(R, fl)
     verdicts = set()

@@ -17,8 +17,8 @@ from sitecolim.twocat import TwoCat, check_two_functor
 
 ALL_FIXTURES = ["one.cat", "two.cat", "chaotic.cat", "diamond.cat",
                 "chain3.2cat", "consttwo.diag", "inclchain.diag",
-                "swapchain.diag", "notfiltered.diag", "covereddiamond.diag",
-                "sheaves.pre", "nonsheaf.pre"]
+                "swapchain.diag", "walkingiso.diag", "notfiltered.diag",
+                "covereddiamond.diag", "sheaves.pre", "nonsheaf.pre"]
 
 
 def print_environment(env: Environment) -> str:
@@ -61,6 +61,15 @@ def test_generated_corpus_is_canonical(fixture_dir):
                  "chain3.2cat"):
         text = (fixture_dir / name).read_text()
         assert print_environment(parse(text)) == text
+
+
+def test_corpus_cell_lines(fixture_dir):
+    """walkingiso.diag sends both non-identity 2-cells to its one named
+    transformation and derives the identity 2-cells."""
+    env = parse((fixture_dir / "walkingiso.diag").read_text())
+    dia = env["walkingiso"].diagram
+    assert dia.on2["g"] is env["ididtwo"] is dia.on2["ginv"]
+    assert sorted(dia.on2) == sorted(dia.index.two_cells())
 
 
 def test_missing_header():

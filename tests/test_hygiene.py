@@ -1,6 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-every import sits at module level, and no public function is there only
-for the tests.
+every import sits at module level, and no public function or class is
+there only for the tests.
 
 A stdlib-only stand-in for an unused-import lint.  `__init__.py` is left
 out of the unused-import check because its imports are the package's
@@ -71,16 +71,18 @@ def test_no_function_local_imports(path):
     assert local_imports(path.read_text()) == []
 
 
-def public_functions(source):
-    """Names of the undecorated public top-level functions."""
+def public_definitions(source):
+    """Names of the public top-level classes, decorated or not, and of the
+    undecorated public top-level functions."""
     return [n.name for n in ast.parse(source).body
-            if isinstance(n, ast.FunctionDef) and not n.decorator_list
+            if (isinstance(n, ast.ClassDef)
+                or isinstance(n, ast.FunctionDef) and not n.decorator_list)
             and not n.name.startswith("_")]
 
 
 def referenced_names(source):
     """Every name the source loads, reads as an attribute or spells as a
-    string, except where a top-level function names itself."""
+    string, except where a top-level definition names itself."""
     found = set()
     for top in ast.parse(source).body:
         own = getattr(top, "name", None)
@@ -99,12 +101,12 @@ def referenced_names(source):
     return found
 
 
-def unreferenced_functions(modules, users, allowed=()):
-    """(module, function) for each public function of `modules` (name ->
-    source) that no source in `users` references."""
+def unreferenced_definitions(modules, users, allowed=()):
+    """(module, name) for each public function or class of `modules`
+    (name -> source) that no source in `users` references."""
     used = set().union(*map(referenced_names, users))
     return sorted((m, f) for m, source in modules.items()
-                  for f in public_functions(source)
+                  for f in public_definitions(source)
                   if f not in used and f not in allowed)
 
 
@@ -115,10 +117,15 @@ def test_unreferenced_functions_detected():
            "@command\ndef cli():\n    pass\n"
            "def _private():\n    pass\n"
            "def allowed():\n    pass\n"
-           "class K:\n    def method(self):\n        pass\n")
-    users = [lib, "x = mod.used()\nLAYERS = ('by_name',)\n"]
-    assert unreferenced_functions({"lib": lib}, users, {"allowed"}) == [
-        ("lib", "only_tests")]
+           "class K:\n    def method(self):\n        pass\n"
+           "class Error(Exception):\n    pass\n"
+           "class Raised(Error):\n    pass\n"
+           "@dataclass\nclass Record:\n    x: int\n"
+           "class _Hidden:\n    pass\n"
+           "def f():\n    raise Raised()\n")
+    users = [lib, "x = mod.used()\nLAYERS = ('by_name',)\nmod.f()\n"]
+    assert unreferenced_definitions({"lib": lib}, users, {"allowed"}) == [
+        ("lib", "K"), ("lib", "Record"), ("lib", "only_tests")]
 
 
 def test_no_test_only_functions():
@@ -127,4 +134,4 @@ def test_no_test_only_functions():
     users.append((ROOT / "fixtures" / "gen.py").read_text())
     modules = {p.name: p.read_text() for p in MODULES
                if p.name != "standard.py"}
-    assert unreferenced_functions(modules, users, TEST_ONLY_ALLOWED) == []
+    assert unreferenced_definitions(modules, users, TEST_ONLY_ALLOWED) == []

@@ -106,6 +106,27 @@ def test_site_report_matches_reference(monkeypatch):
     assert got_budget.used <= want_budget.used
 
 
+def test_lambda_factored_once(monkeypatch):
+    """verify_bicolimit factors the colimit cone once per call, passing or
+    failing, and not at all without functors to test."""
+    calls = []
+    factor = colim.factor_cone
+
+    def counted(R, h):
+        calls.append(h)
+        return factor(R, h)
+
+    monkeypatch.setattr(colim, "factor_cone", counted)
+    R, X = _built(standard.const_two_diagram), standard.two()
+    for case in (R, _constant_cone(R)):
+        calls.clear()
+        colim.verify_bicolimit(case, X)
+        assert len(calls) == 1 and calls[0] is case.cone
+    calls.clear()
+    assert colim.verify_bicolimit(R, X, funcs=[], cones=[]).strict_triangle
+    assert calls == []
+
+
 ENUMERATION_CASES = sorted(k for k, (_, _, extra) in CASES.items()
                            if extra is None)
 

@@ -318,16 +318,15 @@ def _parse_diagram(name, body, env):
             raise FixtureError("unknown diagram line %s" % t[0], ln)
     _expect(index is not None, "diagram needs an index",
             body[0][0] if body else 1)
-    covariant = orientation == "covariant"
     dia = TwoDiagram(name, index, {A: b.cat for A, b in fibers.items()},
-                     {}, {}, covariant)
+                     {}, {})
     out = DiagramBlock(dia, generators, fibers)
     bad = _inherited(env, named + [("fiber %s (%s)" % (A, b.cat.name),
                                     b.cat.name)
                                    for A, b in sorted(fibers.items())])
     if bad:
         return out, bad
-    if not covariant:
+    if orientation == "op":
         dia.index = index = opposite_two_cat(index)
     for A in index.objects():
         if A not in fibers:
@@ -472,8 +471,8 @@ def print_category(block: CategoryBlock) -> list[str]:
         A = block.limits
         if A.terminal is not None:
             out.append("terminal %s" % A.terminal)
-            for o in sorted(A.tmap):
-                out.append("tmap %s = %s" % (o, A.tmap[o]))
+        for o in sorted(A.tmap):
+            out.append("tmap %s = %s" % (o, A.tmap[o]))
         for (a, b) in sorted(A.products):
             p, p1, p2 = A.products[(a, b)]
             out.append("product %s %s = %s %s %s" % (a, b, p, p1, p2))

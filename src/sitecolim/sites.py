@@ -96,15 +96,14 @@ class SiteMorphism:
     target: Site  # site of functor.target
 
     def validate(self) -> list[str]:
-        out = []
         ok, _ = check_exact(self.functor, self.source.limits,
                             self.target.limits)
         if not ok:
-            out.append("underlying functor is not exact")
+            return ["underlying functor is not exact"]
         ok, bad = check_continuous(self.functor, self.source, self.target)
         if not ok:
-            out.append("cover %r of %s not preserved" % (bad[1], bad[0]))
-        return out
+            return ["cover %r of %s not preserved" % (bad[1], bad[0])]
+        return []
 
 
 @dataclass

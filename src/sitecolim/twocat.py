@@ -1,10 +1,10 @@
 """Finite index 2-categories and strict 2-functors into categories.
 
-The 1-cell layer of a TwoCat is itself a FinCat; 2-cells sit on top with
-vertical/horizontal composition tables.  Diagrams are strict 2-functors
-index -> Cat; data that arrives in the opposite orientation is flipped at
-ingestion (opposite_two_cat) and flagged, so everything downstream sees one
-covariant convention.
+The 1-cell layer of a TwoCat is itself a FinCat, and so is each composition
+layer of its 2-cells: vertically, 2-cells run between 1-cells; horizontally,
+between objects.  Diagrams are strict 2-functors index -> Cat; data that
+arrives in the opposite orientation is flipped at ingestion
+(opposite_two_cat), so everything downstream sees one covariant convention.
 """
 
 from __future__ import annotations
@@ -25,14 +25,13 @@ class TwoCat:
     two_id: dict[str, str]  # 1-cell -> identity 2-cell
     vcomp: dict[tuple[str, str], str]
     hcomp: dict[tuple[str, str], str]  # (beta over B->C, alpha over A->B)
-    # (source 1-cell, target 1-cell) -> sorted 2-cells, built once
-    _between: dict = field(default=None, repr=False, compare=False)
+    # 1-cells as objects, 2-cells as morphisms, vcomp as composition
+    vertical: FinCat = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        between = {}
-        for g in sorted(self.two_src):
-            between.setdefault(self.parallel(g), []).append(g)
-        self._between = {k: tuple(v) for k, v in between.items()}
+        self.vertical = FinCat(self.name + ".v", self.cells1.morphisms(),
+                               self.two_src, self.two_tgt, self.two_id,
+                               self.vcomp)
 
     def objects(self):
         return self.cells1.objects
@@ -48,19 +47,11 @@ class TwoCat:
         return self.two_src[g], self.two_tgt[g]
 
     def two_cells_between(self, u, v):
-        return self._between.get((u, v), ())
+        return self.vertical.hom(u, v)
 
     def invertible_cells_between(self, u, v):
         return [g for g in self.two_cells_between(u, v)
-                if self.vinverse(g) is not None]
-
-    def vinverse(self, g):
-        u, v = self.parallel(g)
-        for h in self.two_cells_between(v, u):
-            if (self.vcomp.get((h, g)) == self.two_id[u]
-                    and self.vcomp.get((g, h)) == self.two_id[v]):
-                return h
-        return None
+                if self.vertical.is_iso(g)]
 
     def whisker_post(self, w, g):
         """w . g for a 1-cell w composable after the boundary of g."""
@@ -80,103 +71,60 @@ def two_cat_from_cat(C: FinCat, name=None) -> TwoCat:
 
 
 def validate_two_cat(A: TwoCat) -> list[str]:
-    """Enrichment and interchange constraints, exhaustively."""
-    out = list(validate_category(A.cells1))
+    """Enrichment and interchange constraints, exhaustively: the 1-cells,
+    and the 2-cells under each composition, form categories; the
+    horizontal composites and identities sit over the 1-cell composites;
+    and interchange holds."""
+    out = validate_category(A.cells1)
     if out:
         return ["1-cell layer: %s" % v for v in out]
+    out = validate_category(A.vertical)
+    if out:
+        return ["vertical layer: %s" % v for v in out]
     C = A.cells1
     cells = A.two_cells()
     for g in cells:
         u, v = A.parallel(g)
-        if u not in C.mor_src or v not in C.mor_src:
-            out.append("2-cell %s has unknown boundary" % g)
-        elif (C.mor_src[u], C.mor_tgt[u]) != (C.mor_src[v], C.mor_tgt[v]):
+        if (C.mor_src[u], C.mor_tgt[u]) != (C.mor_src[v], C.mor_tgt[v]):
             out.append("2-cell %s boundary not parallel" % g)
-    for u in C.morphisms():
-        g = A.two_id.get(u)
-        if g is None or A.two_src.get(g) != u or A.two_tgt.get(g) != u:
-            out.append("1-cell %s has no valid identity 2-cell" % u)
-    known = set(cells)
-    for kind, op, table in (("vertical", ".", A.vcomp),
-                            ("horizontal", "*", A.hcomp)):
-        for (h, g), k in table.items():
-            if not {h, g, k} <= known:
-                out.append("%s composite %s %s %s = %s names an unknown "
-                           "2-cell" % (kind, h, op, g, k))
     if out:
         return out
-    starting = {}  # 1-cell -> the 2-cells out of it, in `cells` order
-    leaving = {}  # object -> the 2-cells on 1-cells out of it, likewise
-    for g in cells:
-        starting.setdefault(A.two_src[g], []).append(g)
-        leaving.setdefault(C.mor_src[A.two_src[g]], []).append(g)
-    v_after, h_after = {}, {}  # g -> the cells h with a table entry (h, g)
-    for table, after in ((A.vcomp, v_after), (A.hcomp, h_after)):
-        for h, g in table:
-            after.setdefault(g, set()).add(h)
-    # each hom-category is a category; only a composable pair or a pair
-    # with an entry can be at fault
-    for g in cells:
-        for h in sorted(v_after.get(g, set()).union(
-                starting.get(A.two_tgt[g], ()))):
-            composable = A.two_tgt[g] == A.two_src[h]
-            k = A.vcomp.get((h, g))
-            if composable and k is None:
-                out.append("missing vertical composite %s . %s" % (h, g))
-            elif not composable and k is not None:
-                out.append("spurious vertical composite %s . %s" % (h, g))
-            elif k is not None and (A.two_src[k] != A.two_src[g]
-                                    or A.two_tgt[k] != A.two_tgt[h]):
-                out.append("vertical composite %s . %s mislabelled" % (h, g))
+    horizontal = FinCat(A.name + ".h", C.objects,
+                        {g: C.mor_src[A.two_src[g]] for g in cells},
+                        {g: C.mor_tgt[A.two_src[g]] for g in cells},
+                        {o: A.two_id[C.identities[o]] for o in C.objects},
+                        A.hcomp)
+    out = validate_category(horizontal)
+    if out:
+        return ["horizontal layer: %s" % v for v in out]
+    pairs = _by_right(A.hcomp)
+    for b, a in pairs:
+        c = A.hcomp[(b, a)]
+        if (A.two_src[c] != C.comp[(A.two_src[b], A.two_src[a])]
+                or A.two_tgt[c] != C.comp[(A.two_tgt[b], A.two_tgt[a])]):
+            out.append("horizontal composite %s * %s mislabelled" % (b, a))
     if out:
         return out
-    for g in cells:
-        u, v = A.parallel(g)
-        if A.vcomp[(g, A.two_id[u])] != g or A.vcomp[(A.two_id[v], g)] != g:
-            out.append("vertical identity law fails at %s" % g)
-    for g in cells:
-        for h in starting.get(A.two_tgt[g], ()):
-            for k in starting.get(A.two_tgt[h], ()):
-                if A.vcomp[(k, A.vcomp[(h, g)])] != A.vcomp[(A.vcomp[(k, h)], g)]:
-                    out.append("vertical associativity fails at (%s,%s,%s)"
-                               % (k, h, g))
-    # horizontal layer
-    def h_composable(b, a):
-        return C.mor_tgt[A.two_src[a]] == C.mor_src[A.two_src[b]]
-
-    for a in cells:
-        for b in sorted(h_after.get(a, set()).union(
-                leaving.get(C.mor_tgt[A.two_src[a]], ()))):
-            c = A.hcomp.get((b, a))
-            if h_composable(b, a) and c is None:
-                out.append("missing horizontal composite %s * %s" % (b, a))
-            elif not h_composable(b, a) and c is not None:
-                out.append("spurious horizontal composite %s * %s" % (b, a))
-            elif c is not None:
-                su = C.comp[(A.two_src[b], A.two_src[a])]
-                tv = C.comp[(A.two_tgt[b], A.two_tgt[a])]
-                if A.two_src[c] != su or A.two_tgt[c] != tv:
-                    out.append("horizontal composite %s * %s mislabelled"
-                               % (b, a))
-    if out:
-        return out
-    out_of = {}  # object -> the 1-cells out of it, in order
-    for u in C.morphisms():
-        out_of.setdefault(C.mor_src[u], []).append(u)
-    for u in C.morphisms():
-        for v in out_of.get(C.mor_tgt[u], ()):
-            if A.hcomp[(A.two_id[v], A.two_id[u])] != A.two_id[C.comp[(v, u)]]:
-                out.append("horizontal identity law fails at (%s, %s)" % (v, u))
-    for a in cells:
-        for b in leaving.get(C.mor_tgt[A.two_src[a]], ()):
-            for a2 in starting.get(A.two_tgt[a], ()):
-                for b2 in starting.get(A.two_tgt[b], ()):
-                    lhs = A.hcomp[(A.vcomp[(b2, b)], A.vcomp[(a2, a)])]
-                    rhs = A.vcomp[(A.hcomp[(b2, a2)], A.hcomp[(b, a)])]
-                    if lhs != rhs:
-                        out.append("interchange fails at (%s,%s,%s,%s)"
-                                   % (b2, b, a2, a))
+    for v, u in _by_right(C.comp):
+        if A.hcomp[(A.two_id[v], A.two_id[u])] != A.two_id[C.comp[(v, u)]]:
+            out.append("horizontal identity law fails at (%s, %s)" % (v, u))
+    after = {}  # 2-cell -> the 2-cells vertically composable after it
+    for h, g in sorted(A.vcomp):
+        after.setdefault(g, []).append(h)
+    for b, a in pairs:
+        for a2 in after[a]:
+            for b2 in after[b]:
+                lhs = A.hcomp[(A.vcomp[(b2, b)], A.vcomp[(a2, a)])]
+                rhs = A.vcomp[(A.hcomp[(b2, a2)], A.hcomp[(b, a)])]
+                if lhs != rhs:
+                    out.append("interchange fails at (%s,%s,%s,%s)"
+                               % (b2, b, a2, a))
     return out
+
+
+def _by_right(table):
+    """The keys (g, f) of a composition table, ordered by f, then g."""
+    return sorted(table, key=lambda gf: (gf[1], gf[0]))
 
 
 def opposite_two_cat(A: TwoCat) -> TwoCat:
@@ -192,17 +140,12 @@ def opposite_two_cat(A: TwoCat) -> TwoCat:
 
 @dataclass
 class TwoDiagram:
-    """A strict 2-functor index -> Cat.
-
-    covariant=False records that the data was ingested from the
-    opposite-orientation convention; the stored index is already flipped.
-    """
+    """A strict 2-functor index -> Cat."""
     name: str
     index: TwoCat
     fibers: dict[str, FinCat]
     on1: dict[str, Functor]
     on2: dict[str, NatTrans]
-    covariant: bool = True
 
 
 def constant_diagram(index: TwoCat, C: FinCat, name=None) -> TwoDiagram:

@@ -263,7 +263,74 @@ def validate_category(C):
 
 
 def validate_two_cat(A):
-    """Enrichment and interchange constraints, exhaustively."""
+    """Layer by layer: the 1-cells, the 2-cells under vertical composition
+    and, once their boundaries are parallel, the 2-cells under horizontal
+    composition must each pass validate_category; then every pair of
+    2-cells, every pair of 1-cells and every four 2-cells are scanned for
+    mislabelled horizontal composites, identity 2-cells that do not
+    compose, and failures of interchange."""
+    out = validate_category(A.cells1)
+    if out:
+        return ["1-cell layer: %s" % v for v in out]
+    C = A.cells1
+    cells = A.two_cells()
+    out = validate_category(FinCat(A.name + ".v", C.morphisms(), A.two_src,
+                                   A.two_tgt, A.two_id, A.vcomp))
+    if out:
+        return ["vertical layer: %s" % v for v in out]
+    for g in cells:
+        u, v = A.parallel(g)
+        if (C.mor_src[u], C.mor_tgt[u]) != (C.mor_src[v], C.mor_tgt[v]):
+            out.append("2-cell %s boundary not parallel" % g)
+    if out:
+        return out
+    out = validate_category(FinCat(
+        A.name + ".h", C.objects,
+        {g: C.mor_src[A.two_src[g]] for g in cells},
+        {g: C.mor_tgt[A.two_tgt[g]] for g in cells},
+        {o: A.two_id[C.identities[o]] for o in C.objects}, A.hcomp))
+    if out:
+        return ["horizontal layer: %s" % v for v in out]
+    for a in cells:
+        for b in cells:
+            c = A.hcomp.get((b, a))
+            if c is None:
+                continue
+            su = C.comp[(A.two_src[b], A.two_src[a])]
+            tv = C.comp[(A.two_tgt[b], A.two_tgt[a])]
+            if A.two_src[c] != su or A.two_tgt[c] != tv:
+                out.append("horizontal composite %s * %s mislabelled"
+                           % (b, a))
+    if out:
+        return out
+    for u in C.morphisms():
+        for v in C.morphisms():
+            if C.mor_tgt[u] != C.mor_src[v]:
+                continue
+            if A.hcomp[(A.two_id[v], A.two_id[u])] != A.two_id[C.comp[(v, u)]]:
+                out.append("horizontal identity law fails at (%s, %s)" % (v, u))
+    for a in cells:
+        for b in cells:
+            if C.mor_tgt[A.two_src[a]] != C.mor_src[A.two_src[b]]:
+                continue
+            for a2 in cells:
+                if A.two_tgt[a] != A.two_src[a2]:
+                    continue
+                for b2 in cells:
+                    if A.two_tgt[b] != A.two_src[b2]:
+                        continue
+                    lhs = A.hcomp[(A.vcomp[(b2, b)], A.vcomp[(a2, a)])]
+                    rhs = A.vcomp[(A.hcomp[(b2, a2)], A.hcomp[(b, a)])]
+                    if lhs != rhs:
+                        out.append("interchange fails at (%s,%s,%s,%s)"
+                                   % (b2, b, a2, a))
+    return out
+
+
+def validate_two_cat_by_tables(A):
+    """The table-by-table validator that validate_two_cat replaced, which
+    never checks the horizontal unit and associativity laws: every table
+    it rejects must still be rejected."""
     out = list(validate_category(A.cells1))
     if out:
         return ["1-cell layer: %s" % v for v in out]

@@ -134,7 +134,6 @@ def test_op_orientation_flips_index(fixture_dir):
     flipped = base.replace("orientation covariant", "orientation op")
     env = parse(flipped)
     dia = env["consttwo"].diagram
-    assert not dia.covariant
     # the stored index is flipped: 0_1 now runs 1 -> 0
     assert dia.index.cells1.mor_src["0_1"] == "1"
 
@@ -189,6 +188,18 @@ def test_cone_block_over_a_broken_diagram(fixture_dir):
     assert env.violations["c"] == [
         ("diagram consttwo", "fiber 0 (two): missing composite a . id_0")]
     assert env["c"].coherence == {}
+
+
+def test_print_category_keeps_tmap_without_terminal():
+    """A tmap line with no terminal line survives parse -> print -> parse,
+    and so does its violation."""
+    text = ("%fixture 1\n[category c]\nobject x\nmor id_x : x -> x\n"
+            "id x = id_x\ncomp id_x . id_x = id_x\ntmap x = id_x\n")
+    env = parse(text)
+    printed = render([print_category(env["c"])])
+    assert "tmap x = id_x" in printed.splitlines()
+    assert parse(printed).violations["c"] == env.violations["c"] == [
+        (None, "tmap at x has no chosen terminal")]
 
 
 def test_gen_rewrites_the_corpus(fixture_dir, tmp_path):

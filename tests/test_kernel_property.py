@@ -2,7 +2,8 @@
 the watch-list kernel enumerates the same functors and natural
 transformations, in the same order and under the same names, and charges
 the same Budget; the indexed validators report the same violations, in the
-same order, on randomly broken tables."""
+same order, on randomly broken tables, and reject every broken 2-category
+table that the old table-by-table validator rejected."""
 
 import pytest
 
@@ -17,6 +18,7 @@ from sitecolim.core import (Budget, FinCat, enumerate_functors,  # noqa: E402
 from sitecolim.twocat import (TwoCat, TwoDiagram,  # noqa: E402
                               check_two_functor, two_cat_from_cat,
                               validate_two_cat)
+from test_twocat import walking_two_cell, z2_loop_twocat  # noqa: E402
 
 NAMED = [standard.one(), standard.two(), standard.chaotic_pair(),
          standard.diamond(), standard.parallel_pair_cat(),
@@ -118,7 +120,8 @@ def test_validate_category_matches_reference(C, data):
 
 TWO_CATS = [standard.chain3_twocat(), standard.walking_iso_twocat(),
             standard.discrete_pair_twocat(),
-            two_cat_from_cat(standard.diamond(), "diamond")]
+            two_cat_from_cat(standard.diamond(), "diamond"),
+            z2_loop_twocat(), walking_two_cell()]
 
 
 @settings(max_examples=150, deadline=None)
@@ -148,8 +151,11 @@ def test_validate_two_cat_matches_reference(A, data):
         elif kind.endswith("redirect") and table:
             table[_pick(data, table)] = _pick(data, cells)
     broken = TwoCat(A.name, cells1, two_src, two_tgt, two_id, vcomp, hcomp)
-    assert (_outcome(validate_two_cat, broken)
-            == _outcome(oracle.validate_two_cat, broken))
+    got = _outcome(validate_two_cat, broken)
+    assert got == _outcome(oracle.validate_two_cat, broken)
+    # every table the table-by-table validator rejected is still rejected
+    if oracle.validate_two_cat_by_tables(broken):
+        assert got
 
 
 DIAGRAMS = [standard.const_two_diagram(), standard.inclusion_chain_diagram(),

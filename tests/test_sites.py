@@ -2,10 +2,10 @@ import itertools
 
 import pytest
 
-from sitecolim import standard
+from sitecolim import sites, standard
 from sitecolim.colim import build_pseudocolimit
 from sitecolim.cones import Pseudocone
-from sitecolim.core import NatTrans, compose_functors
+from sitecolim.core import Functor, NatTrans, compose_functors
 from sitecolim.errors import ClosureViolation
 from sitecolim.sites import (Presheaf, Site, SiteDiagram, SiteMorphism,
                              build_colim_site, check_continuous, check_sheaf,
@@ -88,6 +88,27 @@ def test_site_morphism_swap(covered_diamond):
     m = SiteMorphism(standard.diamond_swap(), covered_diamond,
                      covered_diamond)
     assert m.validate() == []
+
+
+def test_site_morphism_stops_at_inexactness(covered_diamond, diamond,
+                                            monkeypatch):
+    """Continuity is checked only for an exact functor."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return check_continuous(*args)
+
+    monkeypatch.setattr(sites, "check_continuous", counted)
+    const_bot = Functor("cbot", diamond, diamond,
+                        {o: "bot" for o in diamond.objects},
+                        {m: "id_bot" for m in diamond.morphisms()})
+    assert (SiteMorphism(const_bot, covered_diamond, covered_diamond)
+            .validate() == ["underlying functor is not exact"])
+    assert calls == []
+    assert SiteMorphism(standard.diamond_swap(), covered_diamond,
+                        covered_diamond).validate() == []
+    assert len(calls) == 1
 
 
 def test_continuity_broken_by_cover_removal(covered_diamond, diamond,

@@ -1,11 +1,13 @@
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 import oracle_kernel as oracle
 from sitecolim import standard
+from sitecolim.cli import main
 from sitecolim.core import FinCat
-from sitecolim.fixtures import DiagramBlock, parse
+from sitecolim.fixtures import DiagramBlock, parse, print_twocat, render
 from sitecolim.twocat import (TwoCat, check_2filtered, check_two_functor,
                               constant_diagram, opposite_two_cat,
                               two_cat_from_cat, validate_two_cat)
@@ -120,6 +122,30 @@ def z2_loop_twocat():
           ("s", "s"): "2id"}
     return TwoCat("z2_loop", cells1, {"2id": "id", "s": "id"},
                   {"2id": "id", "s": "id"}, {"id": "2id"}, dict(z2), dict(z2))
+
+
+def z2_loop_unit_law_broken():
+    """The Z2 loop with every horizontal composite set to 2id: s * 2id = 2id
+    breaks the horizontal unit law and nothing else."""
+    A = z2_loop_twocat()
+    return TwoCat("z2_unit", A.cells1, A.two_src, A.two_tgt, A.two_id,
+                  A.vcomp, {k: "2id" for k in A.hcomp})
+
+
+def test_horizontal_unit_law_checked():
+    assert validate_two_cat(z2_loop_unit_law_broken()) == [
+        "horizontal layer: identity law fails: s . 2id != s",
+        "horizontal layer: identity law fails: 2id . s != s"]
+
+
+def test_validate_refuses_broken_horizontal_unit_law(tmp_path):
+    path = tmp_path / "z2_unit.2cat"
+    path.write_text(render([print_twocat(z2_loop_unit_law_broken())]))
+    res = CliRunner().invoke(main, ["--fixture-dir", str(FIXTURE_DIR),
+                                    "validate", str(path)])
+    assert res.exit_code == 1, res.output
+    assert "horizontal layer: identity law fails: s . 2id != s" in res.output
+    assert "outcome fail" in res.output
 
 
 def walking_two_cell():

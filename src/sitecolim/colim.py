@@ -9,10 +9,12 @@ the implemented relation is the transitive closure of that single-step
 relation, decided by exhaustive search over the (finite) index.
 
 A composite of spans is taken at a common refinement too.  Which
-refinements two spans have depends on the index alone, so each
-build_pseudocolimit call tables them once per distinct index key
-(_Refinements); comparing and composing spans then costs one lookup plus
-the fiber equation or composite.
+refinements two spans have depends on the index alone, so they are tabled
+once per distinct index key (_Refinements); comparing and composing spans
+then costs one lookup plus the fiber equation or composite.  The classes
+do not depend on the order in which composing refinements are searched,
+so a different order (recompose) reruns only the composition table over
+the classes of an existing build.
 """
 
 from __future__ import annotations
@@ -59,9 +61,9 @@ class _Refinements:
     Which apexes carry spans from A to B, and which common refinements
     (D, w1, w2) with invertible comparison 2-cells two spans have, depend on
     their index objects and 1-cells alone; fiber data enters only in the
-    final equation.  Each table fills on first use of a key.  One object
-    lives exactly as long as the build_pseudocolimit call that made it, so
-    `apex_order` (the --seed shuffle) is that build's own.
+    final equation.  Each table fills on first use of a key.  `apex_order`
+    is the order in which composing searches apexes: sorted for a build,
+    shuffled by recompose.
     """
 
     def __init__(self, index: TwoCat, apex_order):
@@ -106,19 +108,19 @@ class _Refinements:
                             out.append((D, w1, w2, alphas, betas))
         return out
 
-    def composing(self, s: Span, t: Span):
-        """The first (D, w1, w2, alpha) with w1 : s.apex -> D,
-        w2 : t.apex -> D and alpha : w1.s.right => w2.t.left invertible,
+    def composing(self, s_apex, s_right, t_apex, t_left):
+        """The first (D, w1, w2, alpha) with w1 : s_apex -> D,
+        w2 : t_apex -> D and alpha : w1.s_right => w2.t_left invertible,
         searching D in apex order, or None."""
-        key = (s.apex, s.right, t.apex, t.left)
+        key = (s_apex, s_right, t_apex, t_left)
         if key not in self._composing:
             A_idx = self.index
             C1 = A_idx.cells1
             self._composing[key] = next(
                 ((D, w1, w2, alpha) for D in self.apex_order
-                 for w1 in C1.hom(s.apex, D) for w2 in C1.hom(t.apex, D)
+                 for w1 in C1.hom(s_apex, D) for w2 in C1.hom(t_apex, D)
                  for alpha in A_idx.invertible_cells_between(
-                     C1.comp[(w1, s.right)], C1.comp[(w2, t.left)])),
+                     C1.comp[(w1, s_right)], C1.comp[(w2, t_left)])),
                 None)
         return self._composing[key]
 
@@ -151,25 +153,58 @@ def span_related(F: TwoDiagram, s: Span, t: Span,
     return False
 
 
-def compose_spans(F: TwoDiagram, s: Span, t: Span,
-                  refinements: _Refinements):
-    """Composite span t after s, via the first common refinement in the
-    build's apex order (then 1-cells and comparison 2-cells in a fixed
-    order).  The composite's class does not depend on the members chosen
-    or on the order: tests/test_span_layer.py composes every member pair of
-    every composable class pair and checks each lands in the class L.comp
-    records."""
-    assert (s.tgt_idx, s.tgt_obj) == (t.src_idx, t.src_obj)
-    found = refinements.composing(s, t)
-    if found is None:
-        raise NotLiftable("no common refinement for %r ; %r" % (s, t))
-    D, w1, w2, alpha = found
-    C1 = F.index.cells1
-    comp = F.fibers[D].compose_path(
-        F.on1[w2].mor_map[t.mor], F.on2[alpha].components[s.tgt_obj],
-        F.on1[w1].mor_map[s.mor])
-    return Span(s.src_idx, s.src_obj, t.tgt_idx, t.tgt_obj, D,
-                C1.comp[(w1, s.left)], C1.comp[(w2, t.right)], comp)
+def compose_spans(F: TwoDiagram, class_members, span_class,
+                  refinements: _Refinements, bud: Budget):
+    """The composition table of the colimit: comp[(m2, m1)] for every
+    composable pair of classes, in the order (p, q), r, m1, m2 of its hom
+    blocks, visiting nonempty blocks only.  Each entry composes the least
+    members s of m1 and t of m2 at the first common refinement in
+    `refinements`' apex order (then 1-cells and comparison 2-cells in a
+    fixed order), and charges `bud` once.  The composite's class does not
+    depend on the members chosen or on the order: tests/test_span_layer.py
+    composes every member pair of every composable class pair and checks
+    each lands in the class L.comp records."""
+    blocks = {}  # (p, q) -> [(class, least member)], nonempty, build order
+    for name, members in class_members.items():
+        s = members[0]
+        blocks.setdefault((s[:2], s[2:4]), []).append((name, s))
+    leaving = {}  # q -> the nonempty blocks (q, r), r in build order
+    for (q, _), block in blocks.items():
+        leaving.setdefault(q, []).append(block)
+    C1comp = F.index.cells1.comp
+    fibers, on1, on2 = F.fibers, F.on1, F.on2
+    composing = refinements.composing
+    charge = bud.charge
+    # (s.apex, s.left, s.right, t.apex, t.left, t.right) -> apex D, its
+    # fiber's table, the maps along w1, w2 and alpha, the composite 1-cells
+    at = {}
+    comp = {}
+    for (_, q), block1 in blocks.items():
+        for block2 in leaving.get(q, ()):
+            for m1, s in block1:
+                A, x, _, y, s_apex, s_left, s_right, s_mor = s
+                for m2, t in block2:
+                    charge()
+                    _, _, B, z, t_apex, t_left, t_right, t_mor = t
+                    key = (s_apex, s_left, s_right, t_apex, t_left, t_right)
+                    got = at.get(key)
+                    if got is None:
+                        found = composing(s_apex, s_right, t_apex, t_left)
+                        if found is None:
+                            raise NotLiftable(
+                                "no common refinement for %r ; %r" % (s, t))
+                        D, w1, w2, alpha = found
+                        got = at[key] = (
+                            D, fibers[D].comp, on1[w1].mor_map,
+                            on1[w2].mor_map, on2[alpha].components,
+                            C1comp[(w1, s_left)], C1comp[(w2, t_right)])
+                    D, fcomp, map1, map2, cells, left, right = got
+                    mor = fcomp[(map2[t_mor], fcomp[(cells[y], map1[s_mor])])]
+                    # a plain tuple hashes and compares equal to the Span
+                    # with the same fields, so none is built for the lookup
+                    comp[(m2, m1)] = span_class[
+                        (A, x, B, z, D, left, right, mor)]
+    return comp
 
 
 @dataclass
@@ -182,13 +217,10 @@ class PseudocolimitResult:
     obj_info: dict[str, tuple[str, str]]  # L object -> (index object, fiber object)
 
 
-def build_pseudocolimit(F: TwoDiagram, budget: Budget | None = None,
-                        apex_seed=None) -> PseudocolimitResult:
-    """Materialize the colimit category and its cone.
-
-    apex_seed shuffles the refinement search order used for composition;
-    the result must not depend on it (well-definedness stress knob).
-    """
+def build_pseudocolimit(F: TwoDiagram,
+                        budget: Budget | None = None) -> PseudocolimitResult:
+    """Materialize the colimit category and its cone; composites are
+    searched for in sorted apex order."""
     ok, datum = check_2filtered(F.index)
     if not ok:
         raise NotFiltered("index fails %s at %r" % (datum[0], datum[1:]))
@@ -200,16 +232,13 @@ def build_pseudocolimit(F: TwoDiagram, budget: Budget | None = None,
             objs.append(obj_name(A, x))
             obj_info[obj_name(A, x)] = (A, x)
 
-    apex_order = sorted(F.index.objects())
-    if apex_seed is not None:
-        rng = random.Random(apex_seed)
-        rng.shuffle(apex_order)
-    refinements = _Refinements(F.index, apex_order)
+    refinements = _Refinements(F.index, sorted(F.index.objects()))
 
     # quotient the spans between each object pair
     span_class = {}
     class_members = {}
-    hom_classes = {}  # (p, q) -> ordered class names
+    mor_src = {}
+    mor_tgt = {}
     for p in objs:
         for q in objs:
             A, x = obj_info[p]
@@ -233,31 +262,16 @@ def build_pseudocolimit(F: TwoDiagram, budget: Budget | None = None,
                 name = "%s>%s#%d" % (p, q, len(named))
                 named.append(name)
                 class_members[name] = members
+                mor_src[name] = p
+                mor_tgt[name] = q
                 for s in members:
                     span_class[s] = name
-            hom_classes[(p, q)] = named
-
-    mor_src = {}
-    mor_tgt = {}
-    for (p, q), names in hom_classes.items():
-        for n in names:
-            mor_src[n] = p
-            mor_tgt[n] = q
     identities = {}
     for p in objs:
         A, x = obj_info[p]
         identities[p] = span_class[identity_span(F, A, x)]
 
-    comp = {}
-    for (p, q), names in hom_classes.items():
-        for r in objs:
-            for m1 in names:
-                for m2 in hom_classes[(q, r)]:
-                    bud.charge()
-                    s = class_members[m1][0]
-                    t = class_members[m2][0]
-                    comp[(m2, m1)] = span_class[
-                        compose_spans(F, s, t, refinements)]
+    comp = compose_spans(F, class_members, span_class, refinements, bud)
 
     L = FinCat("colim_%s" % F.name, tuple(objs), mor_src, mor_tgt,
                identities, comp)
@@ -285,6 +299,17 @@ def build_pseudocolimit(F: TwoDiagram, budget: Budget | None = None,
                                 compose_functors(legs[b], F.on1[u]), comps)
     lam = Pseudocone("lambda_%s" % F.name, F, L, legs, coherence)
     return PseudocolimitResult(F, L, lam, class_members, span_class, obj_info)
+
+
+def recompose(R: PseudocolimitResult, apex_seed, budget: Budget):
+    """R's composition table recomputed over R's classes with the apexes
+    searched in an order shuffled by `apex_seed`; equal to R.category.comp
+    when composition is well defined on classes.  The quotient does not
+    read the apex order, so it is not recomputed."""
+    apex_order = sorted(R.diagram.index.objects())
+    random.Random(apex_seed).shuffle(apex_order)
+    return compose_spans(R.diagram, R.class_members, R.span_class,
+                         _Refinements(R.diagram.index, apex_order), budget)
 
 
 # ---------------------------------------------------------------------------

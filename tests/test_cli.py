@@ -1,5 +1,4 @@
 import re
-from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
@@ -121,26 +120,37 @@ def test_verify_site_fails_on_strict_triangle(runner, fixture_dir,
     assert "outcome fail" in res.output
 
 
-@pytest.mark.parametrize("command", [["colim"],
-                                     ["verify-bicolim", "--vertex",
-                                      "two.cat"]], ids=lambda c: c[0])
+@pytest.mark.parametrize("command", [
+    ["colim", "consttwo.diag"],
+    ["verify-bicolim", "consttwo.diag", "--vertex", "two.cat"],
+    ["site-colim", "covereddiamond.diag"],
+    ["verify-site", "covereddiamond.diag", "--vertex", "one.cat"],
+], ids=lambda c: c[0])
 def test_unstable_seed_fails(runner, fixture_dir, monkeypatch, command):
-    """A seeded rebuild whose category differs is reported as
+    """A seeded recomposition whose table differs is reported as
     `seed_stable false` and fails the run."""
+    monkeypatch.setattr(cli, "recompose", lambda R, seed, budget: {})
+    res = runner.invoke(main, ["--fixture-dir", str(fixture_dir), "--seed",
+                               "7"] + command)
+    assert res.exit_code == 1, res.output
+    assert "seed 7\nseed_stable false\n" in res.output
+    assert res.output.endswith("outcome fail\n")
+
+
+def test_seeded_colim_builds_once(runner, fixture_dir, monkeypatch):
+    """The seeded check recomposes the classes of the one build."""
+    calls = []
     build = cli.build_pseudocolimit
 
-    def unstable(diagram, budget, apex_seed=None):
-        if apex_seed is None:
-            return build(diagram, budget)
-        return SimpleNamespace(category=SimpleNamespace(objects=(), comp={}))
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
 
-    monkeypatch.setattr(cli, "build_pseudocolimit", unstable)
-    res = runner.invoke(main, ["--fixture-dir", str(fixture_dir), "--seed",
-                               "7", command[0], "consttwo.diag"]
-                        + command[1:])
-    assert res.exit_code == 1, res.output
-    assert "seed_stable false\n" in res.output
-    assert res.output.endswith("outcome fail\n")
+    monkeypatch.setattr(cli, "build_pseudocolimit", counted)
+    res = run(runner, fixture_dir, "--seed", "7", "colim", "consttwo.diag")
+    assert res.exit_code == 0, res.output
+    assert "seed_stable true\n" in res.output
+    assert len(calls) == 1
 
 
 def test_value_named_false_is_not_a_verdict(runner, fixture_dir, tmp_path):

@@ -124,7 +124,12 @@ def _checked(obj):
 def _site_diagram(block: DiagramBlock) -> SiteDiagram:
     if not block.fiber_blocks:
         raise FixtureError("diagram has no fiber categories with sites")
-    sites = {A: b.site() for A, b in block.fiber_blocks.items()}
+    made = {}  # id(category block) -> its one Site
+    sites = {}
+    for A, b in block.fiber_blocks.items():
+        if id(b) not in made:
+            made[id(b)] = b.site()
+        sites[A] = made[id(b)]
     return _checked(SiteDiagram(block.diagram, sites))
 
 
@@ -200,7 +205,7 @@ def _seed_stable(run: Run, ctx, R):
     seed = ctx.obj["seed"]
     if seed is None:
         return
-    stable = recompose(R, seed, Budget(run.budget.limit)) == R.category.comp
+    stable = recompose(R, seed, run.budget) == R.category.comp
     run.add("seed", seed)
     run.add("seed_stable", stable)
 

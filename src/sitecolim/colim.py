@@ -500,20 +500,54 @@ def colim_finite_limit(R: PseudocolimitResult, D: Diagram,
 def colim_limit_assignment(R: PseudocolimitResult,
                            fiber_limits: dict[str, LimitAssignment]
                            ) -> LimitAssignment:
-    """A complete chosen-limit structure on the colimit category, built
-    through colim_finite_limit."""
+    """A complete chosen-limit structure on the colimit category.  The
+    terminal and the equalizers are built through colim_finite_limit; the
+    products are read straight off the fibers, to the same cones.
+
+    For a = (B, y) and b = (B', y'), lift_diagram lifts the discrete pair
+    to the first apex A in sorted order with 1-cells from both B and B',
+    along the first u : B -> A and u' : B' -> A.  That lift depends on
+    (B, B') alone, so it is made once per pair of index objects in a call,
+    and each reindex_iso once per (A, u, a).  The product of a and b is
+    A's chosen product of (Fu)y and (Fu')y', pushed along lambda_A, each
+    leg composed with the reindex iso of its side."""
     L = R.category
+    F = R.diagram
     term = colim_finite_limit(R, empty_diagram(), fiber_limits)
     tmap = {}
     for o in L.objects:
         ms = L.hom(o, term.apex)
         assert len(ms) == 1
         tmap[o] = ms[0]
+    lifts = {}  # (B, B') -> (A, u, u')
+    isos = {}  # (A, u, p) -> reindex_iso(R, A, u, p)
+
+    def leg(A, u, p, m):
+        """The colimit leg into p = (B, y) from lambda_A of the fiber
+        morphism m into (Fu)y."""
+        if (A, u, p) not in isos:
+            isos[A, u, p] = reindex_iso(R, A, u, p)
+        return L.comp[(isos[A, u, p], R.cone.legs[A].mor_map[m])]
+
     products = {}
     for a in L.objects:
+        B, y = R.obj_info[a]
         for b in L.objects:
-            cone = colim_finite_limit(R, discrete_pair(a, b), fiber_limits)
-            products[(a, b)] = (cone.apex, cone.legs["l"], cone.legs["r"])
+            B2, y2 = R.obj_info[b]
+            if (B, B2) not in lifts:
+                A, pick, _ = lift_diagram(R, discrete_pair(a, b))
+                lifts[B, B2] = A, pick["l"], pick["r"]
+            A, u, u2 = lifts[B, B2]
+            if A not in fiber_limits:
+                raise IncompleteAssignment("fiber %s has no limit assignment"
+                                           % A)
+            key = (F.on1[u].obj_map[y], F.on1[u2].obj_map[y2])
+            if key not in fiber_limits[A].products:
+                raise IncompleteAssignment("no chosen product for %s in %s"
+                                           % (key, fiber_limits[A].cat.name))
+            p, p1, p2 = fiber_limits[A].products[key]
+            products[(a, b)] = (R.cone.legs[A].obj_map[p], leg(A, u, a, p1),
+                                leg(A, u2, b, p2))
     equalizers = {}
     for f in L.morphisms():
         for g in L.hom(L.mor_src[f], L.mor_tgt[f]):

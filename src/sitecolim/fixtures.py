@@ -332,12 +332,16 @@ def _parse_diagram(name, body, env):
         if A not in fibers:
             raise FixtureError("diagram %s: no fiber for index object %s"
                                % (name, A))
+    identity = {}  # id(fiber category) -> its one identity functor
     for u in index.one_cells():
         a = index.cells1.mor_src[u]
         if u in on1:
             dia.on1[u] = on1[u]
         elif u == index.cells1.identities.get(a):
-            dia.on1[u] = identity_functor(fibers[a].cat)
+            cat = fibers[a].cat
+            if id(cat) not in identity:
+                identity[id(cat)] = identity_functor(cat)
+            dia.on1[u] = identity[id(cat)]
         else:
             raise FixtureError("diagram %s: no transition for 1-cell %s"
                                % (name, u))

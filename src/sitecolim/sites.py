@@ -112,6 +112,11 @@ class SiteDiagram:
     sites: dict[str, Site]  # per index object; sites[A].cat == fibers[A]
 
     def validate(self) -> list[str]:
+        """Each site's violations, then each transition's as a site
+        morphism: one `transition u: ...` line per violation, 1-cell by
+        1-cell.  Each distinct (functor, source site, target site), compared
+        by identity, is checked once: a fixture diagram shares one functor
+        and one site among many 1-cells and fibers."""
         out = []
         idx = self.diagram.index
         for A in idx.objects():
@@ -122,10 +127,14 @@ class SiteDiagram:
             out.extend("site at %s: %s" % (A, v) for v in validate_site(S))
         if out:
             return out
+        verdicts = {}  # (id functor, id source, id target) -> violations
         for u in idx.one_cells():
             a, b = idx.cells1.mor_src[u], idx.cells1.mor_tgt[u]
             m = SiteMorphism(self.diagram.on1[u], self.sites[a], self.sites[b])
-            out.extend("transition %s: %s" % (u, v) for v in m.validate())
+            key = (id(m.functor), id(m.source), id(m.target))
+            if key not in verdicts:
+                verdicts[key] = m.validate()
+            out.extend("transition %s: %s" % (u, v) for v in verdicts[key])
         return out
 
 

@@ -9,10 +9,11 @@ from sitecolim.cones import enumerate_modifications, enumerate_pseudocones
 from sitecolim.core import (Budget, NatTrans, enumerate_nat_trans,
                             equivalence_witness, validate_category,
                             validate_functor, validate_nat_trans)
-from sitecolim.errors import BudgetExceeded, NotFiltered, SitecolimError
-from sitecolim.limits import (Diagram, check_exact, discrete_pair,
-                              empty_diagram, is_limiting_cone, parallel_pair,
-                              validate_assignment)
+from sitecolim.errors import (BudgetExceeded, IncompleteAssignment,
+                              NotFiltered, SitecolimError)
+from sitecolim.limits import (Diagram, LimitAssignment, check_exact,
+                              discrete_pair, empty_diagram, is_limiting_cone,
+                              parallel_pair, validate_assignment)
 from sitecolim.twocat import constant_diagram
 
 
@@ -213,6 +214,56 @@ def test_colim_limit_assignment_valid(diamondchain_colim,
     assert validate_assignment(A) == []
 
 
+@pytest.mark.parametrize("build", [
+    standard.const_two_diagram, standard.inclusion_chain_diagram,
+    standard.diamond_chain_diagram, standard.swap_chain_diagram,
+    standard.walking_iso_diagram], ids=lambda b: b.__name__)
+def test_products_read_off_the_fibers(build):
+    """Every chosen product of the colimit is the cone colim_finite_limit
+    builds by lifting the discrete pair, and the assignment validates."""
+    dia = build()
+    fl = {A: standard.poset_limits(C, lambda a, b, C=C: bool(C.hom(a, b)))
+          for A, C in dia.fibers.items()}
+    R = build_pseudocolimit(dia)
+    L = R.category
+    got = colim_limit_assignment(R, fl)
+    assert len(got.products) == len(L.objects) ** 2
+    for a in L.objects:
+        for b in L.objects:
+            cone = colim_finite_limit(R, discrete_pair(a, b), fl)
+            assert got.products[(a, b)] == (cone.apex, cone.legs["l"],
+                                            cone.legs["r"]), (a, b)
+    assert validate_assignment(got) == []
+
+
+@pytest.mark.parametrize("drop", ["fiber", "product"])
+def test_product_errors_match_lifting(diamondchain_colim, diamond_limits,
+                                      drop):
+    """Without fiber 2's assignment, or without fiber 1's product of a and
+    b, the product table raises what lifting the first failing pair
+    raises."""
+    R = diamondchain_colim
+    L = R.category
+    fl = {A: diamond_limits for A in "012"}
+    if drop == "fiber":
+        del fl["2"]
+    else:
+        fl["1"] = LimitAssignment(
+            diamond_limits.cat, diamond_limits.terminal, diamond_limits.tmap,
+            {k: v for k, v in diamond_limits.products.items()
+             if k != ("a", "b")}, diamond_limits.equalizers)
+    with pytest.raises(IncompleteAssignment) as want:
+        for a in L.objects:
+            for b in L.objects:
+                colim_finite_limit(R, discrete_pair(a, b), fl)
+    with pytest.raises(IncompleteAssignment) as got:
+        colim_limit_assignment(R, fl)
+    assert str(got.value) == str(want.value)
+    assert str(got.value) == ("fiber 2 has no limit assignment"
+                              if drop == "fiber" else
+                              "no chosen product for ('a', 'b') in diamond")
+
+
 def test_cone_legs_exact(diamondchain_colim, diamond_fiber_limits):
     legs = diamondchain_colim.cone.legs
     assert all(check_exact(legs[A], diamond_fiber_limits[A])[0]
@@ -221,7 +272,6 @@ def test_cone_legs_exact(diamondchain_colim, diamond_fiber_limits):
 
 def test_cone_exactness_negative(diamondchain_colim, diamond,
                                  diamond_limits):
-    from sitecolim.limits import LimitAssignment
     corrupted = LimitAssignment(diamond, diamond_limits.terminal,
                                 dict(diamond_limits.tmap),
                                 dict(diamond_limits.products),

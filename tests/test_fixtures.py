@@ -6,6 +6,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+from sitecolim import cli
 from sitecolim.cli import main
 from sitecolim.core import Functor, validate_category
 from sitecolim.errors import FixtureError
@@ -119,6 +120,21 @@ def test_diagram_identity_transitions_filled(fixture_dir):
     assert dia.on1["id_0"].obj_map == {"0": "0", "1": "1"}
     ok, why = check_two_functor(dia)
     assert ok, why
+
+
+@pytest.mark.parametrize("name", ["consttwo.diag", "covereddiamond.diag"])
+def test_identity_one_cells_share_one_functor(fixture_dir, name):
+    """A constant diagram's identity 1-cells share one identity functor,
+    and its fibers one site, so each transition is checked once."""
+    block = [v for v in parse((fixture_dir / name).read_text()).values()
+             if isinstance(v, DiagramBlock)][-1]
+    dia = block.diagram
+    idx = dia.index
+    ids = [dia.on1[idx.cells1.identities[A]] for A in idx.objects()]
+    assert len(ids) == 3 and all(f is ids[0] for f in ids)
+    if name == "covereddiamond.diag":
+        sites = list(cli._site_diagram(block).sites.values())
+        assert len(sites) == 3 and all(S is sites[0] for S in sites)
 
 
 def test_presheaf_block(fixture_dir):

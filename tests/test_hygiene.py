@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
-every import sits at module level, and no public function or class is
-there only for the tests.
+every import sits at module level, no public function or class is there
+only for the tests, and every function the benchmark's tracer names
+exists.
 
 A stdlib-only stand-in for an unused-import lint.  `__init__.py` is left
 out of the unused-import check because its imports are the package's
@@ -135,3 +136,42 @@ def test_no_test_only_functions():
     modules = {p.name: p.read_text() for p in MODULES
                if p.name != "standard.py"}
     assert unreferenced_definitions(modules, users, TEST_ONLY_ALLOWED) == []
+
+
+def missing_layers(tracer_source, modules):
+    """(module, entry) for each entry of the tracer's LAYERS table that
+    names no top-level function, nor Class.method, of `modules`
+    (name -> source)."""
+    layers = next(ast.literal_eval(n.value)
+                  for n in ast.parse(tracer_source).body
+                  if isinstance(n, ast.Assign)
+                  and any(getattr(t, "id", None) == "LAYERS"
+                          for t in n.targets))
+    missing = []
+    for module, entries in layers.items():
+        defined = set()
+        for n in ast.parse(modules.get(module, "")).body:
+            if isinstance(n, ast.FunctionDef):
+                defined.add(n.name)
+            elif isinstance(n, ast.ClassDef):
+                defined.update("%s.%s" % (n.name, m.name) for m in n.body
+                               if isinstance(m, ast.FunctionDef))
+        missing += [(module, f) for f in entries if f not in defined]
+    return missing
+
+
+def test_missing_layers_detected():
+    tracer = ('X = 1\nLAYERS = {"m": ("f", "K.g", "K.f", "gone"),\n'
+              '          "other": ("f",)}\n')
+    lib = "def f():\n    pass\nclass K:\n    def g(self):\n        pass\n"
+    assert missing_layers(tracer, {"m": lib}) == [
+        ("m", "K.f"), ("m", "gone"), ("other", "f")]
+
+
+def test_traced_layers_exist():
+    """`perfbench/tracer.py` wraps the functions LAYERS names; one that is
+    renamed or removed breaks every `--trace 1` run, which no other test
+    makes."""
+    tracer = (ROOT / "perfbench" / "tracer.py").read_text()
+    modules = {p.stem: p.read_text() for p in MODULES}
+    assert missing_layers(tracer, modules) == []

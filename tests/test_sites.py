@@ -2,15 +2,18 @@ import itertools
 
 import pytest
 
-from sitecolim import sites, standard
+from sitecolim import restriction, sites, standard
 from sitecolim.colim import build_pseudocolimit
 from sitecolim.cones import Pseudocone
-from sitecolim.core import Functor, NatTrans, compose_functors
+from sitecolim.core import (Functor, NatTrans, compose_functors,
+                            identity_functor, identity_nat)
 from sitecolim.errors import ClosureViolation
+from sitecolim.restriction import AmbientDiagram
 from sitecolim.sites import (Presheaf, Site, SiteDiagram, SiteMorphism,
                              build_colim_site, check_continuous, check_sheaf,
                              family_is_cover, trivial_site, validate_presheaf,
                              validate_site, verify_site_pseudocolimit)
+from sitecolim.twocat import TwoDiagram, check_two_functor
 
 
 def restrict_pseudocone(h, inclusions, restricted):
@@ -123,6 +126,58 @@ def test_continuity_broken_by_cover_removal(covered_diamond, diamond,
 
 def test_site_diagram_valid(site_diagram):
     assert site_diagram.validate() == []
+
+
+def _cbot_chain3(diamond):
+    """chain3 over diamond with one inexact functor, constant at bot, on
+    0_1 and 0_2, and one identity functor on the other four 1-cells."""
+    idx = standard.chain3_twocat()
+    ident = identity_functor(diamond)
+    cbot = Functor("cbot", diamond, diamond,
+                   {o: "bot" for o in diamond.objects},
+                   {m: "id_bot" for m in diamond.morphisms()})
+    on1 = {u: cbot if u in ("0_1", "0_2") else ident
+           for u in idx.one_cells()}
+    on2 = {idx.two_id[u]: identity_nat(on1[u]) for u in idx.one_cells()}
+    dia = TwoDiagram("cbotchain", idx, {A: diamond for A in "012"}, on1, on2)
+    assert check_two_functor(dia) == (True, None)
+    return dia, ident, cbot
+
+
+@pytest.mark.parametrize("form", ["site", "ambient"])
+def test_each_distinct_transition_checked_once(form, diamond, monkeypatch):
+    """Both validate methods give one line per inexact 1-cell, in 1-cell
+    order, and call check_exact once per distinct (functor, source,
+    target).  Fiber 0 has its own assignment and fibers 1 and 2 share one,
+    so the six 1-cells hold three: the identity at 0, the identity on
+    {1, 2}, and cbot from 0 into {1, 2}."""
+    dia, ident, cbot = _cbot_chain3(diamond)
+    module = sites if form == "site" else restriction
+    calls = []
+    real = module.check_exact
+
+    def counted(F, src, tgt):
+        calls.append((F, src, tgt))
+        return real(F, src, tgt)
+
+    monkeypatch.setattr(module, "check_exact", counted)
+    L0, L12 = (standard.poset_limits(diamond, standard.diamond_le)
+               for _ in range(2))
+    if form == "site":
+        S0, S12 = trivial_site(diamond, L0), trivial_site(diamond, L12)
+        got = SiteDiagram(dia, {"0": S0, "1": S12, "2": S12}).validate()
+        line = "transition %s: underlying functor is not exact"
+    else:
+        got = AmbientDiagram(dia, {"0": L0, "1": L12, "2": L12},
+                             {A: frozenset({"a"}) for A in "012"}).validate()
+        line = "transition %s is not exact"
+    assert got == [line % u for u in dia.index.one_cells()
+                   if dia.on1[u] is cbot]
+    assert len(got) == 2
+    assert len({tuple(map(id, c)) for c in calls}) == len(calls) == 3
+    assert sorted((F is cbot, s is L0, t is L0) for F, s, t in calls) == [
+        (False, False, False), (False, True, True), (True, True, False)]
+    assert all(F is ident or F is cbot for F, _, _ in calls)
 
 
 def test_colim_site_shape(colim_site):

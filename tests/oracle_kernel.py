@@ -9,11 +9,11 @@ the coherence equations pc1/pc2/pcM are evaluated on whiskered and
 vertically composed NatTrans objects; the validators scan every pair of
 morphisms or 2-cells and compose every functor pair afresh; the 2-cells
 between two 1-cells are found by scanning every 2-cell; F3 filters all
-pairs of 2-cells; and every span comparison and composite searches the
-index for its common refinement afresh; and the universal-property
-verifier enumerates the modifications between two images, and again
-between every two cones, and whiskers each transformation with the colimit
-cone; the pseudocone enumerator enumerates every coherence cell afresh
+pairs of 2-cells; every pair of spans is compared, and each comparison
+and composite searches the index for its common refinement afresh; and
+the universal-property verifier enumerates the modifications between two
+images, and again between every two cones, and whiskers each
+transformation with the colimit cone; the pseudocone enumerator enumerates every coherence cell afresh
 for each leg combination; build_category saturates to a fixpoint,
 rewriting in both directions; the standard categories and
 2-categories are written out table by table; and exactness decides each
@@ -21,8 +21,9 @@ image cone against every competing cone at every object of the target.
 They must keep giving the same functors, transformations,
 verdicts, messages, colimit categories, span classes, verification reports,
 presented categories, standard tables, exactness counterexamples and Budget
-counts (the verifier: no fewer) as the library's watch-list kernel,
-table-level checks, indexed validators, boundary index of 2-cells,
+counts (the verifier: no fewer; the span layer, which compares only the
+spans at a weakly terminal apex: the count test_span_layer.build_budget
+computes) as the library's watch-list kernel, table-level checks, indexed validators, boundary index of 2-cells,
 per-build refinement tables, once-per-hom-set verifier, per-call coherence
 table, one-pass saturation, presentations and mediator-iso exactness test.
 The modification enumerator is the library's, frozen so that the reference

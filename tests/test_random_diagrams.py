@@ -1,0 +1,81 @@
+"""The colimit of random 2-filtered diagrams (strategies.diagrams) against
+the frozen all-pairs reference: oracle_kernel.build_pseudocolimit compares
+every pair of spans, the library only the spans at one weakly terminal
+apex.  Both must give the same objects, classes with the same names and
+members, identities, composition table in the same insertion order, and
+cone; the reference built with its apexes searched in a seeded order, and
+the library's table recomposed in that order, must give the same table.
+Every morphism of the colimit, as a one-edge diagram, must lift to one
+fiber and push forward to itself."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import example, given, settings  # noqa: E402
+
+import oracle_kernel as oracle  # noqa: E402
+from sitecolim import colim, standard  # noqa: E402
+from sitecolim.core import (Budget, Functor, identity_functor,  # noqa: E402
+                            identity_nat)
+from sitecolim.limits import Diagram  # noqa: E402
+from sitecolim.twocat import TwoDiagram  # noqa: E402
+from strategies import diagrams, z2_idempotent_twocat  # noqa: E402
+
+SEED = 7
+
+
+def collapsed_pair():
+    """The discrete category on p, q over the Z/2 loop made 2-filtered,
+    its idempotent z sent to the constant functor at p.  The morphism
+    *.p -> *.q of the colimit has the members (id, z, id_p) and
+    (z, z, id_p) only, so lifting it along (id, id), the first pair of
+    1-cells tried, must fail on the right leg."""
+    index = z2_idempotent_twocat("z", "a")
+    C = standard.poset_category("F*", "pq", lambda a, b: a == b)
+    ident = identity_functor(C)
+    const = Functor("const_p", C, C, {"p": "p", "q": "p"},
+                    {"id_p": "id_p", "id_q": "id_p"})
+    return TwoDiagram("collapsed_pair", index, {"*": C},
+                      {"id": ident, "z": const},
+                      {"i": identity_nat(ident), "a": identity_nat(ident),
+                       "j": identity_nat(const)})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(diagrams())
+def test_build_matches_reference(F):
+    got = colim.build_pseudocolimit(F)
+    L = got.category
+    for seed in (None, SEED):
+        want = oracle.build_pseudocolimit(F, apex_seed=seed)
+        M = want.category
+        assert L.objects == M.objects
+        assert list(got.class_members.items()) == \
+            list(want.class_members.items())
+        assert got.span_class == want.span_class
+        assert L.identities == M.identities
+        assert list(L.comp.items()) == list(M.comp.items())
+        assert got.cone.key() == want.cone.key()
+    assert list(colim.recompose(got, SEED, Budget()).items()) == \
+        list(L.comp.items())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(diagrams())
+@example(collapsed_pair())
+def test_one_edge_diagrams_lift(F):
+    R = colim.build_pseudocolimit(F)
+    L = R.category
+    for m in L.morphisms():
+        if L.is_identity(m):
+            continue
+        A, pick, lifted = colim.lift_diagram(R, Diagram(
+            {"s": L.mor_src[m], "t": L.mor_tgt[m]}, {"e": ("s", "t", m)}))
+        _, _, f = lifted.edges["e"]
+        fiber = F.fibers[A]
+        assert lifted.nodes == {"s": fiber.mor_src[f], "t": fiber.mor_tgt[f]}
+        into_s = colim.reindex_iso(R, A, pick["s"], L.mor_src[m])
+        into_t = colim.reindex_iso(R, A, pick["t"], L.mor_tgt[m])
+        pushed = R.cone.legs[A].mor_map[f]
+        assert L.compose_path(into_t, pushed, L.inverse(into_s)) == m

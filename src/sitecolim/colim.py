@@ -8,13 +8,13 @@ invertible comparison 2-cells makes the transported fiber morphisms equal;
 the classes are the transitive closure of that single-step relation.  The
 index is finite and 2-filtered, so some object T receives a 1-cell from
 every object: every span is one single step from its transport to apex T,
-and only the spans at T are compared with each other, by exhaustive search
-over the index (build_pseudocolimit gives the proof).
+and the spans at T are joined along the transports and conjugations that
+generate the relation (build_pseudocolimit gives the proof).
 
 A composite of spans is taken at a common refinement too.  Which
-refinements two spans have depends on the index alone, so they are tabled
-once per distinct index key (_Refinements); comparing and composing spans
-then costs one lookup plus the fiber equation or composite.  The classes
+refinement two spans compose at depends on the index alone, so it is
+tabled once per distinct index key (_Refinements); composing spans then
+costs one lookup plus the fiber composite.  The classes
 do not depend on the order in which composing refinements are searched,
 so a different order (recompose) reruns only the composition table over
 the classes of an existing build.
@@ -61,19 +61,18 @@ def identity_span(F: TwoDiagram, A, x):
 class _Refinements:
     """The index-only half of the span search, tabled for one build.
 
-    Which apexes carry spans from A to B, and which common refinements
-    (D, w1, w2) with invertible comparison 2-cells two spans have, depend on
-    their index objects and 1-cells alone; fiber data enters only in the
-    final equation.  Each table fills on first use of a key.  `apex_order`
-    is the order in which composing searches apexes: sorted for a build,
-    shuffled by recompose.
+    Which apexes carry spans from A to B, and which common refinement
+    (D, w1, w2) with an invertible comparison 2-cell two spans compose at,
+    depend on their index objects and 1-cells alone; fiber data enters only
+    in the final composite.  Each table fills on first use of a key.
+    `apex_order` is the order in which composing searches apexes: sorted
+    for a build, shuffled by recompose.
     """
 
     def __init__(self, index: TwoCat, apex_order):
         self.index = index
         self.apex_order = apex_order
         self._apexes = {}
-        self._relating = {}
         self._composing = {}
 
     def apexes(self, A, B):
@@ -85,30 +84,6 @@ class _Refinements:
             out = self._apexes[(A, B)] = [
                 (apex, u, v) for apex in sorted(self.index.objects())
                 for u in C1.hom(A, apex) for v in C1.hom(B, apex)]
-        return out
-
-    def relating(self, s: Span, t: Span):
-        """Every (D, w1, w2, alphas, betas), D sorted, with w1 : s.apex -> D,
-        w2 : t.apex -> D and nonempty lists of the invertible 2-cells
-        alphas : w1.s.left => w2.t.left and
-        betas : w1.s.right => w2.t.right."""
-        key = (s.apex, s.left, s.right, t.apex, t.left, t.right)
-        out = self._relating.get(key)
-        if out is None:
-            A_idx = self.index
-            C1 = A_idx.cells1
-            out = self._relating[key] = []
-            for D in sorted(A_idx.objects()):
-                for w1 in C1.hom(s.apex, D):
-                    for w2 in C1.hom(t.apex, D):
-                        alphas = A_idx.invertible_cells_between(
-                            C1.comp[(w1, s.left)], C1.comp[(w2, t.left)])
-                        if not alphas:
-                            continue
-                        betas = A_idx.invertible_cells_between(
-                            C1.comp[(w1, s.right)], C1.comp[(w2, t.right)])
-                        if betas:
-                            out.append((D, w1, w2, alphas, betas))
         return out
 
     def composing(self, s_apex, s_right, t_apex, t_left):
@@ -137,23 +112,24 @@ def all_spans(F: TwoDiagram, A, x, B, y, refinements: _Refinements):
     return out
 
 
-def span_related(F: TwoDiagram, s: Span, t: Span,
-                 refinements: _Refinements) -> bool:
-    """Single-step relation: a common refinement with invertible comparison
-    2-cells transporting one fiber morphism onto the other."""
-    if s[:4] != t[:4]:
-        return False
-    x, y = s.src_obj, s.tgt_obj
-    for D, w1, w2, alphas, betas in refinements.relating(s, t):
-        fD = F.fibers[D]
-        f1 = F.on1[w1].mor_map[s.mor]
-        f2 = F.on1[w2].mor_map[t.mor]
-        for alpha in alphas:
-            rhs = fD.comp[(f2, F.on2[alpha].components[x])]
-            for beta in betas:
-                if fD.comp[(F.on2[beta].components[y], f1)] == rhs:
-                    return True
-    return False
+def span_related(F: TwoDiagram, s: Span, t: Span) -> bool:
+    """Single-step relation: a common refinement (D, w1, w2) with invertible
+    comparison 2-cells alpha : w1.s.left => w2.t.left and
+    beta : w1.s.right => w2.t.right transporting one fiber morphism onto
+    the other.  The colimit's classes are the transitive closure of this
+    relation; build_pseudocolimit reaches them along generating steps and
+    does not call it."""
+    index, C1 = F.index, F.index.cells1
+    cells = index.invertible_cells_between
+    return s[:4] == t[:4] and any(
+        F.fibers[D].comp[(F.on2[beta].components[s.tgt_obj],
+                          F.on1[w1].mor_map[s.mor])]
+        == F.fibers[D].comp[(F.on1[w2].mor_map[t.mor],
+                             F.on2[alpha].components[s.src_obj])]
+        for D in sorted(index.objects())
+        for w1 in C1.hom(s.apex, D) for w2 in C1.hom(t.apex, D)
+        for alpha in cells(C1.comp[(w1, s.left)], C1.comp[(w2, t.left)])
+        for beta in cells(C1.comp[(w1, s.right)], C1.comp[(w2, t.right)]))
 
 
 def compose_spans(F: TwoDiagram, class_members, span_class,
@@ -243,17 +219,26 @@ def build_pseudocolimit(F: TwoDiagram,
       object, exists; c_C is the first 1-cell C -> T, except that c_T acts
       as the identity.  T(s), the transport of s along c_C, is one single
       step from s.
-    - Generator steps between T-spans.  For a transport s -> w_*s, F2
-      merges c_C and c_D.w by an invertible gamma after some w'' : T -> E;
-      naturality of F(gamma) at f then makes T(s) and T(w_*s) one single
-      step apart, by the refinement (E, w'', w'', gamma.u, gamma.v).  A
-      conjugation by alpha, beta at D is a conjugation at T by c_D.alpha,
-      c_D.beta.
+    - Generating steps between T-spans.  A T-span s = (T, u, v, f) is
+      joined to its transport (T, eu, ev, (Fe)f) along each non-identity
+      e : T -> T, and to its one-sided conjugates (T, u', v, f.F(a)_x^-1)
+      and (T, u, v', F(b)_y.f) by each non-identity invertible
+      a : u => u' and b : v => v'; a two-sided conjugation is one of each.
+      These steps are enough: a conjugation by alpha, beta at C maps to
+      the conjugation of T(s) at T by c_C.alpha, c_C.beta.  For a
+      transport s -> w_*s with w : C -> D, F2 merges c_C and c_D.w by an
+      invertible gamma after some w'' : T -> E; with e = c_E.w'' in
+      End(T), naturality of F(gamma) at f makes e_*T(s) and e_*T(w_*s)
+      conjugate at T by c_E.gamma.u, c_E.gamma.v, so
+      T(s) ~ e_*T(s) ~ e_*T(w_*s) ~ T(w_*s).  Every invertible 2-cell is
+      its own step, so no choice among comparison 2-cells enters.
 
-    So every span joins the class of T(s), and only the spans at apex T
-    are compared with each other.  The all-pairs quotient is kept as the
-    reference in tests/oracle_kernel.py.  Budget: len(spans) + 1 per
-    object pair, 1 per transported span, 1 per pair of T-spans."""
+    So every span joins the class of T(s), and the T-spans are joined
+    along their generating steps only.  The all-pairs quotient is kept as
+    the reference in tests/oracle_kernel.py.  Budget: len(spans) + 1 per
+    object pair, 1 per transported span, and 1 per generating step out of
+    each T-span: |End(T)| - 1 transports, and one conjugate per
+    non-identity invertible 2-cell out of either leg."""
     ok, datum = check_2filtered(F.index)
     if not ok:
         raise NotFiltered("index fails %s at %r" % (datum[0], datum[1:]))
@@ -270,6 +255,13 @@ def build_pseudocolimit(F: TwoDiagram,
     T = next(T for T in sorted(F.index.objects())
              if all(C1.hom(A, T) for A in F.index.objects()))
     to_T = {A: C1.hom(A, T)[0] for A in F.index.objects() if A != T}
+    loops = [e for e in C1.hom(T, T) if e != C1.identities[T]]
+    # 1-cell w into T -> (a, w') for each non-identity invertible a : w => w'
+    conjugates = {w: [(a, w2) for w2 in C1.hom(A, T)
+                      for a in F.index.invertible_cells_between(w, w2)
+                      if a != F.index.two_id[w]]
+                  for A in F.index.objects() for w in C1.hom(A, T)}
+    fT = F.fibers[T]
 
     # quotient the spans between each object pair at apex T
     span_class = {}
@@ -285,12 +277,21 @@ def build_pseudocolimit(F: TwoDiagram,
             at_T = [s for s in spans if s.apex == T]
             bud.charge(len(spans) - len(at_T))
             find, union = union_find(at_T)
-            for i, s in enumerate(at_T):
-                for t in at_T[i + 1:]:
+            # plain tuples stand for the T-spans one generating step away
+            for s in at_T:
+                u, v, f = s.left, s.right, s.mor
+                for e in loops:
                     bud.charge()
-                    if (find(s) != find(t)
-                            and span_related(F, s, t, refinements)):
-                        union(s, t)
+                    union(s, (A, x, B, y, T, C1.comp[(e, u)], C1.comp[(e, v)],
+                              F.on1[e].mor_map[f]))
+                for a, u2 in conjugates[u]:
+                    bud.charge()
+                    union(s, (A, x, B, y, T, u2, v, fT.comp[
+                        (f, fT.inverse(F.on2[a].components[x]))]))
+                for b, v2 in conjugates[v]:
+                    bud.charge()
+                    union(s, (A, x, B, y, T, u, v2,
+                              fT.comp[(F.on2[b].components[y], f)]))
             # spans come sorted, so naming classes on their first member
             # orders them by least member, each with its members sorted
             named = {}  # root T-span -> class name
@@ -467,39 +468,21 @@ def lift_diagram(R: PseudocolimitResult, D: Diagram):
     C1 = F.index.cells1
     nodes = sorted(D.nodes)
     for A in sorted(F.index.objects()):
-        choices = []
-        feasible = True
-        for n in nodes:
-            B, y = R.obj_info[D.nodes[n]]
-            cands = C1.hom(B, A)
-            if not cands:
-                feasible = False
-                break
-            choices.append(cands)
-        if not feasible:
-            continue
+        choices = [C1.hom(R.obj_info[D.nodes[n]][0], A) for n in nodes]
         for combo in itertools.product(*choices):
             pick = dict(zip(nodes, combo))
             edges = {}
-            ok = True
             for e, (i, j, m) in D.edges.items():
-                Bi, yi = R.obj_info[D.nodes[i]]
-                Bj, yj = R.obj_info[D.nodes[j]]
-                lifted = None
-                for s in R.class_members[m]:
-                    if s.apex == A and s.left == pick[i] and s.right == pick[j]:
-                        lifted = s.mor
-                        break
+                lifted = next((s.mor for s in R.class_members[m]
+                               if s.apex == A and s.left == pick[i]
+                               and s.right == pick[j]), None)
                 if lifted is None:
-                    ok = False
                     break
                 edges[e] = (i, j, lifted)
-            if ok:
-                lifted_nodes = {}
-                for n in nodes:
-                    B, y = R.obj_info[D.nodes[n]]
-                    lifted_nodes[n] = F.on1[pick[n]].obj_map[y]
-                return A, pick, Diagram(lifted_nodes, edges)
+            else:
+                return A, pick, Diagram(
+                    {n: F.on1[pick[n]].obj_map[R.obj_info[D.nodes[n]][1]]
+                     for n in nodes}, edges)
     raise NotLiftable("diagram does not lift to a single fiber")
 
 

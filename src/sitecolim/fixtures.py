@@ -26,8 +26,9 @@ checked table, limit assignment, site; a diagram index, fibers, 2-functor
 and generator sets.  A block that names a block with violations inherits
 its first one under the naming line (`index chain3: ...`,
 `fiber 0 (two): ...`) and derives nothing more: no identity transitions,
-2-cells or coherences, no empty presheaf sets.  Malformed lines and
-unknown block names raise FixtureError.
+2-cells or coherences, no empty presheaf sets.  Malformed lines, unknown
+block names and a line that sets an entry an earlier line of its block
+set raise FixtureError.
 """
 
 from __future__ import annotations
@@ -125,8 +126,29 @@ def parse(text: str, env: Environment | None = None) -> Environment:
             raise FixtureError("block name %s repeated in one file" % name,
                                ln)
         defined.add(name)
-        env[name], env.violations[name] = builder(name, body, env)
+        _check_repeats(body)
+        env[name], env.violations[name] = builder(name, ln, body, env)
     return env
+
+
+def _check_repeats(body):
+    """Raise on a line that sets an entry an earlier line of the block set:
+    its keyword and the names before its first `:`, `=` or `->`, or the
+    keyword alone on a line with none of them.  object, generator and
+    cover lines add an entry each and may repeat."""
+    first = {}  # entry -> the line that set it
+    for ln, t in body:
+        if t[0] in {"object", "generator", "cover"}:
+            continue
+        for end, tok in enumerate(t):
+            if tok in {":", "=", "->"}:
+                break
+        else:
+            end = 1
+        key = " ".join(t[:end])
+        if key in first:
+            raise FixtureError("%s repeats line %d" % (key, first[key]), ln)
+        first[key] = ln
 
 
 def _own(messages):
@@ -171,7 +193,7 @@ def _core_line(tables, ln, t):
     return True
 
 
-def _parse_category(name, body, env):
+def _parse_category(name, head, body, env):
     tables = [], {}, {}, {}, {}
     terminal, tmap, products, equalizers = None, {}, {}, {}
     covers, generators = {}, set()
@@ -213,7 +235,7 @@ def _parse_category(name, body, env):
     return block, _own(bad)
 
 
-def _parse_twocat(name, body, env):
+def _parse_twocat(name, head, body, env):
     tables = [], {}, {}, {}, {}
     two_src, two_tgt, two_id, vcomp, hcomp = {}, {}, {}, {}, {}
     for ln, t in body:
@@ -255,7 +277,7 @@ def _cat_of(value, where, ln):
     raise FixtureError("%s must name a category" % where, ln)
 
 
-def _parse_functor(name, body, env):
+def _parse_functor(name, head, body, env):
     ends, obj_map, mor_map, named = {}, {}, {}, []
     for ln, t in body:
         if t[0] in ("source", "target"):
@@ -268,13 +290,12 @@ def _parse_functor(name, body, env):
             mor_map[t[1]] = t[3]
         else:
             raise FixtureError("unknown functor line %s" % t[0], ln)
-    _expect(len(ends) == 2,
-            "functor needs source and target", body[0][0] if body else 1)
+    _expect(len(ends) == 2, "functor needs source and target", head)
     F = Functor(name, ends["source"], ends["target"], obj_map, mor_map)
     return F, _inherited(env, named) or _own(validate_functor(F))
 
 
-def _parse_nattrans(name, body, env):
+def _parse_nattrans(name, head, body, env):
     ends, components, named = {}, {}, []
     for ln, t in body:
         if t[0] in ("source", "target"):
@@ -284,13 +305,12 @@ def _parse_nattrans(name, body, env):
             components[t[1]] = t[3]
         else:
             raise FixtureError("unknown nattrans line %s" % t[0], ln)
-    _expect(len(ends) == 2,
-            "nattrans needs source and target", body[0][0] if body else 1)
+    _expect(len(ends) == 2, "nattrans needs source and target", head)
     a = NatTrans(name, ends["source"], ends["target"], components)
     return a, _inherited(env, named) or _own(validate_nat_trans(a))
 
 
-def _parse_diagram(name, body, env):
+def _parse_diagram(name, head, body, env):
     index = None
     orientation = "covariant"
     fibers, on1, on2 = {}, {}, {}
@@ -316,8 +336,7 @@ def _parse_diagram(name, body, env):
             generators[t[1]] = frozenset(t[3:])
         else:
             raise FixtureError("unknown diagram line %s" % t[0], ln)
-    _expect(index is not None, "diagram needs an index",
-            body[0][0] if body else 1)
+    _expect(index is not None, "diagram needs an index", head)
     dia = TwoDiagram(name, index, {A: b.cat for A, b in fibers.items()},
                      {}, {})
     out = DiagramBlock(dia, generators, fibers)
@@ -382,7 +401,7 @@ def _generator_violations(index, fibers, generators):
     return out
 
 
-def _parse_cone(name, body, env):
+def _parse_cone(name, head, body, env):
     diagram = vertex = None
     legs, coherence, named = {}, {}, []
     for ln, t in body:
@@ -401,7 +420,7 @@ def _parse_cone(name, body, env):
         else:
             raise FixtureError("unknown cone line %s" % t[0], ln)
     _expect(diagram is not None and vertex is not None,
-            "cone needs diagram and vertex", body[0][0] if body else 1)
+            "cone needs diagram and vertex", head)
     h = Pseudocone(name, diagram, vertex, legs, coherence)
     bad = _inherited(env, named)
     if bad:
@@ -415,7 +434,7 @@ def _parse_cone(name, body, env):
     return h, [] if ok else [(None, why)]
 
 
-def _parse_presheaf(name, body, env):
+def _parse_presheaf(name, head, body, env):
     cat = None
     sets, maps, named = {}, {}, []
     for ln, t in body:
@@ -429,8 +448,7 @@ def _parse_presheaf(name, body, env):
             maps.setdefault(t[1], {})[t[2]] = t[4]
         else:
             raise FixtureError("unknown presheaf line %s" % t[0], ln)
-    _expect(cat is not None, "presheaf needs a category",
-            body[0][0] if body else 1)
+    _expect(cat is not None, "presheaf needs a category", head)
     P = Presheaf(name, cat, sets, maps)
     bad = _inherited(env, named)
     if bad:

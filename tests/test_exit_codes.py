@@ -8,7 +8,10 @@ are two sweeps:
 - one substitution per line kind (a block kind and a first token, such as
   `tmap` in a category or `generators` in a diagram): the last name on the
   first such line becomes the unknown name `zz`.  A deletion never brings
-  in an unknown name; this sweep does.
+  in an unknown name; this sweep does.  A wider sweep substitutes every
+  name position of that line, both with `zz` and with each name from
+  another slot of the line, which puts known names of the wrong kind in
+  a slot (a morphism where an object is expected).
 
 An edited `one.cat`, `two.cat` or `diamond.cat` is also read as the
 `--vertex` of `verify-bicolim` and `verify-site`.  For every run:
@@ -64,9 +67,8 @@ def deletions(name):
             yield i + 1, "".join(lines[:i] + lines[i + 1:])
 
 
-def substitutions(name):
-    """(line number, text with that line's last name replaced by `zz`) for
-    the first line of each kind."""
+def first_lines(name):
+    """(line index, all lines, tokens) for the first line of each kind."""
     lines = (FIXTURE_DIR / name).read_text().splitlines(keepends=True)
     block, seen = None, set()
     for i, line in enumerate(lines):
@@ -79,8 +81,37 @@ def substitutions(name):
         if (block, tokens[0]) in seen:
             continue
         seen.add((block, tokens[0]))
-        edited = " ".join(tokens[:-1] + ["zz"]) + "\n"
-        yield i + 1, "".join(lines[:i] + [edited] + lines[i + 1:])
+        yield i, lines, tokens
+
+
+def edited(lines, i, tokens):
+    return "".join(lines[:i] + [" ".join(tokens) + "\n"] + lines[i + 1:])
+
+
+def substitutions(name):
+    """(line number, text with that line's last name replaced by `zz`) for
+    the first line of each kind."""
+    for i, lines, tokens in first_lines(name):
+        yield i + 1, edited(lines, i, tokens[:-1] + ["zz"])
+
+
+SEPARATORS = (":", "=", "->", "=>", ".", "*")
+
+
+def wider_substitutions(name):
+    """(line number and edit, edited text) for the first line of each kind:
+    each name position replaced by `zz` (but for the last, which
+    substitutions covers) and by each other name on the line."""
+    for i, lines, tokens in first_lines(name):
+        slots = [k for k in range(1, len(tokens))
+                 if tokens[k] not in SEPARATORS]
+        for k in slots:
+            names = sorted({tokens[j] for j in slots} - {tokens[k]})
+            if k != len(tokens) - 1:
+                names.append("zz")
+            for n in names:
+                yield ("%d (token %d -> %s)" % (i + 1, k, n),
+                       edited(lines, i, tokens[:k] + [n] + tokens[k + 1:]))
 
 
 def invoke(args):
@@ -115,7 +146,7 @@ def sweep(name, mutations, tmp_path, commands):
                 why = "exited %d on input validate rejects" % code
             else:
                 continue
-            out.append("line %d: %s %s" % (line, " ".join(args), why))
+            out.append("line %s: %s %s" % (line, " ".join(args), why))
     return out
 
 
@@ -156,4 +187,23 @@ def test_every_substitution_keeps_the_exit_contract(name, tmp_path):
 @pytest.mark.parametrize("name", VERTICES)
 def test_every_vertex_substitution_keeps_the_exit_contract(name, tmp_path):
     assert sweep(name, substitutions, tmp_path,
+                 vertex_commands(tmp_path)) == []
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_every_wider_substitution_keeps_the_exit_contract(name, tmp_path):
+    """covereddiamond's verify-site takes about a second a run, and the
+    narrower sweeps already run it."""
+    skipped = "verify-site" if name == "covereddiamond.diag" else None
+
+    def commands(path):
+        return [c for c in commands_for(name)(path) if c[0] != skipped]
+
+    assert sweep(name, wider_substitutions, tmp_path, commands) == []
+
+
+@pytest.mark.parametrize("name", VERTICES)
+def test_every_wider_vertex_substitution_keeps_the_exit_contract(
+        name, tmp_path):
+    assert sweep(name, wider_substitutions, tmp_path,
                  vertex_commands(tmp_path)) == []

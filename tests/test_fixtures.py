@@ -235,3 +235,106 @@ def test_gen_rewrites_the_corpus(fixture_dir, tmp_path):
     for name in written:
         assert ((tmp_path / name).read_bytes()
                 == (fixture_dir / name).read_bytes()), name
+
+
+# one block per kind over the blocks of consttwo.diag, its last line
+# setting again the entry named by the key (the cone's block follows the
+# identity transformation it names)
+REPEATS = {
+    "category": (["[category c]", "object o", "mor id_o : o -> o",
+                  "mor e : o -> o", "id o = id_o", "comp id_o . id_o = id_o",
+                  "comp e . id_o = e", "comp id_o . e = e", "comp e . e = e",
+                  "comp e . e = id_o"], "comp e . e"),
+    "twocat": (["[twocat t]", "object o", "mor id_o : o -> o",
+                "id o = id_o", "comp id_o . id_o = id_o",
+                "twocell i : id_o => id_o", "twoid id_o = i",
+                "vcomp i . i = i", "hcomp i * i = i", "twoid id_o = i"],
+               "twoid id_o"),
+    "functor": (["[functor f]", "source two", "target two", "obj 0 -> 0",
+                 "obj 1 -> 1", "mor a -> a", "mor id_0 -> id_0",
+                 "mor id_1 -> id_1", "obj 0 -> 1"], "obj 0"),
+    "nattrans": (["[nattrans n]", "source idtwo", "target idtwo",
+                  "at 0 = id_0", "at 1 = id_1", "target idtwo"], "target"),
+    "diagram": (["[diagram d]", "index chain3", "fiber 0 = two",
+                 "fiber 1 = two", "fiber 2 = two", "transition 0_1 = idtwo",
+                 "transition 0_2 = idtwo", "transition 1_2 = idtwo",
+                 "fiber 1 = two"],
+                "fiber 1"),
+    "cone": (IDENTITY_CELL.splitlines() + [
+        "[cone k]", "diagram consttwo", "vertex two", "leg 0 = idtwo",
+        "leg 1 = idtwo", "leg 2 = idtwo", "coh 0_1 = one_idtwo",
+        "coh 0_2 = one_idtwo", "coh 1_2 = one_idtwo", "vertex two"],
+        "vertex"),
+    "presheaf": (["[presheaf p]", "category two", "set 0 : e",
+                  "set 1 : e", "map a e = e", "map id_0 e = e",
+                  "map id_1 e = e", "set 0 : e f"], "set 0"),
+}
+
+
+def _after_consttwo(fixture_dir, block):
+    """consttwo.diag with the lines of `block` appended, and the line
+    number of its first line."""
+    base = (fixture_dir / "consttwo.diag").read_text()
+    return base + "\n" + "\n".join(block) + "\n", base.count("\n") + 2
+
+
+@pytest.mark.parametrize("kind", sorted(REPEATS))
+def test_repeated_entry_names_both_lines(fixture_dir, kind):
+    """A line that sets an entry an earlier line of its block set is an
+    error, not a silent overwrite."""
+    block, key = REPEATS[kind]
+    text, head = _after_consttwo(fixture_dir, block)
+    lines = [head + i for i, line in enumerate(block)
+             if line == key or line.startswith(key + " ")]
+    assert len(lines) == 2 and lines[1] == head + len(block) - 1
+    with pytest.raises(FixtureError, match="^line %d: %s repeats line %d$"
+                       % (lines[1], key, lines[0])):
+        parse(text)
+    env = parse(text.rsplit("\n", 2)[0] + "\n")  # without the repeat
+    for line in block:
+        if line.startswith("["):
+            assert env.violations[line[1:-1].split()[1]] == []
+
+
+def test_repeated_composite_exits_two(fixture_dir, tmp_path):
+    block, _ = REPEATS["category"]
+    path = tmp_path / "c.cat"
+    path.write_text("%fixture 1\n" + "\n".join(block) + "\n")
+    res = CliRunner().invoke(main, ["validate", str(path)])
+    assert res.exit_code == 2, res.output
+    assert "line 11: comp e . e repeats line 10" in res.output
+
+
+def test_adding_lines_may_repeat(fixture_dir):
+    """object, cover and generator lines add entries; a repeated object
+    stays a violation of the category."""
+    text = (fixture_dir / "covereddiamond.diag").read_text()
+    env = parse(text.replace("generator a\n", "generator a\ngenerator a\n")
+                .replace("cover top : a_top b_top\n",
+                         "cover top : a_top b_top\ncover top : a_top b_top\n"))
+    assert env.violations["diamond"] == []
+    assert env["diamond"].covers["top"].count(("a_top", "b_top")) == 2
+    env = parse("%fixture 1\n[category c]\nobject x\nobject x\n"
+                "mor id_x : x -> x\nid x = id_x\ncomp id_x . id_x = id_x\n")
+    assert (None, "duplicate object x") in env.violations["c"]
+
+
+# a block of each kind with no naming line, and the message it gets
+NO_NAMING_LINE = {
+    "functor": ("obj 0 -> 0", "functor needs source and target"),
+    "nattrans": ("at 0 = id_0", "nattrans needs source and target"),
+    "diagram": ("fiber 0 = two", "diagram needs an index"),
+    "cone": ("leg 0 = idtwo", "cone needs diagram and vertex"),
+    "presheaf": ("set 0 : e", "presheaf needs a category"),
+}
+
+
+@pytest.mark.parametrize("empty", [True, False], ids=["empty", "body"])
+@pytest.mark.parametrize("kind", sorted(NO_NAMING_LINE))
+def test_missing_naming_line_points_at_the_header(fixture_dir, kind, empty):
+    line, message = NO_NAMING_LINE[kind]
+    block = ["[%s x]" % kind] + ([] if empty else [line])
+    text, head = _after_consttwo(fixture_dir, block)
+    with pytest.raises(FixtureError,
+                       match="^line %d: %s$" % (head, message)):
+        parse(text)

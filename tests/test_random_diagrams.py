@@ -6,7 +6,12 @@ members, identities, composition table in the same insertion order, and
 cone; the reference built with its apexes searched in a seeded order, and
 the library's table recomposed in that order, must give the same table.
 Every morphism of the colimit, as a one-edge diagram, must lift to one
-fiber and push forward to itself."""
+fiber and push forward to itself.  On the same draws, L is a category,
+lambda a pseudocone, and every member pair of every composable class pair
+composes, in the sorted and in the seeded apex order, into the class
+L.comp records."""
+
+import random
 
 import pytest
 
@@ -16,8 +21,9 @@ from hypothesis import example, given, settings  # noqa: E402
 
 import oracle_kernel as oracle  # noqa: E402
 from sitecolim import colim, standard  # noqa: E402
+from sitecolim.cones import check_pseudocone  # noqa: E402
 from sitecolim.core import (Budget, Functor, identity_functor,  # noqa: E402
-                            identity_nat)
+                            identity_nat, validate_category)
 from sitecolim.limits import Diagram  # noqa: E402
 from sitecolim.twocat import TwoDiagram  # noqa: E402
 from strategies import diagrams, z2_idempotent_twocat  # noqa: E402
@@ -79,3 +85,21 @@ def test_one_edge_diagrams_lift(F):
         into_t = colim.reindex_iso(R, A, pick["t"], L.mor_tgt[m])
         pushed = R.cone.legs[A].mor_map[f]
         assert L.compose_path(into_t, pushed, L.inverse(into_s)) == m
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(diagrams())
+def test_colimit_is_a_category_with_well_defined_composition(F):
+    R = colim.build_pseudocolimit(F)
+    L = R.category
+    assert validate_category(L) == []
+    ok, why = check_pseudocone(R.cone)
+    assert ok, why
+    shuffled = sorted(F.index.objects())
+    random.Random(SEED).shuffle(shuffled)
+    for order in (sorted(F.index.objects()), shuffled):
+        for (m2, m1), m in L.comp.items():
+            for s in R.class_members[m1]:
+                for t in R.class_members[m2]:
+                    composite = oracle.compose_spans(F, s, t, order)
+                    assert R.span_class[composite] == m, (s, t)

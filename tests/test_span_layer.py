@@ -7,8 +7,9 @@ every span comparison and composite.  Both must give the same colimit
 category (with `comp` in the same insertion order) and the same classes;
 the library's table recomposed in a seeded apex order must equal the
 oracle's table built in that order.  The oracle compares every pair of
-spans, the library only the spans at the weakly terminal apex T, so the
-library's Budget count is computed here from the oracle's spans.
+spans, the library joins the spans at the weakly terminal apex T along
+their generating steps, so the library's Budget count is computed here
+from the index and the oracle's spans.
 """
 
 import random
@@ -82,20 +83,37 @@ LADDER = {"chain%d_%s" % (n, fiber.__name__):
 CASES = {**STANDARD, **LADDER}
 
 
+def weakly_terminal(F):
+    """The first index object, in sorted order, with a 1-cell from every
+    object."""
+    C1 = F.index.cells1
+    return min(T for T in F.index.objects()
+               if all(C1.hom(A, T) for A in F.index.objects()))
+
+
 def build_budget(F, R):
     """The library build's exact Budget count: per object pair with k
-    spans, k_T of them at T, k + 1 for the pair, k - k_T transports and
-    k_T(k_T - 1)/2 comparisons; then one per entry of R's composition
-    table."""
-    C1 = F.index.cells1
-    T = min(T for T in F.index.objects()
-            if all(C1.hom(A, T) for A in F.index.objects()))
+    spans, k_T of them at T, k + 1 for the pair and k - k_T transports;
+    per T-span, one per generating step: |hom(T, T)| - 1 transports and
+    one conjugate per non-identity invertible 2-cell out of either leg
+    (each a 1-cell into T); then one per entry of R's composition table."""
+    index = F.index
+    C1 = index.cells1
+    T = weakly_terminal(F)
+
+    def conjugates(w):
+        return sum(g != index.two_id[w] and index.vertical.is_iso(g)
+                   for g in index.two_cells() if index.two_src[g] == w)
+
     used = 0
     for p in R.category.objects:
         for q in R.category.objects:
             spans = oracle.all_spans(F, *R.obj_info[p], *R.obj_info[q])
-            k, k_T = len(spans), sum(s.apex == T for s in spans)
-            used += (k + 1) + (k - k_T) + k_T * (k_T - 1) // 2
+            at_T = [s for s in spans if s.apex == T]
+            k, k_T = len(spans), len(at_T)
+            used += (k + 1) + (k - k_T) + sum(
+                len(C1.hom(T, T)) - 1 + conjugates(s.left)
+                + conjugates(s.right) for s in at_T)
     return used + len(R.category.comp)
 
 
@@ -137,6 +155,31 @@ def test_all_spans_sorted(case):
             spans = colim.all_spans(F, *R.obj_info[p], *R.obj_info[q],
                                     refinements)
             assert spans == sorted(spans)
+
+
+@pytest.mark.parametrize("case", sorted(STANDARD))
+def test_span_related_pins_the_classes(case):
+    """The single-step relation the build no longer calls: every span is
+    related to its transport to T along the first 1-cell, and no two
+    T-spans in different classes are related."""
+    F = STANDARD[case]()
+    R = colim.build_pseudocolimit(F)
+    C1 = F.index.cells1
+    T = weakly_terminal(F)
+    for p in R.category.objects:
+        for q in R.category.objects:
+            spans = oracle.all_spans(F, *R.obj_info[p], *R.obj_info[q])
+            for s in spans:
+                c = C1.hom(s.apex, T)[0] if s.apex != T else C1.identities[T]
+                t = s._replace(apex=T, left=C1.comp[(c, s.left)],
+                               right=C1.comp[(c, s.right)],
+                               mor=F.on1[c].mor_map[s.mor])
+                assert colim.span_related(F, s, t), (s, t)
+            at_T = [s for s in spans if s.apex == T]
+            for s in at_T:
+                for t in at_T:
+                    if R.span_class[s] != R.span_class[t]:
+                        assert not colim.span_related(F, s, t), (s, t)
 
 
 @pytest.mark.parametrize("case", sorted(STANDARD))

@@ -335,7 +335,7 @@ def sheaf_check(ctx, files):
             run.add("sheaf %s" % pname, ok)
             if not ok:
                 run.add("counterexample %s" % pname,
-                        "%s %s" % (where[0], " ".join(where[1])))
+                        " ".join([where[0], *where[1]]))
 
     _execute(ctx, "sheaf-check", files, body)
 

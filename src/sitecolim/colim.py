@@ -14,10 +14,11 @@ generate the relation (build_pseudocolimit gives the proof).
 A composite of spans is taken at a common refinement too.  Which
 refinement two spans compose at depends on the index alone, so it is
 tabled once per distinct index key (_Refinements); composing spans then
-costs one lookup plus the fiber composite.  The classes
-do not depend on the order in which composing refinements are searched,
-so a different order (recompose) reruns only the composition table over
-the classes of an existing build.
+costs one lookup plus the fiber composite, and a hom-set with one class
+needs neither (compose_spans).  The classes do not depend on the order in
+which composing refinements are searched, so a different order
+(recompose) reruns only the composition table over the classes of an
+existing build.
 """
 
 from __future__ import annotations
@@ -136,13 +137,16 @@ def compose_spans(F: TwoDiagram, class_members, span_class,
                   refinements: _Refinements, bud: Budget):
     """The composition table of the colimit: comp[(m2, m1)] for every
     composable pair of classes, in the order (p, q), r, m1, m2 of its hom
-    blocks, visiting nonempty blocks only.  Each entry composes the least
+    blocks, visiting nonempty blocks only, and charges `bud` once per entry.
+    Where the block (p, r) holds one class, every entry p -> q -> r is that
+    class, with no refinement searched: any composite of spans p -> q and
+    q -> r is a span p -> r.  Elsewhere each entry composes the least
     members s of m1 and t of m2 at the first common refinement in
     `refinements`' apex order (then 1-cells and comparison 2-cells in a
-    fixed order), and charges `bud` once.  The composite's class does not
-    depend on the members chosen or on the order: tests/test_span_layer.py
-    composes every member pair of every composable class pair and checks
-    each lands in the class L.comp records."""
+    fixed order).  The composite's class does not depend on the members
+    chosen or on the order: tests/test_span_layer.py composes every member
+    pair of every composable class pair and checks each lands in the class
+    L.comp records."""
     blocks = {}  # (p, q) -> [(class, least member)], nonempty, build order
     for name, members in class_members.items():
         s = members[0]
@@ -158,8 +162,15 @@ def compose_spans(F: TwoDiagram, class_members, span_class,
     # fiber's table, the maps along w1, w2 and alpha, the composite 1-cells
     at = {}
     comp = {}
-    for (_, q), block1 in blocks.items():
+    for (p, q), block1 in blocks.items():
         for block2 in leaving.get(q, ()):
+            only = blocks[(p, block2[0][1][2:4])]
+            if len(only) == 1:
+                for m1, _ in block1:
+                    for m2, _ in block2:
+                        charge()
+                        comp[(m2, m1)] = only[0][0]
+                continue
             for m1, s in block1:
                 A, x, _, y, s_apex, s_left, s_right, s_mor = s
                 for m2, t in block2:

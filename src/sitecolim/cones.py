@@ -168,7 +168,8 @@ def enumerate_pseudocones(F: TwoDiagram, X: FinCat,
     u and the two legs, so they are read from one table per call, keyed by
     u and the legs' positions in their leg_choices lists; it lives as long
     as the call.  An empty list is kept too: it rules out every leg
-    combination that contains that pair.
+    combination that contains that pair, and the walk over combinations
+    then skips all those that agree on the leg positions read so far.
     """
     bud = budget if budget is not None else Budget()
     A = F.index
@@ -181,10 +182,15 @@ def enumerate_pseudocones(F: TwoDiagram, X: FinCat,
               for u in A.one_cells() if u not in C1.identities.values()]
     coherence_cands = {}  # (u, leg index at src u, at tgt u) -> list
     results = []
-    for picks in itertools.product(*(range(len(c)) for c in leg_choices)):
+    if not all(leg_choices):
+        return results
+    picks = [0] * len(objs)  # an odometer over the leg combinations
+    while True:
         legs = dict(zip(objs, (c[p] for c, p in zip(leg_choices, picks))))
         cell_choices = []
+        read = -1  # the highest leg position the keys so far read
         for u, a, b in non_id:
+            read = max(read, a, b)
             key = (u, picks[a], picks[b])
             cands = coherence_cands.get(key)
             if cands is None:
@@ -197,6 +203,7 @@ def enumerate_pseudocones(F: TwoDiagram, X: FinCat,
                 break
             cell_choices.append(cands)
         else:
+            read = len(objs) - 1
             for cells in itertools.product(*cell_choices):
                 bud.charge()
                 coherence = {u: n for (u, _, _), n in zip(non_id, cells)}
@@ -206,7 +213,15 @@ def enumerate_pseudocones(F: TwoDiagram, X: FinCat,
                                   coherence)
                 if check_pseudocone(cone)[0]:
                     results.append(cone)
-    return results
+        # the combinations that agree with picks up to `read` reach the
+        # same keys and break at the same 1-cell: advance past them all
+        for i in range(read, -1, -1):
+            if picks[i] + 1 < len(leg_choices[i]):
+                picks[i] += 1
+                picks[i + 1:] = [0] * (len(objs) - i - 1)
+                break
+        else:
+            return results
 
 
 def enumerate_modifications(g: Pseudocone, h: Pseudocone,

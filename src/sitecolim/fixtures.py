@@ -10,7 +10,7 @@ Block kinds and their lines:
 
   [category NAME]     object, mor f : a -> b, id o = f, comp g . f = h,
                       terminal t, tmap o = f, product a b = p p1 p2,
-                      equalizer f g = e m, cover o : m1 m2 ..., generator o
+                      equalizer f g = e m, cover o : [m1 m2 ...], generator o
   [twocat NAME]       object, mor, id, comp (1-cells), twocell g : u => v,
                       twoid u = g, vcomp d . g = e, hcomp d * g = e
   [functor NAME]      source C, target D, obj a -> x, mor f -> g
@@ -213,7 +213,7 @@ def _parse_category(name, head, body, env):
             _expect(len(t) == 6 and t[3] == "=", "equalizer f g = e m", ln)
             equalizers[(t[1], t[2])] = (t[4], t[5])
         elif t[0] == "cover":
-            _expect(len(t) >= 4 and t[2] == ":", "cover o : m1 ...", ln)
+            _expect(len(t) >= 3 and t[2] == ":", "cover o : m1 ...", ln)
             covers.setdefault(t[1], []).append(tuple(t[3:]))
         elif t[0] == "generator":
             _expect(len(t) == 2, "generator o", ln)
@@ -503,7 +503,7 @@ def print_category(block: CategoryBlock) -> list[str]:
             out.append("equalizer %s %s = %s %s" % (f, g, e, m))
     for c in sorted(block.covers):
         for fam in block.covers[c]:
-            out.append("cover %s : %s" % (c, " ".join(fam)))
+            out.append(" ".join(("cover", c, ":") + fam))
     for g in sorted(block.generators):
         out.append("generator %s" % g)
     return out

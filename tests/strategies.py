@@ -27,17 +27,8 @@ from sitecolim.core import (FinCat, Presentation, build_category,
 from sitecolim.twocat import (TwoCat, TwoDiagram, check_2filtered,
                               check_two_functor, two_cat_from_cat)
 
-from test_kernel import z2
+from test_kernel import z2, z2_terminal
 from test_kernel_property import posets
-
-
-def z2_terminal():
-    """z2 at x, and an object o that receives exactly one morphism m from
-    x: the automorphism s of x extends to a natural automorphism of the
-    identity functor, with the identity at o."""
-    pres = Presentation(("x", "o"), (("s", "x", "x"), ("m", "x", "o")),
-                        ((("s", "s"), ()), (("s", "m"), ("m",))))
-    return build_category(pres, 2, "z2_terminal")
 
 
 def idempotent():

@@ -13,7 +13,7 @@ from sitecolim.errors import FixtureError
 from sitecolim.fixtures import (CategoryBlock, DiagramBlock, Environment,
                                 parse, print_category, print_functor,
                                 print_presheaf, print_twocat, render)
-from sitecolim.sites import Presheaf
+from sitecolim.sites import Presheaf, check_sheaf
 from sitecolim.twocat import TwoCat, check_two_functor
 
 ALL_FIXTURES = ["one.cat", "two.cat", "chaotic.cat", "diamond.cat",
@@ -338,3 +338,50 @@ def test_missing_naming_line_points_at_the_header(fixture_dir, kind, empty):
     with pytest.raises(FixtureError,
                        match="^line %d: %s$" % (head, message)):
         parse(text)
+
+
+def _empty_cover(fixture_dir):
+    """one.cat with o covered by the empty family."""
+    text = (fixture_dir / "one.cat").read_text()
+    return text.replace("generator o\n", "cover o :\ngenerator o\n")
+
+
+def _point(name, elements):
+    maps = "".join("map id_o %s = %s\n" % (e, e) for e in elements)
+    return ("\n[presheaf %s]\ncategory one\nset o :%s\n%s"
+            % (name, "".join(" " + e for e in elements), maps))
+
+
+def test_empty_cover_round_trips(fixture_dir):
+    """`cover o :` names the empty family and prints back without a
+    trailing space."""
+    text = _empty_cover(fixture_dir)
+    env = parse(text)
+    assert env.violations["one"] == []
+    assert env["one"].covers == {"o": ((),)}
+    assert print_environment(env) == text
+
+
+def test_empty_cover_validates(fixture_dir, tmp_path):
+    path = tmp_path / "empty.cat"
+    path.write_text(_empty_cover(fixture_dir))
+    res = CliRunner().invoke(main, ["validate", str(path)])
+    assert res.exit_code == 0, res.output
+
+
+def test_empty_cover_sheaves(fixture_dir, tmp_path):
+    """A sheaf for the empty cover of o has exactly one element at o: the
+    empty family has exactly one amalgamation."""
+    text = _empty_cover(fixture_dir) + _point("pt", ["*"]) \
+        + _point("none", []) + _point("two", ["a", "b"])
+    env = parse(text)
+    site = env["one"].site()
+    assert [check_sheaf(env[n], site) for n in ("pt", "none", "two")] == \
+        [(True, None), (False, ("o", ())), (False, ("o", ()))]
+    path = tmp_path / "points.pre"
+    path.write_text(text)
+    res = CliRunner().invoke(main, ["sheaf-check", str(path)])
+    assert res.exit_code == 1, res.output
+    for line in ("sheaf pt true", "sheaf none false", "sheaf two false",
+                 "counterexample none o\n", "counterexample two o\n"):
+        assert line in res.output

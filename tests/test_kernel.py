@@ -6,7 +6,8 @@ import pytest
 
 import oracle_kernel as oracle
 from sitecolim import build_pseudocolimit, cones, standard
-from sitecolim.core import (Budget, FinCat, NatTrans, enumerate_functors,
+from sitecolim.core import (Budget, FinCat, NatTrans, Presentation,
+                            build_category, enumerate_functors,
                             equivalence_witness, identity_functor,
                             identity_nat)
 from sitecolim.errors import BudgetExceeded
@@ -19,6 +20,15 @@ def z2():
     return FinCat("z2", ("*",), {"e": "*", "s": "*"}, {"e": "*", "s": "*"},
                   {"*": "e"}, {("e", "e"): "e", ("e", "s"): "s",
                                ("s", "e"): "s", ("s", "s"): "e"})
+
+
+def z2_terminal():
+    """z2 at x, and an object o that receives exactly one morphism m from
+    x: the automorphism s of x extends to a natural automorphism of the
+    identity functor, with the identity at o."""
+    pres = Presentation(("x", "o"), (("s", "x", "x"), ("m", "x", "o")),
+                        ((("s", "s"), ()), (("s", "m"), ("m",))))
+    return build_category(pres, 2, "z2_terminal")
 
 
 def _with_oracle(monkeypatch, name, reference, seen):

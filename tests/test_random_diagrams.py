@@ -9,7 +9,9 @@ Every morphism of the colimit, as a one-edge diagram, must lift to one
 fiber and push forward to itself.  On the same draws, L is a category,
 lambda a pseudocone, and every member pair of every composable class pair
 composes, in the sorted and in the seeded apex order, into the class
-L.comp records."""
+L.comp records, and postcomposition with lambda is an isomorphism from
+functors L -> X onto pseudocones with vertex X, for X = one and two (z2
+is left out: one draw passes 10^6 candidates against it)."""
 
 import random
 
@@ -103,3 +105,14 @@ def test_colimit_is_a_category_with_well_defined_composition(F):
                 for t in R.class_members[m2]:
                     composite = oracle.compose_spans(F, s, t, order)
                     assert R.span_class[composite] == m, (s, t)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(diagrams())
+def test_postcomposition_is_an_isomorphism(F):
+    """Functors L -> X and pseudocones with vertex X are isomorphic
+    categories under postcomposition with lambda, for X = one and two."""
+    R = colim.build_pseudocolimit(F)
+    for X in (standard.one(), standard.two()):
+        report = colim.verify_bicolimit(R, X)
+        assert report.isomorphism, (X.name, report)

@@ -9,7 +9,9 @@ the library's table recomposed in a seeded apex order must equal the
 oracle's table built in that order.  The oracle compares every pair of
 spans, the library joins the spans at the weakly terminal apex T along
 their generating steps, so the library's Budget count is computed here
-from the index and the oracle's spans.
+from the index and the oracle's spans.  The library composes without a
+refinement search wherever a hom-set of the colimit holds one class; the
+composing refinements it does search are counted.
 """
 
 import random
@@ -27,7 +29,7 @@ from sitecolim.twocat import (TwoDiagram, check_two_functor,
                               constant_diagram, two_cat_from_cat)
 
 from conftest import FIXTURE_DIR
-from test_kernel import z2
+from test_kernel import z2, z2_terminal
 
 
 def covered_diamond():
@@ -58,6 +60,14 @@ def walking_iso_z2():
     return F
 
 
+def const_z2_terminal():
+    """The constant diagram at z2_terminal over chain3: its hom blocks
+    x -> o and o -> o hold one class and x -> x two, so one composition
+    table fills entries both with and without a refinement search."""
+    return constant_diagram(standard.chain3_twocat(), z2_terminal(),
+                            "constz2terminal")
+
+
 STANDARD = {
     "consttwo": standard.const_two_diagram,
     "inclchain": standard.inclusion_chain_diagram,
@@ -80,7 +90,10 @@ LADDER = {"chain%d_%s" % (n, fiber.__name__):
           (lambda n=n, fiber=fiber: chain_diagram(n, fiber))
           for n in (3, 6, 9) for fiber in (standard.two, standard.diamond)}
 
-CASES = {**STANDARD, **LADDER}
+CASES = {**STANDARD, **LADDER, "const_z2_terminal": const_z2_terminal}
+
+# the cases with a hom-set of two or more classes
+MANY_CLASSES = {"constz2", "walkingiso_z2", "const_z2_terminal"}
 
 
 def weakly_terminal(F):
@@ -140,6 +153,31 @@ def test_build_matches_reference(case, seed):
             list(M.comp.items())
         ins, outs = Counter(L.mor_tgt.values()), Counter(L.mor_src.values())
         assert b.used == sum(ins[q] * outs[q] for q in L.objects)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_one_class_blocks_search_no_refinement(case, monkeypatch):
+    """compose_spans fills an entry whose hom block holds one class with
+    that class: the build and the seeded recomposition search refinements
+    only where some hom-set of L has two or more classes."""
+    calls = []
+    composing = colim._Refinements.composing
+
+    def counted(self, *key):
+        calls.append(key)
+        return composing(self, *key)
+
+    monkeypatch.setattr(colim._Refinements, "composing", counted)
+    R = colim.build_pseudocolimit(CASES[case]())
+    built = len(calls)
+    colim.recompose(R, 7, Budget())
+    L = R.category
+    thin = all(len(L.hom(p, q)) <= 1 for p in L.objects for q in L.objects)
+    assert thin == (case not in MANY_CLASSES)
+    if thin:
+        assert len(calls) == 0
+    else:
+        assert 0 < built < len(calls)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

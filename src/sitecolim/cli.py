@@ -55,7 +55,12 @@ class Run:
         self.add("outcome", outcome)
         text = "%report 1\n" + "".join("%s %s\n" % kv for kv in self.lines)
         if self.report_path:
-            Path(self.report_path).write_text(text)
+            try:
+                Path(self.report_path).write_text(text)
+            except OSError as exc:
+                click.echo("error cannot write report %s: %s"
+                           % (self.report_path, exc.strerror), err=True)
+                code = 2
         else:
             sys.stdout.write(text)
         elapsed = time.monotonic() - self.started
@@ -81,7 +86,12 @@ def _load(run: Run, paths, fixture_dir) -> Environment:
         except OSError as exc:
             raise FixtureError("cannot read %s: %s" % (path, exc))
         run.add("input %s sha256" % p.name, hashlib.sha256(data).hexdigest())
-        env = parse(data.decode(), env)
+        try:
+            text = data.decode()
+        except UnicodeDecodeError as exc:
+            raise FixtureError("%s line %d: not UTF-8 text (byte 0x%02x)" % (
+                path, data.count(b"\n", 0, exc.start) + 1, data[exc.start]))
+        env = parse(text, env)
     return env
 
 
@@ -168,6 +178,7 @@ def _execute(ctx, command, files, body):
 
 @click.group()
 @click.option("--budget", default=10 ** 6, show_default=True,
+              type=click.IntRange(min=0),
               help="Cap on enumeration candidates per run.")
 @click.option("--fixture-dir", default=None, type=click.Path(),
               help="Directory searched for fixture files.")

@@ -12,13 +12,12 @@ and the spans at T are joined along the transports and conjugations that
 generate the relation (build_pseudocolimit gives the proof).
 
 A composite of spans is taken at a common refinement too.  Which
-refinement two spans compose at depends on the index alone, so it is
-tabled once per distinct index key (_Refinements); composing spans then
-costs one lookup plus the fiber composite, and a hom-set with one class
-needs neither (compose_spans).  The classes do not depend on the order in
-which composing refinements are searched, so a different order
-(recompose) reruns only the composition table over the classes of an
-existing build.
+refinement two spans compose at depends on their index data alone, so
+compose_spans searches it once per distinct key of that data and a
+hom-set with one class needs no search at all.  The classes do not depend
+on the order in which composing refinements are searched, so a different
+order (recompose) reruns only the composition table over the classes of
+an existing build.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from .errors import (IllFormedCone, IncompleteAssignment, NotFiltered,
                      NotLiftable)
 from .limits import (Cone, Diagram, LimitAssignment, chosen_limit,
                      discrete_pair, empty_diagram, parallel_pair)
-from .twocat import TwoCat, TwoDiagram, check_2filtered
+from .twocat import TwoDiagram, check_2filtered
 
 
 class Span(NamedTuple):
@@ -59,55 +58,11 @@ def identity_span(F: TwoDiagram, A, x):
     return Span(A, x, A, x, A, i, i, F.fibers[A].identities[x])
 
 
-class _Refinements:
-    """The index-only half of the span search, tabled for one build.
-
-    Which apexes carry spans from A to B, and which common refinement
-    (D, w1, w2) with an invertible comparison 2-cell two spans compose at,
-    depend on their index objects and 1-cells alone; fiber data enters only
-    in the final composite.  Each table fills on first use of a key.
-    `apex_order` is the order in which composing searches apexes: sorted
-    for a build, shuffled by recompose.
-    """
-
-    def __init__(self, index: TwoCat, apex_order):
-        self.index = index
-        self.apex_order = apex_order
-        self._apexes = {}
-        self._composing = {}
-
-    def apexes(self, A, B):
-        """Every (apex, u, v) with u : A -> apex and v : B -> apex, apexes
-        in sorted order."""
-        out = self._apexes.get((A, B))
-        if out is None:
-            C1 = self.index.cells1
-            out = self._apexes[(A, B)] = [
-                (apex, u, v) for apex in sorted(self.index.objects())
-                for u in C1.hom(A, apex) for v in C1.hom(B, apex)]
-        return out
-
-    def composing(self, s_apex, s_right, t_apex, t_left):
-        """The first (D, w1, w2, alpha) with w1 : s_apex -> D,
-        w2 : t_apex -> D and alpha : w1.s_right => w2.t_left invertible,
-        searching D in apex order, or None."""
-        key = (s_apex, s_right, t_apex, t_left)
-        if key not in self._composing:
-            A_idx = self.index
-            C1 = A_idx.cells1
-            self._composing[key] = next(
-                ((D, w1, w2, alpha) for D in self.apex_order
-                 for w1 in C1.hom(s_apex, D) for w2 in C1.hom(t_apex, D)
-                 for alpha in A_idx.invertible_cells_between(
-                     C1.comp[(w1, s_right)], C1.comp[(w2, t_left)])),
-                None)
-        return self._composing[key]
-
-
-def all_spans(F: TwoDiagram, A, x, B, y, refinements: _Refinements):
-    """Every span from (A, x) to (B, y), deterministic order."""
+def all_spans(F: TwoDiagram, A, x, B, y, apexes):
+    """Every span from (A, x) to (B, y), in sorted order, given `apexes`:
+    every (apex, u, v) with u : A -> apex and v : B -> apex, sorted."""
     out = []
-    for apex, u, v in refinements.apexes(A, B):
+    for apex, u, v in apexes:
         for f in F.fibers[apex].hom(F.on1[u].obj_map[x], F.on1[v].obj_map[y]):
             out.append(Span(A, x, B, y, apex, u, v, f))
     return out
@@ -133,17 +88,20 @@ def span_related(F: TwoDiagram, s: Span, t: Span) -> bool:
         for beta in cells(C1.comp[(w1, s.right)], C1.comp[(w2, t.right)]))
 
 
-def compose_spans(F: TwoDiagram, class_members, span_class,
-                  refinements: _Refinements, bud: Budget):
+def compose_spans(F: TwoDiagram, class_members, span_class, apex_order,
+                  bud: Budget):
     """The composition table of the colimit: comp[(m2, m1)] for every
     composable pair of classes, in the order (p, q), r, m1, m2 of its hom
     blocks, visiting nonempty blocks only, and charges `bud` once per entry.
     Where the block (p, r) holds one class, every entry p -> q -> r is that
     class, with no refinement searched: any composite of spans p -> q and
     q -> r is a span p -> r.  Elsewhere each entry composes the least
-    members s of m1 and t of m2 at the first common refinement in
-    `refinements`' apex order (then 1-cells and comparison 2-cells in a
-    fixed order).  The composite's class does not depend on the members
+    members s of m1 and t of m2 at the first common refinement
+    (D, w1 : s.apex -> D, w2 : t.apex -> D) with an invertible
+    alpha : w1.s.right => w2.t.left, searching D in `apex_order` (then
+    1-cells and alpha in a fixed order); the search depends on
+    (s.apex, s.right, t.apex, t.left) alone, so it runs once per such key
+    in a call.  The composite's class does not depend on the members
     chosen or on the order: tests/test_span_layer.py composes every member
     pair of every composable class pair and checks each lands in the class
     L.comp records."""
@@ -154,12 +112,13 @@ def compose_spans(F: TwoDiagram, class_members, span_class,
     leaving = {}  # q -> the nonempty blocks (q, r), r in build order
     for (q, _), block in blocks.items():
         leaving.setdefault(q, []).append(block)
-    C1comp = F.index.cells1.comp
+    C1 = F.index.cells1
+    C1comp, hom = C1.comp, C1.hom
+    cells = F.index.invertible_cells_between
     fibers, on1, on2 = F.fibers, F.on1, F.on2
-    composing = refinements.composing
     charge = bud.charge
-    # (s.apex, s.left, s.right, t.apex, t.left, t.right) -> apex D, its
-    # fiber's table, the maps along w1, w2 and alpha, the composite 1-cells
+    # (s.apex, s.right, t.apex, t.left) -> apex D, its fiber's table, the
+    # maps along w1, w2 and alpha, and w1, w2
     at = {}
     comp = {}
     for (p, q), block1 in blocks.items():
@@ -176,24 +135,29 @@ def compose_spans(F: TwoDiagram, class_members, span_class,
                 for m2, t in block2:
                     charge()
                     _, _, B, z, t_apex, t_left, t_right, t_mor = t
-                    key = (s_apex, s_left, s_right, t_apex, t_left, t_right)
+                    key = (s_apex, s_right, t_apex, t_left)
                     got = at.get(key)
                     if got is None:
-                        found = composing(s_apex, s_right, t_apex, t_left)
+                        found = next(
+                            ((D, w1, w2, alpha) for D in apex_order
+                             for w1 in hom(s_apex, D) for w2 in hom(t_apex, D)
+                             for alpha in cells(C1comp[(w1, s_right)],
+                                                C1comp[(w2, t_left)])),
+                            None)
                         if found is None:
                             raise NotLiftable(
                                 "no common refinement for %r ; %r" % (s, t))
                         D, w1, w2, alpha = found
                         got = at[key] = (
                             D, fibers[D].comp, on1[w1].mor_map,
-                            on1[w2].mor_map, on2[alpha].components,
-                            C1comp[(w1, s_left)], C1comp[(w2, t_right)])
-                    D, fcomp, map1, map2, cells, left, right = got
-                    mor = fcomp[(map2[t_mor], fcomp[(cells[y], map1[s_mor])])]
+                            on1[w2].mor_map, on2[alpha].components, w1, w2)
+                    D, fcomp, map1, map2, comps, w1, w2 = got
+                    mor = fcomp[(map2[t_mor], fcomp[(comps[y], map1[s_mor])])]
                     # a plain tuple hashes and compares equal to the Span
                     # with the same fields, so none is built for the lookup
                     comp[(m2, m1)] = span_class[
-                        (A, x, B, z, D, left, right, mor)]
+                        (A, x, B, z, D, C1comp[(w1, s_left)],
+                         C1comp[(w2, t_right)], mor)]
     return comp
 
 
@@ -254,16 +218,20 @@ def build_pseudocolimit(F: TwoDiagram,
     if not ok:
         raise NotFiltered("index fails %s at %r" % (datum[0], datum[1:]))
     bud = budget if budget is not None else Budget()
+    index_objs = sorted(F.index.objects())
     objs = []
     obj_info = {}
-    for A in sorted(F.index.objects()):
+    for A in index_objs:
         for x in sorted(F.fibers[A].objects):
             objs.append(obj_name(A, x))
             obj_info[obj_name(A, x)] = (A, x)
 
-    refinements = _Refinements(F.index, sorted(F.index.objects()))
     C1 = F.index.cells1
-    T = next(T for T in sorted(F.index.objects())
+    # (A, B) -> every (apex, u, v) with u : A -> apex, v : B -> apex
+    apexes = {(A, B): [(apex, u, v) for apex in index_objs
+                       for u in C1.hom(A, apex) for v in C1.hom(B, apex)]
+              for A in index_objs for B in index_objs}
+    T = next(T for T in index_objs
              if all(C1.hom(A, T) for A in F.index.objects()))
     to_T = {A: C1.hom(A, T)[0] for A in F.index.objects() if A != T}
     loops = [e for e in C1.hom(T, T) if e != C1.identities[T]]
@@ -283,7 +251,7 @@ def build_pseudocolimit(F: TwoDiagram,
         for q in objs:
             A, x = obj_info[p]
             B, y = obj_info[q]
-            spans = all_spans(F, A, x, B, y, refinements)
+            spans = all_spans(F, A, x, B, y, apexes[(A, B)])
             bud.charge(len(spans) + 1)
             at_T = [s for s in spans if s.apex == T]
             bud.charge(len(spans) - len(at_T))
@@ -329,7 +297,7 @@ def build_pseudocolimit(F: TwoDiagram,
         A, x = obj_info[p]
         identities[p] = span_class[identity_span(F, A, x)]
 
-    comp = compose_spans(F, class_members, span_class, refinements, bud)
+    comp = compose_spans(F, class_members, span_class, index_objs, bud)
 
     L = FinCat("colim_%s" % F.name, tuple(objs), mor_src, mor_tgt,
                identities, comp)
@@ -365,7 +333,7 @@ def recompose(R: PseudocolimitResult, apex_seed, budget: Budget):
     apex_order = sorted(R.diagram.index.objects())
     random.Random(apex_seed).shuffle(apex_order)
     return compose_spans(R.diagram, R.class_members, R.span_class,
-                         _Refinements(R.diagram.index, apex_order), budget)
+                         apex_order, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,38 @@ def test_parse_error_reports_line(runner, fixture_dir, tmp_path):
     assert "line 3" in res.output
 
 
+def test_non_utf8_fixture_exits_two(runner, fixture_dir, tmp_path):
+    bad = tmp_path / "bad.cat"
+    bad.write_bytes(b"%fixture 1\n[category c]\nobject \xff\n")
+    res = run(runner, fixture_dir, "validate", str(bad))
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "line 3: not UTF-8 text (byte 0xff)" in res.output
+    assert "outcome error" in res.output
+
+
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_unwritable_report_exits_two(runner, fixture_dir, tmp_path, where):
+    path = tmp_path if where == "directory" else tmp_path / "no" / "r.txt"
+    res = runner.invoke(main, ["--fixture-dir", str(fixture_dir),
+                               "--report", str(path), "validate", "one.cat"])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "error cannot write report %s" % path in res.output
+
+
+def test_negative_budget_exits_two(runner, fixture_dir):
+    res = run(runner, fixture_dir, "--budget", "-5", "colim",
+              "swapchain.diag")
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "Invalid value for '--budget'" in res.output
+    assert "outcome" not in res.output
+    res = run(runner, fixture_dir, "--budget", "0", "validate", "one.cat")
+    assert res.exit_code == 0
+    assert "budget 0\n" in res.output
+
+
 def test_colim_consttwo(runner, fixture_dir):
     res = run(runner, fixture_dir, "colim", "consttwo.diag")
     assert res.exit_code == 0

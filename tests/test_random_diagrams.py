@@ -10,8 +10,9 @@ fiber and push forward to itself.  On the same draws, L is a category,
 lambda a pseudocone, and every member pair of every composable class pair
 composes, in the sorted and in the seeded apex order, into the class
 L.comp records, and postcomposition with lambda is an isomorphism from
-functors L -> X onto pseudocones with vertex X, for X = one and two (z2
-is left out: one draw passes 10^6 candidates against it)."""
+functors L -> X onto pseudocones with vertex X, for X = one and two on
+every draw and X = z2 on the draws whose colimit has at most 4 objects
+(on larger ones a single draw can pass 10^6 candidates against z2)."""
 
 import random
 
@@ -29,6 +30,7 @@ from sitecolim.core import (Budget, Functor, identity_functor,  # noqa: E402
 from sitecolim.limits import Diagram  # noqa: E402
 from sitecolim.twocat import TwoDiagram  # noqa: E402
 from strategies import diagrams, z2_idempotent_twocat  # noqa: E402
+from test_kernel import z2  # noqa: E402
 
 SEED = 7
 
@@ -111,8 +113,12 @@ def test_colimit_is_a_category_with_well_defined_composition(F):
 @given(diagrams())
 def test_postcomposition_is_an_isomorphism(F):
     """Functors L -> X and pseudocones with vertex X are isomorphic
-    categories under postcomposition with lambda, for X = one and two."""
+    categories under postcomposition with lambda, for X = one and two,
+    and for X = z2 when L has at most 4 objects."""
     R = colim.build_pseudocolimit(F)
-    for X in (standard.one(), standard.two()):
+    vertices = [standard.one(), standard.two()]
+    if len(R.category.objects) <= 4:
+        vertices.append(z2())
+    for X in vertices:
         report = colim.verify_bicolimit(R, X)
         assert report.isomorphism, (X.name, report)

@@ -1,9 +1,9 @@
 """The span layer of the pseudocolimit against its frozen reference, and
 the invariants the construction only claims, checked after the build.
 
-The library finds common refinements in index-only tables made once per
-build; oracle_kernel.build_pseudocolimit searches the index afresh for
-every span comparison and composite.  Both must give the same colimit
+The library searches a composing refinement once per distinct index key
+of a composition pass; oracle_kernel.build_pseudocolimit searches the
+index afresh for every span comparison and composite.  Both must give the same colimit
 category (with `comp` in the same insertion order) and the same classes;
 the library's table recomposed in a seeded apex order must equal the
 oracle's table built in that order.  The oracle compares every pair of
@@ -11,7 +11,8 @@ spans, the library joins the spans at the weakly terminal apex T along
 their generating steps, so the library's Budget count is computed here
 from the index and the oracle's spans.  The library composes without a
 refinement search wherever a hom-set of the colimit holds one class; the
-composing refinements it does search are counted.
+searches it does make are counted through the index's
+invertible_cells_between.
 """
 
 import random
@@ -158,26 +159,45 @@ def test_build_matches_reference(case, seed):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_one_class_blocks_search_no_refinement(case, monkeypatch):
     """compose_spans fills an entry whose hom block holds one class with
-    that class: the build and the seeded recomposition search refinements
-    only where some hom-set of L has two or more classes."""
+    that class: the seeded recomposition asks the index for invertible
+    2-cells only where some hom-set of L has two or more classes, and
+    searches each distinct (s.apex, s.right, t.apex, t.left) of the least
+    members s, t of such entries once, trying (D, w1, w2) in the shuffled
+    apex order up to the first with an invertible comparison 2-cell."""
+    F = CASES[case]()
+    R = colim.build_pseudocolimit(F)
     calls = []
-    composing = colim._Refinements.composing
+    cells = F.index.invertible_cells_between
 
-    def counted(self, *key):
-        calls.append(key)
-        return composing(self, *key)
+    def counted(u, v):
+        calls.append((u, v))
+        return cells(u, v)
 
-    monkeypatch.setattr(colim._Refinements, "composing", counted)
-    R = colim.build_pseudocolimit(CASES[case]())
-    built = len(calls)
+    monkeypatch.setattr(F.index, "invertible_cells_between", counted)
     colim.recompose(R, 7, Budget())
     L = R.category
     thin = all(len(L.hom(p, q)) <= 1 for p in L.objects for q in L.objects)
     assert thin == (case not in MANY_CLASSES)
-    if thin:
-        assert len(calls) == 0
-    else:
-        assert 0 < built < len(calls)
+    assert (len(calls) == 0) == thin
+    C1 = F.index.cells1
+    order = sorted(F.index.objects())
+    random.Random(7).shuffle(order)
+    searched = {(s.apex, s.right, t.apex, t.left)
+                for (m2, m1) in L.comp
+                if len(L.hom(L.mor_src[m1], L.mor_tgt[m2])) > 1
+                for s in R.class_members[m1][:1]
+                for t in R.class_members[m2][:1]}
+
+    def tries(s_apex, s_right, t_apex, t_left):
+        n = 0
+        for D in order:
+            for w1 in C1.hom(s_apex, D):
+                for w2 in C1.hom(t_apex, D):
+                    n += 1
+                    if cells(C1.comp[(w1, s_right)], C1.comp[(w2, t_left)]):
+                        return n
+
+    assert len(calls) == sum(tries(*key) for key in searched)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -187,11 +207,15 @@ def test_all_spans_sorted(case):
     spans sorted."""
     F = CASES[case]()
     R = colim.build_pseudocolimit(F)
-    refinements = colim._Refinements(F.index, sorted(F.index.objects()))
+    C1 = F.index.cells1
+    index_objs = sorted(F.index.objects())
     for p in R.category.objects:
         for q in R.category.objects:
+            (A, _), (B, _) = R.obj_info[p], R.obj_info[q]
+            apexes = [(apex, u, v) for apex in index_objs
+                      for u in C1.hom(A, apex) for v in C1.hom(B, apex)]
             spans = colim.all_spans(F, *R.obj_info[p], *R.obj_info[q],
-                                    refinements)
+                                    apexes)
             assert spans == sorted(spans)
 
 

@@ -10,7 +10,9 @@ codes: 0 pass, 1 verified failure or counterexample, 2 input error,
 from __future__ import annotations
 
 import dataclasses
+import errno
 import hashlib
+import os
 import sys
 import time
 from pathlib import Path
@@ -58,14 +60,33 @@ class Run:
             try:
                 Path(self.report_path).write_text(text)
             except OSError as exc:
-                click.echo("error cannot write report %s: %s"
-                           % (self.report_path, exc.strerror), err=True)
+                _cannot_write(self.report_path, exc.strerror)
                 code = 2
         else:
             sys.stdout.write(text)
         elapsed = time.monotonic() - self.started
         click.echo("wall-time %.3fs" % elapsed, err=True)
         sys.exit(code)
+
+
+def _cannot_write(path, reason):
+    click.echo("error cannot write report %s: %s" % (path, reason), err=True)
+
+
+def _refuse_unwritable(path):
+    """Exit 2 before any work when the --report path is a directory or its
+    parent directory is missing.  Other faults (permissions, a full disk)
+    show only at the write, which Run.finish reports the same way."""
+    if path is None:
+        return
+    p = Path(path)
+    if p.is_dir():
+        _cannot_write(path, os.strerror(errno.EISDIR))
+    elif not p.parent.is_dir():
+        _cannot_write(path, os.strerror(errno.ENOENT))
+    else:
+        return
+    sys.exit(2)
 
 
 def _resolve(path, fixture_dir):
@@ -171,6 +192,7 @@ def _guard(run: Run, fn):
 
 def _execute(ctx, command, files, body):
     """Load `files`, run body(run, env) and finish the report."""
+    _refuse_unwritable(ctx.obj["report"])
     run = Run(command, Budget(ctx.obj["budget"]), ctx.obj["report"])
     _guard(run, lambda: body(run, _load(run, files, ctx.obj["fixture_dir"])))
     run.finish()

@@ -15,9 +15,10 @@ A composite of spans is taken at a common refinement too.  Which
 refinement two spans compose at depends on their index data alone, so
 compose_spans searches it once per distinct key of that data and a
 hom-set with one class needs no search at all.  The classes do not depend
-on the order in which composing refinements are searched, so a different
-order (recompose) reruns only the composition table over the classes of
-an existing build.
+on the order in which composing refinements are searched, and an entry
+whose composite lands in a one-class hom-set does not either; so a
+different order (recompose) searches again only the entries of an
+existing build's table whose hom-set holds two or more classes.
 """
 
 from __future__ import annotations
@@ -58,13 +59,16 @@ def identity_span(F: TwoDiagram, A, x):
     return Span(A, x, A, x, A, i, i, F.fibers[A].identities[x])
 
 
-def all_spans(F: TwoDiagram, A, x, B, y, apexes):
-    """Every span from (A, x) to (B, y), in sorted order, given `apexes`:
-    every (apex, u, v) with u : A -> apex and v : B -> apex, sorted."""
+def all_spans(A, x, B, y, rows):
+    """Every span (C, u, v, f) from (A, x) to (B, y), in sorted order, each
+    paired with the key (c.u, c.v, F(c)f) of its transport to T along
+    c = c_C (build_pseudocolimit), given the build's sorted apex rows for
+    (A, B): C, u, v, C's hom-sets, F(u) and F(v) on objects, c.u, c.v and
+    F(c) on morphisms."""
     out = []
-    for apex, u, v in apexes:
-        for f in F.fibers[apex].hom(F.on1[u].obj_map[x], F.on1[v].obj_map[y]):
-            out.append(Span(A, x, B, y, apex, u, v, f))
+    for apex, u, v, hom, umap, vmap, cu, cv, cmor in rows:
+        for f in hom(umap[x], vmap[y]):
+            out.append((Span(A, x, B, y, apex, u, v, f), (cu, cv, cmor[f])))
     return out
 
 
@@ -88,30 +92,25 @@ def span_related(F: TwoDiagram, s: Span, t: Span) -> bool:
         for beta in cells(C1.comp[(w1, s.right)], C1.comp[(w2, t.right)]))
 
 
-def compose_spans(F: TwoDiagram, class_members, span_class, apex_order,
-                  bud: Budget):
-    """The composition table of the colimit: comp[(m2, m1)] for every
-    composable pair of classes, in the order (p, q), r, m1, m2 of its hom
-    blocks, visiting nonempty blocks only, and charges `bud` once per entry.
-    Where the block (p, r) holds one class, every entry p -> q -> r is that
-    class, with no refinement searched: any composite of spans p -> q and
-    q -> r is a span p -> r.  Elsewhere each entry composes the least
-    members s of m1 and t of m2 at the first common refinement
-    (D, w1 : s.apex -> D, w2 : t.apex -> D) with an invertible
-    alpha : w1.s.right => w2.t.left, searching D in `apex_order` (then
-    1-cells and alpha in a fixed order); the search depends on
-    (s.apex, s.right, t.apex, t.left) alone, so it runs once per such key
-    in a call.  The composite's class does not depend on the members
-    chosen or on the order: tests/test_span_layer.py composes every member
-    pair of every composable class pair and checks each lands in the class
-    L.comp records."""
-    blocks = {}  # (p, q) -> [(class, least member)], nonempty, build order
+def _hom_blocks(class_members):
+    """(p, q) -> [(class, least member)] for every nonempty hom block of
+    the colimit, blocks and classes in build order."""
+    blocks = {}
     for name, members in class_members.items():
         s = members[0]
         blocks.setdefault((s[:2], s[2:4]), []).append((name, s))
-    leaving = {}  # q -> the nonempty blocks (q, r), r in build order
-    for (q, _), block in blocks.items():
-        leaving.setdefault(q, []).append(block)
+    return blocks
+
+
+def _refinement_search(F: TwoDiagram, span_class, apex_order, bud: Budget):
+    """fill(comp, block1, block2) sets comp[(m2, m1)] for every class m1 of
+    a block (p, q) and m2 of a block (q, r), charging `bud` once per entry.
+    It composes the least members s of m1 and t of m2 at the first common
+    refinement (D, w1 : s.apex -> D, w2 : t.apex -> D) with an invertible
+    alpha : w1.s.right => w2.t.left, searching D in `apex_order` (then
+    1-cells and alpha in a fixed order).  The search depends on
+    (s.apex, s.right, t.apex, t.left) alone, so it runs once per such key
+    over all calls of one fill."""
     C1 = F.index.cells1
     C1comp, hom = C1.comp, C1.hom
     cells = F.index.invertible_cells_between
@@ -120,44 +119,71 @@ def compose_spans(F: TwoDiagram, class_members, span_class, apex_order,
     # (s.apex, s.right, t.apex, t.left) -> apex D, its fiber's table, the
     # maps along w1, w2 and alpha, and w1, w2
     at = {}
+
+    def fill(comp, block1, block2):
+        for m1, s in block1:
+            A, x, _, y, s_apex, s_left, s_right, s_mor = s
+            for m2, t in block2:
+                charge()
+                _, _, B, z, t_apex, t_left, t_right, t_mor = t
+                key = (s_apex, s_right, t_apex, t_left)
+                got = at.get(key)
+                if got is None:
+                    found = next(
+                        ((D, w1, w2, alpha) for D in apex_order
+                         for w1 in hom(s_apex, D) for w2 in hom(t_apex, D)
+                         for alpha in cells(C1comp[(w1, s_right)],
+                                            C1comp[(w2, t_left)])),
+                        None)
+                    if found is None:
+                        raise NotLiftable(
+                            "no common refinement for %r ; %r" % (s, t))
+                    D, w1, w2, alpha = found
+                    got = at[key] = (
+                        D, fibers[D].comp, on1[w1].mor_map,
+                        on1[w2].mor_map, on2[alpha].components, w1, w2)
+                D, fcomp, map1, map2, comps, w1, w2 = got
+                mor = fcomp[(map2[t_mor], fcomp[(comps[y], map1[s_mor])])]
+                # a plain tuple hashes and compares equal to the Span with
+                # the same fields, so none is built for the lookup
+                comp[(m2, m1)] = span_class[
+                    (A, x, B, z, D, C1comp[(w1, s_left)],
+                     C1comp[(w2, t_right)], mor)]
+
+    return fill
+
+
+def compose_spans(F: TwoDiagram, class_members, span_class, apex_order,
+                  bud: Budget):
+    """The composition table of the colimit: comp[(m2, m1)] for every
+    composable pair of classes, in the order (p, q), r, m1, m2 of its hom
+    blocks, visiting nonempty blocks only, and charges `bud` once per entry.
+    Where the block (p, r) holds one class, every entry p -> q -> r is that
+    class, with no refinement searched: any composite of spans p -> q and
+    q -> r is a span p -> r.  Elsewhere each entry composes the least
+    members of its classes at the first common refinement in `apex_order`
+    (_refinement_search), searched once per distinct
+    (s.apex, s.right, t.apex, t.left) in a call.  The composite's class
+    does not depend on the members chosen or on the order:
+    tests/test_span_layer.py composes every member pair of every composable
+    class pair and checks each lands in the class L.comp records."""
+    blocks = _hom_blocks(class_members)
+    leaving = {}  # q -> [(r, block (q, r))], nonempty, r in build order
+    for (q, r), block in blocks.items():
+        leaving.setdefault(q, []).append((r, block))
+    fill = _refinement_search(F, span_class, apex_order, bud)
+    charge = bud.charge
     comp = {}
     for (p, q), block1 in blocks.items():
-        for block2 in leaving.get(q, ()):
-            only = blocks[(p, block2[0][1][2:4])]
+        for r, block2 in leaving.get(q, ()):
+            only = blocks[(p, r)]
             if len(only) == 1:
                 for m1, _ in block1:
                     for m2, _ in block2:
                         charge()
                         comp[(m2, m1)] = only[0][0]
-                continue
-            for m1, s in block1:
-                A, x, _, y, s_apex, s_left, s_right, s_mor = s
-                for m2, t in block2:
-                    charge()
-                    _, _, B, z, t_apex, t_left, t_right, t_mor = t
-                    key = (s_apex, s_right, t_apex, t_left)
-                    got = at.get(key)
-                    if got is None:
-                        found = next(
-                            ((D, w1, w2, alpha) for D in apex_order
-                             for w1 in hom(s_apex, D) for w2 in hom(t_apex, D)
-                             for alpha in cells(C1comp[(w1, s_right)],
-                                                C1comp[(w2, t_left)])),
-                            None)
-                        if found is None:
-                            raise NotLiftable(
-                                "no common refinement for %r ; %r" % (s, t))
-                        D, w1, w2, alpha = found
-                        got = at[key] = (
-                            D, fibers[D].comp, on1[w1].mor_map,
-                            on1[w2].mor_map, on2[alpha].components, w1, w2)
-                    D, fcomp, map1, map2, comps, w1, w2 = got
-                    mor = fcomp[(map2[t_mor], fcomp[(comps[y], map1[s_mor])])]
-                    # a plain tuple hashes and compares equal to the Span
-                    # with the same fields, so none is built for the lookup
-                    comp[(m2, m1)] = span_class[
-                        (A, x, B, z, D, C1comp[(w1, s_left)],
-                         C1comp[(w2, t_right)], mor)]
+            else:
+                fill(comp, block1, block2)
     return comp
 
 
@@ -210,10 +236,19 @@ def build_pseudocolimit(F: TwoDiagram,
 
     So every span joins the class of T(s), and the T-spans are joined
     along their generating steps only.  The all-pairs quotient is kept as
-    the reference in tests/oracle_kernel.py.  Budget: len(spans) + 1 per
-    object pair, 1 per transported span, and 1 per generating step out of
-    each T-span: |End(T)| - 1 transports, and one conjugate per
-    non-identity invertible 2-cell out of either leg."""
+    the reference in tests/oracle_kernel.py.
+
+    The table of apex rows per pair of index objects carries each apex's
+    transport to T, so all_spans gives every span with the key of T(s).
+    A pair of objects with no spans stops there.  The union-find over the
+    T-spans of a pair runs only when the index has a generating step (a
+    non-identity endomorphism of T, or a non-identity invertible 2-cell
+    between 1-cells into T); without one, no two T-spans are joined, and a
+    span's class is that of T(s) alone.  No chain or poset index has a
+    generating step.  Budget: len(spans) + 1 per object pair, 1 per
+    transported span, and 1 per generating step out of each T-span:
+    |End(T)| - 1 transports, and one conjugate per non-identity invertible
+    2-cell out of either leg."""
     ok, datum = check_2filtered(F.index)
     if not ok:
         raise NotFiltered("index fails %s at %r" % (datum[0], datum[1:]))
@@ -227,62 +262,67 @@ def build_pseudocolimit(F: TwoDiagram,
             obj_info[obj_name(A, x)] = (A, x)
 
     C1 = F.index.cells1
-    # (A, B) -> every (apex, u, v) with u : A -> apex, v : B -> apex
-    apexes = {(A, B): [(apex, u, v) for apex in index_objs
-                       for u in C1.hom(A, apex) for v in C1.hom(B, apex)]
-              for A in index_objs for B in index_objs}
     T = next(T for T in index_objs
              if all(C1.hom(A, T) for A in F.index.objects()))
-    to_T = {A: C1.hom(A, T)[0] for A in F.index.objects() if A != T}
+    fT = F.fibers[T]
+    # c_C, the first 1-cell C -> T (c_T is the identity), and F(c_C) on
+    # morphisms
+    c = {C: C1.hom(C, T)[0] for C in index_objs}
+    c[T] = C1.identities[T]
+    cmor = {C: F.on1[c[C]].mor_map for C in index_objs}
+    cmor[T] = {f: f for f in fT.morphisms()}
+    # (A, B) -> a row per (C, u : A -> C, v : B -> C), sorted (all_spans)
+    rows = {(A, B): [(C, u, v, F.fibers[C].hom, F.on1[u].obj_map,
+                      F.on1[v].obj_map, C1.comp[(c[C], u)],
+                      C1.comp[(c[C], v)], cmor[C])
+                     for C in index_objs
+                     for u in C1.hom(A, C) for v in C1.hom(B, C)]
+            for A in index_objs for B in index_objs}
     loops = [e for e in C1.hom(T, T) if e != C1.identities[T]]
     # 1-cell w into T -> (a, w') for each non-identity invertible a : w => w'
     conjugates = {w: [(a, w2) for w2 in C1.hom(A, T)
                       for a in F.index.invertible_cells_between(w, w2)
                       if a != F.index.two_id[w]]
                   for A in F.index.objects() for w in C1.hom(A, T)}
-    fT = F.fibers[T]
+    steps = bool(loops) or any(conjugates.values())
 
-    # quotient the spans between each object pair at apex T
+    # quotient the spans between each object pair at apex T; within a pair
+    # a T-span (T, u, v, f) is keyed by (u, v, f)
     span_class = {}
     class_members = {}
     mor_src = {}
     mor_tgt = {}
     for p in objs:
+        A, x = obj_info[p]
         for q in objs:
-            A, x = obj_info[p]
             B, y = obj_info[q]
-            spans = all_spans(F, A, x, B, y, apexes[(A, B)])
+            spans = all_spans(A, x, B, y, rows[(A, B)])
             bud.charge(len(spans) + 1)
-            at_T = [s for s in spans if s.apex == T]
+            if not spans:
+                continue
+            at_T = [key for s, key in spans if s[4] == T]
             bud.charge(len(spans) - len(at_T))
-            find, union = union_find(at_T)
-            # plain tuples stand for the T-spans one generating step away
-            for s in at_T:
-                u, v, f = s.left, s.right, s.mor
-                for e in loops:
-                    bud.charge()
-                    union(s, (A, x, B, y, T, C1.comp[(e, u)], C1.comp[(e, v)],
-                              F.on1[e].mor_map[f]))
-                for a, u2 in conjugates[u]:
-                    bud.charge()
-                    union(s, (A, x, B, y, T, u2, v, fT.comp[
-                        (f, fT.inverse(F.on2[a].components[x]))]))
-                for b, v2 in conjugates[v]:
-                    bud.charge()
-                    union(s, (A, x, B, y, T, u, v2,
-                              fT.comp[(F.on2[b].components[y], f)]))
+            if steps:
+                find, union = union_find(at_T)
+                for key in at_T:
+                    u, v, f = key
+                    for e in loops:
+                        bud.charge()
+                        union(key, (C1.comp[(e, u)], C1.comp[(e, v)],
+                                    F.on1[e].mor_map[f]))
+                    for a, u2 in conjugates[u]:
+                        bud.charge()
+                        union(key, (u2, v, fT.comp[
+                            (f, fT.inverse(F.on2[a].components[x]))]))
+                    for b, v2 in conjugates[v]:
+                        bud.charge()
+                        union(key, (u, v2,
+                                    fT.comp[(F.on2[b].components[y], f)]))
             # spans come sorted, so naming classes on their first member
             # orders them by least member, each with its members sorted
-            named = {}  # root T-span -> class name
-            for s in spans:
-                _, _, _, _, apex, left, right, mor = s
-                if apex == T:
-                    root = find(s)
-                else:
-                    c = to_T[apex]
-                    # a plain tuple stands for the Span T(s)
-                    root = find((A, x, B, y, T, C1.comp[(c, left)],
-                                 C1.comp[(c, right)], F.on1[c].mor_map[mor]))
+            named = {}  # class root -> class name
+            for s, key in spans:
+                root = find(key) if steps else key
                 name = named.get(root)
                 if name is None:
                     name = named[root] = "%s>%s#%d" % (p, q, len(named))
@@ -329,11 +369,28 @@ def recompose(R: PseudocolimitResult, apex_seed, budget: Budget):
     """R's composition table recomputed over R's classes with the apexes
     searched in an order shuffled by `apex_seed`; equal to R.category.comp
     when composition is well defined on classes.  The quotient does not
-    read the apex order, so it is not recomputed."""
+    read the apex order, so it is not recomputed.  Nor is an entry whose
+    block (p, r) holds one class: any composite of spans p -> q -> r lies
+    in that class whatever the order.  So a copy of R.category.comp is
+    charged for those entries at once, without visiting them, and only the
+    entries of blocks with two or more classes are searched again and
+    overwritten, keeping R's insertion order; `budget` is charged
+    len(R.category.comp) in all."""
     apex_order = sorted(R.diagram.index.objects())
     random.Random(apex_seed).shuffle(apex_order)
-    return compose_spans(R.diagram, R.class_members, R.span_class,
-                         apex_order, budget)
+    blocks = _hom_blocks(R.class_members)
+    out_of = {}  # p -> [(q, block (p, q))], nonempty
+    for (p, q), block in blocks.items():
+        out_of.setdefault(p, []).append((q, block))
+    searched = [(block1, blocks[(q, r)])
+                for (p, r), block in blocks.items() if len(block) > 1
+                for q, block1 in out_of[p] if (q, r) in blocks]
+    comp = dict(R.category.comp)
+    budget.charge(len(comp) - sum(len(b1) * len(b2) for b1, b2 in searched))
+    fill = _refinement_search(R.diagram, R.span_class, apex_order, budget)
+    for block1, block2 in searched:
+        fill(comp, block1, block2)
+    return comp
 
 
 # ---------------------------------------------------------------------------

@@ -121,8 +121,20 @@ def validate_assignment(A: LimitAssignment) -> list[str]:
     """Each chosen cone must be made of objects and morphisms of the
     category, with matching endpoints, and satisfy its universal property
     (exhaustively).  An entry that names something else is reported and
-    checked no further."""
+    checked no further.
+
+    A complete assignment on a category with two parallel morphisms is
+    refused by that one pair, with no cone checked: a finite category
+    with all binary products is thin (hom(X, Y^k) has |hom(X, Y)|^k
+    elements for every k), so such an assignment cannot be valid."""
     C = A.cat
+    if A.is_complete():
+        for f in C.morphisms():
+            a, b = C.mor_src[f], C.mor_tgt[f]
+            for g in C.hom(a, b):
+                if g != f:
+                    return ["complete assignment on a non-thin category: "
+                            "%s and %s are parallel %s -> %s" % (f, g, a, b)]
     out = []
     if A.terminal is not None:
         if _unknown(C, [A.terminal]) is not None:

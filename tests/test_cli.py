@@ -1,3 +1,5 @@
+import errno
+import os
 import re
 
 import pytest
@@ -48,6 +50,24 @@ def test_validate_broken_category_exits_one(runner, fixture_dir, tmp_path):
     assert "outcome fail" in res.output
 
 
+def test_validate_non_thin_complete_assignment_exits_one(runner, fixture_dir,
+                                                         tmp_path):
+    """A complete limit assignment on Z/2 is refused by one parallel pair,
+    not by four failed cone checks."""
+    bad = tmp_path / "z2.cat"
+    bad.write_text(
+        "%fixture 1\n[category z2]\nobject o\nmor id : o -> o\n"
+        "mor s : o -> o\nid o = id\ncomp id . id = id\ncomp id . s = s\n"
+        "comp s . id = s\ncomp s . s = id\nterminal o\ntmap o = id\n"
+        "product o o = o id id\n" + "".join(
+            "equalizer %s %s = o id\n" % (f, g)
+            for f in ("id", "s") for g in ("id", "s")))
+    res = run(runner, fixture_dir, "validate", str(bad))
+    assert res.exit_code == 1, res.output
+    assert ("violation z2 complete assignment on a non-thin category: id "
+            "and s are parallel o -> o\nviolations 1\n") in res.output
+
+
 def test_missing_file_exits_two(runner, fixture_dir):
     res = run(runner, fixture_dir, "validate", "nonexistent.cat")
     assert res.exit_code == 2
@@ -73,13 +93,44 @@ def test_non_utf8_fixture_exits_two(runner, fixture_dir, tmp_path):
 
 
 @pytest.mark.parametrize("where", ["directory", "missing parent"])
-def test_unwritable_report_exits_two(runner, fixture_dir, tmp_path, where):
+def test_unwritable_report_exits_two(runner, fixture_dir, tmp_path,
+                                     monkeypatch, where):
+    """A --report path that is a directory or lacks its parent directory
+    is refused before any fixture is read or colimit built."""
     path = tmp_path if where == "directory" else tmp_path / "no" / "r.txt"
+    reason = "Is a directory" if where == "directory" else \
+        "No such file or directory"
+
+    def refused(*args):
+        raise AssertionError("the run went ahead")
+
+    monkeypatch.setattr(cli, "build_pseudocolimit", refused)
+    monkeypatch.setattr(cli, "_load", refused)
+    res = runner.invoke(main, ["--fixture-dir", str(fixture_dir),
+                               "--report", str(path), "colim",
+                               "swapchain.diag"])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.output == "error cannot write report %s: %s\n" % (path,
+                                                                 reason)
+
+
+def test_failed_report_write_exits_two(runner, fixture_dir, tmp_path,
+                                       monkeypatch):
+    """A report write that fails after the run, say on a full disk, still
+    ends it with exit 2 and the error line."""
+    def full(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli.Path, "write_text", full)
+    path = tmp_path / "r.txt"
     res = runner.invoke(main, ["--fixture-dir", str(fixture_dir),
                                "--report", str(path), "validate", "one.cat"])
-    assert res.exit_code == 2
+    assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)
-    assert "error cannot write report %s" % path in res.output
+    assert "error cannot write report %s: %s\n" % (
+        path, os.strerror(errno.ENOSPC)) in res.output
+    assert "wall-time" in res.output
 
 
 def test_negative_budget_exits_two(runner, fixture_dir):

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from sitecolim import standard
+from sitecolim import limits, standard
 from sitecolim.core import Functor, identity_functor
 from sitecolim.errors import IncompleteAssignment
 from sitecolim.limits import (Cone, Diagram, LimitAssignment, check_exact,
@@ -111,3 +111,29 @@ def test_ill_named_entries_are_reported(diamond_limits, changes, message):
     """An entry naming an unknown or non-composable morphism is a
     violation, not a KeyError."""
     assert message in validate_assignment(_with(diamond_limits, **changes))
+
+
+def test_complete_assignment_on_a_non_thin_category(monkeypatch):
+    """A complete assignment on z2 (terminal *, product * * = * e e, all
+    four equalizers = * e) gets one violation naming a parallel pair, and
+    no cone is checked; an incomplete one is still checked cone by
+    cone."""
+    from test_kernel import z2
+    Z = z2()
+    complete = LimitAssignment(
+        Z, "*", {"*": "e"}, {("*", "*"): ("*", "e", "e")},
+        {(f, g): ("*", "e") for f in "es" for g in "es"})
+    assert complete.is_complete()
+
+    def no_cone_checks(*args):
+        raise AssertionError("a cone was checked")
+
+    monkeypatch.setattr(limits, "is_limiting_cone", no_cone_checks)
+    assert validate_assignment(complete) == [
+        "complete assignment on a non-thin category: e and s are parallel "
+        "* -> *"]
+    monkeypatch.undo()
+    partial = dataclasses.replace(complete, equalizers={})
+    assert validate_assignment(partial) == [
+        "chosen terminal * is not terminal",
+        "chosen product of (*, *) is not a product"]

@@ -4,7 +4,9 @@ every pair of spans, the library only the spans at one weakly terminal
 apex.  Both must give the same objects, classes with the same names and
 members, identities, composition table in the same insertion order, and
 cone; the reference built with its apexes searched in a seeded order, and
-the library's table recomposed in that order, must give the same table.
+the library's table recomposed in that order, must give the same table,
+with one candidate charged per entry and a refinement searched for the
+entries of hom blocks with two or more classes only.
 Every morphism of the colimit, as a one-edge diagram, must lift to one
 fiber and push forward to itself.  On the same draws, L is a category,
 lambda a pseudocone, and every member pair of every composable class pair
@@ -31,6 +33,8 @@ from sitecolim.limits import Diagram  # noqa: E402
 from sitecolim.twocat import TwoDiagram  # noqa: E402
 from strategies import diagrams, z2_idempotent_twocat  # noqa: E402
 from test_kernel import z2  # noqa: E402
+from test_span_layer import (multi_class_entries,  # noqa: E402
+                             recompose_traced)
 
 SEED = 7
 
@@ -69,6 +73,18 @@ def test_build_matches_reference(F):
         assert got.cone.key() == want.cone.key()
     assert list(colim.recompose(got, SEED, Budget()).items()) == \
         list(L.comp.items())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(diagrams())
+def test_recompose_searches_only_multi_class_blocks(F):
+    R = colim.build_pseudocolimit(F)
+    L = R.category
+    b = Budget()
+    _, entries = recompose_traced(R, SEED, b)
+    assert b.used == len(L.comp)
+    assert len(entries) == len(set(entries))
+    assert set(entries) == set(multi_class_entries(L))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

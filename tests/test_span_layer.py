@@ -12,11 +12,13 @@ their generating steps, so the library's Budget count is computed here
 from the index and the oracle's spans.  The library composes without a
 refinement search wherever a hom-set of the colimit holds one class; the
 searches it does make are counted through the index's
-invertible_cells_between.
+invertible_cells_between.  The seeded recomposition copies the build's
+table and hands only the entries of multi-class hom-sets to the search,
+which is recorded by wrapping colim._refinement_search.
 """
 
 import random
-from collections import Counter
+from unittest import mock
 
 import pytest
 
@@ -148,12 +150,6 @@ def test_build_matches_reference(case, seed):
     assert got.span_class == want.span_class
     assert got.cone.key() == want.cone.key()
     assert got_budget.used == build_budget(F, want)
-    if seed is not None:
-        b = Budget()
-        assert list(colim.recompose(got, seed, b).items()) == \
-            list(M.comp.items())
-        ins, outs = Counter(L.mor_tgt.values()), Counter(L.mor_src.values())
-        assert b.used == sum(ins[q] * outs[q] for q in L.objects)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -200,23 +196,112 @@ def test_one_class_blocks_search_no_refinement(case, monkeypatch):
     assert len(calls) == sum(tries(*key) for key in searched)
 
 
+def multi_class_entries(L):
+    """The entries (m2, m1) of L's table whose block, from the source of
+    m1 to the target of m2, holds two or more classes."""
+    return [(m2, m1) for (m2, m1) in L.comp
+            if len(L.hom(L.mor_src[m1], L.mor_tgt[m2])) > 1]
+
+
+def recompose_traced(R, seed, budget):
+    """colim.recompose(R, seed, budget) and the entries, in order, that it
+    hands to the refinement search."""
+    entries = []
+    search = colim._refinement_search
+
+    def traced(*args):
+        fill = search(*args)
+
+        def traced_fill(comp, block1, block2):
+            entries.extend((m2, m1) for m1, _ in block1 for m2, _ in block2)
+            fill(comp, block1, block2)
+
+        return traced_fill
+
+    with mock.patch.object(colim, "_refinement_search", traced):
+        table = colim.recompose(R, seed, budget)
+    return table, entries
+
+
+@pytest.mark.parametrize("seed", [7, 11])
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_all_spans_sorted(case):
-    """build_pseudocolimit names classes in first-member order and keeps
-    their members in span order; both rely on all_spans returning its
-    spans sorted."""
+def test_recompose_searches_only_multi_class_blocks(case, seed, monkeypatch):
+    """recompose leaves R's table as it is, returns the reference's table
+    in the seeded apex order item for item, charges one candidate per
+    entry, and searches a refinement for the entries of blocks with two or
+    more classes only, each once; on a thin L it asks the index for no
+    invertible 2-cell at all."""
     F = CASES[case]()
     R = colim.build_pseudocolimit(F)
+    L = R.category
+    before = list(L.comp.items())
+    want = oracle.build_pseudocolimit(F, apex_seed=seed).category
+    calls = []
+    cells = F.index.invertible_cells_between
+    monkeypatch.setattr(F.index, "invertible_cells_between",
+                        lambda u, v: calls.append((u, v)) or cells(u, v))
+    b = Budget()
+    table, entries = recompose_traced(R, seed, b)
+    assert list(L.comp.items()) == before
+    assert list(table.items()) == list(want.comp.items())
+    assert b.used == len(L.comp)
+    assert len(entries) == len(set(entries))
+    assert set(entries) == set(multi_class_entries(L))
+    if case not in MANY_CLASSES:
+        assert entries == calls == []
+
+
+@pytest.mark.parametrize("case", sorted(MANY_CLASSES))
+def test_recompose_catches_a_wrong_searched_entry(case):
+    """An entry of a multi-class block set to another class of its block
+    is searched again and put right, so the seeded table differs from the
+    build's and the CLI reports seed_stable false."""
+    F = CASES[case]()
+    R = colim.build_pseudocolimit(F)
+    L = R.category
+    keys = multi_class_entries(L)
+    assert keys
+    for key in keys:
+        right = L.comp[key]
+        m2, m1 = key
+        L.comp[key] = next(m for m in L.hom(L.mor_src[m1], L.mor_tgt[m2])
+                           if m != right)
+        table = colim.recompose(R, 7, Budget())
+        assert table[key] == right
+        assert table != L.comp
+        L.comp[key] = right
+    assert colim.recompose(R, 7, Budget()) == L.comp
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_all_spans_sorted(case, monkeypatch):
+    """build_pseudocolimit names classes in first-member order and keeps
+    their members in span order; both rely on all_spans returning its
+    spans sorted.  Each span comes with the key (c.u, c.v, F(c)f) of its
+    transport to T along c, the first 1-cell s.apex -> T, or the identity
+    at T; and all_spans is the build's only producer of spans."""
+    F = CASES[case]()
+    calls = []
+    produce = colim.all_spans
+
+    def recorded(*args):
+        out = produce(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(colim, "all_spans", recorded)
+    R = colim.build_pseudocolimit(F)
     C1 = F.index.cells1
-    index_objs = sorted(F.index.objects())
-    for p in R.category.objects:
-        for q in R.category.objects:
-            (A, _), (B, _) = R.obj_info[p], R.obj_info[q]
-            apexes = [(apex, u, v) for apex in index_objs
-                      for u in C1.hom(A, apex) for v in C1.hom(B, apex)]
-            spans = colim.all_spans(F, *R.obj_info[p], *R.obj_info[q],
-                                    apexes)
-            assert spans == sorted(spans)
+    T = weakly_terminal(F)
+    assert len(calls) == len(R.category.objects) ** 2
+    for args, out in calls:
+        spans = [s for s, _ in out]
+        assert spans == sorted(spans)
+        assert spans == oracle.all_spans(F, *args[:4])
+        for s, key in out:
+            c = C1.hom(s.apex, T)[0] if s.apex != T else C1.identities[T]
+            assert key == (C1.comp[(c, s.left)], C1.comp[(c, s.right)],
+                           F.on1[c].mor_map[s.mor])
 
 
 @pytest.mark.parametrize("case", sorted(STANDARD))

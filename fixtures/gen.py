@@ -82,7 +82,7 @@ write("inclchain.diag", [
     print_twocat(CHAIN3),
     print_category(CategoryBlock(ONE)),
     print_category(CategoryBlock(TWO)),
-    print_functor(incl, "one", "two"),
+    print_functor(incl),
     ident_functor_block("idtwo", TWO),
     chain3_diag("inclchain", [("0", "one"), ("1", "two"), ("2", "two")],
                 [("0_1", "incl0"), ("1_2", "idtwo"), ("0_2", "incl0")]),
@@ -92,7 +92,7 @@ sw = standard.diamond_swap()
 write("swapchain.diag", [
     print_twocat(CHAIN3),
     print_category(CategoryBlock(DIAMOND)),
-    print_functor(sw, "diamond", "diamond"),
+    print_functor(sw),
     ident_functor_block("iddiamond", DIAMOND),
     chain3_diag("swapchain",
                 [("0", "diamond"), ("1", "diamond"), ("2", "diamond")],

@@ -32,10 +32,10 @@ from .core import (Budget, FinCat, Functor, NatTrans, compose_functors,
                    enumerate_functors, enumerate_nat_trans, union_find)
 from .cones import (Pseudocone, check_pseudocone, enumerate_modifications,
                     enumerate_pseudocones, postcompose_cone)
-from .errors import (IllFormedCone, IncompleteAssignment, NotFiltered,
-                     NotLiftable)
+from .errors import (IllFormedCone, IncompleteAssignment, NameCollision,
+                     NotFiltered, NotLiftable)
 from .limits import (Cone, Diagram, LimitAssignment, chosen_limit,
-                     discrete_pair, empty_diagram, parallel_pair)
+                     discrete_pair, empty_diagram)
 from .twocat import TwoDiagram, check_2filtered
 
 
@@ -93,13 +93,16 @@ def span_related(F: TwoDiagram, s: Span, t: Span) -> bool:
 
 
 def _hom_blocks(class_members):
-    """(p, q) -> [(class, least member)] for every nonempty hom block of
-    the colimit, blocks and classes in build order."""
+    """(blocks, leaving): (p, q) -> [(class, least member)] for every
+    nonempty hom block, and p -> [(q, block (p, q))]; in build order."""
     blocks = {}
     for name, members in class_members.items():
         s = members[0]
         blocks.setdefault((s[:2], s[2:4]), []).append((name, s))
-    return blocks
+    leaving = {}
+    for (p, q), block in blocks.items():
+        leaving.setdefault(p, []).append((q, block))
+    return blocks, leaving
 
 
 def _refinement_search(F: TwoDiagram, span_class, apex_order, bud: Budget):
@@ -167,10 +170,7 @@ def compose_spans(F: TwoDiagram, class_members, span_class, apex_order,
     does not depend on the members chosen or on the order:
     tests/test_span_layer.py composes every member pair of every composable
     class pair and checks each lands in the class L.comp records."""
-    blocks = _hom_blocks(class_members)
-    leaving = {}  # q -> [(r, block (q, r))], nonempty, r in build order
-    for (q, r), block in blocks.items():
-        leaving.setdefault(q, []).append((r, block))
+    blocks, leaving = _hom_blocks(class_members)
     fill = _refinement_search(F, span_class, apex_order, bud)
     charge = bud.charge
     comp = {}
@@ -258,19 +258,21 @@ def build_pseudocolimit(F: TwoDiagram,
     obj_info = {}
     for A in index_objs:
         for x in sorted(F.fibers[A].objects):
-            objs.append(obj_name(A, x))
-            obj_info[obj_name(A, x)] = (A, x)
+            p = obj_name(A, x)
+            if p in obj_info:
+                raise NameCollision("colimit object %s names both (%s, %s) "
+                                    "and (%s, %s)" % (p, *obj_info[p], A, x))
+            objs.append(p)
+            obj_info[p] = (A, x)
 
     C1 = F.index.cells1
     T = next(T for T in index_objs
              if all(C1.hom(A, T) for A in F.index.objects()))
     fT = F.fibers[T]
-    # c_C, the first 1-cell C -> T (c_T is the identity), and F(c_C) on
-    # morphisms
+    # c_C, the first 1-cell C -> T (c_T = id_T), and F(c_C) on morphisms
     c = {C: C1.hom(C, T)[0] for C in index_objs}
     c[T] = C1.identities[T]
     cmor = {C: F.on1[c[C]].mor_map for C in index_objs}
-    cmor[T] = {f: f for f in fT.morphisms()}
     # (A, B) -> a row per (C, u : A -> C, v : B -> C), sorted (all_spans)
     rows = {(A, B): [(C, u, v, F.fibers[C].hom, F.on1[u].obj_map,
                       F.on1[v].obj_map, C1.comp[(c[C], u)],
@@ -326,6 +328,11 @@ def build_pseudocolimit(F: TwoDiagram,
                 name = named.get(root)
                 if name is None:
                     name = named[root] = "%s>%s#%d" % (p, q, len(named))
+                    if name in class_members:
+                        raise NameCollision(
+                            "colimit morphism %s names a class %s -> %s and "
+                            "one %s -> %s" % (name, mor_src[name],
+                                              mor_tgt[name], p, q))
                     class_members[name] = []
                     mor_src[name] = p
                     mor_tgt[name] = q
@@ -378,13 +385,10 @@ def recompose(R: PseudocolimitResult, apex_seed, budget: Budget):
     len(R.category.comp) in all."""
     apex_order = sorted(R.diagram.index.objects())
     random.Random(apex_seed).shuffle(apex_order)
-    blocks = _hom_blocks(R.class_members)
-    out_of = {}  # p -> [(q, block (p, q))], nonempty
-    for (p, q), block in blocks.items():
-        out_of.setdefault(p, []).append((q, block))
+    blocks, leaving = _hom_blocks(R.class_members)
     searched = [(block1, blocks[(q, r)])
                 for (p, r), block in blocks.items() if len(block) > 1
-                for q, block1 in out_of[p] if (q, r) in blocks]
+                for q, block1 in leaving[p] if (q, r) in blocks]
     comp = dict(R.category.comp)
     budget.charge(len(comp) - sum(len(b1) * len(b2) for b1, b2 in searched))
     fill = _refinement_search(R.diagram, R.span_class, apex_order, budget)
@@ -564,8 +568,11 @@ def colim_limit_assignment(R: PseudocolimitResult,
                            fiber_limits: dict[str, LimitAssignment]
                            ) -> LimitAssignment:
     """A complete chosen-limit structure on the colimit category.  The
-    terminal and the equalizers are built through colim_finite_limit; the
-    products are read straight off the fibers, to the same cones.
+    terminal comes from colim_finite_limit, which checks that each hom(o, t)
+    has one element; the products are read straight off the fibers, to the
+    same cones.  With all binary products a finite L is thin, as hom(X, Y^k)
+    has |hom(X, Y)|^k elements: each equalizer is (f, f) -> (src f, id), and
+    a non-thin L, from unvalidated fibers, raises IncompleteAssignment.
 
     For a = (B, y) and b = (B', y'), lift_diagram lifts the discrete pair
     to the first apex A in sorted order with 1-cells from both B and B',
@@ -577,11 +584,7 @@ def colim_limit_assignment(R: PseudocolimitResult,
     L = R.category
     F = R.diagram
     term = colim_finite_limit(R, empty_diagram(), fiber_limits)
-    tmap = {}
-    for o in L.objects:
-        ms = L.hom(o, term.apex)
-        assert len(ms) == 1
-        tmap[o] = ms[0]
+    tmap = {o: L.hom(o, term.apex)[0] for o in L.objects}
     lifts = {}  # (B, B') -> (A, u, u')
     isos = {}  # (A, u, p) -> reindex_iso(R, A, u, p)
 
@@ -613,11 +616,9 @@ def colim_limit_assignment(R: PseudocolimitResult,
                                 leg(A, u2, b, p2))
     equalizers = {}
     for f in L.morphisms():
-        for g in L.hom(L.mor_src[f], L.mor_tgt[f]):
-            if f == g:
-                src = L.mor_src[f]
-                equalizers[(f, g)] = (src, L.identities[src])
-                continue
-            cone = colim_finite_limit(R, parallel_pair(L, f, g), fiber_limits)
-            equalizers[(f, g)] = (cone.apex, cone.legs["l"])
+        a, pair = L.mor_src[f], L.hom(L.mor_src[f], L.mor_tgt[f])
+        if len(pair) > 1:
+            raise IncompleteAssignment("the colimit is not thin: %s and %s "
+                                       "are parallel" % pair[:2])
+        equalizers[(f, f)] = (a, L.identities[a])
     return LimitAssignment(L, term.apex, tmap, products, equalizers)

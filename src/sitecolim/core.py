@@ -111,6 +111,9 @@ def validate_category(C: FinCat) -> list[str]:
             out.append("identity %s of %s is not a morphism" % (i, o))
         elif C.mor_src[i] != o or C.mor_tgt[i] != o:
             out.append("identity %s of %s has wrong endpoints" % (i, o))
+    for o in C.identities:
+        if o not in seen:
+            out.append("identity at %s, which is not an object" % o)
     for g, f in C.comp:
         if g not in C.mor_src or f not in C.mor_src:
             out.append("composite %s . %s names an unknown morphism"
@@ -346,7 +349,10 @@ def compose_functors(G: Functor, F: Functor) -> Functor:
 
 def validate_functor(F: Functor) -> list[str]:
     C, D = F.source, F.target
-    out = []
+    out = ["maps object %s, which %s lacks" % (o, C.name)
+           for o in F.obj_map if o not in C.objects]
+    out += ["maps morphism %s, which %s lacks" % (m, C.name)
+            for m in F.mor_map if m not in C.mor_src]
     for o in C.objects:
         if F.obj_map.get(o) not in D.objects:
             out.append("object %s not mapped into target" % o)
@@ -481,7 +487,8 @@ def validate_nat_trans(a: NatTrans) -> list[str]:
     D = F.target
     if (F.source.name, D.name) != (G.source.name, G.target.name):
         return ["source and target functors are not parallel"]
-    out = []
+    out = ["component at %s, which %s lacks" % (o, F.source.name)
+           for o in a.components if o not in F.source.objects]
     for o in F.source.objects:
         m = a.components.get(o)
         if m not in D.mor_src:

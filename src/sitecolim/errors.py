@@ -25,6 +25,10 @@ class NotFiltered(SitecolimError):
     """The index 2-category fails one of the filteredness conditions."""
 
 
+class NameCollision(SitecolimError):
+    """Two objects or two morphisms of a colimit would get one name."""
+
+
 class NotLiftable(SitecolimError):
     """A diagram in the colimit could not be lifted to a single fiber."""
 

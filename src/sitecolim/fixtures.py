@@ -26,9 +26,10 @@ checked table, limit assignment, site; a diagram index, fibers, 2-functor
 and generator sets.  A block that names a block with violations inherits
 its first one under the naming line (`index chain3: ...`,
 `fiber 0 (two): ...`) and derives nothing more: no identity transitions,
-2-cells or coherences, no empty presheaf sets.  Malformed lines, unknown
-block names and a line that sets an entry an earlier line of its block
-set raise FixtureError.
+2-cells or coherences, no empty presheaf sets.  An entry at a name the
+block's category, index or diagram lacks is a violation.  Malformed lines
+(an empty block name among them), unknown block names and a line that sets
+an entry an earlier line of its block set raise FixtureError.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def parse(text: str, env: Environment | None = None) -> Environment:
     cur = None
     for ln, toks in lines[1:]:
         if toks[0].startswith("["):
-            if len(toks) != 2 or not toks[1].endswith("]"):
+            if len(toks) != 2 or toks[1] == "]" or not toks[1].endswith("]"):
                 raise FixtureError("malformed block header", ln)
             cur = (toks[0][1:], toks[1][:-1], ln, [])
             blocks.append(cur)
@@ -381,23 +382,32 @@ def _parse_diagram(name, head, body, env):
             raise FixtureError("diagram %s: no transformation for 2-cell %s"
                                % (name, g))
     ok, why = check_two_functor(dia)
-    return out, _own(_generator_violations(index, fibers, generators)
+    return out, _own(_entry_violations(index, fibers, on1, on2, generators)
                      + ([] if ok else [why]))
 
 
-def _generator_violations(index, fibers, generators):
-    """A message for every generator set of a diagram block that is not
-    at an index object or names an object its fiber lacks."""
-    out = []
+def _strays(kind, entries, known, what):
+    """A message for every `kind` entry of a block at a name not in
+    `known`."""
+    return ["%s %s: %s is not %s" % (kind, n, n, what)
+            for n in sorted(entries) if n not in known]
+
+
+def _entry_violations(index, fibers, on1, on2, generators):
+    """A message for every fiber, transition, cell or generator set of a
+    diagram block at something the index lacks, and for every generator
+    its fiber lacks."""
+    out = (_strays("fiber", fibers, index.objects(), "an index object")
+           + _strays("transition", on1, index.one_cells(), "a 1-cell")
+           + _strays("cell", on2, index.two_cells(), "a 2-cell")
+           + _strays("generators", generators, index.objects(),
+                     "an index object"))
     for A, names in sorted(generators.items()):
-        if A not in index.objects():
-            out.append("generators %s: %s is not an index object" % (A, A))
-            continue
-        cat = fibers[A].cat
-        for c in sorted(names):
-            if c not in cat.objects:
-                out.append("generators %s: %s is not an object of %s"
-                           % (A, c, cat.name))
+        if A in index.objects():
+            cat = fibers[A].cat
+            out += ["generators %s: %s is not an object of %s"
+                    % (A, c, cat.name) for c in sorted(names)
+                    if c not in cat.objects]
     return out
 
 
@@ -431,7 +441,9 @@ def _parse_cone(name, head, body, env):
                 and u == diagram.index.cells1.identities.get(a)):
             coherence[u] = identity_nat(legs[a])
     ok, why = check_pseudocone(h)
-    return h, [] if ok else [(None, why)]
+    bad = (_strays("leg", legs, diagram.index.objects(), "an index object")
+           + _strays("coh", coherence, diagram.index.one_cells(), "a 1-cell"))
+    return h, _own(bad + ([] if ok else [why]))
 
 
 def _parse_presheaf(name, head, body, env):
@@ -523,10 +535,9 @@ def print_twocat(A: TwoCat) -> list[str]:
     return out
 
 
-def print_functor(F: Functor, source_name=None, target_name=None) -> list[str]:
-    out = ["[functor %s]" % F.name,
-           "source %s" % (source_name or F.source.name),
-           "target %s" % (target_name or F.target.name)]
+def print_functor(F: Functor) -> list[str]:
+    out = ["[functor %s]" % F.name, "source %s" % F.source.name,
+           "target %s" % F.target.name]
     for o in sorted(F.obj_map):
         out.append("obj %s -> %s" % (o, F.obj_map[o]))
     for m in sorted(F.mor_map):

@@ -194,7 +194,10 @@ class Presheaf:
 
 def validate_presheaf(P: Presheaf) -> list[str]:
     C = P.cat
-    out = []
+    out = ["value set at %s, which %s lacks" % (o, C.name)
+           for o in P.sets if o not in C.objects]
+    out += ["action of %s, which %s lacks" % (m, C.name)
+            for m in P.maps if m not in C.mor_src]
     for o in C.objects:
         if o not in P.sets:
             out.append("no value set at %s" % o)

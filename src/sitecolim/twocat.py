@@ -219,9 +219,11 @@ def check_two_functor(F: TwoDiagram):
 
 
 def check_2filtered(A: TwoCat):
-    """Conditions F1-F3 by exhaustive search.  (ok, failing datum)."""
+    """Conditions F0-F3 by exhaustive search.  (ok, failing datum)."""
     C = A.cells1
     objs = sorted(C.objects)
+    if not objs:  # F0: a 2-filtered category is nonempty
+        return False, ("F0",)
     for a in objs:  # F1: cospans
         for b in objs:
             if not any(C.hom(a, c) and C.hom(b, c) for c in objs):

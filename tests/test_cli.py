@@ -8,6 +8,11 @@ from click.testing import CliRunner
 from sitecolim import cli
 from sitecolim.cli import main
 from sitecolim.colim import BicolimReport
+from sitecolim.core import identity_functor
+from sitecolim.fixtures import (CategoryBlock, print_category, print_functor,
+                                print_twocat, render)
+
+from test_colim import COLLISIONS
 
 
 @pytest.fixture()
@@ -540,3 +545,42 @@ def test_generators_off_the_index_are_reported(runner, fixture_dir,
     assert res.exit_code == 1, res.output
     assert ("violation covereddiamond generators 9: 9 is not an index object"
             in res.output)
+
+
+@pytest.mark.parametrize("command", [("colim",),
+                                     ("verify-bicolim", "--vertex", "one.cat")],
+                         ids=["colim", "verify-bicolim"])
+def test_empty_index_exits_two(runner, fixture_dir, tmp_path, command):
+    """validate accepts a diagram over the empty 2-category, and the
+    commands that build its colimit refuse it as not 2-filtered."""
+    path = tmp_path / "empty.diag"
+    path.write_text("%fixture 1\n[twocat empty]\n[diagram nothing]\n"
+                    "index empty\n")
+    assert run(runner, fixture_dir, "validate", str(path)).exit_code == 0
+    res = run(runner, fixture_dir, command[0], str(path), *command[1:])
+    assert res.exit_code == 2, res.output
+    assert ("error index is not 2-filtered: index fails F0 at ()\n"
+            in res.output)
+
+
+@pytest.mark.parametrize("build, message", COLLISIONS,
+                         ids=["objects", "classes"])
+def test_colliding_colimit_names_exit_two(runner, fixture_dir, tmp_path,
+                                          build, message):
+    """A constant diagram that validate accepts, whose colimit would give
+    two objects or two classes one name, is refused naming both."""
+    dia = build()
+    C = dia.fibers[dia.index.objects()[0]]
+    ident = identity_functor(C)
+    path = tmp_path / "collide.diag"
+    path.write_text(render([
+        print_twocat(dia.index), print_category(CategoryBlock(C)),
+        print_functor(ident),
+        ["[diagram collide]", "index %s" % dia.index.name]
+        + ["fiber %s = %s" % (A, C.name) for A in dia.index.objects()]
+        + ["transition %s = %s" % (u, ident.name)
+           for u in dia.index.one_cells()]]))
+    assert run(runner, fixture_dir, "validate", str(path)).exit_code == 0
+    res = run(runner, fixture_dir, "colim", str(path))
+    assert res.exit_code == 2, res.output
+    assert "error %s\n" % message in res.output

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from sitecolim import standard
@@ -6,15 +8,16 @@ from sitecolim.colim import (build_pseudocolimit, colim_finite_limit,
                              lift_diagram, obj_name, recompose,
                              reindex_iso, verify_bicolimit)
 from sitecolim.cones import enumerate_modifications, enumerate_pseudocones
-from sitecolim.core import (Budget, NatTrans, enumerate_nat_trans,
-                            equivalence_witness, validate_category,
-                            validate_functor, validate_nat_trans)
+from sitecolim.core import (Budget, NatTrans, Presentation, build_category,
+                            enumerate_nat_trans, equivalence_witness,
+                            validate_category, validate_functor,
+                            validate_nat_trans)
 from sitecolim.errors import (BudgetExceeded, IncompleteAssignment,
-                              NotFiltered, SitecolimError)
+                              NameCollision, NotFiltered, SitecolimError)
 from sitecolim.limits import (Diagram, LimitAssignment, check_exact,
                               discrete_pair, empty_diagram, is_limiting_cone,
                               parallel_pair, validate_assignment)
-from sitecolim.twocat import constant_diagram
+from sitecolim.twocat import constant_diagram, two_cat_from_cat
 
 
 class NoSolution(SitecolimError):
@@ -279,3 +282,56 @@ def test_cone_exactness_negative(diamondchain_colim, diamond,
     corrupted.products[("a", "b")] = ("top", "id_top", "id_top")
     legs = diamondchain_colim.cone.legs
     assert not all(check_exact(legs[A], corrupted)[0] for A in sorted(legs))
+
+
+def colliding_objects():
+    """Index objects 0 and 0.a, each with fiber objects a.b and b: the
+    colimit objects (0, a.b) and (0.a, b) are both named 0.a.b."""
+    idx = two_cat_from_cat(standard.poset_category(
+        "idx", ("0", "0.a"), lambda x, y: x == y or x == "0"))
+    C = standard.poset_category("c", ("a.b", "b"), lambda x, y: x == y)
+    return constant_diagram(idx, C, "collide")
+
+
+def colliding_classes():
+    """Fiber objects x, x>o.y, y>o.z and z over the point, with
+    x <= y>o.z and x>o.y <= z: both hom blocks name their one class
+    o.x>o.y>o.z#0."""
+    le = {("x", "y>o.z"), ("x>o.y", "z")}
+    C = standard.poset_category("c", ("x", "x>o.y", "y>o.z", "z"),
+                                lambda a, b: a == b or (a, b) in le)
+    return constant_diagram(standard.point_twocat(), C, "collide")
+
+
+COLLISIONS = [
+    (colliding_objects,
+     "colimit object 0.a.b names both (0, a.b) and (0.a, b)"),
+    (colliding_classes,
+     "colimit morphism o.x>o.y>o.z#0 names a class o.x -> o.y>o.z and one "
+     "o.x>o.y -> o.z")]
+
+
+@pytest.mark.parametrize("build, message", COLLISIONS,
+                         ids=["objects", "classes"])
+def test_colliding_names_are_refused(build, message):
+    with pytest.raises(NameCollision, match="^%s$" % re.escape(message)):
+        build_pseudocolimit(build())
+
+
+def test_limit_assignment_refuses_a_non_thin_colimit():
+    """Over the point, the colimit of s => t -> e (f and g parallel, both
+    equal after a) is that category: every object has one morphism to e,
+    and an unvalidated assignment can name a product for every pair, but
+    f and g have no equalizer of the form (src f, id)."""
+    pres = Presentation(("s", "t", "e"), (("f", "s", "t"), ("g", "s", "t"),
+                                          ("a", "t", "e")),
+                        ((("f", "a"), ("g", "a")),))
+    C = build_category(pres, 2, "fork")
+    R = build_pseudocolimit(constant_diagram(standard.point_twocat(), C))
+    products = {(x, y): ("s", C.hom("s", x)[0], C.hom("s", y)[0])
+                for x in C.objects for y in C.objects}
+    fl = {"o": LimitAssignment(C, "e", {}, products, {})}
+    with pytest.raises(IncompleteAssignment, match=(
+            "^the colimit is not thin: o.s>o.t#0 and o.s>o.t#1 are "
+            "parallel$")):
+        colim_limit_assignment(R, fl)

@@ -6,8 +6,12 @@ from sitecolim.cones import (Modification, Pseudocone, check_modification,
                              enumerate_modifications, enumerate_pseudocones,
                              postcompose_cell, postcompose_cone)
 from sitecolim.core import (NatTrans, enumerate_functors, enumerate_nat_trans,
-                            identity_nat, nat_is_invertible, vcomp_nat)
+                            identity_functor, identity_nat, nat_is_invertible,
+                            vcomp_nat)
 from sitecolim.errors import NonInvertibleComponent
+from sitecolim.twocat import constant_diagram
+
+from test_kernel import z2
 
 
 def identity_modification(h: Pseudocone) -> Modification:
@@ -170,3 +174,50 @@ def test_conjugate_is_unique_coherence(consttwo):
             found += 1
             assert cand.key() == h.key()
     assert found == 1
+
+
+def _changed_cone(cone, legs=None, coherence=None):
+    return Pseudocone("changed", cone.diagram, cone.vertex,
+                      dict(cone.legs, **(legs or {})),
+                      dict(cone.coherence, **(coherence or {})))
+
+
+def test_pseudocone_faults_are_named(consttwo, two_cat):
+    c = enumerate_pseudocones(consttwo, two_cat)[0]
+    other = next(F for F in enumerate_functors(two_cat, two_cat)
+                 if F != c.legs["0"])
+    missing = _changed_cone(c)
+    del missing.coherence["0_1"]
+    assert check_pseudocone(missing) == (False, "coherence at 0_1 missing")
+    skewed = _changed_cone(c, coherence={"0_1": identity_nat(other)})
+    assert check_pseudocone(skewed) == (
+        False, "coherence at 0_1 has wrong boundary")
+
+
+def test_pc0_fault_is_named():
+    """Over the point, the identity of z2 with the automorphism s as the
+    coherence of the identity 1-cell: invertible and of the right boundary,
+    but not the identity."""
+    Z = z2()
+    D = standard.point_diagram(Z)
+    leg = identity_functor(Z)
+    h = Pseudocone("h", D, Z, {"o": leg},
+                   {"id_o": NatTrans("s", leg, leg, {"*": "s"})})
+    assert check_pseudocone(h) == (False, "pc0 fails at o")
+
+
+def test_modification_faults_are_named(consttwo, two_cat):
+    c = enumerate_pseudocones(consttwo, two_cat)[0]
+    elsewhere = Pseudocone("elsewhere", constant_diagram(
+        consttwo.index, two_cat, "other"), two_cat, c.legs, c.coherence)
+    assert check_modification(Modification(
+        "m", c, elsewhere, identity_modification(c).components)) == (
+        False, "boundary cones live over different diagrams")
+    one = standard.one()
+    to_one = Pseudocone("to_one", consttwo, one, {}, {})
+    assert check_modification(Modification("m", c, to_one, {})) == (
+        False, "boundary cones have different vertices")
+    partial = identity_modification(c)
+    del partial.components["0"]
+    assert check_modification(partial) == (
+        False, "component at 0 missing or mislabelled")

@@ -14,6 +14,8 @@ from sitecolim.core import (Budget, FinCat, Functor, NatTrans, Presentation,
 from sitecolim.errors import (BudgetExceeded, IllTypedRelation,
                               SaturationExceeded)
 
+from test_kernel import z2
+
 
 def test_validate_one_empty(one_cat):
     assert validate_category(one_cat) == []
@@ -219,3 +221,29 @@ def test_no_equivalence_two_vs_one(one_cat, two_cat):
     res = equivalence_witness(two_cat, one_cat)
     assert res.witness is None
     assert res.exhausted
+
+
+def test_functor_law_faults_are_named():
+    """s |-> s sends the identity e of z2 to s; chain3 -> z2 sending every
+    non-identity arrow to s breaks 1_2 . 0_1 = 0_2, as s.s = e."""
+    Z = z2()
+    bad_id = Functor("bad_id", Z, Z, {"*": "*"}, {"e": "s", "s": "s"})
+    assert validate_functor(bad_id)[0] == "identity at * not preserved"
+    C = standard.chain_cat(3)
+    bad_comp = Functor("bad_comp", C, Z, {o: "*" for o in C.objects},
+                       {m: "e" if C.is_identity(m) else "s"
+                        for m in C.morphisms()})
+    assert validate_functor(bad_comp) == [
+        "composition 1_2 . 0_1 not preserved"]
+
+
+def test_nat_trans_faults_are_named(two_cat):
+    """A component with the wrong target, and the identity of z2 => its
+    trivial endofunctor, whose one component e is not natural at s."""
+    ident = identity_functor(two_cat)
+    skew = NatTrans("skew", ident, ident, {"0": "id_0", "1": "a"})
+    assert validate_nat_trans(skew) == ["component at 1 has wrong endpoints"]
+    Z = z2()
+    trivial = Functor("trivial", Z, Z, {"*": "*"}, {"e": "e", "s": "e"})
+    eta = NatTrans("eta", identity_functor(Z), trivial, {"*": "e"})
+    assert validate_nat_trans(eta) == ["naturality fails at s"]

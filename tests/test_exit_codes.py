@@ -2,7 +2,7 @@
 
 Each case edits one line of one corpus fixture and runs, in process,
 `validate` and every other command that reads that kind of file.  There
-are two sweeps:
+are three sweeps:
 
 - every deletion of one non-blank line other than the `%fixture 1` header;
 - one substitution per line kind (a block kind and a first token, such as
@@ -11,7 +11,9 @@ are two sweeps:
   in an unknown name; this sweep does.  A wider sweep substitutes every
   name position of that line, both with `zz` and with each name from
   another slot of the line, which puts known names of the wrong kind in
-  a slot (a morphism where an object is expected).
+  a slot (a morphism where an object is expected);
+- after the first line of each kind, an inserted copy whose first name is
+  `zz`: an entry at a name its block lacks, which `validate` must reject.
 
 An edited `one.cat`, `two.cat` or `diamond.cat` is also read as the
 `--vertex` of `verify-bicolim` and `verify-site`.  For every run:
@@ -114,6 +116,14 @@ def wider_substitutions(name):
                        edited(lines, i, tokens[:k] + [n] + tokens[k + 1:]))
 
 
+def insertions(name):
+    """(line number, text with a copy of that line, first name `zz`,
+    inserted after it) for the first line of each kind."""
+    for i, lines, tokens in first_lines(name):
+        copy = " ".join([tokens[0], "zz"] + tokens[2:]) + "\n"
+        yield i + 1, "".join(lines[:i + 1] + [copy] + lines[i + 1:])
+
+
 def invoke(args):
     """(exit code, None) for a command that exited, or (None, exception)
     for one that raised anything else."""
@@ -125,10 +135,10 @@ def invoke(args):
     return res.exit_code, None
 
 
-def sweep(name, mutations, tmp_path, commands):
+def sweep(name, mutations, tmp_path, commands, rejected=False):
     """Every breach of the contract over the mutations of fixture `name`:
     each mutated file is passed to `validate`, then to each argument list
-    of commands(path)."""
+    of commands(path).  With `rejected`, `validate` must not pass it."""
     out = []
     path = tmp_path / name
     for line, text in mutations(name):
@@ -142,6 +152,8 @@ def sweep(name, mutations, tmp_path, commands):
                 why = "raised %r" % exc
             elif code not in (0, 1, 2, 3):
                 why = "exited %d" % code
+            elif rejected and code == 0 and args[0] == "validate":
+                why = "passed"
             elif code in (0, 1) and args[0] != "validate" and not validated:
                 why = "exited %d on input validate rejects" % code
             else:
@@ -207,3 +219,9 @@ def test_every_wider_vertex_substitution_keeps_the_exit_contract(
         name, tmp_path):
     assert sweep(name, wider_substitutions, tmp_path,
                  vertex_commands(tmp_path)) == []
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_every_stray_entry_is_rejected(name, tmp_path):
+    assert sweep(name, insertions, tmp_path, commands_for(name),
+                 rejected=True) == []

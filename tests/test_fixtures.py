@@ -319,6 +319,45 @@ def test_adding_lines_may_repeat(fixture_dir):
     assert (None, "duplicate object x") in env.violations["c"]
 
 
+# an entry at a name its block lacks, one per line kind that names one, and
+# the violation it gets
+STRAYS = [
+    ("category", "id zz = id_o", "identity at zz, which is not an object"),
+    ("twocat", "twoid zz = i",
+     "vertical layer: identity at zz, which is not an object"),
+    ("functor", "obj zz -> 0", "maps object zz, which two lacks"),
+    ("functor", "mor zz -> a", "maps morphism zz, which two lacks"),
+    ("nattrans", "at zz = id_0", "component at zz, which two lacks"),
+    ("diagram", "fiber zz = two", "fiber zz: zz is not an index object"),
+    ("diagram", "transition zz = idtwo", "transition zz: zz is not a 1-cell"),
+    ("diagram", "cell zz = one_idtwo", "cell zz: zz is not a 2-cell"),
+    ("cone", "leg zz = idtwo", "leg zz: zz is not an index object"),
+    ("cone", "coh zz = one_idtwo", "coh zz: zz is not a 1-cell"),
+    ("presheaf", "set zz : e", "value set at zz, which two lacks"),
+    ("presheaf", "map zz e = e", "action of zz, which two lacks"),
+]
+
+
+@pytest.mark.parametrize("kind, stray, message", STRAYS,
+                         ids=[s.split(" = ")[0] for _, s, _ in STRAYS])
+def test_stray_entry_is_a_violation(fixture_dir, kind, stray, message):
+    """A line at a name its block lacks is reported, not kept or ignored:
+    each block of REPEATS, without its repeated line, with one such line
+    added."""
+    block = REPEATS[kind][0][:-1] + [stray]
+    if kind == "diagram":
+        block = IDENTITY_CELL.splitlines() + block
+    text, _ = _after_consttwo(fixture_dir, block)
+    name = [line for line in block if line[0] == "["][-1][1:-1].split()[1]
+    assert parse(text).violations[name] == [(None, message)]
+
+
+@pytest.mark.parametrize("header", ["[category ]", "[category]"])
+def test_block_name_may_not_be_empty(header):
+    with pytest.raises(FixtureError, match="^line 2: malformed block header$"):
+        parse("%%fixture 1\n%s\nobject o\n" % header)
+
+
 # a block of each kind with no naming line, and the message it gets
 NO_NAMING_LINE = {
     "functor": ("obj 0 -> 0", "functor needs source and target"),

@@ -1,9 +1,11 @@
 import dataclasses
+import re
 
 import pytest
 
 from sitecolim import limits, standard
-from sitecolim.core import Functor, identity_functor
+from sitecolim.core import (Functor, Presentation, build_category,
+                            identity_functor)
 from sitecolim.errors import IncompleteAssignment
 from sitecolim.limits import (Cone, Diagram, LimitAssignment, check_exact,
                               chosen_limit, discrete_pair, empty_diagram,
@@ -106,6 +108,8 @@ def _with(limits, **changes):
      "bot -> bot"),
     ({"equalizers": {("bot_a", "bot_b"): ("bot", "id_bot")}},
      "chosen equalizer of (bot_a, bot_b): bot_a and bot_b are not parallel"),
+    ({"equalizers": {("a_top", "a_top"): ("bot", "bot_a")}},
+     "chosen equalizer of (a_top, a_top) is not an equalizer"),
 ])
 def test_ill_named_entries_are_reported(diamond_limits, changes, message):
     """An entry naming an unknown or non-composable morphism is a
@@ -137,3 +141,36 @@ def test_complete_assignment_on_a_non_thin_category(monkeypatch):
     assert validate_assignment(partial) == [
         "chosen terminal * is not terminal",
         "chosen product of (*, *) is not a product"]
+
+
+def test_equalizer_that_does_not_equalize():
+    P = standard.parallel_pair_cat()
+    bad = LimitAssignment(P, equalizers={("f", "g"): ("s", "id_s")})
+    assert validate_assignment(bad) == [
+        "chosen equalizer of (f, g) does not equalize"]
+
+
+def split_idempotent():
+    """i : x -> y and r : y -> x with r.i = id_x; the idempotent i.r on y
+    (named r.i, paths read left to right) has equalizer (x, i) with id_y."""
+    pres = Presentation(("x", "y"), (("i", "x", "y"), ("r", "y", "x")),
+                        ((("i", "r"), ()),))
+    return build_category(pres, 2, "split")
+
+
+def test_chosen_limit_cuts_by_an_equalizer():
+    """An edge whose two legs differ is cut down by the chosen equalizer of
+    the pair, and a missing one raises."""
+    C = split_idempotent()
+    dia = Diagram({"n": "y"}, {"e": ("n", "n", "r.i")})
+    A = LimitAssignment(C, equalizers={("r.i", "id_y"): ("x", "i")})
+    cone = chosen_limit(A, dia)
+    assert cone == Cone("x", {"n": "i"})
+    assert is_limiting_cone(C, dia, cone)
+    with pytest.raises(IncompleteAssignment, match=re.escape(
+            "no chosen equalizer for ('r.i', 'id_y') in split")):
+        chosen_limit(LimitAssignment(C), dia)
+
+
+def test_chosen_limit_of_the_empty_diagram(diamond_limits):
+    assert chosen_limit(diamond_limits, empty_diagram()) == Cone("top", {})

@@ -1,7 +1,7 @@
 import pytest
 
 from sitecolim import standard
-from sitecolim.core import Functor, identity_functor, identity_nat
+from sitecolim.core import Functor, NatTrans, identity_functor, identity_nat
 from sitecolim.limits import LimitAssignment
 from sitecolim.restriction import (AmbientDiagram, finite_limit_closure,
                                    full_subcategory, restrict_diagram,
@@ -155,3 +155,43 @@ def test_verify_restriction_detects_tampering():
     r.objects["1"] = frozenset({"a", "b", "top"})  # drop the product bot
     assert any("product" in v or "missing" in v
                for v in verify_restriction(r))
+
+
+def _retarget(functors, u, table, key, value):
+    """functors[u] with one entry of its obj_map or mor_map replaced."""
+    F = functors[u]
+    maps = {"obj_map": dict(F.obj_map), "mor_map": dict(F.mor_map)}
+    maps[table][key] = value
+    functors[u] = Functor(F.name, F.source, F.target, **maps)
+
+
+def _recomponent(r, g, o, m):
+    n = r.restricted.on2[g]
+    r.restricted.on2[g] = NatTrans(n.name, n.source, n.target,
+                                   dict(n.components, **{o: m}))
+
+
+# a tampering of the diamond chain's restriction, and a violation it gets
+TAMPERINGS = [
+    (lambda r: r.ambient.generators.update({"0": frozenset({"a", "zz"})}),
+     "generators of 0 not contained in C_0"),
+    (lambda r: r.objects.update({"0": r.objects["0"] - {"top"}}),
+     "chosen terminal missing from C_0"),
+    (lambda r: _retarget(r.restricted.on1, "0_1", "obj_map", "a", "b"),
+     "square at 0_1 fails on object a"),
+    (lambda r: _retarget(r.restricted.on1, "0_1", "mor_map", "id_a", "id_b"),
+     "square at 0_1 fails on morphism id_a"),
+    (lambda r: _recomponent(r, "2id_0_1", "a", "bot_a"),
+     "2-cell 2id_0_1 component at a not the restriction"),
+    (lambda r: _recomponent(r, "2id_0_1", "a", "zz"),
+     "2-cell 2id_0_1 component at a leaves C_1"),
+]
+
+
+@pytest.mark.parametrize("tamper, message", TAMPERINGS,
+                         ids=[m for _, m in TAMPERINGS])
+def test_verify_restriction_names_each_fault(tamper, message):
+    r = restrict_diagram(_diamond_ambient({A: {"a", "b"} for A in "012"}))
+    assert verify_restriction(r) == []
+    tamper(r)
+    assert message in verify_restriction(r)

@@ -256,6 +256,18 @@ def test_validate_presheaf(diamond):
     assert validate_presheaf(broken)
 
 
+@pytest.mark.parametrize("sets, maps, messages", [
+    ({}, {}, ["no value set at o", "no action for morphism id_o"]),
+    ({"o": ("x", "y")}, {"id_o": {"x": "y", "y": "x"}},
+     ["identity at o does not act trivially",
+      "contravariant composition fails at (id_o, id_o)"]),
+    ({"o": (), "zz": ()}, {"id_o": {}, "zz": {}},
+     ["value set at zz, which one lacks", "action of zz, which one lacks"]),
+], ids=["missing", "identity", "stray"])
+def test_presheaf_faults_are_named(one_cat, sets, maps, messages):
+    assert validate_presheaf(Presheaf("P", one_cat, sets, maps)) == messages
+
+
 def test_terminal_presheaf_is_sheaf(covered_diamond, diamond):
     ok, _ = check_sheaf(_terminal_presheaf(diamond), covered_diamond)
     assert ok

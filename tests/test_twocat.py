@@ -4,9 +4,10 @@ import pytest
 from click.testing import CliRunner
 
 import oracle_kernel as oracle
+from test_kernel import z2
 from sitecolim import standard
 from sitecolim.cli import main
-from sitecolim.core import FinCat
+from sitecolim.core import FinCat, Functor, NatTrans, identity_functor
 from sitecolim.fixtures import DiagramBlock, parse, print_twocat, render
 from sitecolim.twocat import (TwoCat, check_2filtered, check_two_functor,
                               constant_diagram, opposite_two_cat,
@@ -216,3 +217,107 @@ def test_f2_fails_with_a_non_invertible_cell():
 
 def test_z2_loop_fails_f3():
     assert check_2filtered(z2_loop_twocat()) == (False, ("F3", "2id", "s"))
+
+
+def test_empty_index_fails_f0():
+    """A 2-filtered category is nonempty: the index with no objects is a
+    valid 2-category that check_2filtered refuses."""
+    empty = TwoCat("empty", FinCat("empty.1", (), {}, {}, {}, {}),
+                   {}, {}, {}, {}, {})
+    assert validate_two_cat(empty) == []
+    assert check_2filtered(empty) == (False, ("F0",))
+
+
+def _z2_nat(F, c):
+    """The transformation F => F with component c at the one object."""
+    return NatTrans(c, F, F, {"*": c})
+
+
+def _walking_iso_into_z2(change):
+    """The walking iso sent to the identity of z2, then changed in place."""
+    D = constant_diagram(standard.walking_iso_twocat(), z2(), "wi_z2")
+    change(D)
+    return D
+
+
+def _set(table, key, value):
+    return lambda D: getattr(D, table).__setitem__(key, value(D))
+
+
+def _drop(table, key):
+    return lambda D: getattr(D, table).pop(key)
+
+
+# a change to the walking iso into z2 that breaks exactly one strict
+# 2-functor law, and check_two_functor's message for it
+TWO_FUNCTOR_FAULTS = [
+    (_drop("fibers", "A"), "no fiber at A"),
+    (_drop("on1", "u"), "no functor at u"),
+    (_set("on1", "u", lambda D: identity_functor(standard.two())),
+     "functor at u has wrong boundary"),
+    (_set("on1", "u", lambda D: Functor("bad", D.fibers["A"], D.fibers["B"],
+                                         {"*": "*"}, {"e": "s", "s": "s"})),
+     "functor at u is invalid"),
+    (_drop("on2", "g"), "no transformation at g"),
+    (_set("on2", "g", lambda D: NatTrans("bad", D.on1["u"], D.on1["v"],
+                                         {"*": "zz"})),
+     "transformation at g is invalid"),
+    (_set("on2", "2id_u", lambda D: _z2_nat(D.on1["u"], "s")),
+     "identity 2-cell at u not sent to identity"),
+    (_set("on2", "g", lambda D: _z2_nat(D.on1["u"], "s")),
+     "vertical composition ginv . g not preserved"),
+]
+
+
+@pytest.mark.parametrize("change, message", TWO_FUNCTOR_FAULTS,
+                         ids=[m for _, m in TWO_FUNCTOR_FAULTS])
+def test_two_functor_faults_are_named(change, message):
+    assert check_two_functor(_walking_iso_into_z2(lambda D: None)) == (
+        True, None)
+    assert check_two_functor(_walking_iso_into_z2(change)) == (False, message)
+
+
+def idempotent_twocat(h):
+    """One object *, 1-cells id and an idempotent e, and 2-cells 2id_id,
+    2id_e and t : e => e with t.t = 2id_e vertically.  2id_id is the
+    horizontal unit, and h lists the horizontal composites 2id_e * 2id_e,
+    2id_e * t, t * 2id_e and t * t."""
+    cells1 = FinCat("idem.1", ("*",), {"id": "*", "e": "*"},
+                    {"id": "*", "e": "*"}, {"*": "id"},
+                    {("id", "id"): "id", ("id", "e"): "e", ("e", "id"): "e",
+                     ("e", "e"): "e"})
+    over = {"2id_id": "id", "2id_e": "e", "t": "e"}
+    vcomp = {("2id_id", "2id_id"): "2id_id", ("2id_e", "2id_e"): "2id_e",
+             ("2id_e", "t"): "t", ("t", "2id_e"): "t", ("t", "t"): "2id_e"}
+    hcomp = dict(zip([("2id_e", "2id_e"), ("2id_e", "t"), ("t", "2id_e"),
+                      ("t", "t")], h))
+    for c in over:
+        hcomp[("2id_id", c)] = hcomp[(c, "2id_id")] = c
+    return TwoCat("idem", cells1, over, dict(over),
+                  {"id": "2id_id", "e": "2id_e"}, vcomp, hcomp)
+
+
+@pytest.mark.parametrize("h, first", [
+    (("2id_e", "t", "t", "2id_e"), None),
+    (("2id_id", "t", "t", "t"),
+     "horizontal composite 2id_e * 2id_e mislabelled"),
+    (("t", "2id_e", "2id_e", "t"), "horizontal identity law fails at (e, e)"),
+    (("2id_e", "t", "t", "t"), "interchange fails at (2id_e,t,t,2id_e)"),
+], ids=["valid", "mislabelled", "identity law", "interchange"])
+def test_horizontal_faults_are_named(h, first):
+    """Each table makes the 2-cells under * a monoid, so the horizontal
+    layer is a category; all but the first break a law over the 1-cells,
+    named by the first violation."""
+    out = validate_two_cat(idempotent_twocat(h))
+    assert out[:1] == ([first] if first else [])
+
+
+def test_non_parallel_two_cell_is_named():
+    """x : id_0 => a, composable vertically, runs between 1-cells with
+    different targets."""
+    A = two_cat_from_cat(standard.two(), "skew")
+    vcomp = dict(A.vcomp)
+    vcomp[("x", "2id_id_0")] = vcomp[("2id_a", "x")] = "x"
+    B = TwoCat("skew", A.cells1, dict(A.two_src, x="id_0"),
+               dict(A.two_tgt, x="a"), A.two_id, vcomp, A.hcomp)
+    assert validate_two_cat(B) == ["2-cell x boundary not parallel"]

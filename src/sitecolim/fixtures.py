@@ -352,16 +352,20 @@ def _parse_diagram(name, head, body, env):
         if A not in fibers:
             raise FixtureError("diagram %s: no fiber for index object %s"
                                % (name, A))
-    identity = {}  # id(fiber category) -> its one identity functor
+    shared = {}  # (maker, id(x)) -> maker(x), made once per x
+
+    def identity(maker, x):
+        key = (maker, id(x))
+        if key not in shared:
+            shared[key] = maker(x)
+        return shared[key]
+
     for u in index.one_cells():
         a = index.cells1.mor_src[u]
         if u in on1:
             dia.on1[u] = on1[u]
         elif u == index.cells1.identities.get(a):
-            cat = fibers[a].cat
-            if id(cat) not in identity:
-                identity[id(cat)] = identity_functor(cat)
-            dia.on1[u] = identity[id(cat)]
+            dia.on1[u] = identity(identity_functor, fibers[a].cat)
         else:
             raise FixtureError("diagram %s: no transition for 1-cell %s"
                                % (name, u))
@@ -377,7 +381,7 @@ def _parse_diagram(name, head, body, env):
         if g in on2:
             dia.on2[g] = on2[g]
         elif g in index.two_id.values():
-            dia.on2[g] = identity_nat(dia.on1[index.two_src[g]])
+            dia.on2[g] = identity(identity_nat, dia.on1[index.two_src[g]])
         else:
             raise FixtureError("diagram %s: no transformation for 2-cell %s"
                                % (name, g))

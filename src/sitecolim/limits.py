@@ -117,17 +117,38 @@ def _unknown(C: FinCat, objects=(), morphisms=()):
     return None
 
 
+def _greatest_lower_bound(C: FinCat):
+    """A limiting-cone test that is exact on a thin category C: the cone
+    must be a cone, and every object with a morphism to each node must
+    have one to the apex.  In a thin category an object has at most one
+    cone over a diagram and at most one mediator into the apex, so
+    "exactly one mediator" is "hom(w, apex) is nonempty"."""
+    down = {o: set() for o in C.objects}  # x -> objects with a map into x
+    for f, a in C.mor_src.items():
+        down[C.mor_tgt[f]].add(a)
+    everything = set(C.objects)
+
+    def limiting(C, D, cone):
+        if not is_cone(C, D, cone):
+            return False
+        below = everything.intersection(*(down[o] for o in D.nodes.values()))
+        return below <= down[cone.apex]
+    return limiting
+
+
 def validate_assignment(A: LimitAssignment) -> list[str]:
     """Each chosen cone must be made of objects and morphisms of the
-    category, with matching endpoints, and satisfy its universal property
-    (exhaustively).  An entry that names something else is reported and
-    checked no further.
+    category, with matching endpoints, and satisfy its universal property.
+    An entry that names something else is reported and checked no further.
 
     A complete assignment on a category with two parallel morphisms is
     refused by that one pair, with no cone checked: a finite category
     with all binary products is thin (hom(X, Y^k) has |hom(X, Y)|^k
-    elements for every k), so such an assignment cannot be valid."""
+    elements for every k), so such an assignment cannot be valid.  The
+    cones of a complete assignment on a thin category are decided as
+    greatest lower bounds; a partial assignment's, exhaustively."""
     C = A.cat
+    limiting = is_limiting_cone
     if A.is_complete():
         for f in C.morphisms():
             a, b = C.mor_src[f], C.mor_tgt[f]
@@ -135,11 +156,12 @@ def validate_assignment(A: LimitAssignment) -> list[str]:
                 if g != f:
                     return ["complete assignment on a non-thin category: "
                             "%s and %s are parallel %s -> %s" % (f, g, a, b)]
+        limiting = _greatest_lower_bound(C)
     out = []
     if A.terminal is not None:
         if _unknown(C, [A.terminal]) is not None:
             out.append("chosen terminal %s is not an object" % A.terminal)
-        elif not is_limiting_cone(C, empty_diagram(), Cone(A.terminal, {})):
+        elif not limiting(C, empty_diagram(), Cone(A.terminal, {})):
             out.append("chosen terminal %s is not terminal" % A.terminal)
     for o, m in A.tmap.items():
         bad = _unknown(C, [o], [m])
@@ -154,8 +176,8 @@ def validate_assignment(A: LimitAssignment) -> list[str]:
         bad = _unknown(C, [a, b, p], [p1, p2])
         if bad is not None:
             out.append("%s names unknown %s" % (what, bad))
-        elif not is_limiting_cone(C, discrete_pair(a, b),
-                                  Cone(p, {"l": p1, "r": p2})):
+        elif not limiting(C, discrete_pair(a, b),
+                          Cone(p, {"l": p1, "r": p2})):
             out.append("%s is not a product" % what)
     for (f, g), (e, incl) in A.equalizers.items():
         what = "chosen equalizer of (%s, %s)" % (f, g)
@@ -169,9 +191,8 @@ def validate_assignment(A: LimitAssignment) -> list[str]:
                        % (what, incl, e, C.mor_src[f]))
         elif C.comp[(f, incl)] != C.comp[(g, incl)]:
             out.append("%s does not equalize" % what)
-        elif not is_limiting_cone(C, parallel_pair(C, f, g),
-                                  Cone(e, {"l": incl,
-                                           "r": C.comp[(f, incl)]})):
+        elif not limiting(C, parallel_pair(C, f, g),
+                          Cone(e, {"l": incl, "r": C.comp[(f, incl)]})):
             out.append("%s is not an equalizer" % what)
     return out
 

@@ -112,10 +112,11 @@ class SiteDiagram:
     sites: dict[str, Site]  # per index object; sites[A].cat == fibers[A]
 
     def validate(self) -> list[str]:
-        """Each site's violations, then each transition's as a site
-        morphism: one `transition u: ...` line per violation, 1-cell by
-        1-cell.  Each distinct (functor, source site, target site), compared
-        by identity, is checked once: a fixture diagram shares one functor
+        """Each site's violations and each site at a name that is not an
+        index object, then each transition's as a site morphism: one
+        `transition u: ...` line per violation, 1-cell by 1-cell.  Each
+        distinct (functor, source site, target site), compared by
+        identity, is checked once: a fixture diagram shares one functor
         and one site among many 1-cells and fibers."""
         out = []
         idx = self.diagram.index
@@ -125,6 +126,8 @@ class SiteDiagram:
                 out.append("fiber %s has no matching site" % A)
                 continue
             out.extend("site at %s: %s" % (A, v) for v in validate_site(S))
+        out += ["site %s: %s is not an index object" % (A, A)
+                for A in sorted(self.sites) if A not in idx.objects()]
         if out:
             return out
         verdicts = {}  # (id functor, id source, id target) -> violations

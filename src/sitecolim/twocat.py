@@ -10,6 +10,7 @@ arrives in the opposite orientation is flipped at ingestion
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import eq
 
 from .core import (FinCat, Functor, NatTrans, compose_functors,
                    identity_functor, identity_nat, validate_category,
@@ -108,6 +109,8 @@ def validate_two_cat(A: TwoCat) -> list[str]:
     for v, u in _by_right(C.comp):
         if A.hcomp[(A.two_id[v], A.two_id[u])] != A.two_id[C.comp[(v, u)]]:
             out.append("horizontal identity law fails at (%s, %s)" % (v, u))
+    if out:
+        return out
     after = {}  # 2-cell -> the 2-cells vertically composable after it
     for h, g in sorted(A.vcomp):
         after.setdefault(g, []).append(h)
@@ -156,18 +159,37 @@ def constant_diagram(index: TwoCat, C: FinCat, name=None) -> TwoDiagram:
 
 
 def check_two_functor(F: TwoDiagram):
-    """Strict functoriality at all three levels.  (ok, counterexample)."""
+    """Strict functoriality at all three levels.  (ok, counterexample).
+
+    Each law is decided once per tuple of functor and transformation
+    objects it reads: a diagram read from a fixture shares one functor
+    among many 1-cells and one identity transformation among the identity
+    2-cells over one transition."""
     A = F.index
     C1 = A.cells1
     memo = {}
 
     def once(fn, *args):
-        """fn(*args) computed once per tuple of argument objects: a diagram
-        read from a fixture shares one functor among many 1-cells."""
+        """fn(*args), computed once per tuple of argument objects.  Each
+        argument is held by F or is a result kept in memo, so no id is
+        reused within the call."""
         key = (fn, *map(id, args))
         if key not in memo:
             memo[key] = fn(*args)
         return memo[key]
+
+    def horizontal(gamma, beta, alpha):
+        """Whether gamma is the horizontal composite beta * alpha, with
+        the boundary composites shared."""
+        E, H = beta.source.target, beta.source
+        return (gamma.source == once(compose_functors, beta.source,
+                                     alpha.source)
+                and gamma.target == once(compose_functors, beta.target,
+                                         alpha.target)
+                and gamma.components == {
+                    o: E.comp[(beta.components[alpha.target.obj_map[o]],
+                               H.mor_map[alpha.components[o]])]
+                    for o in alpha.components})
 
     for B in A.objects():
         if B not in F.fibers:
@@ -182,38 +204,29 @@ def check_two_functor(F: TwoDiagram):
         if once(validate_functor, f):
             return False, "functor at %s is invalid" % u
     for B in A.objects():
-        if F.on1[C1.identities[B]] != identity_functor(F.fibers[B]):
+        if not once(eq, F.on1[C1.identities[B]],
+                    once(identity_functor, F.fibers[B])):
             return False, "identity 1-cell at %s not sent to identity" % B
     for (v, u), w in C1.comp.items():
-        if F.on1[w] != once(compose_functors, F.on1[v], F.on1[u]):
+        if not once(eq, F.on1[w], once(compose_functors, F.on1[v], F.on1[u])):
             return False, "composition %s . %s not preserved" % (v, u)
     for g in A.two_cells():
         n = F.on2.get(g)
         if n is None:
             return False, "no transformation at %s" % g
         u, v = A.parallel(g)
-        if n.source != F.on1[u] or n.target != F.on1[v]:
+        if not (once(eq, n.source, F.on1[u]) and once(eq, n.target, F.on1[v])):
             return False, "transformation at %s has wrong boundary" % g
-        if validate_nat_trans(n):
+        if once(validate_nat_trans, n):
             return False, "transformation at %s is invalid" % g
     for u in A.one_cells():
-        if F.on2[A.two_id[u]] != identity_nat(F.on1[u]):
+        if not once(eq, F.on2[A.two_id[u]], once(identity_nat, F.on1[u])):
             return False, "identity 2-cell at %s not sent to identity" % u
     for (h, g), k in A.vcomp.items():
-        if F.on2[k] != vcomp_nat(F.on2[h], F.on2[g]):
+        if not once(eq, F.on2[k], once(vcomp_nat, F.on2[h], F.on2[g])):
             return False, "vertical composition %s . %s not preserved" % (h, g)
     for (b, a), c in A.hcomp.items():
-        beta, alpha, gamma = F.on2[b], F.on2[a], F.on2[c]
-        # gamma is the horizontal composite beta * alpha, with the boundary
-        # composites shared
-        E, H = beta.source.target, beta.source
-        if (gamma.source != once(compose_functors, beta.source, alpha.source)
-                or gamma.target != once(compose_functors, beta.target,
-                                        alpha.target)
-                or gamma.components != {
-                    o: E.comp[(beta.components[alpha.target.obj_map[o]],
-                               H.mor_map[alpha.components[o]])]
-                    for o in alpha.components}):
+        if not once(horizontal, F.on2[c], F.on2[b], F.on2[a]):
             return False, "horizontal composition %s * %s not preserved" % (b, a)
     return True, None
 

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from sitecolim import standard
+from sitecolim import limits, standard
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -52,3 +52,18 @@ def diamondchain():
 def diamondchain_colim(diamondchain):
     from sitecolim import build_pseudocolimit
     return build_pseudocolimit(diamondchain)
+
+
+@pytest.fixture
+def exhaustive_calls(monkeypatch):
+    """The arguments of every exhaustive is_limiting_cone call that
+    check_exact or validate_assignment makes."""
+    calls = []
+    real = limits.is_limiting_cone
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(limits, "is_limiting_cone", counting)
+    return calls

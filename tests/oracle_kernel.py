@@ -16,8 +16,10 @@ images, and again between every two cones, and whiskers each
 transformation with the colimit cone; the pseudocone enumerator enumerates every coherence cell afresh
 for each leg combination; build_category saturates to a fixpoint,
 rewriting in both directions; the standard categories and
-2-categories are written out table by table; and exactness decides each
-image cone against every competing cone at every object of the target.
+2-categories are written out table by table; exactness decides each
+image cone against every competing cone at every object of the target;
+and a limit assignment's chosen cones are decided the same way, complete
+or not.
 They must keep giving the same functors, transformations,
 verdicts, messages, colimit categories, span classes, verification reports,
 presented categories, standard tables, exactness counterexamples and Budget
@@ -25,7 +27,8 @@ counts (the verifier: no fewer; the span layer, which compares only the
 spans at a weakly terminal apex: the count test_span_layer.build_budget
 computes) as the library's watch-list kernel, table-level checks, indexed validators, boundary index of 2-cells,
 per-build refinement tables, once-per-hom-set verifier, per-call coherence
-table, one-pass saturation, presentations and mediator-iso exactness test.
+table, one-pass saturation, presentations, mediator-iso exactness test
+and greatest-lower-bound test of complete assignments.
 The modification enumerator is the library's, frozen so that the reference
 verifier does not run the code it checks; `hcomp_nat`, which only the
 reference 2-functor check uses, lives here too.
@@ -269,7 +272,8 @@ def validate_two_cat(A):
     composition must each pass validate_category; then every pair of
     2-cells, every pair of 1-cells and every four 2-cells are scanned for
     mislabelled horizontal composites, identity 2-cells that do not
-    compose, and failures of interchange."""
+    compose, and failures of interchange, each scan only when the one
+    before it found nothing."""
     out = validate_category(A.cells1)
     if out:
         return ["1-cell layer: %s" % v for v in out]
@@ -310,6 +314,8 @@ def validate_two_cat(A):
                 continue
             if A.hcomp[(A.two_id[v], A.two_id[u])] != A.two_id[C.comp[(v, u)]]:
                 out.append("horizontal identity law fails at (%s, %s)" % (v, u))
+    if out:
+        return out
     for a in cells:
         for b in cells:
             if C.mor_tgt[A.two_src[a]] != C.mor_src[A.two_src[b]]:
@@ -402,6 +408,8 @@ def validate_two_cat_by_tables(A):
                 continue
             if A.hcomp[(A.two_id[v], A.two_id[u])] != A.two_id[C.comp[(v, u)]]:
                 out.append("horizontal identity law fails at (%s, %s)" % (v, u))
+    if out:
+        return out
     for a in cells:
         for b in cells:
             if not h_composable(b, a):
@@ -490,9 +498,11 @@ def vinverse(A, g):
 
 
 def check_2filtered(A):
-    """Conditions F1-F3 by exhaustive search.  (ok, failing datum)."""
+    """Conditions F0-F3 by exhaustive search.  (ok, failing datum)."""
     C = A.cells1
     objs = sorted(C.objects)
+    if not objs:  # F0: nonempty
+        return False, ("F0",)
     for a in objs:  # F1: cospans
         for b in objs:
             if not any(C.hom(a, c) and C.hom(b, c) for c in objs):
@@ -1079,3 +1089,68 @@ def check_exact(F, src_limits):
         if not is_limiting_cone(D, *image(dia, cone)):
             return False, dia
     return True, None
+
+
+# ---------------------------------------------------------------------------
+# limit assignments: every chosen cone is decided exhaustively, against
+# every competing cone at every object of the category
+
+
+def _unknown(C, objects=(), morphisms=()):
+    for o in objects:
+        if o not in C.objects:
+            return o
+    for m in morphisms:
+        if m not in C.mor_src:
+            return m
+    return None
+
+
+def validate_assignment(A):
+    C = A.cat
+    if A.is_complete():
+        for f in C.morphisms():
+            a, b = C.mor_src[f], C.mor_tgt[f]
+            for g in C.hom(a, b):
+                if g != f:
+                    return ["complete assignment on a non-thin category: "
+                            "%s and %s are parallel %s -> %s" % (f, g, a, b)]
+    out = []
+    if A.terminal is not None:
+        if _unknown(C, [A.terminal]) is not None:
+            out.append("chosen terminal %s is not an object" % A.terminal)
+        elif not is_limiting_cone(C, empty_diagram(), Cone(A.terminal, {})):
+            out.append("chosen terminal %s is not terminal" % A.terminal)
+    for o, m in A.tmap.items():
+        bad = _unknown(C, [o], [m])
+        if bad is not None:
+            out.append("tmap at %s names unknown %s" % (o, bad))
+        elif A.terminal is None:
+            out.append("tmap at %s has no chosen terminal" % o)
+        elif C.mor_src[m] != o or C.mor_tgt[m] != A.terminal:
+            out.append("tmap at %s has wrong endpoints" % o)
+    for (a, b), (p, p1, p2) in A.products.items():
+        what = "chosen product of (%s, %s)" % (a, b)
+        bad = _unknown(C, [a, b, p], [p1, p2])
+        if bad is not None:
+            out.append("%s names unknown %s" % (what, bad))
+        elif not is_limiting_cone(C, discrete_pair(a, b),
+                                  Cone(p, {"l": p1, "r": p2})):
+            out.append("%s is not a product" % what)
+    for (f, g), (e, incl) in A.equalizers.items():
+        what = "chosen equalizer of (%s, %s)" % (f, g)
+        bad = _unknown(C, [e], [f, g, incl])
+        if bad is not None:
+            out.append("%s names unknown %s" % (what, bad))
+        elif (C.mor_src[f], C.mor_tgt[f]) != (C.mor_src[g], C.mor_tgt[g]):
+            out.append("%s: %s and %s are not parallel" % (what, f, g))
+        elif (C.mor_src[incl], C.mor_tgt[incl]) != (e, C.mor_src[f]):
+            out.append("%s: %s is not a morphism %s -> %s"
+                       % (what, incl, e, C.mor_src[f]))
+        elif C.comp[(f, incl)] != C.comp[(g, incl)]:
+            out.append("%s does not equalize" % what)
+        elif not is_limiting_cone(C, parallel_pair(C, f, g),
+                                  Cone(e, {"l": incl,
+                                           "r": C.comp[(f, incl)]})):
+            out.append("%s is not an equalizer" % what)
+    return out

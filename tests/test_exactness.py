@@ -12,7 +12,7 @@ import pytest
 
 import oracle_kernel as oracle
 from conftest import FIXTURE_DIR
-from sitecolim import limits, standard
+from sitecolim import standard
 from sitecolim.colim import build_pseudocolimit, colim_limit_assignment
 from sitecolim.cones import enumerate_pseudocones
 from sitecolim.core import (Functor, Presentation, build_category,
@@ -21,21 +21,6 @@ from sitecolim.fixtures import CategoryBlock, DiagramBlock, parse
 from sitecolim.limits import (LimitAssignment, check_exact, empty_diagram,
                               parallel_pair, validate_assignment)
 from sitecolim.sites import SiteDiagram, build_colim_site
-
-
-@pytest.fixture
-def exhaustive_calls(monkeypatch):
-    """The arguments of every exhaustive is_limiting_cone call that
-    check_exact makes."""
-    calls = []
-    real = limits.is_limiting_cone
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(limits, "is_limiting_cone", counting)
-    return calls
 
 
 def agrees(F, src, tgt, exhaustive_calls):

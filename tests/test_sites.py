@@ -128,6 +128,14 @@ def test_site_diagram_valid(site_diagram):
     assert site_diagram.validate() == []
 
 
+def test_site_at_a_name_the_index_lacks_is_named(diamondchain, diamond_limits):
+    """A site at zz, which is not an index object, is reported before any
+    build could read it."""
+    S = trivial_site(diamond_limits.cat, diamond_limits)
+    D = SiteDiagram(diamondchain, {A: S for A in ("0", "1", "2", "zz")})
+    assert D.validate() == ["site zz: zz is not an index object"]
+
+
 def _cbot_chain3(diamond):
     """chain3 over diamond with one inexact functor, constant at bot, on
     0_1 and 0_2, and one identity functor on the other four 1-cells."""

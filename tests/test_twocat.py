@@ -5,10 +5,12 @@ from click.testing import CliRunner
 
 import oracle_kernel as oracle
 from test_kernel import z2
-from sitecolim import standard
+from sitecolim import standard, twocat
 from sitecolim.cli import main
 from sitecolim.core import FinCat, Functor, NatTrans, identity_functor
-from sitecolim.fixtures import DiagramBlock, parse, print_twocat, render
+from sitecolim.fixtures import (CategoryBlock, DiagramBlock, parse,
+                                print_category, print_functor, print_twocat,
+                                render)
 from sitecolim.twocat import (TwoCat, check_2filtered, check_two_functor,
                               constant_diagram, opposite_two_cat,
                               two_cat_from_cat, validate_two_cat)
@@ -70,6 +72,49 @@ def test_standard_diagrams_are_strict_2functors(consttwo):
                 standard.walking_iso_diagram()):
         ok, why = check_two_functor(dia)
         assert ok, (dia.name, why)
+
+
+def chain9_diamond_text():
+    """A constant diagram over chain9 with fiber diamond: each non-identity
+    1-cell names one functor block, and the parser fills in the identity
+    1-cells and every (identity) 2-cell."""
+    index = two_cat_from_cat(standard.chain_cat(9), "chain9")
+    C = standard.diamond()
+    ident = identity_functor(C)
+    ident.name = "ident"
+    return render([
+        print_twocat(index), print_category(CategoryBlock(C)),
+        print_functor(ident),
+        ["[diagram const9]", "index chain9"]
+        + ["fiber %s = diamond" % A for A in index.objects()]
+        + ["transition %s = ident" % u for u in index.one_cells()
+           if not index.cells1.is_identity(u)]])
+
+
+def test_each_law_decided_once_per_distinct_tuple(monkeypatch):
+    """The parsed diagram holds two functors, the named one and the
+    parser's identity, and one identity transformation on each, so
+    check_two_functor builds 4 composites and validates and composes 2
+    transformations, over 45 1-cells, 165 composable pairs and 45
+    2-cells."""
+    dia = parse(chain9_diamond_text())["const9"].diagram
+    A = dia.index
+    assert (len(A.one_cells()), len(A.cells1.comp), len(A.two_cells()),
+            len(A.vcomp), len(A.hcomp)) == (45, 165, 45, 45, 165)
+    calls = {}
+    for name in ("compose_functors", "validate_nat_trans", "vcomp_nat"):
+        real = getattr(twocat, name)
+
+        def counted(*args, real=real, name=name):
+            calls.setdefault(name, []).append(tuple(map(id, args)))
+            return real(*args)
+
+        monkeypatch.setattr(twocat, name, counted)
+    assert check_two_functor(dia) == (True, None)
+    assert {n: len(c) for n, c in calls.items()} == {
+        "compose_functors": 4, "validate_nat_trans": 2, "vcomp_nat": 2}
+    assert all(len(set(c)) == len(c) for c in calls.values())
+    assert check_two_functor(dia) == oracle.check_two_functor(dia)
 
 
 def test_broken_diagram_detected(consttwo, two_cat):
@@ -203,7 +248,14 @@ def test_two_cells_between_matches_scan(A):
                 g for g in scanned if oracle.vinverse(A, g) is not None]
 
 
-@pytest.mark.parametrize("A", ALL_TWO_CATS, ids=lambda A: A.name)
+def empty_twocat():
+    """The index with no objects: a valid 2-category that F0 refuses."""
+    return TwoCat("empty", FinCat("empty.1", (), {}, {}, {}, {}),
+                  {}, {}, {}, {}, {})
+
+
+@pytest.mark.parametrize("A", ALL_TWO_CATS + [empty_twocat()],
+                         ids=lambda A: A.name)
 def test_check_2filtered_matches_reference(A):
     assert check_2filtered(A) == oracle.check_2filtered(A)
 
@@ -222,8 +274,7 @@ def test_z2_loop_fails_f3():
 def test_empty_index_fails_f0():
     """A 2-filtered category is nonempty: the index with no objects is a
     valid 2-category that check_2filtered refuses."""
-    empty = TwoCat("empty", FinCat("empty.1", (), {}, {}, {}, {}),
-                   {}, {}, {}, {}, {})
+    empty = empty_twocat()
     assert validate_two_cat(empty) == []
     assert check_2filtered(empty) == (False, ("F0",))
 
@@ -297,19 +348,23 @@ def idempotent_twocat(h):
                   {"id": "2id_id", "e": "2id_e"}, vcomp, hcomp)
 
 
-@pytest.mark.parametrize("h, first", [
-    (("2id_e", "t", "t", "2id_e"), None),
+@pytest.mark.parametrize("h, faults", [
+    (("2id_e", "t", "t", "2id_e"), []),
     (("2id_id", "t", "t", "t"),
-     "horizontal composite 2id_e * 2id_e mislabelled"),
-    (("t", "2id_e", "2id_e", "t"), "horizontal identity law fails at (e, e)"),
-    (("2id_e", "t", "t", "t"), "interchange fails at (2id_e,t,t,2id_e)"),
+     ["horizontal composite 2id_e * 2id_e mislabelled"]),
+    (("t", "2id_e", "2id_e", "t"),
+     ["horizontal identity law fails at (e, e)"]),
+    (("2id_e", "t", "t", "t"),
+     ["interchange fails at (%s)" % q for q in (
+         "2id_e,t,t,2id_e", "t,t,t,2id_e", "t,2id_e,2id_e,t",
+         "t,2id_e,t,t", "t,t,2id_e,t", "2id_e,t,t,t")]),
 ], ids=["valid", "mislabelled", "identity law", "interchange"])
-def test_horizontal_faults_are_named(h, first):
+def test_horizontal_faults_are_named(h, faults):
     """Each table makes the 2-cells under * a monoid, so the horizontal
-    layer is a category; all but the first break a law over the 1-cells,
-    named by the first violation."""
-    out = validate_two_cat(idempotent_twocat(h))
-    assert out[:1] == ([first] if first else [])
+    layer is a category; all but the first break a law over the 1-cells.
+    A broken law is reported alone: a broken unit law gives one line, not
+    the interchange failures it causes."""
+    assert validate_two_cat(idempotent_twocat(h)) == faults
 
 
 def test_non_parallel_two_cell_is_named():

@@ -41,6 +41,7 @@ class FinCat:
     _hom: dict = field(default=None, repr=False, compare=False)
     _inv: dict = field(default=None, repr=False, compare=False)
     _squares: list = field(default=None, repr=False, compare=False)
+    _thin: bool = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.objects = tuple(self.objects)
@@ -48,6 +49,8 @@ class FinCat:
         for m in sorted(self.mor_src):
             hom.setdefault((self.mor_src[m], self.mor_tgt[m]), []).append(m)
         self._hom = {k: tuple(v) for k, v in hom.items()}
+        # every nonempty hom-set a singleton: parallel morphisms are equal
+        self._thin = all(len(v) == 1 for v in hom.values())
         self._inv = None
         self._squares = None
 
@@ -414,7 +417,8 @@ def enumerate_functors(C: FinCat, D: FinCat, budget: Budget | None = None):
     Backtracks over object images first (pruning on empty hom-sets), then
     over images of non-identity morphisms, checking each composition-table
     entry as soon as the last of its non-identity morphisms has an image
-    (an entry of identities only is checked at the first morphism).
+    (an entry of identities only is checked at the first morphism).  Into
+    a thin D every entry holds by construction, so none is watched.
     """
     bud = budget if budget is not None else Budget()
     objs = sorted(C.objects)
@@ -428,7 +432,7 @@ def enumerate_functors(C: FinCat, D: FinCat, budget: Budget | None = None):
     mor_watches = [[] for _ in mors]
     # an entry of identities only is watched by the first morphism; with no
     # non-identity morphism no entry is checked
-    for (g, f), h in C.comp.items() if mors else ():
+    for (g, f), h in C.comp.items() if mors and not D._thin else ():
         last = max((mor_rank[m] for m in (g, f, h) if m in mor_rank),
                    default=0)
         mor_watches[last].append((g, f, h))
@@ -557,7 +561,8 @@ def _naturality_watches(C: FinCat):
 
 def enumerate_nat_trans(F: Functor, G: Functor, budget: Budget | None = None):
     """All natural transformations F => G, deterministic order.  The
-    naturality square at m is checked once both of its components are."""
+    naturality square at m is checked once both of its components are;
+    into a thin target every square commutes, so none is checked."""
     assert F.source.name == G.source.name and F.target.name == G.target.name
     bud = budget if budget is not None else Budget()
     C, D = F.source, F.target
@@ -571,9 +576,10 @@ def enumerate_nat_trans(F: Functor, G: Functor, budget: Budget | None = None):
                 return False
         return True
 
+    squares = [()] * len(objs) if D._thin else _naturality_watches(C)
     return [NatTrans("n%d" % i, F, G, dict(comp))
             for i, comp in enumerate(_backtrack(
-                objs, homs, _naturality_watches(C), natural, bud, {}))]
+                objs, homs, squares, natural, bud, {}))]
 
 
 # ---------------------------------------------------------------------------

@@ -152,8 +152,12 @@ class TwoDiagram:
 
 
 def constant_diagram(index: TwoCat, C: FinCat, name=None) -> TwoDiagram:
-    on1 = {u: identity_functor(C) for u in index.one_cells()}
-    on2 = {g: identity_nat(identity_functor(C)) for g in index.two_cells()}
+    """Every 1-cell shares one identity functor, and every 2-cell one
+    identity transformation, as check_two_functor's memo expects."""
+    one = identity_functor(C)
+    cell = identity_nat(one)
+    on1 = dict.fromkeys(index.one_cells(), one)
+    on2 = dict.fromkeys(index.two_cells(), cell)
     return TwoDiagram(name or "const_%s" % C.name, index,
                       {A: C for A in index.objects()}, on1, on2)
 

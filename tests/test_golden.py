@@ -60,6 +60,15 @@ CASES = {
     "sheaf-check-no-presheaf": ([], ["sheaf-check", "one.cat"], 2),
     "budget-colim-swapchain": (["--budget", "50"], ["colim", "swapchain.diag"],
                                3),
+    # the build charges 201 candidates, the functors L -> two reach 294,
+    # the pseudocones 356 and the whole run 438: the first budget runs out
+    # in the functor enumeration, the second among the transformations
+    "budget-verify-bicolim-consttwo-two-functors": (
+        ["--budget", "250"],
+        ["verify-bicolim", "consttwo.diag", "--vertex", "two.cat"], 3),
+    "budget-verify-bicolim-consttwo-two-transformations": (
+        ["--budget", "400"],
+        ["verify-bicolim", "consttwo.diag", "--vertex", "two.cat"], 3),
 }
 
 

@@ -8,8 +8,8 @@ import oracle_kernel as oracle
 from sitecolim import build_pseudocolimit, cones, standard
 from sitecolim.core import (Budget, FinCat, NatTrans, Presentation,
                             build_category, enumerate_functors,
-                            equivalence_witness, identity_functor,
-                            identity_nat)
+                            enumerate_nat_trans, equivalence_witness,
+                            identity_functor, identity_nat)
 from sitecolim.errors import BudgetExceeded
 from sitecolim.twocat import TwoDiagram, check_two_functor
 
@@ -124,6 +124,50 @@ def test_enumeration_charges_only_while_iterating(two_cat, diamond):
         for _ in functors:
             pass
     assert bud.used == 4
+
+
+class _CountedTable(dict):
+    """A composition table that counts its lookups."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("target, thin", [
+    (standard.diamond, True), (standard.two, True),
+    (standard.chaotic_pair, True), (standard.parallel_pair_cat, False),
+    (z2, False)])
+@pytest.mark.parametrize("source", [standard.diamond(), standard.chain_cat(3)],
+                         ids=["diamond", "chain3"])
+def test_thin_target_composition_table_is_never_read(source, target, thin):
+    """Into a thin target every composite and naturality square holds by
+    construction: the kernel reads no entry of the target's table, and
+    enumerates what it does with the table read."""
+    C = source
+    plain = target()
+    assert plain._thin == thin
+    table = _CountedTable(plain.comp)
+    D = FinCat(plain.name, plain.objects, plain.mor_src, plain.mor_tgt,
+               plain.identities, table)
+    functors = list(enumerate_functors(C, D))
+    assert ([(F.obj_map, F.mor_map) for F in functors]
+            == [(F.obj_map, F.mor_map) for F in oracle.enumerate_functors(
+                C, plain)])
+    assert (table.reads > 0) == (not thin)
+    table.reads = 0
+    pairs = [(F, G) for F in functors[:6] for G in functors[:6]]
+    got = [[a.components for a in enumerate_nat_trans(F, G)]
+           for F, G in pairs]
+    assert (table.reads > 0) == (not thin)
+    assert got == [[a.components for a in oracle.enumerate_nat_trans(F, G)]
+                   for F, G in pairs]
 
 
 def test_witness_budget_exceeded_while_scanning(swapchain_L):

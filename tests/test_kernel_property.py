@@ -9,15 +9,18 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import (assume, given, settings,  # noqa: E402
+                        strategies as st)
 
 import oracle_kernel as oracle  # noqa: E402
 from sitecolim import standard  # noqa: E402
 from sitecolim.core import (Budget, FinCat, enumerate_functors,  # noqa: E402
                             enumerate_nat_trans, validate_category)
+from sitecolim.errors import BudgetExceeded  # noqa: E402
 from sitecolim.twocat import (TwoCat, TwoDiagram,  # noqa: E402
                               check_two_functor, two_cat_from_cat,
                               validate_two_cat)
+from test_kernel import z2  # noqa: E402
 from test_twocat import walking_two_cell, z2_loop_twocat  # noqa: E402
 
 NAMED = [standard.one(), standard.two(), standard.chaotic_pair(),
@@ -72,6 +75,52 @@ def test_nat_trans_match_reference(C, D, data):
             for a in oracle.enumerate_nat_trans(F, G, old)]
     assert got == want
     assert new.used == old.used
+
+
+# targets on both sides of the kernel's thin switch: posets and
+# chaotic_pair (every nonempty hom-set a singleton, though not a poset),
+# and parallel_pair and z2, which have parallel morphisms
+thin_or_not = st.one_of(posets(), st.sampled_from(
+    [standard.chaotic_pair(), standard.parallel_pair_cat(), z2()]))
+
+
+def _overrun(run, limit):
+    """What run(budget) yields before a Budget of `limit` runs out, and
+    the candidates used by then."""
+    bud, got = Budget(limit), []
+    with pytest.raises(BudgetExceeded):
+        for x in run(bud):
+            got.append(x)
+    return got, bud.used
+
+
+@settings(max_examples=80, deadline=None)
+@given(categories, thin_or_not, st.data())
+def test_functor_budget_overrun_matches_reference(C, D, data):
+    full = Budget()
+    want = [_functors(F) for F in oracle.enumerate_functors(C, D, full)]
+    limit = data.draw(st.integers(0, full.used - 1))
+    got, used = _overrun(lambda bud: enumerate_functors(C, D, bud), limit)
+    _, old = _overrun(lambda bud: oracle.enumerate_functors(C, D, bud),
+                      limit)
+    assert used == old == limit + 1
+    assert [_functors(F) for F in got] == want[:len(got)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(categories, thin_or_not, st.data())
+def test_nat_trans_budget_overrun_matches_reference(C, D, data):
+    functors = oracle.enumerate_functors(C, D)
+    F = data.draw(st.sampled_from(functors))
+    G = data.draw(st.sampled_from(functors))
+    full = Budget()
+    oracle.enumerate_nat_trans(F, G, full)
+    assume(full.used > 0)  # else the first component has no candidate
+    limit = data.draw(st.integers(0, full.used - 1))
+    _, used = _overrun(lambda bud: enumerate_nat_trans(F, G, bud), limit)
+    _, old = _overrun(lambda bud: oracle.enumerate_nat_trans(F, G, bud),
+                      limit)
+    assert used == old == limit + 1
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,30 @@ def test_each_law_decided_once_per_distinct_tuple(monkeypatch):
     assert check_two_functor(dia) == oracle.check_two_functor(dia)
 
 
+def test_constant_diagram_shares_its_identities(monkeypatch):
+    """constant_diagram gives all 1-cells one identity functor and all
+    2-cells one identity transformation, so check_two_functor builds a
+    single composite over the 165 composable pairs of chain9."""
+    dia = constant_diagram(two_cat_from_cat(standard.chain_cat(9)),
+                           standard.diamond())
+    assert len({id(f) for f in dia.on1.values()}) == 1
+    assert len({id(n) for n in dia.on2.values()}) == 1
+    one = next(iter(dia.on1.values()))
+    cell = next(iter(dia.on2.values()))
+    assert (one.name, cell.name, cell.source) == ("id_diamond", "id", one)
+    calls = []
+    real = twocat.compose_functors
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(twocat, "compose_functors", counted)
+    assert check_two_functor(dia) == (True, None)
+    assert len(calls) == 1
+    assert check_two_functor(dia) == oracle.check_two_functor(dia)
+
+
 def test_broken_diagram_detected(consttwo, two_cat):
     dia = constant_diagram(standard.chain3_twocat(), two_cat, "broken")
     from sitecolim.core import Functor

@@ -14,7 +14,9 @@ generate the relation (build_pseudocolimit gives the proof).
 A composite of spans is taken at a common refinement too.  Which
 refinement two spans compose at depends on their index data alone, so
 compose_spans searches it once per distinct key of that data and a
-hom-set with one class needs no search at all.  The classes do not depend
+hom-set with one class needs no search at all.  If every hom-set holds
+one class, L is thin, each composite is forced, and no table is stored:
+L.comp reads it off the hom-sets.  The classes do not depend
 on the order in which composing refinements are searched, and an entry
 whose composite lands in a one-class hom-set does not either; so a
 different order (recompose) searches again only the entries of an
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -92,17 +95,49 @@ def span_related(F: TwoDiagram, s: Span, t: Span) -> bool:
         for beta in cells(C1.comp[(w1, s.right)], C1.comp[(w2, t.right)]))
 
 
-def _hom_blocks(class_members):
+def _hom_blocks(class_members, mor_src, mor_tgt):
     """(blocks, leaving): (p, q) -> [(class, least member)] for every
     nonempty hom block, and p -> [(q, block (p, q))]; in build order."""
     blocks = {}
     for name, members in class_members.items():
-        s = members[0]
-        blocks.setdefault((s[:2], s[2:4]), []).append((name, s))
+        blocks.setdefault((mor_src[name], mor_tgt[name]), []).append(
+            (name, members[0]))
     leaving = {}
     for (p, q), block in blocks.items():
         leaving.setdefault(p, []).append((q, block))
     return blocks, leaving
+
+
+class _ThinComp(Mapping):
+    """A thin L's composition table, read off its hom blocks: comp[(g, f)]
+    is the one class of the block (src f, tgt g) if tgt f = src g, and any
+    other key is missing.  It iterates in compose_spans' order."""
+
+    def __init__(self, blocks, leaving, mor_src, mor_tgt):
+        self._blocks, self._leaving = blocks, leaving
+        self._src, self._tgt = mor_src, mor_tgt
+        self._len = sum(len(leaving.get(q, ())) for _, q in blocks)
+
+    def __getitem__(self, key):
+        try:
+            g, f = key
+            if self._src[g] == self._tgt[f]:
+                return self._blocks[(self._src[f], self._tgt[g])][0][0]
+        except (TypeError, ValueError, KeyError):
+            pass
+        raise KeyError(key)
+
+    def __iter__(self):
+        for (_, q), block1 in self._blocks.items():
+            m1 = block1[0][0]
+            for _, block2 in self._leaving.get(q, ()):
+                yield block2[0][0], m1
+
+    def __len__(self):
+        return self._len
+
+    def __eq__(self, other):
+        return other is self or Mapping.__eq__(self, other)
 
 
 def _refinement_search(F: TwoDiagram, span_class, apex_order, bud: Budget):
@@ -156,21 +191,27 @@ def _refinement_search(F: TwoDiagram, span_class, apex_order, bud: Budget):
     return fill
 
 
-def compose_spans(F: TwoDiagram, class_members, span_class, apex_order,
-                  bud: Budget):
+def compose_spans(F: TwoDiagram, class_members, span_class, mor_src,
+                  mor_tgt, apex_order, bud: Budget):
     """The composition table of the colimit: comp[(m2, m1)] for every
     composable pair of classes, in the order (p, q), r, m1, m2 of its hom
-    blocks, visiting nonempty blocks only, and charges `bud` once per entry.
-    Where the block (p, r) holds one class, every entry p -> q -> r is that
-    class, with no refinement searched: any composite of spans p -> q and
-    q -> r is a span p -> r.  Elsewhere each entry composes the least
-    members of its classes at the first common refinement in `apex_order`
-    (_refinement_search), searched once per distinct
+    blocks, and charges `bud` once per entry.  Where the block (p, r) holds
+    one class, every entry p -> q -> r is that class, with no refinement
+    searched: any composite of spans p -> q and q -> r is a span p -> r.
+    If every block holds one class, the table is a _ThinComp over the
+    blocks, charged in one call that ends at the count, or overruns at the
+    entry, of one call per entry.  Elsewhere each entry composes
+    the least members of its classes at the first common refinement in
+    `apex_order` (_refinement_search), searched once per distinct
     (s.apex, s.right, t.apex, t.left) in a call.  The composite's class
     does not depend on the members chosen or on the order:
     tests/test_span_layer.py composes every member pair of every composable
     class pair and checks each lands in the class L.comp records."""
-    blocks, leaving = _hom_blocks(class_members)
+    blocks, leaving = _hom_blocks(class_members, mor_src, mor_tgt)
+    if all(len(block) == 1 for block in blocks.values()):
+        comp = _ThinComp(blocks, leaving, mor_src, mor_tgt)
+        bud.charge(min(len(comp), bud.limit - bud.used + 1))
+        return comp
     fill = _refinement_search(F, span_class, apex_order, bud)
     charge = bud.charge
     comp = {}
@@ -248,7 +289,7 @@ def build_pseudocolimit(F: TwoDiagram,
     generating step.  Budget: len(spans) + 1 per object pair, 1 per
     transported span, and 1 per generating step out of each T-span:
     |End(T)| - 1 transports, and one conjugate per non-identity invertible
-    2-cell out of either leg."""
+    2-cell out of either leg.  Then 1 per composite (compose_spans)."""
     ok, datum = check_2filtered(F.index)
     if not ok:
         raise NotFiltered("index fails %s at %r" % (datum[0], datum[1:]))
@@ -344,7 +385,8 @@ def build_pseudocolimit(F: TwoDiagram,
         A, x = obj_info[p]
         identities[p] = span_class[identity_span(F, A, x)]
 
-    comp = compose_spans(F, class_members, span_class, index_objs, bud)
+    comp = compose_spans(F, class_members, span_class, mor_src, mor_tgt,
+                         index_objs, bud)
 
     L = FinCat("colim_%s" % F.name, tuple(objs), mor_src, mor_tgt,
                identities, comp)
@@ -378,19 +420,20 @@ def recompose(R: PseudocolimitResult, apex_seed, budget: Budget):
     when composition is well defined on classes.  The quotient does not
     read the apex order, so it is not recomputed.  Nor is an entry whose
     block (p, r) holds one class: any composite of spans p -> q -> r lies
-    in that class whatever the order.  So a copy of R.category.comp is
-    charged for those entries at once, without visiting them, and only the
-    entries of blocks with two or more classes are searched again and
-    overwritten, keeping R's insertion order; `budget` is charged
-    len(R.category.comp) in all."""
+    in that class whatever the order.  They are charged at once, and only
+    the entries of blocks with two or more classes are searched again, in
+    a copy of R.category.comp that keeps R's insertion order.  On a thin L
+    there are none, and R.category.comp itself is returned.  `budget` is
+    charged len(R.category.comp) in all."""
     apex_order = sorted(R.diagram.index.objects())
     random.Random(apex_seed).shuffle(apex_order)
-    blocks, leaving = _hom_blocks(R.class_members)
+    L = R.category
+    blocks, leaving = _hom_blocks(R.class_members, L.mor_src, L.mor_tgt)
     searched = [(block1, blocks[(q, r)])
                 for (p, r), block in blocks.items() if len(block) > 1
                 for q, block1 in leaving[p] if (q, r) in blocks]
-    comp = dict(R.category.comp)
-    budget.charge(len(comp) - sum(len(b1) * len(b2) for b1, b2 in searched))
+    budget.charge(len(L.comp) - sum(len(b1) * len(b2) for b1, b2 in searched))
+    comp = dict(L.comp) if searched else L.comp
     fill = _refinement_search(R.diagram, R.span_class, apex_order, budget)
     for block1, block2 in searched:
         fill(comp, block1, block2)

@@ -2,12 +2,15 @@
 
 Everything downstream is enumerative, so categories are stored fully
 materialized: every hom-set is listed and composition is a total table on
-composable pairs.  Morphism identifiers are opaque strings, unique within
-their category; equality is identifier equality.
+composable pairs.  The table is a mapping; a thin colimit's reads each
+composite off its hom-sets rather than storing it (colim.compose_spans).
+Morphism identifiers are opaque strings, unique within their category;
+equality is identifier equality.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded, IllTypedRelation, SaturationExceeded
@@ -37,7 +40,7 @@ class FinCat:
     mor_src: dict[str, str]
     mor_tgt: dict[str, str]
     identities: dict[str, str]
-    comp: dict[tuple[str, str], str]
+    comp: Mapping[tuple[str, str], str]
     _hom: dict = field(default=None, repr=False, compare=False)
     _inv: dict = field(default=None, repr=False, compare=False)
     _squares: list = field(default=None, repr=False, compare=False)

@@ -60,6 +60,13 @@ CASES = {
     "sheaf-check-no-presheaf": ([], ["sheaf-check", "one.cat"], 2),
     "budget-colim-swapchain": (["--budget", "50"], ["colim", "swapchain.diag"],
                                3),
+    # the quotient charges 315 candidates, the composition table 432 and
+    # the build 747: the first budget runs out inside composition, the
+    # second in the seeded recomposition, which charges 432 at once
+    "budget-colim-swapchain-compose": (
+        ["--budget", "500"], ["colim", "swapchain.diag"], 3),
+    "budget-seed-colim-swapchain": (
+        ["--budget", "1000", "--seed", "42"], ["colim", "swapchain.diag"], 3),
     # the build charges 201 candidates, the functors L -> two reach 294,
     # the pseudocones 356 and the whole run 438: the first budget runs out
     # in the functor enumeration, the second among the transformations

@@ -6,7 +6,8 @@ members, identities, composition table in the same insertion order, and
 cone; the reference built with its apexes searched in a seeded order, and
 the library's table recomposed in that order, must give the same table,
 with one candidate charged per entry and a refinement searched for the
-entries of hom blocks with two or more classes only.
+entries of hom blocks with two or more classes only.  A thin colimit's
+table is read off its hom blocks and must answer as the reference's.
 Every morphism of the colimit, as a one-edge diagram, must lift to one
 fiber and push forward to itself.  On the same draws, L is a category,
 lambda a pseudocone, and every member pair of every composable class pair
@@ -33,8 +34,8 @@ from sitecolim.limits import Diagram  # noqa: E402
 from sitecolim.twocat import TwoDiagram  # noqa: E402
 from strategies import diagrams, z2_idempotent_twocat  # noqa: E402
 from test_kernel import z2  # noqa: E402
-from test_span_layer import (multi_class_entries,  # noqa: E402
-                             recompose_traced)
+from test_span_layer import (check_thin_table,  # noqa: E402
+                             multi_class_entries, recompose_traced)
 
 SEED = 7
 
@@ -85,6 +86,18 @@ def test_recompose_searches_only_multi_class_blocks(F):
     assert b.used == len(L.comp)
     assert len(entries) == len(set(entries))
     assert set(entries) == set(multi_class_entries(L))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(diagrams())
+def test_thin_colimit_reads_composites_off_hom_blocks(F):
+    R = colim.build_pseudocolimit(F)
+    L = R.category
+    if all(len(L.hom(L.mor_src[m], L.mor_tgt[m])) == 1
+           for m in L.morphisms()):
+        check_thin_table(R, oracle.build_pseudocolimit(F).category.comp)
+    else:
+        assert type(L.comp) is dict
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

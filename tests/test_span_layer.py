@@ -14,7 +14,9 @@ refinement search wherever a hom-set of the colimit holds one class; the
 searches it does make are counted through the index's
 invertible_cells_between.  The seeded recomposition copies the build's
 table and hands only the entries of multi-class hom-sets to the search,
-which is recorded by wrapping colim._refinement_search.
+which is recorded by wrapping colim._refinement_search.  On a thin
+colimit every hom-set holds one class: its table is read off the hom
+blocks, not stored, and is charged in one call.
 """
 
 import random
@@ -271,6 +273,94 @@ def test_recompose_catches_a_wrong_searched_entry(case):
         assert table != L.comp
         L.comp[key] = right
     assert colim.recompose(R, 7, Budget()) == L.comp
+
+
+def check_thin_table(R, want):
+    """R.category.comp of a thin L is a read-only mapping, not a dict, that
+    agrees with the reference's table `want` in len, order, in, get, [] and
+    L.compose on every composable pair, and misses every other key: a pair
+    that does not compose, an unknown name or a malformed key.  L is a
+    category, and the seeded recomposition returns the table itself,
+    charging one candidate per entry."""
+    L = R.category
+    assert type(L.comp) is not dict
+    assert len(L.comp) == len(want)
+    assert list(L.comp) == list(want)
+    for (g, f), h in want.items():
+        assert (g, f) in L.comp
+        assert L.comp.get((g, f)) == L.comp[(g, f)] == L.compose(g, f) == h
+    mors = L.morphisms()
+    rng = random.Random(0)
+    m = mors[0]
+    for key in [(rng.choice(mors), rng.choice(mors)) for _ in range(500)] + [
+            ("nope", m), (m, "nope"), (m,), (m, m, m), m, 5, None]:
+        if key in want:
+            continue
+        assert key not in L.comp
+        assert L.comp.get(key) is None
+        with pytest.raises(KeyError):
+            L.comp[key]
+    with pytest.raises(TypeError):
+        L.comp[next(iter(want))] = m
+    assert validate_category(L) == []
+    b = Budget()
+    assert colim.recompose(R, 7, b) is L.comp
+    assert b.used == len(L.comp)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_thin_colimit_reads_composites_off_hom_blocks(case):
+    """A thin L's composites are read off its hom blocks; an L with a
+    hom-set of two or more classes keeps a plain dict."""
+    F = CASES[case]()
+    R = colim.build_pseudocolimit(F)
+    if case in MANY_CLASSES:
+        assert type(R.category.comp) is dict
+    else:
+        check_thin_table(R, oracle.build_pseudocolimit(F).category.comp)
+
+
+@pytest.mark.parametrize("case", ["chain9_diamond", "const_z2_terminal"])
+def test_thin_table_is_charged_at_once(case, monkeypatch):
+    """Inside compose_spans, a thin L's table costs one Budget.charge call
+    and no refinement search; const_z2_terminal, which is not thin, still
+    charges once per entry and searches a refinement for its multi-class
+    blocks."""
+    inside, charges, searches = [False], [], []
+    charge, search = Budget.charge, colim._refinement_search
+    compose = colim.compose_spans
+
+    def counted_charge(budget, n=1):
+        if inside[0]:
+            charges.append(n)
+        return charge(budget, n)
+
+    def counted_search(*args):
+        fill = search(*args)
+
+        def counted_fill(*blocks):
+            searches.append(blocks)
+            fill(*blocks)
+
+        return counted_fill
+
+    def traced_compose(*args):
+        inside[0] = True
+        try:
+            return compose(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(Budget, "charge", counted_charge)
+    monkeypatch.setattr(colim, "_refinement_search", counted_search)
+    monkeypatch.setattr(colim, "compose_spans", traced_compose)
+    L = colim.build_pseudocolimit(CASES[case]()).category
+    if case in MANY_CLASSES:
+        assert charges == [1] * len(L.comp)
+        assert searches
+    else:
+        assert charges == [len(L.comp)]
+        assert searches == []
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

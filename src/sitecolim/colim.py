@@ -490,8 +490,10 @@ def verify_bicolimit(R: PseudocolimitResult, X: FinCat,
                      cones=None) -> BicolimReport:
     """Check that postcomposition with lambda is an isomorphism of
     categories Functors(L, X) -> Pseudocones(F, X), by enumeration.  Each
-    hom-set of pseudocones is enumerated once per call; a transformation xi
-    maps to the modification {A: {x: xi[lambda_A(x)]}}.
+    hom-set of pseudocones is enumerated once per call, and kept under the
+    positions of its two cone keys: each distinct key gets one position,
+    images first.  A transformation xi maps to the modification
+    {A: {x: xi[lambda_A(x)]}}.
 
     Given `funcs` and `cones`, the check runs between those full
     subcategories instead of enumerating all functors L -> X and all
@@ -504,36 +506,45 @@ def verify_bicolimit(R: PseudocolimitResult, X: FinCat,
     images = [postcompose_cone(R.cone, t) for t in funcs]
     image_keys = [c.key() for c in images]
     cone_keys = [c.key() for c in cones]
-    objects_bijective = (len(set(image_keys)) == len(funcs)
-                         and sorted(image_keys) == sorted(cone_keys))
+    position = {}  # cone key -> index of its first cone in `distinct`
+    distinct = []
+    for c, k in itertools.chain(zip(images, image_keys),
+                                zip(cones, cone_keys)):
+        if k not in position:
+            position[k] = len(distinct)
+            distinct.append(c)
+    image_pos = [position[k] for k in image_keys]
+    cone_pos = [position[k] for k in cone_keys]
+    objects_bijective = (len(set(image_pos)) == len(funcs)
+                         and sorted(image_pos) == sorted(cone_pos))
     # factor_cone(R, t . lambda) = t . factor_cone(R, lambda) table for
     # table, as t preserves composites and inverses: factor lambda once
     phi = factor_cone(R, R.cone) if funcs else None
     strict_triangle = all(compose_functors(t, phi) == t for t in funcs)
-    cone_of = dict(zip(image_keys, images)) | dict(zip(cone_keys, cones))
-    hom = {}  # (source key, target key) -> sorted modification keys
+    hom = {}  # (source position, target position) -> sorted modification keys
 
     def mod_keys(a, b):
-        if (a, b) not in hom:
-            hom[a, b] = sorted(m.key() for m in enumerate_modifications(
-                cone_of[a], cone_of[b], bud))
-        return hom[a, b]
+        got = hom.get((a, b))
+        if got is None:
+            got = hom[a, b] = sorted(m.key() for m in enumerate_modifications(
+                distinct[a], distinct[b], bud))
+        return got
 
     # postcompose_cell(R.cone, xi).key(), read off the leg tables
     legs = [(A, sorted(leg.obj_map.items()))
             for A, leg in sorted(R.cone.legs.items())]
     f_mor = 0
     morphisms_bijective = True
-    for s, ks in zip(funcs, image_keys):
-        for t, kt in zip(funcs, image_keys):
+    for s, ps in zip(funcs, image_pos):
+        for t, pt in zip(funcs, image_pos):
             nats = enumerate_nat_trans(s, t, bud)
             f_mor += len(nats)
             mapped = [tuple((A, tuple((x, xi.components[o]) for x, o in objs))
                             for A, objs in legs) for xi in nats]
             if (len(set(mapped)) != len(nats)
-                    or sorted(mapped) != mod_keys(ks, kt)):
+                    or sorted(mapped) != mod_keys(ps, pt)):
                 morphisms_bijective = False
-    c_mor = sum(len(mod_keys(a, b)) for a in cone_keys for b in cone_keys)
+    c_mor = sum(len(mod_keys(a, b)) for a in cone_pos for b in cone_pos)
     return BicolimReport(X.name, len(funcs), len(cones), f_mor, c_mor,
                          objects_bijective, morphisms_bijective,
                          strict_triangle)

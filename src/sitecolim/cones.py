@@ -9,7 +9,11 @@ coherence-by-generators compression).  The defining equations:
   pc2   (h_B . Fg) o h_u = h_v             for a 2-cell g : u => v
   pcM   h_u o phi_A = (phi_B . Fu) o g_u   for a modification phi : g => h
 
-are all checked exhaustively.
+check_pseudocone and check_modification check them all exhaustively.  The
+enumerators call them only into a vertex that is not thin: a TwoDiagram is
+a strict 2-functor (twocat.py), so each side of pc1, pc2 and pcM is a
+morphism between the same two objects, and in a thin vertex the two are
+equal.
 """
 
 from __future__ import annotations
@@ -170,6 +174,10 @@ def enumerate_pseudocones(F: TwoDiagram, X: FinCat,
     as the call.  An empty list is kept too: it rules out every leg
     combination that contains that pair, and the walk over combinations
     then skips all those that agree on the leg positions read so far.
+
+    The legs, the coherence boundaries and pc0 hold by construction and
+    the cells are invertible by the filter; pc1 and pc2 are checked only
+    when X is not thin, so into a thin X every candidate is kept.
     """
     bud = budget if budget is not None else Budget()
     A = F.index
@@ -181,6 +189,7 @@ def enumerate_pseudocones(F: TwoDiagram, X: FinCat,
     non_id = [(u, rank[C1.mor_src[u]], rank[C1.mor_tgt[u]])
               for u in A.one_cells() if u not in C1.identities.values()]
     coherence_cands = {}  # (u, leg index at src u, at tgt u) -> list
+    thin = X._thin
     results = []
     if not all(leg_choices):
         return results
@@ -211,7 +220,7 @@ def enumerate_pseudocones(F: TwoDiagram, X: FinCat,
                     coherence[C1.identities[B]] = identity_nat(legs[B])
                 cone = Pseudocone("pc%d" % len(results), F, X, legs,
                                   coherence)
-                if check_pseudocone(cone)[0]:
+                if thin or check_pseudocone(cone)[0]:
                     results.append(cone)
         # the combinations that agree with picks up to `read` reach the
         # same keys and break at the same 1-cell: advance past them all
@@ -228,14 +237,23 @@ def enumerate_modifications(g: Pseudocone, h: Pseudocone,
                             budget: Budget | None = None):
     """All modifications g => h, deterministic order.  The candidate
     components g_A => h_A are enumerated afresh in each call; no table
-    outlives it."""
+    outlives it.
+
+    Cones over different diagrams or with different vertices have no
+    modification, and the call returns [] at once, charging nothing.
+    Otherwise pcM is checked only when the vertex is not thin, so into a
+    thin vertex every candidate is kept."""
     bud = budget if budget is not None else Budget()
+    if (h.diagram is not g.diagram and h.diagram.name != g.diagram.name
+            or h.vertex.name != g.vertex.name):
+        return []
+    thin = g.vertex._thin
     objs = sorted(g.legs)
     choices = [enumerate_nat_trans(g.legs[A], h.legs[A], bud) for A in objs]
     results = []
     for combo in itertools.product(*choices):
         bud.charge()
         mod = Modification("m%d" % len(results), g, h, dict(zip(objs, combo)))
-        if check_modification(mod)[0]:
+        if thin or check_modification(mod)[0]:
             results.append(mod)
     return results

@@ -564,12 +564,25 @@ def _naturality_watches(C: FinCat):
 
 def enumerate_nat_trans(F: Functor, G: Functor, budget: Budget | None = None):
     """All natural transformations F => G, deterministic order.  The
-    naturality square at m is checked once both of its components are;
-    into a thin target every square commutes, so none is checked."""
+    naturality square at m is checked once both of its components are.
+
+    Into a thin target every square commutes and each component has at
+    most one choice, so there is no search: the objects are scanned in
+    order, each component charged as _backtrack would charge it, and the
+    scan stops at the first empty hom-set with no transformation."""
     assert F.source.name == G.source.name and F.target.name == G.target.name
     bud = budget if budget is not None else Budget()
     C, D = F.source, F.target
     objs = sorted(C.objects)
+    if D._thin:
+        comp = {}
+        for o in objs:
+            hom = D._hom.get((F.obj_map[o], G.obj_map[o]))
+            if hom is None:
+                return []
+            bud.charge()
+            comp[o] = hom[0]
+        return [NatTrans("n0", F, G, comp)]
     homs = [D.hom(F.obj_map[o], G.obj_map[o]) for o in objs]
     D_comp, Fm, Gm = D.comp, F.mor_map, G.mor_map
 
@@ -579,10 +592,9 @@ def enumerate_nat_trans(F: Functor, G: Functor, budget: Budget | None = None):
                 return False
         return True
 
-    squares = [()] * len(objs) if D._thin else _naturality_watches(C)
     return [NatTrans("n%d" % i, F, G, dict(comp))
             for i, comp in enumerate(_backtrack(
-                objs, homs, squares, natural, bud, {}))]
+                objs, homs, _naturality_watches(C), natural, bud, {}))]
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ from sitecolim.cones import (Modification, Pseudocone, check_modification,
                              check_pseudocone, conjugate,
                              enumerate_modifications, enumerate_pseudocones,
                              postcompose_cell, postcompose_cone)
-from sitecolim.core import (NatTrans, enumerate_functors, enumerate_nat_trans,
-                            identity_functor, identity_nat, nat_is_invertible,
-                            vcomp_nat)
+from sitecolim.core import (Budget, NatTrans, enumerate_functors,
+                            enumerate_nat_trans, identity_functor,
+                            identity_nat, nat_is_invertible, vcomp_nat)
 from sitecolim.errors import NonInvertibleComponent
 from sitecolim.twocat import constant_diagram
 
@@ -221,3 +221,19 @@ def test_modification_faults_are_named(consttwo, two_cat):
     del partial.components["0"]
     assert check_modification(partial) == (
         False, "component at 0 missing or mislabelled")
+
+
+def test_modifications_between_cones_with_different_boundaries(consttwo,
+                                                               two_cat,
+                                                               diamond):
+    """Cones with different vertices, or over different diagrams, have no
+    modification: the enumeration says so before it enumerates anything,
+    and charges nothing."""
+    c = enumerate_pseudocones(consttwo, two_cat)[0]
+    to_diamond = enumerate_pseudocones(consttwo, diamond)[0]
+    elsewhere = Pseudocone("elsewhere", constant_diagram(
+        consttwo.index, two_cat, "other"), two_cat, c.legs, c.coherence)
+    for g, h in [(c, to_diamond), (to_diamond, c), (c, elsewhere)]:
+        bud = Budget()
+        assert enumerate_modifications(g, h, bud) == []
+        assert bud.used == 0

@@ -76,6 +76,16 @@ CASES = {
     "budget-verify-bicolim-consttwo-two-transformations": (
         ["--budget", "400"],
         ["verify-bicolim", "consttwo.diag", "--vertex", "two.cat"], 3),
+    # against diamond the build charges 201, the functors reach 554, the
+    # pseudocones 838 and the whole run 1,358: the first budget runs out
+    # among the pseudocones, the second at a modification candidate of
+    # the pair loop
+    "budget-verify-bicolim-consttwo-diamond-pseudocones": (
+        ["--budget", "700"],
+        ["verify-bicolim", "consttwo.diag", "--vertex", "diamond.cat"], 3),
+    "budget-verify-bicolim-consttwo-diamond-modifications": (
+        ["--budget", "1194"],
+        ["verify-bicolim", "consttwo.diag", "--vertex", "diamond.cat"], 3),
 }
 
 

@@ -2,10 +2,13 @@
 the shared-composite 2-functor check against the frozen reference versions
 in oracle_kernel.py, and the lazy first-witness equivalence search."""
 
+import itertools
+
 import pytest
 
 import oracle_kernel as oracle
-from sitecolim import build_pseudocolimit, cones, standard
+from sitecolim import build_pseudocolimit, cones, core, standard
+from sitecolim.cones import Modification
 from sitecolim.core import (Budget, FinCat, NatTrans, Presentation,
                             build_category, enumerate_functors,
                             enumerate_nat_trans, equivalence_witness,
@@ -63,19 +66,41 @@ CONE_CASES = [
                               for d, v, _ in CONE_CASES])
 def test_coherence_checks_match_oracle(monkeypatch, diagram, vertex,
                                        violated):
-    """Every candidate enumerate_pseudocones and enumerate_modifications
-    build gets the reference verdict and first-violation message."""
+    """Into a vertex that is not thin, every candidate
+    enumerate_pseudocones and enumerate_modifications build gets the
+    reference verdict and first-violation message.  Into a thin vertex
+    neither check is called, and what is kept unchecked passes the
+    reference checks: every cone found, which are the reference's cones,
+    and every modification candidate."""
     dia, X = diagram(), vertex()
+    want = oracle.enumerate_pseudocones(dia, X)
     cone_checks, mod_checks = [], []
     _with_oracle(monkeypatch, "check_pseudocone", oracle.check_pseudocone,
                  cone_checks)
     _with_oracle(monkeypatch, "check_modification",
                  oracle.check_modification, mod_checks)
     found = cones.enumerate_pseudocones(dia, X)
-    for g in found:
-        for h in found:
-            cones.enumerate_modifications(g, h)
-    assert [ok for ok, _ in cone_checks].count(True) == len(found) > 0
+    mods = {(g.name, h.name): cones.enumerate_modifications(g, h)
+            for g in found for h in found}
+    assert found and any(mods.values())
+    if X._thin:
+        assert cone_checks == mod_checks == [] and not violated
+        assert ([(c.name, c.key()) for c in found]
+                == [(c.name, c.key()) for c in want])
+        assert all(oracle.check_pseudocone(c) == (True, None) for c in found)
+        for g in found:
+            for h in found:
+                objs = sorted(g.legs)
+                built = [Modification("m", g, h, dict(zip(objs, combo)))
+                         for combo in itertools.product(*(
+                             oracle.enumerate_nat_trans(g.legs[A], h.legs[A])
+                             for A in objs))]
+                assert all(oracle.check_modification(m) == (True, None)
+                           for m in built)
+                assert ([m.key() for m in mods[g.name, h.name]]
+                        == [m.key() for m in built])
+        return
+    assert [ok for ok, _ in cone_checks].count(True) == len(found)
     assert {why.split()[0] for ok, why in cone_checks if not ok} == violated
     assert any(ok for ok, _ in mod_checks)
     if violated:  # pcM rejects some candidates as well
@@ -146,10 +171,12 @@ class _CountedTable(dict):
     (z2, False)])
 @pytest.mark.parametrize("source", [standard.diamond(), standard.chain_cat(3)],
                          ids=["diamond", "chain3"])
-def test_thin_target_composition_table_is_never_read(source, target, thin):
+def test_thin_target_composition_table_is_never_read(monkeypatch, source,
+                                                     target, thin):
     """Into a thin target every composite and naturality square holds by
     construction: the kernel reads no entry of the target's table, and
-    enumerates what it does with the table read."""
+    enumerates what it does with the table read.  The transformations
+    into a thin target are scanned, with no backtracking search."""
     C = source
     plain = target()
     assert plain._thin == thin
@@ -162,10 +189,18 @@ def test_thin_target_composition_table_is_never_read(source, target, thin):
                 C, plain)])
     assert (table.reads > 0) == (not thin)
     table.reads = 0
+    searches = []
+    backtrack = core._backtrack
+
+    def counted(*args):
+        searches.append(args[0])
+        return backtrack(*args)
+    monkeypatch.setattr(core, "_backtrack", counted)
     pairs = [(F, G) for F in functors[:6] for G in functors[:6]]
     got = [[a.components for a in enumerate_nat_trans(F, G)]
            for F, G in pairs]
     assert (table.reads > 0) == (not thin)
+    assert (len(searches) > 0) == (not thin)
     assert got == [[a.components for a in oracle.enumerate_nat_trans(F, G)]
                    for F, G in pairs]
 

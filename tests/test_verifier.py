@@ -43,6 +43,14 @@ def _other_cones(R, X):
     return {"cones": enumerate_pseudocones(R.diagram, X)[1:]}
 
 
+def _repeated_cones(R, X):
+    """The pseudocones but the first, then the second again: one image
+    lies outside the list, one cone is listed twice, and the other cones
+    are equal by key to images, so cone keys repeat."""
+    found = enumerate_pseudocones(R.diagram, X)
+    return {"cones": found[1:] + found[1:2]}
+
+
 def _constant_cone(R):
     """lambda postcomposed with the constant endofunctor of L at 0.0, so
     the objects, the morphisms and the strict triangle all fail."""
@@ -63,6 +71,8 @@ CASES = {
     "walkingiso_z2-two": (walking_iso_z2, standard.two, None),
     "consttwo-two-other_cones": (standard.const_two_diagram, standard.two,
                                  _other_cones),
+    "consttwo-diamond-repeated_cones": (standard.const_two_diagram,
+                                        standard.diamond, _repeated_cones),
 }
 
 

@@ -101,7 +101,8 @@ def check_modification(phi: Modification):
         return False, "boundary cones have different vertices"
     for B in F.index.objects():
         c = phi.components.get(B)
-        if c is None or c.source != g.legs[B] or c.target != h.legs[B]:
+        if c is None or c.source != g.legs.get(B) \
+                or c.target != h.legs.get(B):
             return False, "component at %s missing or mislabelled" % B
     C1 = F.index.cells1
     X = g.vertex.comp
@@ -239,16 +240,17 @@ def enumerate_modifications(g: Pseudocone, h: Pseudocone,
     components g_A => h_A are enumerated afresh in each call; no table
     outlives it.
 
-    Cones over different diagrams or with different vertices have no
-    modification, and the call returns [] at once, charging nothing.
-    Otherwise pcM is checked only when the vertex is not thin, so into a
-    thin vertex every candidate is kept."""
+    Cones over different diagrams, with different vertices, or without a
+    leg at some index object have no modification, and the call returns []
+    at once, charging nothing.  Otherwise pcM is checked only when the
+    vertex is not thin, so into a thin vertex every candidate is kept."""
     bud = budget if budget is not None else Budget()
+    objs = sorted(g.diagram.index.objects())
     if (h.diagram is not g.diagram and h.diagram.name != g.diagram.name
-            or h.vertex.name != g.vertex.name):
+            or h.vertex.name != g.vertex.name
+            or any(A not in g.legs or A not in h.legs for A in objs)):
         return []
     thin = g.vertex._thin
-    objs = sorted(g.legs)
     choices = [enumerate_nat_trans(g.legs[A], h.legs[A], bud) for A in objs]
     results = []
     for combo in itertools.product(*choices):

@@ -44,6 +44,7 @@ class FinCat:
     _hom: dict = field(default=None, repr=False, compare=False)
     _inv: dict = field(default=None, repr=False, compare=False)
     _squares: list = field(default=None, repr=False, compare=False)
+    _below: dict = field(default=None, repr=False, compare=False)
     _thin: bool = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -56,6 +57,7 @@ class FinCat:
         self._thin = all(len(v) == 1 for v in hom.values())
         self._inv = None
         self._squares = None
+        self._below = None
 
     def morphisms(self):
         return sorted(self.mor_src)
@@ -90,6 +92,16 @@ class FinCat:
                         break
             self._inv = inv
         return self._inv.get(m)
+
+    def below(self, x):
+        """The objects with a morphism into x; empty when x is not an
+        object.  Computed once per category."""
+        if self._below is None:
+            below = {o: set() for o in self.objects}
+            for a, b in self._hom:
+                below[b].add(a)
+            self._below = {o: frozenset(s) for o, s in below.items()}
+        return self._below.get(x, frozenset())
 
     def is_iso(self, m):
         return self.inverse(m) is not None

@@ -3,8 +3,9 @@
 Limits are chosen structure: a LimitAssignment records one terminal object,
 one product cone per ordered object pair and one equalizer cone per ordered
 parallel pair.  Arbitrary finite limits are derived from these by the
-standard product-then-equalizers reduction.  Universal properties are always
-checkable exhaustively against the ambient category.
+standard product-then-equalizers reduction.  One test, `is_limiting_cone`,
+decides every universal property, for validation and for exactness alike:
+by down-sets in a thin category, exhaustively in any other.
 """
 
 from __future__ import annotations
@@ -70,10 +71,15 @@ def mediators(C: FinCat, limit: Cone, other: Cone):
 
 
 def is_limiting_cone(C: FinCat, D: Diagram, cone: Cone) -> bool:
-    """Exhaustive universal-property check: every competing cone admits
-    exactly one mediating morphism."""
+    """Whether `cone` is a cone over D into which every competing cone has
+    exactly one mediator.  In a thin C, where an object has at most one
+    cone and one mediator, that is a down-set test: every object with a
+    morphism to each node has one to the apex.  Other C are exhaustive."""
     if not is_cone(C, D, cone):
         return False
+    if C._thin:
+        return set(C.objects).intersection(
+            *map(C.below, D.nodes.values())) <= C.below(cone.apex)
     for w in C.objects:
         for other in enumerate_cones(C, D, w):
             if len(mediators(C, cone, other)) != 1:
@@ -117,25 +123,6 @@ def _unknown(C: FinCat, objects=(), morphisms=()):
     return None
 
 
-def _greatest_lower_bound(C: FinCat):
-    """A limiting-cone test that is exact on a thin category C: the cone
-    must be a cone, and every object with a morphism to each node must
-    have one to the apex.  In a thin category an object has at most one
-    cone over a diagram and at most one mediator into the apex, so
-    "exactly one mediator" is "hom(w, apex) is nonempty"."""
-    down = {o: set() for o in C.objects}  # x -> objects with a map into x
-    for f, a in C.mor_src.items():
-        down[C.mor_tgt[f]].add(a)
-    everything = set(C.objects)
-
-    def limiting(C, D, cone):
-        if not is_cone(C, D, cone):
-            return False
-        below = everything.intersection(*(down[o] for o in D.nodes.values()))
-        return below <= down[cone.apex]
-    return limiting
-
-
 def validate_assignment(A: LimitAssignment) -> list[str]:
     """Each chosen cone must be made of objects and morphisms of the
     category, with matching endpoints, and satisfy its universal property.
@@ -144,11 +131,9 @@ def validate_assignment(A: LimitAssignment) -> list[str]:
     A complete assignment on a category with two parallel morphisms is
     refused by that one pair, with no cone checked: a finite category
     with all binary products is thin (hom(X, Y^k) has |hom(X, Y)|^k
-    elements for every k), so such an assignment cannot be valid.  The
-    cones of a complete assignment on a thin category are decided as
-    greatest lower bounds; a partial assignment's, exhaustively."""
+    elements for every k), so such an assignment cannot be valid.  Every
+    other chosen cone is decided by `is_limiting_cone`."""
     C = A.cat
-    limiting = is_limiting_cone
     if A.is_complete():
         for f in C.morphisms():
             a, b = C.mor_src[f], C.mor_tgt[f]
@@ -156,12 +141,11 @@ def validate_assignment(A: LimitAssignment) -> list[str]:
                 if g != f:
                     return ["complete assignment on a non-thin category: "
                             "%s and %s are parallel %s -> %s" % (f, g, a, b)]
-        limiting = _greatest_lower_bound(C)
     out = []
     if A.terminal is not None:
         if _unknown(C, [A.terminal]) is not None:
             out.append("chosen terminal %s is not an object" % A.terminal)
-        elif not limiting(C, empty_diagram(), Cone(A.terminal, {})):
+        elif not is_limiting_cone(C, empty_diagram(), Cone(A.terminal, {})):
             out.append("chosen terminal %s is not terminal" % A.terminal)
     for o, m in A.tmap.items():
         bad = _unknown(C, [o], [m])
@@ -176,8 +160,8 @@ def validate_assignment(A: LimitAssignment) -> list[str]:
         bad = _unknown(C, [a, b, p], [p1, p2])
         if bad is not None:
             out.append("%s names unknown %s" % (what, bad))
-        elif not limiting(C, discrete_pair(a, b),
-                          Cone(p, {"l": p1, "r": p2})):
+        elif not is_limiting_cone(C, discrete_pair(a, b),
+                                  Cone(p, {"l": p1, "r": p2})):
             out.append("%s is not a product" % what)
     for (f, g), (e, incl) in A.equalizers.items():
         what = "chosen equalizer of (%s, %s)" % (f, g)
@@ -191,8 +175,9 @@ def validate_assignment(A: LimitAssignment) -> list[str]:
                        % (what, incl, e, C.mor_src[f]))
         elif C.comp[(f, incl)] != C.comp[(g, incl)]:
             out.append("%s does not equalize" % what)
-        elif not limiting(C, parallel_pair(C, f, g),
-                          Cone(e, {"l": incl, "r": C.comp[(f, incl)]})):
+        elif not is_limiting_cone(
+                C, parallel_pair(C, f, g),
+                Cone(e, {"l": incl, "r": C.comp[(f, incl)]})):
             out.append("%s is not an equalizer" % what)
     return out
 
@@ -248,58 +233,15 @@ def map_cone(F: Functor, cone: Cone) -> Cone:
                 {n: F.mor_map[m] for n, m in cone.legs.items()})
 
 
-def _chosen_cone(A: LimitAssignment | None, D: Diagram) -> Cone | None:
-    """A's chosen limit cone over D, which is empty, a discrete pair or a
-    parallel pair; None when A has no entry for it."""
-    if A is None:
-        return None
-    if not D.nodes:
-        return None if A.terminal is None else Cone(A.terminal, {})
-    if not D.edges:
-        hit = A.products.get((D.nodes["l"], D.nodes["r"]))
-        return hit and Cone(hit[0], {"l": hit[1], "r": hit[2]})
-    f, g = D.edges["f"][2], D.edges["g"][2]
-    hit = A.equalizers.get((f, g))
-    return hit and Cone(hit[0], {"l": hit[1], "r": A.cat.comp[(f, hit[1])]})
-
-
-def _mediator_is_iso(C: FinCat, cone: Cone, limit: Cone) -> bool:
-    """Whether the mediator from `cone` into the limiting cone `limit` has a
-    two-sided inverse."""
-    meds = mediators(C, limit, cone)
-    if len(meds) != 1:
-        return False
-    m = meds[0]
-    return any(C.comp[(m, n)] == C.identities[limit.apex]
-               and C.comp[(n, m)] == C.identities[cone.apex]
-               for n in C.hom(limit.apex, cone.apex))
-
-
-def check_exact(F: Functor, src_limits: LimitAssignment,
-                target_limits: LimitAssignment | None = None):
+def check_exact(F: Functor, src_limits: LimitAssignment):
     """True iff F carries every chosen limiting cone of its source to a
-    limiting cone in its target.  Returns (ok, counterexample diagram or
-    None).
-
-    `target_limits`, when given, must be an assignment on F.target that
-    passed `validate_assignment`, so each of its chosen cones L is limiting.
-    An image cone c over the same diagram then has exactly one mediator
-    m : c -> L, and c is limiting iff m is an isomorphism, tested by a
-    two-sided inverse in hom(L, c).  Without a target assignment on the
-    very category F.target (compared by identity), or without the needed
-    entry, the image cone is checked exhaustively against every competing
-    cone instead."""
+    limiting cone in its target, each decided by `is_limiting_cone` on
+    F.target.  Returns (ok, counterexample diagram or None)."""
     C, D = F.source, F.target
     assert src_limits.cat.name == C.name
-    if target_limits is not None and target_limits.cat is not D:
-        target_limits = None
 
     def limiting(dia, cone):
-        image, cone = map_diagram(F, dia), map_cone(F, cone)
-        limit = _chosen_cone(target_limits, image)
-        if limit is None:
-            return is_limiting_cone(D, image, cone)
-        return is_cone(D, image, cone) and _mediator_is_iso(D, cone, limit)
+        return is_limiting_cone(D, map_diagram(F, dia), map_cone(F, cone))
 
     if src_limits.terminal is not None:
         if not limiting(empty_diagram(), Cone(src_limits.terminal, {})):

@@ -70,8 +70,10 @@ class AmbientDiagram:
     def validate(self) -> list[str]:
         """Each fiber's missing assignment or generators, then one
         `transition u is not exact` line per inexact 1-cell, in 1-cell
-        order.  Each distinct (functor, source assignment, target
-        assignment), compared by identity, is checked once."""
+        order; a 1-cell at a fiber without an assignment gets none, its
+        fiber being reported already.  The verdict reads only the functor
+        and the source assignment, so each distinct pair of them, compared
+        by identity, is checked once."""
         out = []
         for A in self.diagram.index.objects():
             lim = self.fiber_limits.get(A)
@@ -80,16 +82,15 @@ class AmbientDiagram:
             if not self.generators.get(A):
                 out.append("fiber %s has an empty generator set" % A)
         C1 = self.diagram.index.cells1
-        exact = {}  # (id functor, id source, id target) -> verdict
+        exact = {}  # (id functor, id source) -> verdict
         for u in self.diagram.index.one_cells():
             src = self.fiber_limits.get(C1.mor_src[u])
-            tgt = self.fiber_limits.get(C1.mor_tgt[u])
-            if src is None or tgt is None:  # reported above
-                continue
+            if src is None or self.fiber_limits.get(C1.mor_tgt[u]) is None:
+                continue  # reported above
             f = self.diagram.on1[u]
-            key = (id(f), id(src), id(tgt))
+            key = (id(f), id(src))
             if key not in exact:
-                exact[key] = check_exact(f, src, tgt)[0]
+                exact[key] = check_exact(f, src)[0]
             if not exact[key]:
                 out.append("transition %s is not exact" % u)
         return out

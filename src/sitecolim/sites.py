@@ -96,8 +96,7 @@ class SiteMorphism:
     target: Site  # site of functor.target
 
     def validate(self) -> list[str]:
-        ok, _ = check_exact(self.functor, self.source.limits,
-                            self.target.limits)
+        ok, _ = check_exact(self.functor, self.source.limits)
         if not ok:
             return ["underlying functor is not exact"]
         ok, bad = check_continuous(self.functor, self.source, self.target)
@@ -116,7 +115,8 @@ class SiteDiagram:
         index object, then each transition's as a site morphism: one
         `transition u: ...` line per violation, 1-cell by 1-cell.  Each
         distinct (functor, source site, target site), compared by
-        identity, is checked once: a fixture diagram shares one functor
+        identity, is checked once; exactness reads the first two, cover
+        preservation all three.  A fixture diagram shares one functor
         and one site among many 1-cells and fibers."""
         out = []
         idx = self.diagram.index

@@ -56,14 +56,14 @@ def diamondchain_colim(diamondchain):
 
 @pytest.fixture
 def exhaustive_calls(monkeypatch):
-    """The arguments of every exhaustive is_limiting_cone call that
-    check_exact or validate_assignment makes."""
+    """The arguments of every enumerate_cones call, the exhaustive part of
+    is_limiting_cone, that check_exact or validate_assignment makes."""
     calls = []
-    real = limits.is_limiting_cone
+    real = limits.enumerate_cones
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(limits, "is_limiting_cone", counting)
+    monkeypatch.setattr(limits, "enumerate_cones", counting)
     return calls

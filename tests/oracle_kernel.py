@@ -27,8 +27,8 @@ counts (the verifier: no fewer; the span layer, which compares only the
 spans at a weakly terminal apex: the count test_span_layer.build_budget
 computes) as the library's watch-list kernel, table-level checks, indexed validators, boundary index of 2-cells,
 per-build refinement tables, once-per-hom-set verifier, per-call coherence
-table, one-pass saturation, presentations, mediator-iso exactness test
-and greatest-lower-bound test of complete assignments.
+table, one-pass saturation, presentations, and the down-set limit test
+that decides every limiting cone in a thin category.
 The modification enumerator is the library's, frozen so that the reference
 verifier does not run the code it checks; `hcomp_nat`, which only the
 reference 2-functor check uses, lives here too.

@@ -1,11 +1,11 @@
-"""validate_assignment against the frozen exhaustive validator in
-oracle_kernel.py.
+"""validate_assignment and is_limiting_cone against the frozen exhaustive
+versions in oracle_kernel.py.
 
-A complete assignment on a thin category has each chosen cone decided as
-a greatest lower bound: every object with a morphism to each node of the
-diagram must have one to the apex.  A partial assignment, which may sit on
-a category that is not thin, keeps the exhaustive universal-property
-check.  Both must give the oracle's violation list, item for item.
+On a thin category, complete assignment or partial, each chosen cone is
+decided by a down-set test: every object with a morphism to each node of
+the diagram must have one to the apex.  On any other category the
+universal property is checked exhaustively.  Both must give the oracle's
+violation list, item for item, and the oracle's verdict on every cone.
 """
 
 import dataclasses
@@ -13,14 +13,20 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import itertools
+
 import oracle_kernel as oracle
 from conftest import FIXTURE_DIR
 from sitecolim import standard
+from sitecolim.colim import build_pseudocolimit
 from sitecolim.fixtures import CategoryBlock, DiagramBlock, parse
-from sitecolim.limits import LimitAssignment, validate_assignment
+from sitecolim.limits import (Cone, LimitAssignment, discrete_pair,
+                              empty_diagram, is_limiting_cone, parallel_pair,
+                              validate_assignment)
 from strategies import fibers, posets_with_top
 from test_exactness import poset_limits
-from test_limits import _with
+from test_kernel import z2
+from test_limits import _with, split_idempotent
 
 
 def corpus_assignments():
@@ -161,12 +167,70 @@ def test_broken_complete_assignments(C, changes, message):
 @pytest.mark.parametrize("C", POSETS, ids=lambda C: C.name)
 def test_complete_thin_assignment_checks_no_cone_exhaustively(
         C, exhaustive_calls):
-    """A complete assignment is decided without an exhaustive check, valid
-    or broken; a partial one is checked exhaustively."""
+    """An assignment on a thin category is decided without enumerating a
+    cone, complete or partial, valid or broken."""
     A = poset_limits(C)
     assert validate_assignment(A) == []
     assert validate_assignment(_with(A, terminal=C.objects[0])) != []
-    assert exhaustive_calls == []
     partial = dataclasses.replace(A, equalizers={})
     assert validate_assignment(partial) == []
-    assert len(exhaustive_calls) == 1 + len(A.products)
+    assert exhaustive_calls == []
+
+
+def test_partial_assignment_on_z2_is_enumerated(exhaustive_calls):
+    """On a category that is not thin the cones are enumerated: the one
+    object of z2 has two endomorphisms, so it is neither terminal nor the
+    product of itself with itself."""
+    Z = z2()
+    A = LimitAssignment(Z, "*", products={("*", "*"): ("*", "e", "e")})
+    assert _agree(A) == ["chosen terminal * is not terminal",
+                         "chosen product of (*, *) is not a product"]
+    assert len(exhaustive_calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# is_limiting_cone on every cone over every small diagram
+
+
+def covereddiamond_colimit():
+    block = next(v for v in parse((FIXTURE_DIR / "covereddiamond.diag")
+                                  .read_text()).values()
+                 if isinstance(v, DiagramBlock))
+    return build_pseudocolimit(block.diagram).category
+
+
+THIN = POSETS + [covereddiamond_colimit()]
+NOT_THIN = [z2(), standard.parallel_pair_cat(), split_idempotent()]
+
+
+def small_diagrams(C):
+    """The empty diagram, every discrete pair and every parallel pair."""
+    yield empty_diagram()
+    for a, b in itertools.product(C.objects, repeat=2):
+        yield discrete_pair(a, b)
+    for f in C.morphisms():
+        for g in C.hom(C.mor_src[f], C.mor_tgt[f]):
+            yield parallel_pair(C, f, g)
+
+
+@pytest.mark.parametrize("C", THIN + NOT_THIN, ids=lambda C: C.name)
+def test_limiting_cones_match_reference(C, exhaustive_calls):
+    """Every apex, every choice of legs in the hom-sets into the nodes, and
+    an apex that is not an object, over the empty diagram and with each
+    object's identity as every leg.  The cones are enumerated only when C
+    is not thin."""
+    verdicts = set()
+    for D in small_diagrams(C):
+        nodes = sorted(D.nodes)
+        cones = [Cone("zz", {})] + [
+            Cone("zz", {n: C.identities[D.nodes[n]] for n in nodes})]
+        for w in C.objects:
+            for legs in itertools.product(
+                    *(C.hom(w, D.nodes[n]) for n in nodes)):
+                cones.append(Cone(w, dict(zip(nodes, legs))))
+        for cone in cones:
+            got = is_limiting_cone(C, D, cone)
+            assert got == oracle.is_limiting_cone(C, D, cone), (D, cone)
+            verdicts.add(got)
+    assert verdicts == {True, False}
+    assert bool(exhaustive_calls) == (C in NOT_THIN)

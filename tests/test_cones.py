@@ -237,3 +237,19 @@ def test_modifications_between_cones_with_different_boundaries(consttwo,
         bud = Budget()
         assert enumerate_modifications(g, h, bud) == []
         assert bud.used == 0
+
+
+def test_cone_without_legs_has_no_modification(consttwo, two_cat):
+    """A cone with no leg at an index object is no boundary for a
+    modification: the check names the missing component instead of
+    raising, and the enumeration returns [] in either direction, charging
+    nothing."""
+    c = enumerate_pseudocones(consttwo, two_cat)[0]
+    bare = Pseudocone("bare", consttwo, two_cat, {}, {})
+    assert check_modification(Modification(
+        "m", c, bare, identity_modification(c).components)) == (
+        False, "component at 0 missing or mislabelled")
+    for g, h in [(c, bare), (bare, c)]:
+        bud = Budget()
+        assert enumerate_modifications(g, h, bud) == []
+        assert bud.used == 0

@@ -1,11 +1,9 @@
-"""check_exact with a target assignment against the frozen exhaustive check
-in oracle_kernel.py.
+"""check_exact against the frozen exhaustive check in oracle_kernel.py.
 
-With a validated target assignment, each image cone is decided by one
-question: is its mediator into the target's chosen limit of the same
-diagram an isomorphism?  Without one (no assignment, an assignment on
-another category of the same name, or a missing entry) the image cone is
-decided exhaustively.  Both must give the oracle's (ok, counterexample).
+Each image cone is decided by is_limiting_cone on the target: by a
+down-set test when the target is thin, with no cone enumerated, and
+exhaustively otherwise.  The target needs no limit assignment.  Both must
+give the oracle's (ok, counterexample).
 """
 
 import pytest
@@ -16,20 +14,19 @@ from sitecolim import standard
 from sitecolim.colim import build_pseudocolimit, colim_limit_assignment
 from sitecolim.cones import enumerate_pseudocones
 from sitecolim.core import (Functor, Presentation, build_category,
-                            enumerate_functors, identity_functor)
+                            enumerate_functors)
 from sitecolim.fixtures import CategoryBlock, DiagramBlock, parse
 from sitecolim.limits import (LimitAssignment, check_exact, empty_diagram,
                               parallel_pair, validate_assignment)
 from sitecolim.sites import SiteDiagram, build_colim_site
 
 
-def agrees(F, src, tgt, exhaustive_calls):
-    """check_exact with the target assignment gives the oracle's answer
-    without an exhaustive check; returns that answer."""
-    assert validate_assignment(tgt) == []
+def agrees(F, src, exhaustive_calls):
+    """check_exact gives the oracle's answer, enumerating no cone when the
+    target is thin; returns that answer."""
     before = len(exhaustive_calls)
-    got = check_exact(F, src, tgt)
-    assert len(exhaustive_calls) == before
+    got = check_exact(F, src)
+    assert len(exhaustive_calls) == before or not F.target._thin
     assert got == oracle.check_exact(F, src), F.name
     return got
 
@@ -40,7 +37,7 @@ def poset_limits(C):
 
 def site_cases(diagram_file, vertex_file):
     """Every site-morphism leg and enumerated functor that verify-site
-    checks for exactness, with source and target assignments."""
+    checks for exactness, with its source assignment."""
     block = next(v for v in parse((FIXTURE_DIR / diagram_file).read_text())
                  .values() if isinstance(v, DiagramBlock))
     X = [v for v in parse((FIXTURE_DIR / vertex_file).read_text()).values()
@@ -48,10 +45,9 @@ def site_cases(diagram_file, vertex_file):
     D = SiteDiagram(block.diagram,
                     {A: b.site() for A, b in block.fiber_blocks.items()})
     S, R = build_colim_site(D)
-    cases = [(t, S.limits, X.limits)
-             for t in enumerate_functors(S.cat, X.cat)]
+    cases = [(t, S.limits) for t in enumerate_functors(S.cat, X.cat)]
     for h in enumerate_pseudocones(D.diagram, X.cat):
-        cases += [(h.legs[A], D.sites[A].limits, X.limits) for A in h.legs]
+        cases += [(h.legs[A], D.sites[A].limits) for A in h.legs]
     return cases
 
 
@@ -67,11 +63,9 @@ def test_corpus_transitions(name, exhaustive_calls):
         C1 = dia.index.cells1
         for u in dia.index.one_cells():
             src = fl[C1.mor_src[u]].limits
-            tgt = fl[C1.mor_tgt[u]].limits
-            if src is None or tgt is None:
+            if src is None:
                 continue
-            assert tgt.cat is dia.on1[u].target
-            agrees(dia.on1[u], src, tgt, exhaustive_calls)
+            agrees(dia.on1[u], src, exhaustive_calls)
             seen += 1
     assert seen or name != "covereddiamond.diag"
 
@@ -81,8 +75,8 @@ def test_corpus_transitions(name, exhaustive_calls):
     ("diamond.cat", {True, False})])
 def test_corpus_site_morphisms(vertex, verdicts, exhaustive_calls):
     assert verdicts == {
-        agrees(F, src, tgt, exhaustive_calls)[0]
-        for F, src, tgt in site_cases("covereddiamond.diag", vertex)}
+        agrees(F, src, exhaustive_calls)[0]
+        for F, src in site_cases("covereddiamond.diag", vertex)}
 
 
 @pytest.mark.parametrize("build", [
@@ -99,17 +93,16 @@ def test_standard_diagrams(build, exhaustive_calls):
         F = dia.on1[u]
         assert F.source is dia.fibers[C1.mor_src[u]]
         assert F.target is dia.fibers[C1.mor_tgt[u]]
-        agrees(F, fl[C1.mor_src[u]], fl[C1.mor_tgt[u]], exhaustive_calls)
+        agrees(F, fl[C1.mor_src[u]], exhaustive_calls)
     R = build_pseudocolimit(dia)
     L = colim_limit_assignment(R, fl)
     verdicts = set()
     for X in (standard.one(), standard.two(), standard.diamond()):
-        XL = poset_limits(X)
         for t in enumerate_functors(R.category, X):
-            verdicts.add(agrees(t, L, XL, exhaustive_calls)[0])
+            verdicts.add(agrees(t, L, exhaustive_calls)[0])
         for h in enumerate_pseudocones(dia, X):
             for A, leg in h.legs.items():
-                verdicts.add(agrees(leg, fl[A], XL, exhaustive_calls)[0])
+                verdicts.add(agrees(leg, fl[A], exhaustive_calls)[0])
     assert verdicts == {True, False}
 
 
@@ -141,17 +134,18 @@ def test_finset_is_not_thin():
 def test_point_to_two_element_set_is_not_exact(exhaustive_calls):
     """The mediator X -> 1 has a right inverse but no left inverse."""
     C, tl = finset_1x()
+    assert validate_assignment(tl) == [] and exhaustive_calls
     one = standard.one()
     F = Functor("pick_X", one, C, {"o": "X"}, {"id_o": "id_X"})
-    ok, bad = agrees(F, poset_limits(one), tl, exhaustive_calls)
-    assert not ok and bad == empty_diagram()
+    exhaustive_calls.clear()
+    ok, bad = agrees(F, poset_limits(one), exhaustive_calls)
+    assert not ok and bad == empty_diagram() and exhaustive_calls
 
 
 def test_split_mono_into_a_product_is_not_exact(exhaustive_calls):
     """The mediator 1 -> X into the product X = X x 1 has a left inverse
     but no right inverse."""
-    C, tl = finset_1x()
-    tl.products[("X", "1")] = ("X", "id_X", "bang")
+    C, _ = finset_1x()
     S = build_category(Presentation(
         ("P", "A", "B"), (("pa", "P", "A"), ("pb", "P", "B"))), 1, "span")
     src = LimitAssignment(S, products={("A", "B"): ("P", "pa", "pb")})
@@ -159,8 +153,9 @@ def test_split_mono_into_a_product_is_not_exact(exhaustive_calls):
     F = Functor("point_of_X", S, C, {"P": "1", "A": "X", "B": "1"},
                 {"id_P": "id_1", "id_A": "id_X", "id_B": "id_1",
                  "pa": "p0", "pb": "id_1"})
-    ok, bad = agrees(F, src, tl, exhaustive_calls)
-    assert not ok and bad.nodes == {"l": "A", "r": "B"}
+    exhaustive_calls.clear()
+    ok, bad = agrees(F, src, exhaustive_calls)
+    assert not ok and bad.nodes == {"l": "A", "r": "B"} and exhaustive_calls
 
 
 def test_terminal_not_preserved(diamond, exhaustive_calls):
@@ -168,7 +163,7 @@ def test_terminal_not_preserved(diamond, exhaustive_calls):
                         {o: "bot" for o in diamond.objects},
                         {m: "id_bot" for m in diamond.morphisms()})
     dl = poset_limits(diamond)
-    assert agrees(const_bot, dl, dl, exhaustive_calls) == (
+    assert agrees(const_bot, dl, exhaustive_calls) == (
         False, empty_diagram())
 
 
@@ -183,7 +178,7 @@ def b_to_top(D):
 
 def test_product_not_preserved(diamond, exhaustive_calls):
     dl = poset_limits(diamond)
-    ok, bad = agrees(b_to_top(diamond), dl, dl, exhaustive_calls)
+    ok, bad = agrees(b_to_top(diamond), dl, exhaustive_calls)
     assert not ok and not bad.edges and len(bad.nodes) == 2
 
 
@@ -200,56 +195,35 @@ def walking_equalizer():
     mor.update({h: T.comp[("f", "i")] for h in S.hom("E", "B")})
     F = Functor("merge", S, T, {o: o for o in S.objects}, mor)
     src = LimitAssignment(S, equalizers={("f", "g"): ("E", "i")})
-    tgt = LimitAssignment(T, equalizers={("f", "f"): ("A", "id_A")})
-    return F, src, tgt
+    return F, src
 
 
 def test_equalizer_not_preserved(exhaustive_calls):
-    F, src, tgt = walking_equalizer()
-    assert validate_assignment(src) == []
-    ok, bad = agrees(F, src, tgt, exhaustive_calls)
+    """The source, with f and g parallel, is validated by enumeration; the
+    thin target decides the image without it."""
+    F, src = walking_equalizer()
+    assert validate_assignment(src) == [] and exhaustive_calls
+    exhaustive_calls.clear()
+    ok, bad = agrees(F, src, exhaustive_calls)
     assert (ok, bad) == (False, parallel_pair(F.source, "f", "g"))
+    assert exhaustive_calls == []
 
 
 # ---------------------------------------------------------------------------
-# fallbacks to the exhaustive check
-
-
-def test_no_target_assignment(diamond, exhaustive_calls):
-    dl = poset_limits(diamond)
-    F = b_to_top(diamond)
-    assert check_exact(F, dl, None) == oracle.check_exact(F, dl)
-    assert exhaustive_calls
-
-
-def test_target_assignment_on_a_namesake(diamond, exhaustive_calls):
-    other = poset_limits(standard.diamond())
-    assert other.cat is not diamond and other.cat.name == diamond.name
-    assert validate_assignment(other) == []
-    dl = poset_limits(diamond)
-    for F in (identity_functor(diamond), b_to_top(diamond)):
-        exhaustive_calls.clear()
-        assert check_exact(F, dl, other) == oracle.check_exact(F, dl)
-        assert exhaustive_calls
+# no target assignment is read
 
 
 def test_target_assignment_without_the_product(diamond, exhaustive_calls):
+    """No assignment on the diamond holds the product that b_to_top fails
+    to preserve; the thin target decides it without enumerating a cone."""
     dl = poset_limits(diamond)
-    partial = LimitAssignment(diamond, dl.terminal, dict(dl.tmap))
-    assert validate_assignment(partial) == []
-    exhaustive_calls.clear()
-    F = b_to_top(diamond)
-    ok, bad = check_exact(F, dl, partial)
-    assert (ok, bad) == oracle.check_exact(F, dl) and not ok
-    assert exhaustive_calls and all(len(D.nodes) == 2 and not D.edges
-                                    for _, D, _ in exhaustive_calls)
+    ok, bad = check_exact(b_to_top(diamond), dl)
+    assert (ok, bad) == oracle.check_exact(b_to_top(diamond), dl) and not ok
+    assert len(bad.nodes) == 2 and not bad.edges
+    assert exhaustive_calls == []
 
 
 def test_target_assignment_without_the_equalizer(exhaustive_calls):
-    F, src, tgt = walking_equalizer()
-    partial = LimitAssignment(tgt.cat)
-    assert validate_assignment(partial) == []
-    exhaustive_calls.clear()
-    assert check_exact(F, src, partial) == oracle.check_exact(F, src)
-    assert len(exhaustive_calls) == 1
-
+    F, src = walking_equalizer()
+    assert check_exact(F, src) == oracle.check_exact(F, src)
+    assert exhaustive_calls == []

@@ -35,8 +35,8 @@ from .core import (Budget, FinCat, Functor, NatTrans, compose_functors,
                    enumerate_functors, enumerate_nat_trans, union_find)
 from .cones import (Pseudocone, check_pseudocone, enumerate_modifications,
                     enumerate_pseudocones, postcompose_cone)
-from .errors import (IllFormedCone, IncompleteAssignment, NameCollision,
-                     NotFiltered, NotLiftable)
+from .errors import (IllFormedCone, IncompleteAssignment, IncompleteDiagram,
+                     NameCollision, NotFiltered, NotLiftable)
 from .limits import (Cone, Diagram, LimitAssignment, chosen_limit,
                      discrete_pair, empty_diagram)
 from .twocat import TwoDiagram, check_2filtered
@@ -241,7 +241,8 @@ class PseudocolimitResult:
 def build_pseudocolimit(F: TwoDiagram,
                         budget: Budget | None = None) -> PseudocolimitResult:
     """Materialize the colimit category and its cone; composites are
-    searched for in sorted apex order.
+    searched for in sorted apex order.  A cell with no image raises
+    IncompleteDiagram, as a parsed block with a violation has none.
 
     The spans between two objects are quotiented at one apex T, with the
     same classes as comparing every pair of spans by span_related:
@@ -293,6 +294,12 @@ def build_pseudocolimit(F: TwoDiagram,
     ok, datum = check_2filtered(F.index)
     if not ok:
         raise NotFiltered("index fails %s at %r" % (datum[0], datum[1:]))
+    for u in F.index.one_cells():
+        if u not in F.on1:
+            raise IncompleteDiagram("no functor at %s" % u)
+    for g in F.index.two_cells():
+        if g not in F.on2:
+            raise IncompleteDiagram("no transformation at %s" % g)
     bud = budget if budget is not None else Budget()
     index_objs = sorted(F.index.objects())
     objs = []

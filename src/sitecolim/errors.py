@@ -29,6 +29,10 @@ class NameCollision(SitecolimError):
     """Two objects or two morphisms of a colimit would get one name."""
 
 
+class IncompleteDiagram(SitecolimError):
+    """A cell of a diagram has no functor or transformation."""
+
+
 class NotLiftable(SitecolimError):
     """A diagram in the colimit could not be lifted to a single fiber."""
 

@@ -94,9 +94,9 @@ class Environment(dict):
 
 def _tokens(text):
     for i, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield i, line.split()
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield i, tokens
 
 
 def parse(text: str, env: Environment | None = None) -> Environment:

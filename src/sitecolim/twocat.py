@@ -75,7 +75,8 @@ def validate_two_cat(A: TwoCat) -> list[str]:
     """Enrichment and interchange constraints, exhaustively: the 1-cells,
     and the 2-cells under each composition, form categories; the
     horizontal composites and identities sit over the 1-cell composites;
-    and interchange holds."""
+    and interchange holds, tested only where a vertical hom-set has two
+    or more 2-cells: past the labelling check both sides are parallel."""
     out = validate_category(A.cells1)
     if out:
         return ["1-cell layer: %s" % v for v in out]
@@ -98,28 +99,32 @@ def validate_two_cat(A: TwoCat) -> list[str]:
     out = validate_category(horizontal)
     if out:
         return ["horizontal layer: %s" % v for v in out]
-    pairs = _by_right(A.hcomp)
-    for b, a in pairs:
+    for b, a in _by_right(A.hcomp):
         c = A.hcomp[(b, a)]
         if (A.two_src[c] != C.comp[(A.two_src[b], A.two_src[a])]
                 or A.two_tgt[c] != C.comp[(A.two_tgt[b], A.two_tgt[a])]):
             out.append("horizontal composite %s * %s mislabelled" % (b, a))
     if out:
         return out
-    for v, u in _by_right(C.comp):
+    plural = A.vertical._plural
+    for v, u in _by_right([vu for vu, w in C.comp.items()
+                           if (w, w) in plural]):
         if A.hcomp[(A.two_id[v], A.two_id[u])] != A.two_id[C.comp[(v, u)]]:
             out.append("horizontal identity law fails at (%s, %s)" % (v, u))
     if out:
         return out
+    plural_from = {u for u, _ in plural}
     after = {}  # 2-cell -> the 2-cells vertically composable after it
     for h, g in sorted(A.vcomp):
         after.setdefault(g, []).append(h)
-    for b, a in pairs:
+    for b, a in _by_right([ba for ba, c in A.hcomp.items()
+                           if A.two_src[c] in plural_from]):
+        s = A.two_src[A.hcomp[(b, a)]]
         for a2 in after[a]:
             for b2 in after[b]:
-                lhs = A.hcomp[(A.vcomp[(b2, b)], A.vcomp[(a2, a)])]
-                rhs = A.vcomp[(A.hcomp[(b2, a2)], A.hcomp[(b, a)])]
-                if lhs != rhs:
+                if (s, A.two_tgt[A.hcomp[(b2, a2)]]) in plural and (
+                        A.hcomp[(A.vcomp[(b2, b)], A.vcomp[(a2, a)])]
+                        != A.vcomp[(A.hcomp[(b2, a2)], A.hcomp[(b, a)])]):
                     out.append("interchange fails at (%s,%s,%s,%s)"
                                % (b2, b, a2, a))
     return out
@@ -168,7 +173,10 @@ def check_two_functor(F: TwoDiagram):
     Each law is decided once per tuple of functor and transformation
     objects it reads: a diagram read from a fixture shares one functor
     among many 1-cells and one identity transformation among the identity
-    2-cells over one transition."""
+    2-cells over one transition.  With thin fibers only, the 2-cell laws
+    are skipped: both sides are by then transformations between the same
+    functors.  That assumes a valid index (validate_two_cat), which the
+    fixture parser checks first and the library constructors build."""
     A = F.index
     C1 = A.cells1
     memo = {}
@@ -223,6 +231,8 @@ def check_two_functor(F: TwoDiagram):
             return False, "transformation at %s has wrong boundary" % g
         if once(validate_nat_trans, n):
             return False, "transformation at %s is invalid" % g
+    if all(F.fibers[B]._thin for B in A.objects()):
+        return True, None
     for u in A.one_cells():
         if not once(eq, F.on2[A.two_id[u]], once(identity_nat, F.on1[u])):
             return False, "identity 2-cell at %s not sent to identity" % u

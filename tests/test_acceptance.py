@@ -10,7 +10,6 @@ re-done by direct amalgamation over the known fiber products.
 import itertools
 import time
 
-import pytest
 from click.testing import CliRunner
 
 from sitecolim import standard
@@ -20,15 +19,15 @@ from sitecolim.colim import (build_pseudocolimit, colim_finite_limit,
 from sitecolim.cones import (Modification, Pseudocone, check_modification,
                              check_pseudocone, conjugate,
                              enumerate_pseudocones)
-from sitecolim.core import (Budget, FinCat, Functor, NatTrans,
+from sitecolim.core import (Budget, Functor, NatTrans,
                             compose_functors, enumerate_functors,
                             enumerate_nat_trans, equivalence_witness,
                             identity_functor, identity_nat,
                             nat_is_invertible)
 from sitecolim.limits import (LimitAssignment, check_exact, discrete_pair,
                               empty_diagram, is_limiting_cone, parallel_pair)
-from sitecolim.restriction import (AmbientDiagram, finite_limit_closure,
-                                   restrict_diagram, verify_restriction)
+from sitecolim.restriction import (AmbientDiagram, restrict_diagram,
+                                   verify_restriction)
 from sitecolim.sites import (Presheaf, Site, SiteDiagram, build_colim_site,
                              check_continuous, check_sheaf, trivial_site,
                              validate_presheaf, validate_site,

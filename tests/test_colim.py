@@ -13,7 +13,9 @@ from sitecolim.core import (Budget, NatTrans, Presentation, build_category,
                             validate_category, validate_functor,
                             validate_nat_trans)
 from sitecolim.errors import (BudgetExceeded, IncompleteAssignment,
-                              NameCollision, NotFiltered, SitecolimError)
+                              IncompleteDiagram, NameCollision, NotFiltered,
+                              SitecolimError)
+from sitecolim.fixtures import parse
 from sitecolim.limits import (Diagram, LimitAssignment, check_exact,
                               discrete_pair, empty_diagram, is_limiting_cone,
                               parallel_pair, validate_assignment)
@@ -335,3 +337,18 @@ def test_limit_assignment_refuses_a_non_thin_colimit():
             "^the colimit is not thin: o.s>o.t#0 and o.s>o.t#1 are "
             "parallel$")):
         colim_limit_assignment(R, fl)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("comp a . id_0 = a\n", "", "no functor at 0_1"),
+    ("mor a -> a\n", "mor a -> id_0\n", "no transformation at 2id_0_1")],
+    ids=["fiber", "transition"])
+def test_diagram_with_a_violation_is_refused(fixture_dir, old, new, message):
+    """A parsed diagram block whose fiber or transition has a violation
+    carries no functors or no transformations; building from it names the
+    first missing one instead of failing on a lookup."""
+    text = (fixture_dir / "consttwo.diag").read_text()
+    env = parse(text.replace(old, new))
+    assert env.violations["consttwo"]
+    with pytest.raises(IncompleteDiagram, match="^%s$" % message):
+        build_pseudocolimit(env["consttwo"].diagram)

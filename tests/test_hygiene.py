@@ -1,7 +1,7 @@
-"""Source hygiene: no module of the package imports a name it never uses,
-every import sits at module level, no public function or class is there
-only for the tests, and every function the benchmark's tracer names
-exists.
+"""Source hygiene: no module of the package or of the tests imports a name
+it never uses, every import sits at module level, no public function or
+class is there only for the tests, and every function the benchmark's
+tracer names exists.
 
 A stdlib-only stand-in for an unused-import lint.  `__init__.py` is left
 out of the unused-import check because its imports are the package's
@@ -17,6 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "sitecolim"
 ALL_MODULES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
+TEST_MODULES = sorted((ROOT / "tests").glob("*.py"))
 # the paper's API that only the acceptance gate calls
 TEST_ONLY_ALLOWED = {"conjugate", "trivial_site"}
 
@@ -44,7 +45,8 @@ def test_unused_imports_detected():
     assert unused_imports(src) == [(1, "os"), (2, "system"), (3, "b")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES,
+                         ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

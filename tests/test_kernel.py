@@ -12,7 +12,7 @@ from sitecolim.cones import Modification
 from sitecolim.core import (Budget, FinCat, NatTrans, Presentation,
                             build_category, enumerate_functors,
                             enumerate_nat_trans, equivalence_witness,
-                            identity_functor, identity_nat)
+                            identity_functor, identity_nat, validate_category)
 from sitecolim.errors import BudgetExceeded
 from sitecolim.twocat import TwoDiagram, check_two_functor
 
@@ -205,15 +205,64 @@ def test_thin_target_composition_table_is_never_read(monkeypatch, source,
                    for F, G in pairs]
 
 
+def split_idempotent():
+    """r : x -> y and i : y -> x with r after i the identity of y, so that
+    i after r is an idempotent r.i of x: hom(x, x) = {id_x, r.i} is the
+    one hom-set with two elements."""
+    pres = Presentation(("x", "y"), (("r", "x", "y"), ("i", "y", "x")),
+                        ((("i", "r"), ()),))
+    return build_category(pres, 2, "split_idempotent")
+
+
+def _with_table(C, comp):
+    return FinCat(C.name, C.objects, C.mor_src, C.mor_tgt, C.identities,
+                  comp)
+
+
+@pytest.mark.parametrize("make", [
+    standard.one, standard.two, standard.diamond, standard.chaotic_pair,
+    lambda: standard.chain_cat(5), z2, split_idempotent,
+    standard.parallel_pair_cat],
+    ids=["one", "two", "diamond", "chaotic_pair", "chain5", "z2",
+         "split_idempotent", "parallel_pair"])
+def test_laws_read_the_table_only_in_plural_hom_sets(make):
+    """The table checks read each entry of a valid table once.  The
+    identity and associativity laws read it only where a hom-set has two
+    or more elements, so on a thin category they read nothing."""
+    plain = make()
+    C = _with_table(plain, _CountedTable(plain.comp))
+    assert validate_category(C) == []
+    assert (C.comp.reads == len(C.comp)) == C._thin
+    assert C.comp.reads >= len(C.comp)
+
+
+def _redirected(C, key, value):
+    return _with_table(C, {**C.comp, key: value})
+
+
+@pytest.mark.parametrize("C, want", [
+    (_redirected(split_idempotent(), ("r.i", "r.i"), "id_x"),
+     ["associativity fails on (r.i, i, r)",
+      "associativity fails on (i, r, r.i)"]),
+    (_redirected(z2(), ("s", "e"), "e"),
+     ["identity law fails: s . e != s", "associativity fails on (s, e, s)",
+      "associativity fails on (s, s, s)"])],
+    ids=["associativity", "identity law"])
+def test_law_breaks_match_reference(C, want):
+    """One composite redirected inside the plural hom-set: every table
+    check passes, and only the laws, tested there, find the fault."""
+    assert validate_category(C) == oracle.validate_category(C) == want
+
+
 def test_witness_budget_exceeded_while_scanning(swapchain_L):
     with pytest.raises(BudgetExceeded):
         equivalence_witness(swapchain_L, standard.chain_cat(4), Budget(100))
 
 
-def test_check_two_functor_compares_horizontal_components():
-    """A diagram that fails only at a horizontal composite: the walking iso
-    sent to z2 with its 2-cell on the non-trivial automorphism, and one
-    hcomp entry of the index redirected to an identity 2-cell."""
+def walking_iso_flip():
+    """The walking iso sent to z2, with its 2-cells g and ginv on the
+    non-trivial automorphism: a fiber that is not thin, under
+    non-identity 2-cells."""
     idx = standard.walking_iso_twocat()
     X = z2()
     ident = identity_functor(X)
@@ -221,7 +270,14 @@ def test_check_two_functor_compares_horizontal_components():
     on2 = {g: identity_nat(ident) for g in idx.two_cells()}
     for g in ("g", "ginv"):
         on2[g] = NatTrans(g, ident, ident, {"*": "s"})
-    D = TwoDiagram("flip", idx, {"A": X, "B": X}, on1, on2)
+    return TwoDiagram("flip", idx, {"A": X, "B": X}, on1, on2)
+
+
+def test_check_two_functor_compares_horizontal_components():
+    """A diagram that fails only at a horizontal composite: walking_iso_flip
+    with one hcomp entry of the index redirected to an identity 2-cell."""
+    D = walking_iso_flip()
+    idx = D.index
     assert check_two_functor(D) == oracle.check_two_functor(D) == (True, None)
     idx.hcomp[("2id_id_B", "g")] = "2id_u"
     want = (False, "horizontal composition 2id_id_B * g not preserved")

@@ -20,7 +20,7 @@ from sitecolim.errors import BudgetExceeded  # noqa: E402
 from sitecolim.twocat import (TwoCat, TwoDiagram,  # noqa: E402
                               check_two_functor, two_cat_from_cat,
                               validate_two_cat)
-from test_kernel import z2  # noqa: E402
+from test_kernel import walking_iso_flip, z2  # noqa: E402
 from test_twocat import walking_two_cell, z2_loop_twocat  # noqa: E402
 
 NAMED = [standard.one(), standard.two(), standard.chaotic_pair(),
@@ -208,7 +208,8 @@ def test_validate_two_cat_matches_reference(A, data):
 
 
 DIAGRAMS = [standard.const_two_diagram(), standard.inclusion_chain_diagram(),
-            standard.swap_chain_diagram(), standard.walking_iso_diagram()]
+            standard.swap_chain_diagram(), standard.walking_iso_diagram(),
+            walking_iso_flip()]
 
 
 @settings(max_examples=100, deadline=None)

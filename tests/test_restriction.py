@@ -2,11 +2,10 @@ import pytest
 
 from sitecolim import standard
 from sitecolim.core import Functor, NatTrans, identity_functor, identity_nat
-from sitecolim.limits import LimitAssignment
 from sitecolim.restriction import (AmbientDiagram, finite_limit_closure,
                                    full_subcategory, restrict_diagram,
                                    verify_restriction)
-from sitecolim.twocat import TwoDiagram, constant_diagram, two_cat_from_cat
+from sitecolim.twocat import TwoDiagram, constant_diagram
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,6 @@
-import itertools
-
 import pytest
 
 from sitecolim import restriction, sites, standard
-from sitecolim.colim import build_pseudocolimit
 from sitecolim.cones import Pseudocone
 from sitecolim.core import (Functor, NatTrans, compose_functors,
                             identity_functor, identity_nat)

@@ -4,7 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 import oracle_kernel as oracle
-from test_kernel import z2
+from test_kernel import _CountedTable, z2
 from sitecolim import standard, twocat
 from sitecolim.cli import main
 from sitecolim.core import FinCat, Functor, NatTrans, identity_functor
@@ -74,47 +74,63 @@ def test_standard_diagrams_are_strict_2functors(consttwo):
         assert ok, (dia.name, why)
 
 
-def chain9_diamond_text():
-    """A constant diagram over chain9 with fiber diamond: each non-identity
+def chain9_text(C):
+    """A constant diagram over chain9 with fiber C: each non-identity
     1-cell names one functor block, and the parser fills in the identity
     1-cells and every (identity) 2-cell."""
     index = two_cat_from_cat(standard.chain_cat(9), "chain9")
-    C = standard.diamond()
     ident = identity_functor(C)
     ident.name = "ident"
     return render([
         print_twocat(index), print_category(CategoryBlock(C)),
         print_functor(ident),
         ["[diagram const9]", "index chain9"]
-        + ["fiber %s = diamond" % A for A in index.objects()]
+        + ["fiber %s = %s" % (A, C.name) for A in index.objects()]
         + ["transition %s = ident" % u for u in index.one_cells()
            if not index.cells1.is_identity(u)]])
+
+
+def _law_calls(monkeypatch, C):
+    """The calls check_two_functor makes on the parsed chain9 diagram with
+    fiber C, per spied function, as tuples of argument ids."""
+    dia = parse(chain9_text(C))["const9"].diagram
+    A = dia.index
+    assert (len(A.one_cells()), len(A.cells1.comp), len(A.two_cells()),
+            len(A.vcomp), len(A.hcomp)) == (45, 165, 45, 45, 165)
+    names = ("compose_functors", "validate_nat_trans", "vcomp_nat")
+    calls = {name: [] for name in names}
+    for name in names:
+        real = getattr(twocat, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name].append(tuple(map(id, args)))
+            return real(*args)
+
+        monkeypatch.setattr(twocat, name, counted)
+    assert check_two_functor(dia) == (True, None)
+    counts = {n: len(c) for n, c in calls.items()}
+    assert all(len(set(c)) == len(c) for c in calls.values())
+    assert check_two_functor(dia) == oracle.check_two_functor(dia)
+    return counts
 
 
 def test_each_law_decided_once_per_distinct_tuple(monkeypatch):
     """The parsed diagram holds two functors, the named one and the
     parser's identity, and one identity transformation on each, so
-    check_two_functor builds 4 composites and validates and composes 2
+    check_two_functor builds 4 composites and validates 2
     transformations, over 45 1-cells, 165 composable pairs and 45
-    2-cells."""
-    dia = parse(chain9_diamond_text())["const9"].diagram
-    A = dia.index
-    assert (len(A.one_cells()), len(A.cells1.comp), len(A.two_cells()),
-            len(A.vcomp), len(A.hcomp)) == (45, 165, 45, 45, 165)
-    calls = {}
-    for name in ("compose_functors", "validate_nat_trans", "vcomp_nat"):
-        real = getattr(twocat, name)
+    2-cells.  The fiber diamond is thin, so no 2-cell law is tested and
+    no transformation is composed."""
+    assert _law_calls(monkeypatch, standard.diamond()) == {
+        "compose_functors": 4, "validate_nat_trans": 2, "vcomp_nat": 0}
 
-        def counted(*args, real=real, name=name):
-            calls.setdefault(name, []).append(tuple(map(id, args)))
-            return real(*args)
 
-        monkeypatch.setattr(twocat, name, counted)
-    assert check_two_functor(dia) == (True, None)
-    assert {n: len(c) for n, c in calls.items()} == {
+def test_each_law_decided_once_per_distinct_tuple_into_z2(monkeypatch):
+    """The same diagram with the fiber z2, which is not thin: the 2-cell
+    laws are tested, each once per distinct tuple, so the 2
+    transformations are composed with themselves once each."""
+    assert _law_calls(monkeypatch, z2()) == {
         "compose_functors": 4, "validate_nat_trans": 2, "vcomp_nat": 2}
-    assert all(len(set(c)) == len(c) for c in calls.values())
-    assert check_two_functor(dia) == oracle.check_two_functor(dia)
 
 
 def test_constant_diagram_shares_its_identities(monkeypatch):
@@ -389,6 +405,40 @@ def test_horizontal_faults_are_named(h, faults):
     A broken law is reported alone: a broken unit law gives one line, not
     the interchange failures it causes."""
     assert validate_two_cat(idempotent_twocat(h)) == faults
+
+
+def _counted_twocat(A):
+    """A over composition tables that count their lookups."""
+    C = A.cells1
+    cells1 = FinCat(C.name, C.objects, C.mor_src, C.mor_tgt, C.identities,
+                    _CountedTable(C.comp))
+    return TwoCat(A.name, cells1, A.two_src, A.two_tgt, A.two_id,
+                  _CountedTable(A.vcomp), _CountedTable(A.hcomp))
+
+
+@pytest.mark.parametrize("A, reads_more", [
+    (two_cat_from_cat(standard.chain_cat(1)), False),
+    (two_cat_from_cat(standard.chain_cat(3)), False),
+    (two_cat_from_cat(standard.chain_cat(9)), False),
+    (standard.chain3_twocat(), False),
+    (two_cat_from_cat(standard.diamond()), False),
+    (z2_loop_twocat(), True),
+    (standard.walking_iso_twocat(), True)],
+    ids=["chain1", "chain3", "chain9", "chain3_twocat", "diamond", "z2_loop",
+         "walking_iso"])
+def test_two_cell_laws_read_only_plural_hom_sets(A, reads_more):
+    """On a valid index, the three layer checks read each entry of their
+    tables once, and the labelling check reads each horizontal entry and
+    its two boundary composites.  The laws read more only where a layer
+    has a hom-set of two or more elements: on a thin poset or a chain_n
+    index, nothing."""
+    B = _counted_twocat(A)
+    assert validate_two_cat(B) == []
+    C, V, H = B.cells1.comp, B.vcomp, B.hcomp
+    at_labels = (len(C) + 2 * len(H), len(V), 2 * len(H))
+    reads = (C.reads, V.reads, H.reads)
+    assert all(r >= n for r, n in zip(reads, at_labels))
+    assert (reads != at_labels) == reads_more
 
 
 def test_non_parallel_two_cell_is_named():

@@ -20,7 +20,7 @@ from pathlib import Path
 import click
 
 from .colim import build_pseudocolimit, recompose, verify_bicolimit
-from .core import Budget
+from .core import Budget, once_per_object
 from .errors import BudgetExceeded, FixtureError, NotFiltered, SitecolimError
 from .fixtures import CategoryBlock, DiagramBlock, Environment, parse
 from .restriction import AmbientDiagram, restrict_diagram, verify_restriction
@@ -155,12 +155,9 @@ def _checked(obj):
 def _site_diagram(block: DiagramBlock) -> SiteDiagram:
     if not block.fiber_blocks:
         raise FixtureError("diagram has no fiber categories with sites")
-    made = {}  # id(category block) -> its one Site
-    sites = {}
-    for A, b in block.fiber_blocks.items():
-        if id(b) not in made:
-            made[id(b)] = b.site()
-        sites[A] = made[id(b)]
+    once = once_per_object()  # one Site per category block
+    sites = {A: once(CategoryBlock.site, b)
+             for A, b in block.fiber_blocks.items()}
     return _checked(SiteDiagram(block.diagram, sites))
 
 

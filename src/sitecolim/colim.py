@@ -29,6 +29,7 @@ import itertools
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cache, partial
 from typing import NamedTuple
 
 from .core import (Budget, FinCat, Functor, NatTrans, compose_functors,
@@ -528,14 +529,11 @@ def verify_bicolimit(R: PseudocolimitResult, X: FinCat,
     # table, as t preserves composites and inverses: factor lambda once
     phi = factor_cone(R, R.cone) if funcs else None
     strict_triangle = all(compose_functors(t, phi) == t for t in funcs)
-    hom = {}  # (source position, target position) -> sorted modification keys
 
+    @cache  # (source position, target position) -> sorted modification keys
     def mod_keys(a, b):
-        got = hom.get((a, b))
-        if got is None:
-            got = hom[a, b] = sorted(m.key() for m in enumerate_modifications(
-                distinct[a], distinct[b], bud))
-        return got
+        return sorted(m.key() for m in enumerate_modifications(
+            distinct[a], distinct[b], bud))
 
     # postcompose_cell(R.cone, xi).key(), read off the leg tables
     legs = [(A, sorted(leg.obj_map.items()))
@@ -647,14 +645,12 @@ def colim_limit_assignment(R: PseudocolimitResult,
     term = colim_finite_limit(R, empty_diagram(), fiber_limits)
     tmap = {o: L.hom(o, term.apex)[0] for o in L.objects}
     lifts = {}  # (B, B') -> (A, u, u')
-    isos = {}  # (A, u, p) -> reindex_iso(R, A, u, p)
+    iso = cache(partial(reindex_iso, R))
 
     def leg(A, u, p, m):
         """The colimit leg into p = (B, y) from lambda_A of the fiber
         morphism m into (Fu)y."""
-        if (A, u, p) not in isos:
-            isos[A, u, p] = reindex_iso(R, A, u, p)
-        return L.comp[(isos[A, u, p], R.cone.legs[A].mor_map[m])]
+        return L.comp[(iso(A, u, p), R.cone.legs[A].mor_map[m])]
 
     products = {}
     for a in L.objects:
@@ -675,11 +671,10 @@ def colim_limit_assignment(R: PseudocolimitResult,
             p, p1, p2 = fiber_limits[A].products[key]
             products[(a, b)] = (R.cone.legs[A].obj_map[p], leg(A, u, a, p1),
                                 leg(A, u2, b, p2))
-    equalizers = {}
-    for f in L.morphisms():
-        a, pair = L.mor_src[f], L.hom(L.mor_src[f], L.mor_tgt[f])
-        if len(pair) > 1:
-            raise IncompleteAssignment("the colimit is not thin: %s and %s "
-                                       "are parallel" % pair[:2])
-        equalizers[(f, f)] = (a, L.identities[a])
+    if L._plural:
+        pair = min(L._hom[k] for k in L._plural)[:2]
+        raise IncompleteAssignment("the colimit is not thin: %s and %s "
+                                   "are parallel" % pair)
+    equalizers = {(f, f): (L.mor_src[f], L.identities[L.mor_src[f]])
+                  for f in L.morphisms()}
     return LimitAssignment(L, term.apex, tmap, products, equalizers)

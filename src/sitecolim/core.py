@@ -41,12 +41,14 @@ class FinCat:
     mor_tgt: dict[str, str]
     identities: dict[str, str]
     comp: Mapping[tuple[str, str], str]
-    _hom: dict = field(default=None, repr=False, compare=False)
-    _inv: dict = field(default=None, repr=False, compare=False)
-    _squares: list = field(default=None, repr=False, compare=False)
-    _below: dict = field(default=None, repr=False, compare=False)
-    _plural: set = field(default=None, repr=False, compare=False)
-    _thin: bool = field(default=None, repr=False, compare=False)
+    # tables derived from the six above: the first three are set by
+    # __post_init__, the others on first use
+    _hom: dict = field(init=False, repr=False, compare=False)
+    _plural: set = field(init=False, repr=False, compare=False)
+    _thin: bool = field(init=False, repr=False, compare=False)
+    _inv: dict = field(init=False, default=None, repr=False, compare=False)
+    _squares: list = field(init=False, default=None, repr=False, compare=False)
+    _below: dict = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.objects = tuple(self.objects)
@@ -57,9 +59,6 @@ class FinCat:
         # the hom-sets where two parallel morphisms can differ
         self._plural = {k for k, v in hom.items() if len(v) > 1}
         self._thin = not self._plural
-        self._inv = None
-        self._squares = None
-        self._below = None
 
     def morphisms(self):
         return sorted(self.mor_src)
@@ -185,6 +184,21 @@ def validate_category(C: FinCat) -> list[str]:
                     out.append(
                         "associativity fails on (%s, %s, %s)" % (h, g, f))
     return out
+
+
+def once_per_object():
+    """A memo once(fn, *args): fn(*args), computed once per fn and tuple
+    of argument objects, compared by identity.  Each result is stored with
+    its arguments, so no id is reused while the memo is alive."""
+    memo = {}
+
+    def once(fn, *args):
+        key = (fn, *map(id, args))
+        if key not in memo:
+            memo[key] = args, fn(*args)
+        return memo[key][1]
+
+    return once
 
 
 def union_find(items):

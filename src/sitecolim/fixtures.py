@@ -37,7 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import (FinCat, Functor, NatTrans, identity_functor, identity_nat,
-                   validate_category, validate_functor, validate_nat_trans)
+                   once_per_object, validate_category, validate_functor,
+                   validate_nat_trans)
 from .cones import Pseudocone, check_pseudocone
 from .errors import FixtureError
 from .limits import LimitAssignment, validate_assignment
@@ -229,10 +230,11 @@ def _parse_category(name, head, body, env):
                           {c: tuple(fs) for c, fs in covers.items()},
                           frozenset(generators))
     bad = validate_category(cat)
-    if not bad and limits is not None:  # later checks assume a category
-        bad = validate_assignment(limits)
+    if not bad:  # later checks assume a category
+        bad = [] if limits is None else validate_assignment(limits)
         if block.covers or block.generators:
-            bad += validate_site(block.site())
+            gens = block.generators or frozenset(cat.objects)
+            bad += validate_site(Site(cat, limits, block.covers, gens))
     return block, _own(bad)
 
 
@@ -352,14 +354,7 @@ def _parse_diagram(name, head, body, env):
         if A not in fibers:
             raise FixtureError("diagram %s: no fiber for index object %s"
                                % (name, A))
-    shared = {}  # (maker, id(x)) -> maker(x), made once per x
-
-    def identity(maker, x):
-        key = (maker, id(x))
-        if key not in shared:
-            shared[key] = maker(x)
-        return shared[key]
-
+    identity = once_per_object()  # one identity functor or cell per x
     for u in index.one_cells():
         a = index.cells1.mor_src[u]
         if u in on1:

@@ -134,13 +134,10 @@ def validate_assignment(A: LimitAssignment) -> list[str]:
     elements for every k), so such an assignment cannot be valid.  Every
     other chosen cone is decided by `is_limiting_cone`."""
     C = A.cat
-    if A.is_complete():
-        for f in C.morphisms():
-            a, b = C.mor_src[f], C.mor_tgt[f]
-            for g in C.hom(a, b):
-                if g != f:
-                    return ["complete assignment on a non-thin category: "
-                            "%s and %s are parallel %s -> %s" % (f, g, a, b)]
+    if C._plural and A.is_complete():
+        f, g = min(C._hom[k] for k in C._plural)[:2]
+        return ["complete assignment on a non-thin category: %s and %s are "
+                "parallel %s -> %s" % (f, g, C.mor_src[f], C.mor_tgt[f])]
     out = []
     if A.terminal is not None:
         if _unknown(C, [A.terminal]) is not None:

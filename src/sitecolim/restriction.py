@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import FinCat, Functor, NatTrans
+from .core import FinCat, Functor, NatTrans, once_per_object
 from .errors import ClosureViolation
 from .limits import LimitAssignment, check_exact
 from .twocat import TwoDiagram
@@ -72,8 +72,8 @@ class AmbientDiagram:
         `transition u is not exact` line per inexact 1-cell, in 1-cell
         order; a 1-cell at a fiber without an assignment gets none, its
         fiber being reported already.  The verdict reads only the functor
-        and the source assignment, so each distinct pair of them, compared
-        by identity, is checked once."""
+        and the source assignment, so a once_per_object memo checks each
+        distinct pair of them, compared by identity, once."""
         out = []
         for A in self.diagram.index.objects():
             lim = self.fiber_limits.get(A)
@@ -82,16 +82,12 @@ class AmbientDiagram:
             if not self.generators.get(A):
                 out.append("fiber %s has an empty generator set" % A)
         C1 = self.diagram.index.cells1
-        exact = {}  # (id functor, id source) -> verdict
+        once = once_per_object()
         for u in self.diagram.index.one_cells():
             src = self.fiber_limits.get(C1.mor_src[u])
             if src is None or self.fiber_limits.get(C1.mor_tgt[u]) is None:
                 continue  # reported above
-            f = self.diagram.on1[u]
-            key = (id(f), id(src))
-            if key not in exact:
-                exact[key] = check_exact(f, src)[0]
-            if not exact[key]:
+            if not once(check_exact, self.diagram.on1[u], src)[0]:
                 out.append("transition %s is not exact" % u)
         return out
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import Budget, FinCat, Functor, enumerate_functors
+from .core import (Budget, FinCat, Functor, enumerate_functors,
+                   once_per_object)
 from .cones import enumerate_pseudocones
 from .colim import (BicolimReport, PseudocolimitResult, build_pseudocolimit,
                     colim_limit_assignment, factor_cone, verify_bicolimit)
@@ -113,11 +114,11 @@ class SiteDiagram:
     def validate(self) -> list[str]:
         """Each site's violations and each site at a name that is not an
         index object, then each transition's as a site morphism: one
-        `transition u: ...` line per violation, 1-cell by 1-cell.  Each
-        distinct (functor, source site, target site), compared by
-        identity, is checked once; exactness reads the first two, cover
-        preservation all three.  A fixture diagram shares one functor
-        and one site among many 1-cells and fibers."""
+        `transition u: ...` line per violation, 1-cell by 1-cell.  A
+        once_per_object memo makes and checks one SiteMorphism per
+        distinct (functor, source site, target site); exactness reads the
+        first two, cover preservation all three.  A fixture diagram shares
+        one functor and one site among many 1-cells and fibers."""
         out = []
         idx = self.diagram.index
         for A in idx.objects():
@@ -130,14 +131,13 @@ class SiteDiagram:
                 for A in sorted(self.sites) if A not in idx.objects()]
         if out:
             return out
-        verdicts = {}  # (id functor, id source, id target) -> violations
+        once = once_per_object()
         for u in idx.one_cells():
             a, b = idx.cells1.mor_src[u], idx.cells1.mor_tgt[u]
-            m = SiteMorphism(self.diagram.on1[u], self.sites[a], self.sites[b])
-            key = (id(m.functor), id(m.source), id(m.target))
-            if key not in verdicts:
-                verdicts[key] = m.validate()
-            out.extend("transition %s: %s" % (u, v) for v in verdicts[key])
+            m = once(SiteMorphism, self.diagram.on1[u], self.sites[a],
+                     self.sites[b])
+            out.extend("transition %s: %s" % (u, v)
+                       for v in once(SiteMorphism.validate, m))
         return out
 
 

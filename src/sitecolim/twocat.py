@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 from operator import eq
 
 from .core import (FinCat, Functor, NatTrans, compose_functors,
-                   identity_functor, identity_nat, validate_category,
-                   validate_functor, validate_nat_trans, vcomp_nat)
+                   identity_functor, identity_nat, once_per_object,
+                   validate_category, validate_functor, validate_nat_trans,
+                   vcomp_nat)
 
 
 @dataclass
@@ -179,16 +180,7 @@ def check_two_functor(F: TwoDiagram):
     fixture parser checks first and the library constructors build."""
     A = F.index
     C1 = A.cells1
-    memo = {}
-
-    def once(fn, *args):
-        """fn(*args), computed once per tuple of argument objects.  Each
-        argument is held by F or is a result kept in memo, so no id is
-        reused within the call."""
-        key = (fn, *map(id, args))
-        if key not in memo:
-            memo[key] = fn(*args)
-        return memo[key]
+    once = once_per_object()
 
     def horizontal(gamma, beta, alpha):
         """Whether gamma is the horizontal composite beta * alpha, with

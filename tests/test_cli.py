@@ -55,6 +55,19 @@ def test_validate_broken_category_exits_one(runner, fixture_dir, tmp_path):
     assert "outcome fail" in res.output
 
 
+def test_validate_checks_site_lines_without_limit_lines(runner, fixture_dir,
+                                                       tmp_path):
+    bad = tmp_path / "bare.cat"
+    bad.write_text("%fixture 1\n[category bare]\nobject o\n"
+                   "mor id_o : o -> o\nid o = id_o\ncomp id_o . id_o = id_o\n"
+                   "cover zz : nosuch\ngenerator qq\n")
+    res = run(runner, fixture_dir, "validate", str(bad))
+    assert res.exit_code == 1, res.output
+    assert ("violation bare cover block for unknown object zz\n"
+            "violation bare unknown generator qq\nviolations 2\n"
+            "outcome fail\n") in res.output
+
+
 def test_validate_non_thin_complete_assignment_exits_one(runner, fixture_dir,
                                                          tmp_path):
     """A complete limit assignment on Z/2 is refused by one parallel pair,

@@ -9,7 +9,7 @@ from sitecolim.core import (Budget, FinCat, Functor, NatTrans, Presentation,
                             enumerate_functors, enumerate_nat_trans,
                             equivalence_witness, identity_functor,
                             identity_nat, invert_nat, nat_is_invertible,
-                            validate_category, validate_functor,
+                            once_per_object, validate_category, validate_functor,
                             validate_nat_trans, vcomp_nat)
 from sitecolim.errors import (BudgetExceeded, IllTypedRelation,
                               SaturationExceeded)
@@ -64,6 +64,48 @@ def test_hom_and_inverse(diamond):
     assert diamond.inverse("id_a") == "id_a"
     assert diamond.inverse("a_top") is None
     assert diamond.is_iso("id_top")
+
+
+def _counted():
+    """A function returning how many times it has been called, and the
+    list of its calls' argument ids; it holds no argument itself."""
+    calls = []
+
+    def fn(*args):
+        calls.append(tuple(map(id, args)))
+        return len(calls)
+
+    return fn, calls
+
+
+def test_once_per_object_computes_once_per_fn_and_arguments():
+    once = once_per_object()
+    f, f_calls = _counted()
+    g, g_calls = _counted()
+    a, b = object(), object()
+    assert [once(f, a), once(f, a, b), once(f, a), once(f, b, a),
+            once(f, a, b), once(g, a), once(g, a)] == [1, 2, 1, 3, 2, 1, 1]
+    assert f_calls == [(id(a),), (id(a), id(b)), (id(b), id(a))]
+    assert g_calls == [(id(a),)]
+
+
+def test_once_per_object_compares_arguments_by_identity(two_cat):
+    """Two equal functors that are distinct objects are computed apart."""
+    once = once_per_object()
+    f, calls = _counted()
+    F, G = identity_functor(two_cat), identity_functor(two_cat)
+    assert F == G and F is not G
+    assert [once(f, F), once(f, G), once(f, F)] == [1, 2, 1]
+    assert len(calls) == 2
+
+
+def test_once_per_object_keeps_its_arguments_alive():
+    """A temporary argument is held by the memo, so the next temporary
+    cannot take its id and be answered from its entry."""
+    once = once_per_object()
+    f, calls = _counted()
+    assert [once(f, object()), once(f, object())] == [1, 2]
+    assert len(calls) == 2
 
 
 def test_build_category_free_arrow():

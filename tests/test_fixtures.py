@@ -319,6 +319,23 @@ def test_adding_lines_may_repeat(fixture_dir):
     assert (None, "duplicate object x") in env.violations["c"]
 
 
+BARE_CATEGORY = ("%fixture 1\n[category c]\nobject o\nmor id_o : o -> o\n"
+                 "id o = id_o\ncomp id_o . id_o = id_o\n")
+
+
+def test_site_lines_checked_without_limit_lines():
+    """Cover and generator lines are checked on a category block with no
+    limit lines as well: there is no site to form, but a line naming what
+    the category lacks is still a violation."""
+    env = parse(BARE_CATEGORY + "cover zz : nosuch\ngenerator qq\n")
+    assert env["c"].limits is None
+    assert env.violations["c"] == [
+        (None, "cover block for unknown object zz"),
+        (None, "unknown generator qq")]
+    env = parse(BARE_CATEGORY + "cover o : id_o\ngenerator o\n")
+    assert env.violations["c"] == []
+
+
 # an entry at a name its block lacks, one per line kind that names one, and
 # the violation it gets
 STRAYS = [

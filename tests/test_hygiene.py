@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package or of the tests imports a name
 it never uses, every import sits at module level, no public function or
-class is there only for the tests, and every function the benchmark's
-tracer names exists.
+class is there only for the tests, every function the benchmark's tracer
+names exists, only `core` compares objects by identity, and FinCat's
+constructor takes only the data that defines a category.
 
 A stdlib-only stand-in for an unused-import lint.  `__init__.py` is left
 out of the unused-import check because its imports are the package's
@@ -9,9 +10,12 @@ public re-exports, and its re-exports do not count as uses.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
+
+from sitecolim.core import FinCat
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "sitecolim"
@@ -177,3 +181,32 @@ def test_traced_layers_exist():
     tracer = (ROOT / "perfbench" / "tracer.py").read_text()
     modules = {p.stem: p.read_text() for p in MODULES}
     assert missing_layers(tracer, modules) == []
+
+
+def id_loaders(modules):
+    """The names of `modules` (name -> source) that load the name `id`."""
+    return sorted(m for m, source in modules.items()
+                  if any(isinstance(n, ast.Name) and n.id == "id"
+                         and isinstance(n.ctx, ast.Load)
+                         for n in ast.walk(ast.parse(source))))
+
+
+def test_id_loaders_detected():
+    modules = {"a": "key = (fn, *map(id, args))\n",
+               "b": "seen = {id(x): x}\n", "c": "id = 3\nx.id = id_x\n"}
+    assert id_loaders(modules) == ["a", "b"]
+
+
+def test_only_core_compares_by_identity():
+    """A decision made once per distinct object, compared by identity, is
+    core.once_per_object's: any other module that loads `id` hand-rolls a
+    second such cache."""
+    modules = {p.name: p.read_text() for p in ALL_MODULES}
+    assert id_loaders(modules) == ["core.py"]
+
+
+def test_fincat_takes_only_its_defining_data():
+    """FinCat's derived tables are set by the class itself, never passed
+    to its constructor."""
+    assert list(inspect.signature(FinCat).parameters) == [
+        "name", "objects", "mor_src", "mor_tgt", "identities", "comp"]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .core import (Budget, FinCat, Functor, NatTrans, compose_functors,
                    enumerate_functors, enumerate_nat_trans, identity_nat,
                    invert_nat, nat_is_invertible, vcomp_nat,
-                   whisker_functor_nat, whisker_nat_functor)
+                   whisker_nat_functor)
 from .errors import NonInvertibleComponent
 from .twocat import TwoDiagram
 
@@ -118,11 +118,16 @@ def check_modification(phi: Modification):
 
 
 def postcompose_cone(h: Pseudocone, s: Functor) -> Pseudocone:
-    """Whisker a cone to Z with a functor s : Z -> X."""
+    """Whisker a cone to Z with a functor s : Z -> X.  Each whiskered
+    cell s h_u : s.h_A => s.h_B.Fu starts at the image leg s.h_A."""
     assert s.source.name == h.vertex.name
-    return Pseudocone("%s.%s" % (s.name, h.name), h.diagram, s.target,
-                      {A: compose_functors(s, f) for A, f in h.legs.items()},
-                      {u: whisker_functor_nat(s, n)
+    legs = {A: compose_functors(s, f) for A, f in h.legs.items()}
+    src = h.diagram.index.cells1.mor_src
+    return Pseudocone("%s.%s" % (s.name, h.name), h.diagram, s.target, legs,
+                      {u: NatTrans("%s(%s)" % (s.name, n.name), legs[src[u]],
+                                   compose_functors(s, n.target),
+                                   {o: s.mor_map[m]
+                                    for o, m in n.components.items()})
                        for u, n in h.coherence.items()})
 
 
@@ -171,10 +176,12 @@ def enumerate_pseudocones(F: TwoDiagram, X: FinCat,
     transformations per non-identity 1-cell (pc0 pins the identities), then
     pc1/pc2 filter.  The candidates for h_u : h_A => h_B . Fu depend only on
     u and the two legs, so they are read from one table per call, keyed by
-    u and the legs' positions in their leg_choices lists; it lives as long
-    as the call.  An empty list is kept too: it rules out every leg
-    combination that contains that pair, and the walk over combinations
-    then skips all those that agree on the leg positions read so far.
+    u and the legs' positions in their leg_choices lists, and each
+    composite h_B . Fu from a second one, keyed by u and the position of
+    h_B; both live as long as the call.  An empty list is kept too: it
+    rules out every leg combination that contains that pair, and the walk
+    over combinations then skips all those that agree on the leg positions
+    read so far.
 
     The legs, the coherence boundaries and pc0 hold by construction and
     the cells are invertible by the filter; pc1 and pc2 are checked only
@@ -190,6 +197,7 @@ def enumerate_pseudocones(F: TwoDiagram, X: FinCat,
     non_id = [(u, rank[C1.mor_src[u]], rank[C1.mor_tgt[u]])
               for u in A.one_cells() if u not in C1.identities.values()]
     coherence_cands = {}  # (u, leg index at src u, at tgt u) -> list
+    composites = {}  # (u, leg index at tgt u) -> that leg after Fu
     thin = X._thin
     results = []
     if not all(leg_choices):
@@ -204,10 +212,12 @@ def enumerate_pseudocones(F: TwoDiagram, X: FinCat,
             key = (u, picks[a], picks[b])
             cands = coherence_cands.get(key)
             if cands is None:
+                target = composites.get((u, picks[b]))
+                if target is None:
+                    target = composites[(u, picks[b])] = compose_functors(
+                        legs[objs[b]], F.on1[u])
                 cands = coherence_cands[key] = [
-                    n for n in enumerate_nat_trans(
-                        legs[objs[a]],
-                        compose_functors(legs[objs[b]], F.on1[u]), bud)
+                    n for n in enumerate_nat_trans(legs[objs[a]], target, bud)
                     if nat_is_invertible(n)]
             if not cands:
                 break

@@ -448,7 +448,8 @@ def _backtrack(variables, domains, watches, holds, bud, assignment):
             values.append(iter(domains[i + 1]))
 
 
-def enumerate_functors(C: FinCat, D: FinCat, budget: Budget | None = None):
+def enumerate_functors(C: FinCat, D: FinCat, budget: Budget | None = None,
+                       *, same_hom_sizes=False):
     """All functors C -> D, lazily, in a deterministic order.
 
     Backtracks over object images first (pruning on empty hom-sets), then
@@ -456,6 +457,12 @@ def enumerate_functors(C: FinCat, D: FinCat, budget: Budget | None = None):
     entry as soon as the last of its non-identity morphisms has an image
     (an entry of identities only is checked at the first morphism).  Into
     a thin D every entry holds by construction, so none is watched.
+
+    With same_hom_sizes, the object stage keeps only the object maps with
+    |D(Fa, Fb)| = |C(a, b)| for every ordered pair (a, b), a = b included:
+    the functors that preserve hom-set sizes, a superset of the fully
+    faithful ones, in the same relative order and named by their position
+    in this shorter stream.
     """
     bud = budget if budget is not None else Budget()
     objs = sorted(C.objects)
@@ -463,8 +470,14 @@ def enumerate_functors(C: FinCat, D: FinCat, budget: Budget | None = None):
     mors = [m for m in all_mors if not C.is_identity(m)]
     obj_rank = {o: i for i, o in enumerate(objs)}
     obj_watches = [[] for _ in objs]
-    for s, t in dict.fromkeys((C.mor_src[m], C.mor_tgt[m]) for m in mors):
-        obj_watches[max(obj_rank[s], obj_rank[t])].append((s, t))
+    if same_hom_sizes:
+        for s in objs:
+            for t in objs:
+                obj_watches[max(obj_rank[s], obj_rank[t])].append(
+                    (s, t, len(C.hom(s, t))))
+    else:
+        for s, t in dict.fromkeys((C.mor_src[m], C.mor_tgt[m]) for m in mors):
+            obj_watches[max(obj_rank[s], obj_rank[t])].append((s, t))
     mor_rank = {m: i for i, m in enumerate(mors)}
     mor_watches = [[] for _ in mors]
     # an entry of identities only is watched by the first morphism; with no
@@ -482,6 +495,12 @@ def enumerate_functors(C: FinCat, D: FinCat, budget: Budget | None = None):
                 return False
         return True
 
+    def hom_sizes_equal(omap, pairs):
+        for s, t, n in pairs:
+            if len(D_hom.get((omap[s], omap[t]), ())) != n:
+                return False
+        return True
+
     def composites_preserved(mmap, entries):
         for g, f, h in entries:
             if D_comp[(mmap[g], mmap[f])] != mmap[h]:
@@ -490,7 +509,8 @@ def enumerate_functors(C: FinCat, D: FinCat, budget: Budget | None = None):
 
     count = 0
     for omap in _backtrack(objs, [D_objs] * len(objs), obj_watches,
-                           homs_nonempty, bud, {}):
+                           hom_sizes_equal if same_hom_sizes
+                           else homs_nonempty, bud, {}):
         ids = {C.identities[o]: D.identities[omap[o]] for o in objs}
         homs = [D.hom(omap[C.mor_src[m]], omap[C.mor_tgt[m]]) for m in mors]
         for mmap in _backtrack(mors, homs, mor_watches,
@@ -552,14 +572,6 @@ def vcomp_nat(b: NatTrans, a: NatTrans) -> NatTrans:
     return NatTrans("%s.%s" % (b.name, a.name), a.source, b.target,
                     {o: D.comp[(b.components[o], a.components[o])]
                      for o in a.components})
-
-
-def whisker_functor_nat(H: Functor, a: NatTrans) -> NatTrans:
-    """H a : H.F => H.G for a : F => G with F, G landing in H's source."""
-    return NatTrans("%s(%s)" % (H.name, a.name),
-                    compose_functors(H, a.source),
-                    compose_functors(H, a.target),
-                    {o: H.mor_map[a.components[o]] for o in a.components})
 
 
 def whisker_nat_functor(a: NatTrans, K: Functor) -> NatTrans:
@@ -682,12 +694,16 @@ def equivalence_witness(C: FinCat, D: FinCat,
                         budget: Budget | None = None) -> EquivalenceSearch:
     """Search for an equivalence of categories C ~ D.
 
-    Scans functors C -> D lazily, stopping at the first one that is fully
-    faithful and essentially surjective, then constructs the quasi-inverse and both isomorphisms
-    directly (no second functor enumeration).
+    Scans the functors C -> D that preserve hom-set sizes lazily
+    (enumerate_functors with same_hom_sizes, which every fully faithful
+    functor passes), stopping at the first one that is fully faithful and
+    essentially surjective, then constructs the quasi-inverse and both
+    isomorphisms directly (no second functor enumeration).  The witness F
+    is named F<k>, k its position in that stream; a search that finds
+    none charges exactly what draining the stream charges.
     """
     bud = budget if budget is not None else Budget()
-    for F in enumerate_functors(C, D, bud):
+    for F in enumerate_functors(C, D, bud, same_hom_sizes=True):
         if not _fully_faithful(F):
             continue
         surj = _essentially_surjective(F)

@@ -14,7 +14,8 @@ and composite searches the index for its common refinement afresh; and
 the universal-property verifier enumerates the modifications between two
 images, and again between every two cones, and whiskers each
 transformation with the colimit cone; the pseudocone enumerator enumerates every coherence cell afresh
-for each leg combination; build_category saturates to a fixpoint,
+for each leg combination; the equivalence search tests every functor,
+not only those that preserve hom-set sizes; build_category saturates to a fixpoint,
 rewriting in both directions; the standard categories and
 2-categories are written out table by table; exactness decides each
 image cone against every competing cone at every object of the target;
@@ -22,16 +23,19 @@ and a limit assignment's chosen cones are decided the same way, complete
 or not.
 They must keep giving the same functors, transformations,
 verdicts, messages, colimit categories, span classes, verification reports,
-presented categories, standard tables, exactness counterexamples and Budget
+presented categories, standard tables, exactness counterexamples,
+equivalence witnesses and Budget
 counts (the verifier: no fewer; the span layer, which compares only the
 spans at a weakly terminal apex: the count test_span_layer.build_budget
 computes) as the library's watch-list kernel, table-level checks, indexed validators, boundary index of 2-cells,
 per-build refinement tables, once-per-hom-set verifier, per-call coherence
-table, one-pass saturation, presentations, and the down-set limit test
-that decides every limiting cone in a thin category.
+table, one-pass saturation, presentations, the down-set limit test
+that decides every limiting cone in a thin category, and the witness
+search over the functors that preserve hom-set sizes.
 The modification enumerator is the library's, frozen so that the reference
 verifier does not run the code it checks; `hcomp_nat`, which only the
-reference 2-functor check uses, lives here too.
+reference 2-functor check uses, and `whisker_functor_nat`, which only the
+reference pseudocone check uses, live here too.
 """
 
 import itertools
@@ -47,7 +51,7 @@ from sitecolim.core import (Budget, FinCat, Functor, NatTrans,
                             compose_functors, identity_functor,
                             identity_nat, nat_is_invertible, union_find,
                             validate_functor, validate_nat_trans, vcomp_nat,
-                            whisker_functor_nat, whisker_nat_functor)
+                            whisker_nat_functor)
 from sitecolim.errors import NotFiltered, NotLiftable, SaturationExceeded
 from sitecolim.limits import (Cone, Diagram, discrete_pair, empty_diagram,
                               parallel_pair)
@@ -144,6 +148,79 @@ def enumerate_nat_trans(F, G, budget=None):
 
     rec({}, 0)
     return results
+
+
+def whisker_functor_nat(H, a):
+    return NatTrans("%s(%s)" % (H.name, a.name),
+                    compose_functors(H, a.source),
+                    compose_functors(H, a.target),
+                    {o: H.mor_map[a.components[o]] for o in a.components})
+
+
+def fully_faithful(F):
+    C, D = F.source, F.target
+    for a in C.objects:
+        for b in C.objects:
+            images = [F.mor_map[m] for m in C.hom(a, b)]
+            if len(set(images)) != len(images):
+                return False
+            if set(images) != set(D.hom(F.obj_map[a], F.obj_map[b])):
+                return False
+    return True
+
+
+def _essentially_surjective(F):
+    C, D = F.source, F.target
+    out = {}
+    for d in sorted(D.objects):
+        found = None
+        for c in sorted(C.objects):
+            for m in D.hom(F.obj_map[c], d):
+                if D.is_iso(m):
+                    found = (c, m)
+                    break
+            if found:
+                break
+        if not found:
+            return None
+        out[d] = found
+    return out
+
+
+def equivalence_witness(C, D, budget=None):
+    """The first functor of the full stream that is fully faithful and
+    essentially surjective, with its quasi-inverse and both isomorphisms.
+    The stream is the eager reference enumeration, so the Budget it
+    charges is not the library's."""
+    for F in enumerate_functors(C, D, budget):
+        if not fully_faithful(F):
+            continue
+        surj = _essentially_surjective(F)
+        if surj is None:
+            continue
+        obj_map = {d: surj[d][0] for d in D.objects}
+        phi = {d: surj[d][1] for d in D.objects}
+        mor_map = {}
+        for g in D.morphisms():
+            d, d2 = D.mor_src[g], D.mor_tgt[g]
+            want = D.compose_path(D.inverse(phi[d2]), g, phi[d])
+            pre = [m for m in C.hom(obj_map[d], obj_map[d2])
+                   if F.mor_map[m] == want]
+            assert len(pre) == 1
+            mor_map[g] = pre[0]
+        G = Functor("Q", D, C, obj_map, mor_map)
+        eps = NatTrans("eps", compose_functors(F, G), identity_functor(D), phi)
+        eta_comp = {}
+        for c in C.objects:
+            want = phi[F.obj_map[c]]
+            pre = [m for m in C.hom(G.obj_map[F.obj_map[c]], c)
+                   if F.mor_map[m] == want]
+            assert len(pre) == 1
+            eta_comp[c] = pre[0]
+        eta = NatTrans("eta", compose_functors(G, F), identity_functor(C),
+                       eta_comp)
+        return core.EquivalenceSearch((F, G, eta, eps), exhausted=False)
+    return core.EquivalenceSearch(None, exhausted=True)
 
 
 def check_pseudocone(h):

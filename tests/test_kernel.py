@@ -116,9 +116,9 @@ def swapchain_L():
     return build_pseudocolimit(standard.swap_chain_diagram()).category
 
 
-def _full_count(C, D):
+def _full_count(C, D, **kw):
     bud = Budget()
-    n = len(list(enumerate_functors(C, D, bud)))
+    n = len(list(enumerate_functors(C, D, bud, **kw)))
     return n, bud.used
 
 
@@ -132,13 +132,16 @@ def test_witness_stops_at_first_equivalence(swapchain_L):
 
 
 def test_witness_negative_pair_charges_full_enumeration(swapchain_L):
+    """An exhaustive search drains the stream of hom-size-preserving
+    functors, which charges less than every functor C -> D."""
     Q = standard.chain_cat(4)
     n, full = _full_count(swapchain_L, Q)
+    _, pruned = _full_count(swapchain_L, Q, same_hom_sizes=True)
     assert n > 0
     bud = Budget()
     res = equivalence_witness(swapchain_L, Q, bud)
     assert res.witness is None and res.exhausted
-    assert bud.used == full
+    assert bud.used == pruned < full
 
 
 def test_enumeration_charges_only_while_iterating(two_cat, diamond):
@@ -255,8 +258,41 @@ def test_law_breaks_match_reference(C, want):
 
 
 def test_witness_budget_exceeded_while_scanning(swapchain_L):
+    Q = standard.chain_cat(4)
+    bud = Budget()
+    equivalence_witness(swapchain_L, Q, bud)
+    equivalence_witness(swapchain_L, Q, Budget(bud.used))
     with pytest.raises(BudgetExceeded):
-        equivalence_witness(swapchain_L, standard.chain_cat(4), Budget(100))
+        equivalence_witness(swapchain_L, Q, Budget(bud.used - 1))
+
+
+@pytest.mark.parametrize("Q", [standard.diamond, lambda: standard.chain_cat(4)],
+                         ids=["witness", "exhausted"])
+def test_witness_drawn_from_the_module_enumerator(swapchain_L, Q,
+                                                  monkeypatch):
+    """The search draws its candidates through core.enumerate_functors, so
+    a wrapper there sees them, and the witness is named F<k>, k its
+    position in the hom-size-preserving stream: a profiler reads how many
+    candidates were examined off that name and how many were drawn."""
+    Q = Q()
+    calls, drawn = [], []
+    enumerate_all = core.enumerate_functors
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        for F in enumerate_all(*args, **kwargs):
+            drawn.append(F.name)
+            yield F
+    monkeypatch.setattr(core, "enumerate_functors", spy)
+    res = core.equivalence_witness(swapchain_L, Q)
+    assert calls == [{"same_hom_sizes": True}]
+    stream = [F.name for F in enumerate_all(swapchain_L, Q,
+                                            same_hom_sizes=True)]
+    if res.witness is None:
+        assert drawn == stream
+    else:
+        assert res.witness[0].name == drawn[-1] == "F%d" % (len(drawn) - 1)
+        assert drawn == stream[:len(drawn)]
 
 
 def walking_iso_flip():

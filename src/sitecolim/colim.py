@@ -29,7 +29,7 @@ import itertools
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from typing import NamedTuple
 
 from .core import (Budget, FinCat, Functor, NatTrans, compose_functors,
@@ -630,28 +630,26 @@ def colim_limit_assignment(R: PseudocolimitResult,
     terminal comes from colim_finite_limit, which checks that each hom(o, t)
     has one element; the products are read straight off the fibers, to the
     same cones.  With all binary products a finite L is thin, as hom(X, Y^k)
-    has |hom(X, Y)|^k elements: each equalizer is (f, f) -> (src f, id), and
-    a non-thin L, from unvalidated fibers, raises IncompleteAssignment.
+    has |hom(X, Y)|^k elements, so a non-thin L, from unvalidated fibers,
+    raises IncompleteAssignment before any product is read, and each
+    equalizer is (f, f) -> (src f, id).
 
     For a = (B, y) and b = (B', y'), lift_diagram lifts the discrete pair
     to the first apex A in sorted order with 1-cells from both B and B',
     along the first u : B -> A and u' : B' -> A.  That lift depends on
-    (B, B') alone, so it is made once per pair of index objects in a call,
-    and each reindex_iso once per (A, u, a).  The product of a and b is
-    A's chosen product of (Fu)y and (Fu')y', pushed along lambda_A, each
-    leg composed with the reindex iso of its side."""
+    (B, B') alone, so it is made once per pair of index objects in a call.
+    The product of a and b is A's chosen product of (Fu)y and (Fu')y',
+    pushed along lambda_A to an object P of L; as L is thin, each leg is
+    the one morphism of its hom-set, L(P, a) or L(P, b)."""
     L = R.category
     F = R.diagram
     term = colim_finite_limit(R, empty_diagram(), fiber_limits)
-    tmap = {o: L.hom(o, term.apex)[0] for o in L.objects}
+    if L._plural:
+        pair = min(L._hom[k] for k in L._plural)[:2]
+        raise IncompleteAssignment("the colimit is not thin: %s and %s "
+                                   "are parallel" % pair)
+    tmap = {o: L._hom[(o, term.apex)][0] for o in L.objects}
     lifts = {}  # (B, B') -> (A, u, u')
-    iso = cache(partial(reindex_iso, R))
-
-    def leg(A, u, p, m):
-        """The colimit leg into p = (B, y) from lambda_A of the fiber
-        morphism m into (Fu)y."""
-        return L.comp[(iso(A, u, p), R.cone.legs[A].mor_map[m])]
-
     products = {}
     for a in L.objects:
         B, y = R.obj_info[a]
@@ -668,13 +666,8 @@ def colim_limit_assignment(R: PseudocolimitResult,
             if key not in fiber_limits[A].products:
                 raise IncompleteAssignment("no chosen product for %s in %s"
                                            % (key, fiber_limits[A].cat.name))
-            p, p1, p2 = fiber_limits[A].products[key]
-            products[(a, b)] = (R.cone.legs[A].obj_map[p], leg(A, u, a, p1),
-                                leg(A, u2, b, p2))
-    if L._plural:
-        pair = min(L._hom[k] for k in L._plural)[:2]
-        raise IncompleteAssignment("the colimit is not thin: %s and %s "
-                                   "are parallel" % pair)
+            p = R.cone.legs[A].obj_map[fiber_limits[A].products[key][0]]
+            products[(a, b)] = (p, L._hom[(p, a)][0], L._hom[(p, b)][0])
     equalizers = {(f, f): (L.mor_src[f], L.identities[L.mor_src[f]])
                   for f in L.morphisms()}
     return LimitAssignment(L, term.apex, tmap, products, equalizers)

@@ -471,10 +471,11 @@ def enumerate_functors(C: FinCat, D: FinCat, budget: Budget | None = None,
     obj_rank = {o: i for i, o in enumerate(objs)}
     obj_watches = [[] for _ in objs]
     if same_hom_sizes:
-        for s in objs:
-            for t in objs:
-                obj_watches[max(obj_rank[s], obj_rank[t])].append(
-                    (s, t, len(C.hom(s, t))))
+        C_hom = C._hom
+        for i, s in enumerate(objs):
+            for j, t in enumerate(objs):
+                obj_watches[i if i > j else j].append(
+                    (s, t, len(C_hom.get((s, t), ()))))
     else:
         for s, t in dict.fromkeys((C.mor_src[m], C.mor_tgt[m]) for m in mors):
             obj_watches[max(obj_rank[s], obj_rank[t])].append((s, t))
@@ -659,15 +660,16 @@ class EquivalenceSearch:
     exhausted: bool
 
 
-def _fully_faithful(F: Functor):
-    C, D = F.source, F.target
-    for a in C.objects:
-        for b in C.objects:
-            images = [F.mor_map[m] for m in C.hom(a, b)]
-            if len(set(images)) != len(images):
-                return False
-            if set(images) != set(D.hom(F.obj_map[a], F.obj_map[b])):
-                return False
+def _fully_faithful_keeping_sizes(F: Functor):
+    """Full faithfulness of an F that keeps every hom-set's size, as the
+    same_hom_sizes stream does (meaningless on any other F): each C(a, b)
+    -> D(Fa, Fb) is then a bijection iff injective, which a hom-set with
+    at most one element is, so only C._plural is read."""
+    C, mor_map = F.source, F.mor_map
+    for ends in C._plural:
+        ms = C._hom[ends]
+        if len({mor_map[m] for m in ms}) != len(ms):
+            return False
     return True
 
 
@@ -697,14 +699,16 @@ def equivalence_witness(C: FinCat, D: FinCat,
     Scans the functors C -> D that preserve hom-set sizes lazily
     (enumerate_functors with same_hom_sizes, which every fully faithful
     functor passes), stopping at the first one that is fully faithful and
-    essentially surjective, then constructs the quasi-inverse and both
-    isomorphisms directly (no second functor enumeration).  The witness F
-    is named F<k>, k its position in that stream; a search that finds
-    none charges exactly what draining the stream charges.
+    essentially surjective (fully faithful is injective on the hom-sets
+    with two or more elements, as sizes are kept), then constructs the
+    quasi-inverse and both isomorphisms directly (no second functor
+    enumeration).  The witness F is named F<k>, k its position in that
+    stream; a search that finds none charges exactly what draining the
+    stream charges.
     """
     bud = budget if budget is not None else Budget()
     for F in enumerate_functors(C, D, bud, same_hom_sizes=True):
-        if not _fully_faithful(F):
+        if not _fully_faithful_keeping_sizes(F):
             continue
         surj = _essentially_surjective(F)
         if surj is None:

@@ -9,7 +9,7 @@ import pytest
 import oracle_kernel as oracle
 from sitecolim import build_pseudocolimit, cones, core, standard
 from sitecolim.cones import Modification
-from sitecolim.core import (Budget, FinCat, NatTrans, Presentation,
+from sitecolim.core import (Budget, FinCat, Functor, NatTrans, Presentation,
                             build_category, enumerate_functors,
                             enumerate_nat_trans, equivalence_witness,
                             identity_functor, identity_nat, validate_category)
@@ -293,6 +293,62 @@ def test_witness_drawn_from_the_module_enumerator(swapchain_L, Q,
     else:
         assert res.witness[0].name == drawn[-1] == "F%d" % (len(drawn) - 1)
         assert drawn == stream[:len(drawn)]
+
+
+class _ReadLog(_CountedTable):
+    """A table that counts its lookups and every pass over it."""
+
+    def __contains__(self, key):
+        self.reads += 1
+        return super().__contains__(key)
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+    def items(self):
+        self.reads += 1
+        return super().items()
+
+    def values(self):
+        self.reads += 1
+        return super().values()
+
+
+@pytest.mark.parametrize("make", [
+    standard.diamond, lambda: standard.chain_cat(4), standard.chaotic_pair,
+    z2, split_idempotent, standard.parallel_pair_cat],
+    ids=["diamond", "chain4", "chaotic_pair", "z2", "split_idempotent",
+         "parallel_pair"])
+def test_full_faithfulness_reads_only_plural_hom_sets(make):
+    """Given kept hom-set sizes, full faithfulness reads each hom-set with
+    two or more elements once, and the images of its morphisms, and
+    nothing of the target: on a thin source it reads no hom-set and no
+    image."""
+    C, D = make(), make()
+    plural = sum(len(C._hom[k]) for k in C._plural)
+    F = Functor("F", C, D, {o: o for o in C.objects},
+                _ReadLog({m: m for m in C.morphisms()}))
+    C._hom, D._hom = _ReadLog(C._hom), _ReadLog(D._hom)
+    assert core._fully_faithful_keeping_sizes(F)
+    assert C._hom.reads == len(C._plural)
+    assert F.mor_map.reads == plural
+    assert D._hom.reads == 0
+    assert (plural == 0) == C._thin
+
+
+def test_size_keeping_functor_that_is_not_faithful():
+    """The functor z2 -> z2 that sends both morphisms to the identity keeps
+    every hom-set's size but is not faithful: the same_hom_sizes stream
+    draws it, and the reduced test rejects it, as the reference does."""
+    C, D = z2(), z2()
+    stream = list(enumerate_functors(C, D, same_hom_sizes=True))
+    collapse = [F for F in stream if F.mor_map == {"e": "e", "s": "e"}]
+    assert len(collapse) == 1
+    assert not core._fully_faithful_keeping_sizes(collapse[0])
+    assert not oracle.fully_faithful(collapse[0])
+    res = equivalence_witness(C, D)
+    assert res.witness[0].mor_map == {"e": "e", "s": "s"}
 
 
 def walking_iso_flip():

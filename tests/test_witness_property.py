@@ -3,8 +3,9 @@ frozen full search in oracle_kernel.py, on random pairs of fibers from
 strategies.fibers (posets and the non-thin z2, z2_terminal, idempotent
 and chaotic_pair) and parallel_pair_cat: the pruned stream is the full
 stream filtered by hom-set sizes, item for item, and keeps every fully
-faithful functor; the witness and the exhausted flag are the
-reference's."""
+faithful functor; on each functor of it the reduced full-faithfulness
+test agrees with the reference's; the witness and the exhausted flag are
+the reference's."""
 
 import pytest
 
@@ -13,7 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import oracle_kernel as oracle  # noqa: E402
-from sitecolim import standard  # noqa: E402
+from sitecolim import core, standard  # noqa: E402
 from sitecolim.core import (FinCat, enumerate_functors,  # noqa: E402
                             equivalence_witness)
 from strategies import fibers  # noqa: E402
@@ -57,6 +58,17 @@ def test_pruned_stream_is_the_filtered_full_stream(CD):
     assert [F.name for F in pruned] == ["F%d" % k for k in range(len(pruned))]
     kept = [_maps(F) for F in pruned]
     assert all(_maps(F) in kept for F in full if oracle.fully_faithful(F))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs())
+def test_reduced_full_faithfulness_matches_reference(CD):
+    """On every functor of the hom-size-preserving stream, injectivity on
+    the plural hom-sets decides full faithfulness as the reference's full
+    test does."""
+    for F in enumerate_functors(*CD, same_hom_sizes=True):
+        assert (core._fully_faithful_keeping_sizes(F)
+                == oracle.fully_faithful(F))
 
 
 def _witness(res):

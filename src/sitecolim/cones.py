@@ -60,8 +60,7 @@ def check_pseudocone(h: Pseudocone):
     C1 = A.cells1
     for B in A.objects():
         leg = h.legs.get(B)
-        if leg is None or leg.source.name != F.fibers[B].name \
-                or leg.target.name != h.vertex.name:
+        if leg is None or leg.source != F.fibers[B] or leg.target != h.vertex:
             return False, "leg at %s missing or mislabelled" % B
     for u in A.one_cells():
         cell = h.coherence.get(u)
@@ -95,9 +94,9 @@ def check_modification(phi: Modification):
     """(ok, first violated 1-cell or None)."""
     g, h = phi.source, phi.target
     F = g.diagram
-    if h.diagram is not F and h.diagram.name != F.name:
+    if h.diagram is not F and h.diagram != F:
         return False, "boundary cones live over different diagrams"
-    if g.vertex.name != h.vertex.name:
+    if g.vertex != h.vertex:
         return False, "boundary cones have different vertices"
     for B in F.index.objects():
         c = phi.components.get(B)
@@ -120,7 +119,7 @@ def check_modification(phi: Modification):
 def postcompose_cone(h: Pseudocone, s: Functor) -> Pseudocone:
     """Whisker a cone to Z with a functor s : Z -> X.  Each whiskered
     cell s h_u : s.h_A => s.h_B.Fu starts at the image leg s.h_A."""
-    assert s.source.name == h.vertex.name
+    assert s.source == h.vertex
     legs = {A: compose_functors(s, f) for A, f in h.legs.items()}
     src = h.diagram.index.cells1.mor_src
     return Pseudocone("%s.%s" % (s.name, h.name), h.diagram, s.target, legs,
@@ -256,8 +255,8 @@ def enumerate_modifications(g: Pseudocone, h: Pseudocone,
     vertex is not thin, so into a thin vertex every candidate is kept."""
     bud = budget if budget is not None else Budget()
     objs = sorted(g.diagram.index.objects())
-    if (h.diagram is not g.diagram and h.diagram.name != g.diagram.name
-            or h.vertex.name != g.vertex.name
+    if (h.diagram is not g.diagram and h.diagram != g.diagram
+            or h.vertex != g.vertex
             or any(A not in g.legs or A not in h.legs for A in objs)):
         return []
     thin = g.vertex._thin

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .errors import BudgetExceeded, IllTypedRelation, SaturationExceeded
 
@@ -104,8 +105,18 @@ class FinCat:
             self._below = {o: frozenset(s) for o, s in below.items()}
         return self._below.get(x, frozenset())
 
+    def __eq__(self, other):
+        """The same object (tested first: the common case), or else the
+        same six defining tables."""
+        return self is other or (isinstance(other, FinCat)
+                                 and _tables(self) == _tables(other))
+
     def is_iso(self, m):
         return self.inverse(m) is not None
+
+
+_tables = attrgetter("name", "objects", "mor_src", "mor_tgt", "identities",
+                     "comp")
 
 
 def validate_category(C: FinCat) -> list[str]:
@@ -355,7 +366,7 @@ def build_category(pres: Presentation, bound: int, name="presented") -> FinCat:
 
 @dataclass
 class Functor:
-    name: str
+    name: str = field(compare=False)
     source: FinCat
     target: FinCat
     obj_map: dict[str, str]
@@ -364,13 +375,6 @@ class Functor:
     def key(self):
         return (tuple(sorted(self.obj_map.items())),
                 tuple(sorted(self.mor_map.items())))
-
-    def __eq__(self, other):
-        return (isinstance(other, Functor)
-                and self.source.name == other.source.name
-                and self.target.name == other.target.name
-                and self.obj_map == other.obj_map
-                and self.mor_map == other.mor_map)
 
 
 def identity_functor(C: FinCat) -> Functor:
@@ -381,7 +385,7 @@ def identity_functor(C: FinCat) -> Functor:
 
 def compose_functors(G: Functor, F: Functor) -> Functor:
     """G after F."""
-    assert F.target.name == G.source.name
+    assert F.target == G.source
     return Functor("%s.%s" % (G.name, F.name), F.source, G.target,
                    {o: G.obj_map[F.obj_map[o]] for o in F.source.objects},
                    {m: G.mor_map[F.mor_map[m]] for m in F.source.morphisms()})
@@ -523,19 +527,13 @@ def enumerate_functors(C: FinCat, D: FinCat, budget: Budget | None = None,
 
 @dataclass
 class NatTrans:
-    name: str
+    name: str = field(compare=False)
     source: Functor
     target: Functor
     components: dict[str, str]  # object of source cat -> morphism of target cat
 
     def key(self):
         return tuple(sorted(self.components.items()))
-
-    def __eq__(self, other):
-        return (isinstance(other, NatTrans)
-                and self.source == other.source
-                and self.target == other.target
-                and self.components == other.components)
 
 
 def identity_nat(F: Functor) -> NatTrans:
@@ -547,7 +545,7 @@ def identity_nat(F: Functor) -> NatTrans:
 def validate_nat_trans(a: NatTrans) -> list[str]:
     F, G = a.source, a.target
     D = F.target
-    if (F.source.name, D.name) != (G.source.name, G.target.name):
+    if (F.source, D) != (G.source, G.target):
         return ["source and target functors are not parallel"]
     out = ["component at %s, which %s lacks" % (o, F.source.name)
            for o in a.components if o not in F.source.objects]
@@ -617,7 +615,7 @@ def enumerate_nat_trans(F: Functor, G: Functor, budget: Budget | None = None):
     most one choice, so there is no search: the objects are scanned in
     order, each component charged as _backtrack would charge it, and the
     scan stops at the first empty hom-set with no transformation."""
-    assert F.source.name == G.source.name and F.target.name == G.target.name
+    assert (F.source, F.target) == (G.source, G.target)
     bud = budget if budget is not None else Budget()
     C, D = F.source, F.target
     objs = sorted(C.objects)

@@ -235,7 +235,7 @@ def check_exact(F: Functor, src_limits: LimitAssignment):
     limiting cone in its target, each decided by `is_limiting_cone` on
     F.target.  Returns (ok, counterexample diagram or None)."""
     C, D = F.source, F.target
-    assert src_limits.cat.name == C.name
+    assert src_limits.cat == C
 
     def limiting(dia, cone):
         return is_limiting_cone(D, map_diagram(F, dia), map_cone(F, cone))

@@ -123,7 +123,7 @@ class SiteDiagram:
         idx = self.diagram.index
         for A in idx.objects():
             S = self.sites.get(A)
-            if S is None or S.cat.name != self.diagram.fibers[A].name:
+            if S is None or S.cat != self.diagram.fibers[A]:
                 out.append("fiber %s has no matching site" % A)
                 continue
             out.extend("site at %s: %s" % (A, v) for v in validate_site(S))

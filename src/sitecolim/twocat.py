@@ -202,8 +202,8 @@ def check_two_functor(F: TwoDiagram):
         f = F.on1.get(u)
         if f is None:
             return False, "no functor at %s" % u
-        if (f.source.name != F.fibers[C1.mor_src[u]].name
-                or f.target.name != F.fibers[C1.mor_tgt[u]].name):
+        if (f.source != F.fibers[C1.mor_src[u]]
+                or f.target != F.fibers[C1.mor_tgt[u]]):
             return False, "functor at %s has wrong boundary" % u
         if once(validate_functor, f):
             return False, "functor at %s is invalid" % u

@@ -8,7 +8,7 @@ from click.testing import CliRunner
 from sitecolim import cli
 from sitecolim.cli import main
 from sitecolim.colim import BicolimReport
-from sitecolim.core import identity_functor
+from sitecolim.core import Presentation, build_category, identity_functor
 from sitecolim.fixtures import (CategoryBlock, print_category, print_functor,
                                 print_twocat, render)
 
@@ -401,6 +401,80 @@ def test_repeated_block_name_exits_two(runner, fixture_dir, tmp_path):
 def test_block_name_may_repeat_across_files(runner, fixture_dir):
     res = run(runner, fixture_dir, "validate", "two.cat", "consttwo.diag")
     assert res.exit_code == 0, res.output
+
+
+def _shadowing(fixture_dir, tmp_path, objects):
+    """consttwo.diag cut in two before its diagram block, and a file that
+    redefines `two` as the discrete category on `objects`, with its
+    identity functor id_two: (head, tail, redefinition) paths."""
+    text = (fixture_dir / "consttwo.diag").read_text()
+    cut = text.index("[diagram consttwo]")
+    shadow = build_category(Presentation(objects, ()), 1, "two")
+    return [_write(tmp_path, name, body) for name, body in (
+        ("head.diag", text[:cut]),
+        ("tail.diag", "%fixture 1\n" + text[cut:]),
+        ("shadow.cat", render([print_category(CategoryBlock(shadow)),
+                               print_functor(identity_functor(shadow))])))]
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def test_fiber_redefined_before_its_diagram_is_a_violation(
+        runner, fixture_dir, tmp_path):
+    """The transitions keep the `two` they were read against, and the
+    diagram block reads the redefined one.  So each 1-cell's boundary is
+    another category of the same name: a violation, not a crash in
+    compose_functors."""
+    head, tail, shadow = _shadowing(fixture_dir, tmp_path, ("p", "q", "r"))
+    res = run(runner, fixture_dir, "validate", head, shadow, tail)
+    assert res.exit_code == 1, res.output
+    assert ("violation consttwo functor at 0_1 has wrong boundary\n"
+            in res.output)
+    for command in DIAGRAM_COMMANDS:
+        res = run(runner, fixture_dir, command[0], head, shadow, tail,
+                  *command[1:])
+        assert res.exit_code == 2, (command, res.output)
+        assert ("error diagram consttwo: functor at 0_1 has wrong boundary\n"
+                in res.output)
+
+
+def test_transformation_across_a_redefinition_is_a_violation(
+        runner, fixture_dir, tmp_path):
+    """idtwo is on the first `two` and id_two on its one-object
+    redefinition: they are not parallel, though their categories share a
+    name."""
+    head, _, shadow = _shadowing(fixture_dir, tmp_path, ("p",))
+    cell = _write(tmp_path, "cell.cat", render([
+        ["[nattrans n]", "source idtwo", "target id_two", "at 0 = id_0",
+         "at 1 = id_1"]]))
+    res = run(runner, fixture_dir, "validate", head, shadow, cell)
+    assert res.exit_code == 1, res.output
+    assert ("violation n source and target functors are not parallel\n"
+            in res.output)
+
+
+def test_cone_across_a_redefinition_is_a_violation(runner, fixture_dir,
+                                                   tmp_path):
+    """A cone whose vertex is the redefined `two` and whose legs end in the
+    first one has mislabelled legs.  The same cone read without the
+    redefinition is valid."""
+    head, tail, shadow = _shadowing(fixture_dir, tmp_path, ("p", "q", "r"))
+    cell = _write(tmp_path, "cell.cat", render([
+        ["[nattrans ididtwo]", "source idtwo", "target idtwo",
+         "at 0 = id_0", "at 1 = id_1"]]))
+    cone = _write(tmp_path, "cone.cat", render([
+        ["[cone k]", "diagram consttwo", "vertex two"]
+        + ["leg %s = idtwo" % A for A in ("0", "1", "2")]
+        + ["coh %s = ididtwo" % u for u in ("0_1", "0_2", "1_2")]]))
+    res = run(runner, fixture_dir, "validate", head, tail, cell, cone)
+    assert res.exit_code == 0, res.output
+    res = run(runner, fixture_dir, "validate", head, tail, cell, shadow, cone)
+    assert res.exit_code == 1, res.output
+    assert "violation k leg at 0 missing or mislabelled\n" in res.output
 
 
 def test_validate_stops_at_a_broken_category(runner, fixture_dir, tmp_path):

@@ -11,6 +11,7 @@ from sitecolim.core import (Budget, NatTrans, enumerate_functors,
 from sitecolim.errors import NonInvertibleComponent
 from sitecolim.twocat import constant_diagram
 
+from test_core import shadow_two
 from test_kernel import z2
 
 
@@ -46,6 +47,15 @@ def test_pseudocone_violations_detected(consttwo, two_cat):
         {o: "nonsense" for o in two_cat.objects})
     ok, why = check_pseudocone(broken)
     assert not ok
+
+
+def test_legs_into_a_shadowed_vertex_are_mislabelled(consttwo, two_cat):
+    """Legs into `two` do not end at another category named `two`."""
+    c = enumerate_pseudocones(consttwo, two_cat)[0]
+    shadowed = Pseudocone("shadowed", consttwo, shadow_two(), dict(c.legs),
+                          dict(c.coherence))
+    assert check_pseudocone(shadowed) == (
+        False, "leg at 0 missing or mislabelled")
 
 
 def test_identity_modification_checks(consttwo, two_cat):

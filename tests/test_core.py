@@ -219,6 +219,47 @@ def test_validate_nat_trans_reports_non_parallel_functors(two_cat,
         "source and target functors are not parallel"]
 
 
+def shadow_two(objects=("p", "q", "r")):
+    """A category named `two` that is not the arrow category: the discrete
+    category on `objects`."""
+    return build_category(Presentation(objects, ()), 1, "two")
+
+
+def test_equality_ignores_labels(two_cat):
+    F = identity_functor(two_cat)
+    G = Functor("relabelled", two_cat, two_cat, dict(F.obj_map),
+                dict(F.mor_map))
+    assert F == G
+    assert identity_nat(F) == NatTrans("relabelled", G, F,
+                                       dict(identity_nat(F).components))
+
+
+def test_equal_tables_make_equal_categories():
+    C, D = standard.diamond(), standard.diamond()
+    assert C is not D and C == D
+    assert identity_functor(C) == identity_functor(D)
+
+
+def test_a_shared_name_does_not_make_categories_equal(one_cat, two_cat):
+    """The discrete `two` on 0 and 1 differs from the arrow category only
+    in its tables, so functors with equal maps into them differ too."""
+    discrete = shadow_two(("0", "1"))
+    assert discrete.name == two_cat.name and discrete != two_cat
+    maps = ({"o": "0"}, {"id_o": "id_0"})
+    assert (Functor("F", one_cat, two_cat, *maps)
+            != Functor("F", one_cat, discrete, *maps))
+
+
+def test_shadowed_categories_are_not_parallel(two_cat):
+    """idtwo and the identity on a one-object `two` share their boundary
+    names but not their boundaries: a violation, not a KeyError."""
+    a = NatTrans("n", identity_functor(two_cat),
+                 identity_functor(shadow_two(("p",))),
+                 {"0": "id_0", "1": "id_1"})
+    assert validate_nat_trans(a) == [
+        "source and target functors are not parallel"]
+
+
 def test_nat_trans_enumeration_and_algebra(two_cat):
     fs = list(enumerate_functors(two_cat, two_cat))
     const0 = next(F for F in fs if set(F.obj_map.values()) == {"0"})

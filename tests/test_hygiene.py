@@ -205,6 +205,41 @@ def test_only_core_compares_by_identity():
     assert id_loaders(modules) == ["core.py"]
 
 
+def name_comparisons(source):
+    """The lines of `source` with an `==` or `!=` that reads `.name` on
+    both sides."""
+    def reads_name(node):
+        return any(isinstance(n, ast.Attribute) and n.attr == "name"
+                   for n in ast.walk(node))
+
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            sides = [node.left] + node.comparators
+            for op, left, right in zip(node.ops, sides, sides[1:]):
+                if (isinstance(op, (ast.Eq, ast.NotEq))
+                        and reads_name(left) and reads_name(right)):
+                    lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_name_comparisons_detected():
+    source = ("assert F.target.name == G.source.name\n"
+              "if (F.source.name, D.name) != (G.source.name, y):\n"
+              "    pass\n"
+              "ok = F.target == G.source and F.name == 'id'\n"
+              "same = a.name is b.name or a.name < b.name\n")
+    assert name_comparisons(source) == [1, 2]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_name_comparisons(path):
+    """A name is a label, and two categories can share one: categories,
+    functors and diagrams are compared with `==`, which core.FinCat
+    decides by identity, then by the six defining tables."""
+    assert name_comparisons(path.read_text()) == []
+
+
 def test_fincat_takes_only_its_defining_data():
     """FinCat's derived tables are set by the class itself, never passed
     to its constructor."""

@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 import oracle_kernel as oracle
+from test_core import shadow_two
 from test_kernel import _CountedTable, z2
 from sitecolim import standard, twocat
 from sitecolim.cli import main
@@ -165,6 +166,15 @@ def test_broken_diagram_detected(consttwo, two_cat):
                              {"id_0": "id_1", "id_1": "id_1", "a": "id_1"})
     ok, why = check_two_functor(dia)
     assert not ok
+
+
+def test_transition_on_a_shadowed_fiber_has_wrong_boundary(two_cat):
+    """A transition on another category named `two` has the wrong
+    boundary."""
+    dia = constant_diagram(standard.chain3_twocat(), two_cat, "shadowed")
+    dia.on1["0_1"] = identity_functor(shadow_two())
+    assert check_two_functor(dia) == (False,
+                                      "functor at 0_1 has wrong boundary")
 
 
 def test_chain3_is_2filtered():

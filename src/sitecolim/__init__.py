@@ -17,8 +17,8 @@ from .cones import (Modification, Pseudocone, check_modification,
 from .colim import (BicolimReport, PseudocolimitResult, Span,
                     build_pseudocolimit, colim_finite_limit,
                     colim_limit_assignment, factor_cone, verify_bicolimit)
-from .sites import (Presheaf, Site, SiteDiagram, SiteMorphism,
-                    build_colim_site, check_continuous, check_sheaf,
+from .sites import (Presheaf, Site, SiteDiagram, build_colim_site,
+                    check_continuous, check_sheaf, site_morphism_violations,
                     validate_presheaf, validate_site,
                     verify_site_pseudocolimit)
 from .restriction import (AmbientDiagram, RestrictionResult,

@@ -20,7 +20,7 @@ from pathlib import Path
 import click
 
 from .colim import build_pseudocolimit, recompose, verify_bicolimit
-from .core import Budget, once_per_object
+from .core import Budget
 from .errors import BudgetExceeded, FixtureError, NotFiltered, SitecolimError
 from .fixtures import CategoryBlock, DiagramBlock, Environment, parse
 from .restriction import AmbientDiagram, restrict_diagram, verify_restriction
@@ -138,13 +138,6 @@ def _vertex(run: Run, path, fixture_dir) -> CategoryBlock:
     return _pick(env, (CategoryBlock,), None, "category")
 
 
-def _category_block_of(env: Environment, cat):
-    for v in env.values():
-        if isinstance(v, CategoryBlock) and v.cat is cat:
-            return v
-    raise FixtureError("no category block for %s" % cat.name)
-
-
 def _checked(obj):
     bad = obj.validate()
     if bad:
@@ -155,9 +148,7 @@ def _checked(obj):
 def _site_diagram(block: DiagramBlock) -> SiteDiagram:
     if not block.fiber_blocks:
         raise FixtureError("diagram has no fiber categories with sites")
-    once = once_per_object()  # one Site per category block
-    sites = {A: once(CategoryBlock.site, b)
-             for A, b in block.fiber_blocks.items()}
+    sites = {A: b.site for A, b in block.fiber_blocks.items()}
     return _checked(SiteDiagram(block.diagram, sites))
 
 
@@ -338,7 +329,7 @@ def verify_site_cmd(ctx, files, vertex, name):
     def body(run, env):
         vblock = _vertex(run, vertex, ctx.obj["fixture_dir"])
         block = _pick(env, (DiagramBlock,), name, "diagram")
-        X = vblock.site()
+        X = vblock.site
         D = _site_diagram(block)
         S, R = build_colim_site(D, run.budget)
         rep = verify_site_pseudocolimit(D, S, R, X, run.budget)
@@ -360,7 +351,7 @@ def sheaf_check(ctx, files):
             raise FixtureError("no presheaf in the given fixtures")
         for pname in names:
             P = _pick(env, (Presheaf,), pname, "presheaf")
-            S = _category_block_of(env, P.cat).site()
+            S = env.presheaf_blocks[pname].site
             ok, where = check_sheaf(P, S)
             run.add("sheaf %s" % pname, ok)
             if not ok:

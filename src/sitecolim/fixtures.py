@@ -35,6 +35,7 @@ an entry an earlier line of its block set raise FixtureError.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .core import (FinCat, Functor, NatTrans, identity_functor, identity_nat,
                    once_per_object, validate_category, validate_functor,
@@ -56,7 +57,10 @@ class CategoryBlock:
     covers: dict[str, tuple[tuple[str, ...], ...]] = field(default_factory=dict)
     generators: frozenset = frozenset()
 
+    @cached_property
     def site(self) -> Site:
+        """The site the block presents, made on first access; the same
+        object every time after."""
         if self.limits is None:
             raise FixtureError("category %s has no limit assignment; "
                                "cannot form a site" % self.cat.name)
@@ -76,11 +80,14 @@ class Environment(dict):
     DiagramBlock, Pseudocone, Presheaf).  `violations` maps each name to
     its block's violations as (where, message) pairs; where is None, or the
     naming line through which the message was inherited.  A block holds
-    iff its list is empty."""
+    iff its list is empty.  `presheaf_blocks` maps each presheaf's name to
+    the category block its `category` line named, which a later block of
+    the same name does not replace."""
 
-    def __init__(self, blocks=(), violations=None):
+    def __init__(self, blocks=(), violations=None, presheaf_blocks=None):
         super().__init__(blocks)
         self.violations = dict(violations or {})
+        self.presheaf_blocks = dict(presheaf_blocks or {})
 
     def lookup(self, name, kinds, line):
         v = self.get(name)
@@ -102,7 +109,8 @@ def _tokens(text):
 
 def parse(text: str, env: Environment | None = None) -> Environment:
     """Parse a fixture file into (a copy of) the environment."""
-    env = Environment(env or {}, env.violations if env else None)
+    env = (Environment() if env is None else
+           Environment(env, env.violations, env.presheaf_blocks))
     lines = list(_tokens(text))
     if not lines or lines[0][1] != HEADER.split():
         raise FixtureError("missing '%s' header" % HEADER,
@@ -450,7 +458,9 @@ def _parse_presheaf(name, head, body, env):
     sets, maps, named = {}, {}, []
     for ln, t in body:
         if t[0] == "category":
-            cat = _cat_of(_ref(env, t, ln, named), "category", ln)
+            block = _ref(env, t, ln, named)
+            cat = _cat_of(block, "category", ln)
+            env.presheaf_blocks[name] = block
         elif t[0] == "set":
             _expect(len(t) >= 3 and t[2] == ":", "set a : e1 ...", ln)
             sets[t[1]] = tuple(t[3:])

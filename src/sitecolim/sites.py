@@ -88,22 +88,18 @@ def check_continuous(fstar: Functor, src: Site, tgt: Site):
     return True, None
 
 
-@dataclass
-class SiteMorphism:
-    """An exact, cover-preserving functor between the underlying categories
-    (pointing opposite to the site-morphism arrow)."""
-    functor: Functor
-    source: Site  # site of functor.source
-    target: Site  # site of functor.target
-
-    def validate(self) -> list[str]:
-        ok, _ = check_exact(self.functor, self.source.limits)
-        if not ok:
-            return ["underlying functor is not exact"]
-        ok, bad = check_continuous(self.functor, self.source, self.target)
-        if not ok:
-            return ["cover %r of %s not preserved" % (bad[1], bad[0])]
-        return []
+def site_morphism_violations(functor: Functor, source: Site,
+                             target: Site) -> list[str]:
+    """Why `functor`, from source's category to target's, is not a site
+    morphism (which points the opposite way): it is not exact, or it does
+    not preserve a basis cover.  [] when it is one."""
+    ok, _ = check_exact(functor, source.limits)
+    if not ok:
+        return ["underlying functor is not exact"]
+    ok, bad = check_continuous(functor, source, target)
+    if not ok:
+        return ["cover %r of %s not preserved" % (bad[1], bad[0])]
+    return []
 
 
 @dataclass
@@ -115,10 +111,9 @@ class SiteDiagram:
         """Each site's violations and each site at a name that is not an
         index object, then each transition's as a site morphism: one
         `transition u: ...` line per violation, 1-cell by 1-cell.  A
-        once_per_object memo makes and checks one SiteMorphism per
-        distinct (functor, source site, target site); exactness reads the
-        first two, cover preservation all three.  A fixture diagram shares
-        one functor and one site among many 1-cells and fibers."""
+        once_per_object memo checks each distinct (functor, source site,
+        target site) once: a fixture diagram shares one functor and one
+        site among many 1-cells and fibers."""
         out = []
         idx = self.diagram.index
         for A in idx.objects():
@@ -134,10 +129,9 @@ class SiteDiagram:
         once = once_per_object()
         for u in idx.one_cells():
             a, b = idx.cells1.mor_src[u], idx.cells1.mor_tgt[u]
-            m = once(SiteMorphism, self.diagram.on1[u], self.sites[a],
-                     self.sites[b])
-            out.extend("transition %s: %s" % (u, v)
-                       for v in once(SiteMorphism.validate, m))
+            out.extend("transition %s: %s" % (u, v) for v in once(
+                site_morphism_violations, self.diagram.on1[u],
+                self.sites[a], self.sites[b]))
         return out
 
 
@@ -173,9 +167,9 @@ def verify_site_pseudocolimit(D: SiteDiagram, colim: Site,
     outright."""
     bud = budget if budget is not None else Budget()
     funcs = [t for t in enumerate_functors(colim.cat, X.cat, bud)
-             if not SiteMorphism(t, colim, X).validate()]
+             if not site_morphism_violations(t, colim, X)]
     cones = [h for h in enumerate_pseudocones(D.diagram, X.cat, bud)
-             if not any(SiteMorphism(h.legs[A], D.sites[A], X).validate()
+             if not any(site_morphism_violations(h.legs[A], D.sites[A], X)
                         for A in sorted(h.legs))]
     rep = verify_bicolimit(R, X.cat, bud, funcs, cones)
     rep.factored_functors_continuous = all(
@@ -242,8 +236,12 @@ def _pullback(S: Site, f, g):
 def check_sheaf(P: Presheaf, S: Site):
     """Unique amalgamation of every compatible family on every basis cover,
     compatibility taken over the chosen fiber products of cover legs.
-    (ok, failing (object, cover))."""
+    (ok, failing (object, cover)).  A presheaf on another category than
+    the site's is refused before any set is read."""
     C = S.cat
+    if P.cat != C:
+        raise ValueError("presheaf %s is on %s, not on the site's %s"
+                         % (P.name, P.cat.name, C.name))
     for c in sorted(S.basis):
         for fam in S.basis[c]:
             legs = list(fam)

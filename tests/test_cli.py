@@ -328,6 +328,35 @@ def test_vertex_without_category_exits_two(runner, fixture_dir, command,
     assert "outcome error" in res.output
 
 
+# a command, the text of one more fixture file read after its arguments (or
+# None), and the error line it exits 2 with
+REFUSALS = [
+    (["colim", "consttwo.diag", "--name", "nosuch"], None,
+     "error no diagram named nosuch"),
+    (["validate"], "[widget w]\n", "unknown block kind widget"),
+    (["validate", "chain3.2cat"], "[presheaf p]\ncategory chain3\n",
+     "category must name a category"),
+    (["validate", "chain3.2cat", "two.cat"],
+     "[functor f]\nsource chain3\ntarget two\n",
+     "source must name a category"),
+    (["site-colim", "consttwo.diag"], None,
+     "error category two has no limit assignment; cannot form a site"),
+]
+
+
+@pytest.mark.parametrize("args, text, message", REFUSALS, ids=[
+    "no-such-diagram", "block-kind", "presheaf-category", "functor-source",
+    "site-no-limits"])
+def test_refusal_exits_two(runner, fixture_dir, tmp_path, args, text,
+                           message):
+    if text is not None:
+        args = args + [_write(tmp_path, "extra.fix", "%fixture 1\n" + text)]
+    res = run(runner, fixture_dir, *args)
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+    assert res.output.endswith("outcome error\n")
+
+
 def _mutated(fixture_dir, tmp_path, old, new, name="consttwo.diag"):
     text = (fixture_dir / name).read_text()
     assert text.count(old) == 1

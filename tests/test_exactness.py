@@ -41,9 +41,9 @@ def site_cases(diagram_file, vertex_file):
     block = next(v for v in parse((FIXTURE_DIR / diagram_file).read_text())
                  .values() if isinstance(v, DiagramBlock))
     X = [v for v in parse((FIXTURE_DIR / vertex_file).read_text()).values()
-         if isinstance(v, CategoryBlock)][-1].site()
+         if isinstance(v, CategoryBlock)][-1].site
     D = SiteDiagram(block.diagram,
-                    {A: b.site() for A, b in block.fiber_blocks.items()})
+                    {A: b.site for A, b in block.fiber_blocks.items()})
     S, R = build_colim_site(D)
     cases = [(t, S.limits) for t in enumerate_functors(S.cat, X.cat)]
     for h in enumerate_pseudocones(D.diagram, X.cat):

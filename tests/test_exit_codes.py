@@ -23,6 +23,11 @@ An edited `one.cat`, `two.cat` or `diamond.cat` is also read as the
   3 budget;
 - a command other than `validate` exits 0 or 1 only when `validate` exits 0
   on the mutated file.
+
+Last, every golden command other than `validate` is run again with one more
+file after its inputs, which redefines each category they define as a
+one-object category: a block read earlier keeps the category it was read
+against, so the report and the exit code stay those of the golden case.
 """
 
 from pathlib import Path
@@ -31,6 +36,9 @@ import pytest
 from click.testing import CliRunner
 
 from sitecolim.cli import main
+from sitecolim.fixtures import CategoryBlock, Environment, parse
+
+from test_golden import CASES, GOLDEN_DIR
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -225,3 +233,39 @@ def test_every_wider_vertex_substitution_keeps_the_exit_contract(
 def test_every_stray_entry_is_rejected(name, tmp_path):
     assert sweep(name, insertions, tmp_path, commands_for(name),
                  rejected=True) == []
+
+
+def shadowing_file(files):
+    """A fixture text redefining every category that `files` define as a
+    one-object category."""
+    env = Environment()
+    for name in files:
+        path = FIXTURE_DIR / name
+        if path.exists():  # colim-missing-file names a file that is not
+            env = parse(path.read_text(), env)
+    names = [n for n, v in env.items() if isinstance(v, CategoryBlock)]
+    return "%fixture 1\n" + "".join(
+        "[category %s]\nobject o\nmor id_o : o -> o\nid o = id_o\n"
+        "comp id_o . id_o = id_o\n" % n for n in names)
+
+
+def without_inputs(report):
+    return [line for line in report.splitlines()
+            if not line.startswith("input ")]
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES
+                                        if CASES[n][1][0] != "validate"))
+def test_a_later_redefinition_changes_no_report(name, tmp_path):
+    opts, args, code = CASES[name]
+    cut = next((i for i, a in enumerate(args) if a.startswith("--")),
+               len(args))
+    shadow = tmp_path / "shadow.cat"
+    shadow.write_text(shadowing_file(args[1:cut]))
+    report = tmp_path / "report.txt"
+    res = CliRunner().invoke(main, ["--fixture-dir", str(FIXTURE_DIR),
+                                    "--report", str(report)] + opts
+                             + args[:cut] + [str(shadow)] + args[cut:])
+    golden = (GOLDEN_DIR / ("%s.report" % name)).read_text()
+    assert without_inputs(report.read_text()) == without_inputs(golden)
+    assert res.exit_code == code

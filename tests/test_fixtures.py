@@ -425,13 +425,25 @@ def test_empty_cover_validates(fixture_dir, tmp_path):
     assert res.exit_code == 0, res.output
 
 
+def test_presheaf_keeps_the_block_it_named(fixture_dir):
+    """A category block makes one site, and a presheaf keeps the block its
+    category line named when a later file redefines that name."""
+    env = parse((fixture_dir / "sheaves.pre").read_text())
+    block = env["diamond"]
+    assert block.site is block.site
+    env = parse(BARE_CATEGORY.replace("[category c]", "[category diamond]"),
+                env)
+    assert env["diamond"] is not block
+    assert env.presheaf_blocks["pt"] is block
+
+
 def test_empty_cover_sheaves(fixture_dir, tmp_path):
     """A sheaf for the empty cover of o has exactly one element at o: the
     empty family has exactly one amalgamation."""
     text = _empty_cover(fixture_dir) + _point("pt", ["*"]) \
         + _point("none", []) + _point("two", ["a", "b"])
     env = parse(text)
-    site = env["one"].site()
+    site = env["one"].site
     assert [check_sheaf(env[n], site) for n in ("pt", "none", "two")] == \
         [(True, None), (False, ("o", ())), (False, ("o", ()))]
     path = tmp_path / "points.pre"

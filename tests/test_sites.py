@@ -6,10 +6,11 @@ from sitecolim.core import (Functor, NatTrans, compose_functors,
                             identity_functor, identity_nat)
 from sitecolim.errors import ClosureViolation
 from sitecolim.restriction import AmbientDiagram
-from sitecolim.sites import (Presheaf, Site, SiteDiagram, SiteMorphism,
-                             build_colim_site, check_continuous, check_sheaf,
-                             family_is_cover, trivial_site, validate_presheaf,
-                             validate_site, verify_site_pseudocolimit)
+from sitecolim.sites import (Presheaf, Site, SiteDiagram, build_colim_site,
+                             check_continuous, check_sheaf, family_is_cover,
+                             site_morphism_violations, trivial_site,
+                             validate_presheaf, validate_site,
+                             verify_site_pseudocolimit)
 from sitecolim.twocat import TwoDiagram, check_two_functor
 
 
@@ -85,9 +86,8 @@ def test_family_is_cover(covered_diamond):
 
 
 def test_site_morphism_swap(covered_diamond):
-    m = SiteMorphism(standard.diamond_swap(), covered_diamond,
-                     covered_diamond)
-    assert m.validate() == []
+    assert site_morphism_violations(standard.diamond_swap(),
+                                    covered_diamond, covered_diamond) == []
 
 
 def test_site_morphism_stops_at_inexactness(covered_diamond, diamond,
@@ -103,11 +103,12 @@ def test_site_morphism_stops_at_inexactness(covered_diamond, diamond,
     const_bot = Functor("cbot", diamond, diamond,
                         {o: "bot" for o in diamond.objects},
                         {m: "id_bot" for m in diamond.morphisms()})
-    assert (SiteMorphism(const_bot, covered_diamond, covered_diamond)
-            .validate() == ["underlying functor is not exact"])
+    assert (site_morphism_violations(const_bot, covered_diamond,
+                                     covered_diamond)
+            == ["underlying functor is not exact"])
     assert calls == []
-    assert SiteMorphism(standard.diamond_swap(), covered_diamond,
-                        covered_diamond).validate() == []
+    assert site_morphism_violations(standard.diamond_swap(), covered_diamond,
+                                    covered_diamond) == []
     assert len(calls) == 1
 
 
@@ -317,3 +318,13 @@ def test_trivial_topology_everything_is_sheaf(diamond, diamond_limits):
                 for m in diamond.morphisms()}
         ok, _ = check_sheaf(Presheaf("y", diamond, sets, maps), S)
         assert ok
+
+
+def test_sheaf_check_refuses_another_category(diamond, two_cat):
+    """A presheaf on diamond is refused by a site on two, which covers 1
+    by a, before any of its sets is read."""
+    S = Site(two_cat, standard.poset_limits(two_cat, lambda x, y: x <= y),
+             {"1": (("a",),)}, frozenset({"0"}))
+    with pytest.raises(ValueError, match="^presheaf pt is on diamond, "
+                       "not on the site's two$"):
+        check_sheaf(_terminal_presheaf(diamond), S)

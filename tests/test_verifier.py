@@ -104,8 +104,8 @@ def test_site_report_matches_reference(monkeypatch):
     block = parse((FIXTURE_DIR / "covereddiamond.diag").read_text())[
         "covereddiamond"]
     D = SiteDiagram(block.diagram,
-                    {A: b.site() for A, b in block.fiber_blocks.items()})
-    X = parse((FIXTURE_DIR / "one.cat").read_text())["one"].site()
+                    {A: b.site for A, b in block.fiber_blocks.items()})
+    X = parse((FIXTURE_DIR / "one.cat").read_text())["one"].site
     S, R = build_colim_site(D)
     got_budget, want_budget = Budget(), Budget()
     got = verify_site_pseudocolimit(D, S, R, X, got_budget)

@@ -221,8 +221,9 @@ def validate(ctx, files):
 
 
 def _seed_stable(run: Run, ctx, R):
-    """With --seed, recompose R's classes in the seeded refinement order
-    and report whether the composition table is unchanged."""
+    """With --seed, run the build's composition pass again over R's
+    classes in the seeded apex order, and report whether the composition
+    table is unchanged."""
     seed = ctx.obj["seed"]
     if seed is None:
         return

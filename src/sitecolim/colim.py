@@ -17,10 +17,11 @@ compose_spans searches it once per distinct key of that data and a
 hom-set with one class needs no search at all.  If every hom-set holds
 one class, L is thin, each composite is forced, and no table is stored:
 L.comp reads it off the hom-sets.  The classes do not depend
-on the order in which composing refinements are searched, and an entry
-whose composite lands in a one-class hom-set does not either; so a
-different order (recompose) searches again only the entries of an
-existing build's table whose hom-set holds two or more classes.
+on the order in which composing refinements are searched, so the --seed
+check (recompose) runs this same pass over a build's classes with the
+apexes in a shuffled order and compares the table it gets with the
+build's: only the entries of hom-sets with two or more classes are
+searched again, and a thin L's table is compared block by block.
 """
 
 from __future__ import annotations
@@ -96,23 +97,11 @@ def span_related(F: TwoDiagram, s: Span, t: Span) -> bool:
         for beta in cells(C1.comp[(w1, s.right)], C1.comp[(w2, t.right)]))
 
 
-def _hom_blocks(class_members, mor_src, mor_tgt):
-    """(blocks, leaving): (p, q) -> [(class, least member)] for every
-    nonempty hom block, and p -> [(q, block (p, q))]; in build order."""
-    blocks = {}
-    for name, members in class_members.items():
-        blocks.setdefault((mor_src[name], mor_tgt[name]), []).append(
-            (name, members[0]))
-    leaving = {}
-    for (p, q), block in blocks.items():
-        leaving.setdefault(p, []).append((q, block))
-    return blocks, leaving
-
-
 class _ThinComp(Mapping):
     """A thin L's composition table, read off its hom blocks: comp[(g, f)]
     is the one class of the block (src f, tgt g) if tgt f = src g, and any
-    other key is missing.  It iterates in compose_spans' order."""
+    other key is missing.  It iterates in compose_spans' order, and two
+    thin tables compare equal when their blocks hold the same classes."""
 
     def __init__(self, blocks, leaving, mor_src, mor_tgt):
         self._blocks, self._leaving = blocks, leaving
@@ -137,8 +126,15 @@ class _ThinComp(Mapping):
     def __len__(self):
         return self._len
 
+    def _classes(self):
+        return {pq: block[0][0] for pq, block in self._blocks.items()}
+
     def __eq__(self, other):
-        return other is self or Mapping.__eq__(self, other)
+        # a thin table is fixed by its block map, and its identity entries
+        # give the block map back: two thin tables need no entry walk
+        if isinstance(other, _ThinComp):
+            return self._classes() == other._classes()
+        return Mapping.__eq__(self, other)
 
 
 def _refinement_search(F: TwoDiagram, span_class, apex_order, bud: Budget):
@@ -207,8 +203,16 @@ def compose_spans(F: TwoDiagram, class_members, span_class, mor_src,
     (s.apex, s.right, t.apex, t.left) in a call.  The composite's class
     does not depend on the members chosen or on the order:
     tests/test_span_layer.py composes every member pair of every composable
-    class pair and checks each lands in the class L.comp records."""
-    blocks, leaving = _hom_blocks(class_members, mor_src, mor_tgt)
+    class pair and checks each lands in the class L.comp records, and
+    recompose runs this pass again in a shuffled apex order."""
+    # (p, q) -> [(class, least member)] and p -> [(q, block (p, q))]
+    blocks = {}
+    for name, members in class_members.items():
+        blocks.setdefault((mor_src[name], mor_tgt[name]), []).append(
+            (name, members[0]))
+    leaving = {}
+    for (p, q), block in blocks.items():
+        leaving.setdefault(p, []).append((q, block))
     if all(len(block) == 1 for block in blocks.values()):
         comp = _ThinComp(blocks, leaving, mor_src, mor_tgt)
         bud.charge(min(len(comp), bud.limit - bud.used + 1))
@@ -423,29 +427,15 @@ def build_pseudocolimit(F: TwoDiagram,
 
 
 def recompose(R: PseudocolimitResult, apex_seed, budget: Budget):
-    """R's composition table recomputed over R's classes with the apexes
-    searched in an order shuffled by `apex_seed`; equal to R.category.comp
-    when composition is well defined on classes.  The quotient does not
-    read the apex order, so it is not recomputed.  Nor is an entry whose
-    block (p, r) holds one class: any composite of spans p -> q -> r lies
-    in that class whatever the order.  They are charged at once, and only
-    the entries of blocks with two or more classes are searched again, in
-    a copy of R.category.comp that keeps R's insertion order.  On a thin L
-    there are none, and R.category.comp itself is returned.  `budget` is
-    charged len(R.category.comp) in all."""
+    """R's composition table made again by compose_spans over R's classes,
+    with the apexes searched in an order shuffled by `apex_seed`; equal to
+    R.category.comp when composition is well defined on classes.  The
+    quotient does not read the apex order, so it is not recomputed."""
     apex_order = sorted(R.diagram.index.objects())
     random.Random(apex_seed).shuffle(apex_order)
     L = R.category
-    blocks, leaving = _hom_blocks(R.class_members, L.mor_src, L.mor_tgt)
-    searched = [(block1, blocks[(q, r)])
-                for (p, r), block in blocks.items() if len(block) > 1
-                for q, block1 in leaving[p] if (q, r) in blocks]
-    budget.charge(len(L.comp) - sum(len(b1) * len(b2) for b1, b2 in searched))
-    comp = dict(L.comp) if searched else L.comp
-    fill = _refinement_search(R.diagram, R.span_class, apex_order, budget)
-    for block1, block2 in searched:
-        fill(comp, block1, block2)
-    return comp
+    return compose_spans(R.diagram, R.class_members, R.span_class, L.mor_src,
+                         L.mor_tgt, apex_order, budget)
 
 
 # ---------------------------------------------------------------------------

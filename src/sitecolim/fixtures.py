@@ -58,14 +58,21 @@ class CategoryBlock:
     generators: frozenset = frozenset()
 
     @cached_property
+    def _presented(self) -> Site:
+        """The block's covers and generators (by default every object) as
+        one Site, its limits None when the block has none; the parser
+        validates this object and `site` hands it out."""
+        gens = self.generators or frozenset(self.cat.objects)
+        return Site(self.cat, self.limits, dict(self.covers), gens)
+
+    @property
     def site(self) -> Site:
         """The site the block presents, made on first access; the same
         object every time after."""
         if self.limits is None:
             raise FixtureError("category %s has no limit assignment; "
                                "cannot form a site" % self.cat.name)
-        gens = self.generators or frozenset(self.cat.objects)
-        return Site(self.cat, self.limits, dict(self.covers), gens)
+        return self._presented
 
 
 @dataclass
@@ -241,8 +248,7 @@ def _parse_category(name, head, body, env):
     if not bad:  # later checks assume a category
         bad = [] if limits is None else validate_assignment(limits)
         if block.covers or block.generators:
-            gens = block.generators or frozenset(cat.objects)
-            bad += validate_site(Site(cat, limits, block.covers, gens))
+            bad += validate_site(block._presented)
     return block, _own(bad)
 
 

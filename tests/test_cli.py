@@ -1,11 +1,12 @@
 import errno
 import os
+import random
 import re
 
 import pytest
 from click.testing import CliRunner
 
-from sitecolim import cli
+from sitecolim import cli, colim
 from sitecolim.cli import main
 from sitecolim.colim import BicolimReport
 from sitecolim.core import Presentation, build_category, identity_functor
@@ -252,6 +253,27 @@ def test_seeded_colim_builds_once(runner, fixture_dir, monkeypatch):
     assert res.exit_code == 0, res.output
     assert "seed_stable true\n" in res.output
     assert len(calls) == 1
+
+
+def test_seeded_check_runs_the_builds_pass(runner, fixture_dir,
+                                          monkeypatch):
+    """--seed runs compose_spans, the build's composition pass, a second
+    time: first in sorted apex order for the build, then in the order
+    Random(7) shuffles it to."""
+    orders = []
+    compose = colim.compose_spans
+
+    def spied(*args):
+        orders.append(list(args[5]))
+        return compose(*args)
+
+    monkeypatch.setattr(colim, "compose_spans", spied)
+    res = run(runner, fixture_dir, "--seed", "7", "colim", "swapchain.diag")
+    assert res.exit_code == 0, res.output
+    assert "seed_stable true\n" in res.output
+    shuffled = ["0", "1", "2"]
+    random.Random(7).shuffle(shuffled)
+    assert orders == [["0", "1", "2"], shuffled]
 
 
 def test_value_named_false_is_not_a_verdict(runner, fixture_dir, tmp_path):

@@ -6,7 +6,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from sitecolim import cli
+from sitecolim import cli, fixtures
 from sitecolim.cli import main
 from sitecolim.core import Functor, validate_category
 from sitecolim.errors import FixtureError
@@ -334,6 +334,35 @@ def test_site_lines_checked_without_limit_lines():
         (None, "unknown generator qq")]
     env = parse(BARE_CATEGORY + "cover o : id_o\ngenerator o\n")
     assert env.violations["c"] == []
+
+
+def test_one_site_per_block(fixture_dir, monkeypatch):
+    """A covered category block makes one Site, which the parser validates
+    and the commands read; a block with no limit lines makes one too, to
+    report its cover and generator lines, and still refuses `site`."""
+    made = []
+    site = fixtures.Site
+
+    def counted(cat, *args):
+        made.append(cat.name)
+        return site(cat, *args)
+
+    monkeypatch.setattr(fixtures, "Site", counted)
+    for args in (["site-colim", "covereddiamond.diag"],
+                 ["sheaf-check", "sheaves.pre"]):
+        res = CliRunner().invoke(main, ["--fixture-dir", str(fixture_dir)]
+                                 + args)
+        assert res.exit_code == 0, res.output
+        assert made == ["diamond"]
+        made.clear()
+    env = parse(BARE_CATEGORY + "cover zz : nosuch\ngenerator qq\n")
+    assert env.violations["c"] == [
+        (None, "cover block for unknown object zz"),
+        (None, "unknown generator qq")]
+    with pytest.raises(FixtureError, match="^category c has no limit "
+                       "assignment; cannot form a site$"):
+        env["c"].site
+    assert made == ["c"]
 
 
 # an entry at a name its block lacks, one per line kind that names one, and

@@ -62,7 +62,8 @@ CASES = {
                                3),
     # the quotient charges 315 candidates, the composition table 432 and
     # the build 747: the first budget runs out inside composition, the
-    # second in the seeded recomposition, which charges 432 at once
+    # second in the seeded recomposition, whose thin table charges up to
+    # one past the budget, at the entry that overruns it
     "budget-colim-swapchain-compose": (
         ["--budget", "500"], ["colim", "swapchain.diag"], 3),
     "budget-seed-colim-swapchain": (

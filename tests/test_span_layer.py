@@ -12,11 +12,12 @@ their generating steps, so the library's Budget count is computed here
 from the index and the oracle's spans.  The library composes without a
 refinement search wherever a hom-set of the colimit holds one class; the
 searches it does make are counted through the index's
-invertible_cells_between.  The seeded recomposition copies the build's
-table and hands only the entries of multi-class hom-sets to the search,
-which is recorded by wrapping colim._refinement_search.  On a thin
-colimit every hom-set holds one class: its table is read off the hom
-blocks, not stored, and is charged in one call.
+invertible_cells_between.  The seeded recomposition runs the build's
+own pass, compose_spans, again in the shuffled apex order; it hands only
+the entries of multi-class hom-sets to the search, which is recorded by
+wrapping colim._refinement_search.  On a thin colimit every hom-set holds
+one class: its table is read off the hom blocks, not stored, is charged
+in one call, and compares with another thin table block by block.
 """
 
 import random
@@ -275,13 +276,43 @@ def test_recompose_catches_a_wrong_searched_entry(case):
     assert colim.recompose(R, 7, Budget()) == L.comp
 
 
+@pytest.mark.parametrize("case", sorted(MANY_CLASSES))
+def test_recompose_runs_the_builds_pass(case, monkeypatch):
+    """The seeded recomposition is compose_spans over the build's classes,
+    called with the apexes in the Random(7)-shuffled order after the
+    build's call in sorted order, and returns that call's table."""
+    calls = []
+    compose = colim.compose_spans
+
+    def spied(*args):
+        calls.append((args, compose(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(colim, "compose_spans", spied)
+    F = CASES[case]()
+    R = colim.build_pseudocolimit(F)
+    table = colim.recompose(R, 7, Budget())
+    order = sorted(F.index.objects())
+    shuffled = list(order)
+    random.Random(7).shuffle(shuffled)
+    assert [args[5] for args, _ in calls] == [order, shuffled]
+    L = R.category
+    assert calls[1][0][1:5] == (R.class_members, R.span_class, L.mor_src,
+                                L.mor_tgt)
+    assert calls[0][1] is L.comp and calls[1][1] is table
+
+
 def check_thin_table(R, want):
     """R.category.comp of a thin L is a read-only mapping, not a dict, that
     agrees with the reference's table `want` in len, order, in, get, [] and
     L.compose on every composable pair, and misses every other key: a pair
     that does not compose, an unknown name or a malformed key.  L is a
-    category, and the seeded recomposition returns the table itself,
-    charging one candidate per entry."""
+    category, and the seeded recomposition returns an equal table,
+    charging one candidate per entry.  Two thin tables compare by their
+    blocks, without reading an entry: the tables of two builds of one
+    diagram are equal, and a table differs from that of another thin
+    colimit and from a copy with one block's class renamed; a thin table
+    and its dict copy compare entry by entry."""
     L = R.category
     assert type(L.comp) is not dict
     assert len(L.comp) == len(want)
@@ -304,8 +335,34 @@ def check_thin_table(R, want):
         L.comp[next(iter(want))] = m
     assert validate_category(L) == []
     b = Budget()
-    assert colim.recompose(R, 7, b) is L.comp
+    assert colim.recompose(R, 7, b) == L.comp
     assert b.used == len(L.comp)
+    copy = dict(L.comp)
+    assert L.comp == copy and copy == L.comp
+    again = colim.build_pseudocolimit(R.diagram).category.comp
+    other = colim.build_pseudocolimit(chain_diagram(
+        2 if len(L.objects) != 2 else 3, standard.one)).category.comp
+    renamed = renamed_class(R, mors[0])
+    with mock.patch.object(colim._ThinComp, "__getitem__",
+                           side_effect=AssertionError("entry read")):
+        assert L.comp == again and again == L.comp
+        assert L.comp != other and other != L.comp
+        assert L.comp != renamed and renamed != L.comp
+
+
+def renamed_class(R, m):
+    """R's composition table made again by compose_spans with the class m
+    renamed."""
+    def rename(n):
+        return n + "'" if n == m else n
+
+    L = R.category
+    return colim.compose_spans(
+        R.diagram, {rename(n): ms for n, ms in R.class_members.items()},
+        {s: rename(n) for s, n in R.span_class.items()},
+        {rename(n): p for n, p in L.mor_src.items()},
+        {rename(n): q for n, q in L.mor_tgt.items()},
+        sorted(R.diagram.index.objects()), Budget())
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -5,7 +5,8 @@ one product cone per ordered object pair and one equalizer cone per ordered
 parallel pair.  Arbitrary finite limits are derived from these by the
 standard product-then-equalizers reduction.  One test, `is_limiting_cone`,
 decides every universal property, for validation and for exactness alike:
-by down-sets in a thin category, exhaustively in any other.
+by down-sets in a thin category, exhaustively in any other.  Exactness
+decides each distinct image limit once per `check_exact` call.
 """
 
 from __future__ import annotations
@@ -232,10 +233,23 @@ def map_cone(F: Functor, cone: Cone) -> Cone:
 
 def check_exact(F: Functor, src_limits: LimitAssignment):
     """True iff F carries every chosen limiting cone of its source to a
-    limiting cone in its target, each decided by `is_limiting_cone` on
-    F.target.  Returns (ok, counterexample diagram or None)."""
+    limiting cone in its target.  Returns (ok, counterexample diagram or
+    None): the first failing source diagram, terminal first, then the
+    products and the equalizers in sorted order.
+
+    Each distinct image limit is decided once per call, by
+    `is_limiting_cone` on F.target.  The one chosen terminal needs no
+    key; a product is keyed by ("p", F a, F b, F p, F p1, F p2), an
+    equalizer by ("e", F f, F g, F e, F incl, F(f . incl)).  The image
+    diagram and cone are a function of the key, and a key met again has
+    passed, since the first failure ends the call.  Limits of a category
+    other than F's source are refused."""
     C, D = F.source, F.target
-    assert src_limits.cat == C
+    if src_limits.cat != C:
+        raise ValueError("limits of %s given for a functor from %s"
+                         % (src_limits.cat.name, C.name))
+    ob, mor = F.obj_map, F.mor_map
+    seen = set()
 
     def limiting(dia, cone):
         return is_limiting_cone(D, map_diagram(F, dia), map_cone(F, cone))
@@ -244,11 +258,20 @@ def check_exact(F: Functor, src_limits: LimitAssignment):
         if not limiting(empty_diagram(), Cone(src_limits.terminal, {})):
             return False, empty_diagram()
     for (a, b), (p, p1, p2) in sorted(src_limits.products.items()):
+        key = ("p", ob[a], ob[b], ob[p], mor[p1], mor[p2])
+        if key in seen:
+            continue
+        seen.add(key)
         dia = discrete_pair(a, b)
         if not limiting(dia, Cone(p, {"l": p1, "r": p2})):
             return False, dia
     for (f, g), (e, incl) in sorted(src_limits.equalizers.items()):
+        r = C.comp[(f, incl)]
+        key = ("e", mor[f], mor[g], ob[e], mor[incl], mor[r])
+        if key in seen:
+            continue
+        seen.add(key)
         dia = parallel_pair(C, f, g)
-        if not limiting(dia, Cone(e, {"l": incl, "r": C.comp[(f, incl)]})):
+        if not limiting(dia, Cone(e, {"l": incl, "r": r})):
             return False, dia
     return True, None

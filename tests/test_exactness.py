@@ -3,22 +3,26 @@
 Each image cone is decided by is_limiting_cone on the target: by a
 down-set test when the target is thin, with no cone enumerated, and
 exhaustively otherwise.  The target needs no limit assignment.  Both must
-give the oracle's (ok, counterexample).
+give the oracle's (ok, counterexample).  Each distinct image limit, keyed
+by its kind and its image, is decided once per call.
 """
 
 import pytest
+from hypothesis import given, settings
 
 import oracle_kernel as oracle
 from conftest import FIXTURE_DIR
-from sitecolim import standard
+from sitecolim import limits, standard
 from sitecolim.colim import build_pseudocolimit, colim_limit_assignment
 from sitecolim.cones import enumerate_pseudocones
-from sitecolim.core import (Functor, Presentation, build_category,
-                            enumerate_functors)
+from sitecolim.core import (FinCat, Functor, Presentation, build_category,
+                            enumerate_functors, identity_functor)
 from sitecolim.fixtures import CategoryBlock, DiagramBlock, parse
-from sitecolim.limits import (LimitAssignment, check_exact, empty_diagram,
-                              parallel_pair, validate_assignment)
+from sitecolim.limits import (LimitAssignment, check_exact, discrete_pair,
+                              empty_diagram, parallel_pair,
+                              validate_assignment)
 from sitecolim.sites import SiteDiagram, build_colim_site
+from strategies import fibers
 
 
 def agrees(F, src, exhaustive_calls):
@@ -227,3 +231,131 @@ def test_target_assignment_without_the_equalizer(exhaustive_calls):
     F, src = walking_equalizer()
     assert check_exact(F, src) == oracle.check_exact(F, src)
     assert exhaustive_calls == []
+
+
+def test_other_categorys_limits_are_refused(two_cat, diamond):
+    """Limits of a category other than F's source are refused, under
+    `python -O` too, before any cone is read."""
+    with pytest.raises(ValueError, match="^limits of diamond given for a "
+                       "functor from two$"):
+        check_exact(identity_functor(two_cat), poset_limits(diamond))
+
+
+# ---------------------------------------------------------------------------
+# each distinct image limit is decided once per call
+
+
+@pytest.fixture
+def limit_tests(monkeypatch):
+    """(target, image diagram and cone) of every is_limiting_cone call."""
+    calls = []
+    real = limits.is_limiting_cone
+
+    def spy(C, D, cone):
+        calls.append((C.name, tuple(sorted(D.nodes.items())),
+                      tuple(sorted(D.edges.items())), cone.apex,
+                      tuple(sorted(cone.legs.items()))))
+        return real(C, D, cone)
+
+    monkeypatch.setattr(limits, "is_limiting_cone", spy)
+    return calls
+
+
+def image_keys(F, src, bad):
+    """The (kind, image) keys of the chosen cones of `src` in check_exact's
+    order, up to the failing source diagram `bad`, and how many cones
+    that is."""
+    C, ob, mor = F.source, F.obj_map, F.mor_map
+    chosen = []
+    if src.terminal is not None:
+        chosen.append((empty_diagram(), ("t", ob[src.terminal])))
+    for (a, b), (p, p1, p2) in sorted(src.products.items()):
+        chosen.append((discrete_pair(a, b),
+                       ("p", ob[a], ob[b], ob[p], mor[p1], mor[p2])))
+    for (f, g), (e, incl) in sorted(src.equalizers.items()):
+        r = C.comp[(f, incl)]
+        chosen.append((parallel_pair(C, f, g),
+                       ("e", mor[f], mor[g], ob[e], mor[incl], mor[r])))
+    keys = []
+    for dia, key in chosen:
+        keys.append(key)
+        if dia == bad:
+            break
+    return set(keys), len(keys)
+
+
+@pytest.mark.parametrize("vertex", ["one.cat", "two.cat", "diamond.cat"])
+def test_one_decision_per_image_limit(vertex, limit_tests):
+    """Over the functors verify-site checks for exactness, check_exact
+    makes one is_limiting_cone call per distinct key, none twice, and
+    fewer calls than it passes chosen cones."""
+    decided = passed = 0
+    for F, src in site_cases("covereddiamond.diag", vertex):
+        limit_tests.clear()
+        got = check_exact(F, src)
+        assert got == oracle.check_exact(F, src), F.name
+        keys, cones = image_keys(F, src, got[1])
+        assert len(set(limit_tests)) == len(limit_tests) == len(keys)
+        decided += len(keys)
+        passed += cones
+    assert decided < passed
+
+
+def test_kinds_are_keyed_apart(one_cat, limit_tests):
+    """Into one object whose identity bears the object's name, the product
+    and the equalizer of `one` have the same image names; only their kind
+    tells them apart, so three cones are decided, not two."""
+    src = poset_limits(one_cat)
+    assert (src.terminal, src.products, src.equalizers) == (
+        "o", {("o", "o"): ("o", "id_o", "id_o")},
+        {("id_o", "id_o"): ("o", "id_o")})
+    x = FinCat("x", ("x",), {"x": "x"}, {"x": "x"}, {"x": "x"},
+               {("x", "x"): "x"})
+    F = Functor("to_x", one_cat, x, {"o": "x"}, {"id_o": "x"})
+    limit_tests.clear()
+    assert check_exact(F, src) == oracle.check_exact(F, src) == (True, None)
+    assert len(limit_tests) == 3
+
+
+def test_legs_are_keyed(exhaustive_calls):
+    """Two products of the same image pair with the same apex and first
+    leg: the first second leg is id_X, a product 1 x X, the second a
+    constant map, which is none.  Only the legs tell them apart."""
+    C, _ = finset_1x()
+    S = build_category(Presentation(
+        ("A", "A2", "B", "B2", "P", "Q"),
+        (("pa", "P", "A"), ("pb", "P", "B"), ("qa", "Q", "A2"),
+         ("qb", "Q", "B2"))), 1, "two_spans")
+    src = LimitAssignment(S, products={("A", "B"): ("P", "pa", "pb"),
+                                       ("A2", "B2"): ("Q", "qa", "qb")})
+    assert validate_assignment(src) == []
+    obj = {"A": "1", "A2": "1", "B": "X", "B2": "X", "P": "X", "Q": "X"}
+    gen = {"pa": "bang", "qa": "bang", "pb": "id_X",
+           "qb": C.comp[("p0", "bang")]}
+    F = Functor("legs", S, C, obj,
+                {m: gen.get(m) or C.identities[obj[S.mor_src[m]]]
+                 for m in S.morphisms()})
+    ok, bad = agrees(F, src, exhaustive_calls)
+    assert not ok and bad == discrete_pair("A2", "B2")
+
+def is_poset(C):
+    return C._thin and not any(a != b and C.hom(a, b) and C.hom(b, a)
+                               for a in C.objects for b in C.objects)
+
+
+def is_meet_semilattice(C):
+    """A poset with a top and a meet of every pair: poset_limits' input."""
+    def greatest(xs):
+        return [m for m in xs if all(C.hom(x, m) for x in xs)]
+
+    return is_poset(C) and len(greatest(C.objects)) == 1 and all(
+        len(greatest([c for c in C.objects if C.hom(c, a) and C.hom(c, b)]))
+        == 1 for a in C.objects for b in C.objects)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(fibers("S").filter(is_meet_semilattice), fibers("T").filter(is_poset))
+def test_poset_functors_match_oracle(S, T):
+    src = poset_limits(S)
+    for F in enumerate_functors(S, T):
+        assert check_exact(F, src) == oracle.check_exact(F, src), F.name

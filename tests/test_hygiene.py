@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package or of the tests imports a name
 it never uses, every import sits at module level, no public function or
 class is there only for the tests, every function the benchmark's tracer
-names exists, only `core` compares objects by identity, and FinCat's
-constructor takes only the data that defines a category.
+names exists, importing the CLI loads every module the benchmark reads,
+only `core` compares objects by identity, and FinCat's constructor takes
+only the data that defines a category.
 
 A stdlib-only stand-in for an unused-import lint.  `__init__.py` is left
 out of the unused-import check because its imports are the package's
@@ -11,6 +12,9 @@ public re-exports, and its re-exports do not count as uses.
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -144,15 +148,18 @@ def test_no_test_only_functions():
     assert unreferenced_definitions(modules, users, TEST_ONLY_ALLOWED) == []
 
 
+def assigned_literal(source, name):
+    """The literal value of the top-level assignment to `name`."""
+    return next(ast.literal_eval(n.value) for n in ast.parse(source).body
+                if isinstance(n, ast.Assign)
+                and any(getattr(t, "id", None) == name for t in n.targets))
+
+
 def missing_layers(tracer_source, modules):
     """(module, entry) for each entry of the tracer's LAYERS table that
     names no top-level function, nor Class.method, of `modules`
     (name -> source)."""
-    layers = next(ast.literal_eval(n.value)
-                  for n in ast.parse(tracer_source).body
-                  if isinstance(n, ast.Assign)
-                  and any(getattr(t, "id", None) == "LAYERS"
-                          for t in n.targets))
+    layers = assigned_literal(tracer_source, "LAYERS")
     missing = []
     for module, entries in layers.items():
         defined = set()
@@ -181,6 +188,22 @@ def test_traced_layers_exist():
     tracer = (ROOT / "perfbench" / "tracer.py").read_text()
     modules = {p.stem: p.read_text() for p in MODULES}
     assert missing_layers(tracer, modules) == []
+
+
+def test_cli_import_loads_benchmarked_modules():
+    """`perfbench/run.py`'s load_program imports sitecolim.cli afresh and
+    reads each module its MODULES names from sys.modules; one that the
+    import leaves unloaded (a lazy `__init__`, say) fails every benchmark
+    run with KeyError."""
+    wanted = assigned_literal((ROOT / "perfbench" / "run.py").read_text(),
+                              "MODULES")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sitecolim.cli; print(*sorted(sys.modules))"],
+        env=env, capture_output=True, text=True, check=True).stdout.split()
+    assert wanted and {"sitecolim." + m for m in wanted} <= set(out)
 
 
 def id_loaders(modules):

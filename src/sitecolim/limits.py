@@ -5,8 +5,10 @@ one product cone per ordered object pair and one equalizer cone per ordered
 parallel pair.  Arbitrary finite limits are derived from these by the
 standard product-then-equalizers reduction.  One test, `is_limiting_cone`,
 decides every universal property, for validation and for exactness alike:
-by down-sets in a thin category, exhaustively in any other.  Exactness
-decides each distinct image limit once per `check_exact` call.
+by down-sets in a thin category, exhaustively in any other.  Its verdicts
+are kept in the category's `_limiting` table, so each distinct limit is
+decided once per category object, across validation and every exactness
+check.
 """
 
 from __future__ import annotations
@@ -88,6 +90,32 @@ def is_limiting_cone(C: FinCat, D: Diagram, cone: Cone) -> bool:
     return True
 
 
+def _verdicts(C: FinCat) -> dict:
+    """C's table of is_limiting_cone verdicts, made on first use."""
+    if C._limiting is None:
+        C._limiting = {}
+    return C._limiting
+
+
+def _decided(known, C, key):
+    """Whether the limit that `key` names is limiting in C: ("t", apex),
+    ("p", a, b, p, p1, p2) or ("e", f, g, e, incl, f . incl).  Read from
+    C's verdict table `known`, or decided and kept there."""
+    verdict = known.get(key)
+    if verdict is None:
+        kind, *names = key
+        if kind == "t":
+            D, cone = empty_diagram(), Cone(names[0], {})
+        elif kind == "p":
+            a, b, p, p1, p2 = names
+            D, cone = discrete_pair(a, b), Cone(p, {"l": p1, "r": p2})
+        else:
+            f, g, e, incl, r = names
+            D, cone = parallel_pair(C, f, g), Cone(e, {"l": incl, "r": r})
+        verdict = known[key] = is_limiting_cone(C, D, cone)
+    return verdict
+
+
 @dataclass
 class LimitAssignment:
     cat: FinCat
@@ -133,17 +161,19 @@ def validate_assignment(A: LimitAssignment) -> list[str]:
     refused by that one pair, with no cone checked: a finite category
     with all binary products is thin (hom(X, Y^k) has |hom(X, Y)|^k
     elements for every k), so such an assignment cannot be valid.  Every
-    other chosen cone is decided by `is_limiting_cone`."""
+    other chosen cone is decided by `is_limiting_cone` once per category
+    object, kept in C's `_limiting` table under the key that names it."""
     C = A.cat
     if C._plural and A.is_complete():
         f, g = min(C._hom[k] for k in C._plural)[:2]
         return ["complete assignment on a non-thin category: %s and %s are "
                 "parallel %s -> %s" % (f, g, C.mor_src[f], C.mor_tgt[f])]
     out = []
+    known = _verdicts(C)
     if A.terminal is not None:
         if _unknown(C, [A.terminal]) is not None:
             out.append("chosen terminal %s is not an object" % A.terminal)
-        elif not is_limiting_cone(C, empty_diagram(), Cone(A.terminal, {})):
+        elif not _decided(known, C, ("t", A.terminal)):
             out.append("chosen terminal %s is not terminal" % A.terminal)
     for o, m in A.tmap.items():
         bad = _unknown(C, [o], [m])
@@ -158,8 +188,7 @@ def validate_assignment(A: LimitAssignment) -> list[str]:
         bad = _unknown(C, [a, b, p], [p1, p2])
         if bad is not None:
             out.append("%s names unknown %s" % (what, bad))
-        elif not is_limiting_cone(C, discrete_pair(a, b),
-                                  Cone(p, {"l": p1, "r": p2})):
+        elif not _decided(known, C, ("p", a, b, p, p1, p2)):
             out.append("%s is not a product" % what)
     for (f, g), (e, incl) in A.equalizers.items():
         what = "chosen equalizer of (%s, %s)" % (f, g)
@@ -173,9 +202,7 @@ def validate_assignment(A: LimitAssignment) -> list[str]:
                        % (what, incl, e, C.mor_src[f]))
         elif C.comp[(f, incl)] != C.comp[(g, incl)]:
             out.append("%s does not equalize" % what)
-        elif not is_limiting_cone(
-                C, parallel_pair(C, f, g),
-                Cone(e, {"l": incl, "r": C.comp[(f, incl)]})):
+        elif not _decided(known, C, ("e", f, g, e, incl, C.comp[(f, incl)])):
             out.append("%s is not an equalizer" % what)
     return out
 
@@ -220,58 +247,35 @@ def chosen_limit(A: LimitAssignment, D: Diagram) -> Cone:
     return Cone(apex, legs)
 
 
-def map_diagram(F: Functor, D: Diagram) -> Diagram:
-    return Diagram({n: F.obj_map[o] for n, o in D.nodes.items()},
-                   {e: (i, j, F.mor_map[f])
-                    for e, (i, j, f) in D.edges.items()})
-
-
-def map_cone(F: Functor, cone: Cone) -> Cone:
-    return Cone(F.obj_map[cone.apex],
-                {n: F.mor_map[m] for n, m in cone.legs.items()})
-
-
 def check_exact(F: Functor, src_limits: LimitAssignment):
     """True iff F carries every chosen limiting cone of its source to a
     limiting cone in its target.  Returns (ok, counterexample diagram or
     None): the first failing source diagram, terminal first, then the
     products and the equalizers in sorted order.
 
-    Each distinct image limit is decided once per call, by
-    `is_limiting_cone` on F.target.  The one chosen terminal needs no
-    key; a product is keyed by ("p", F a, F b, F p, F p1, F p2), an
-    equalizer by ("e", F f, F g, F e, F incl, F(f . incl)).  The image
-    diagram and cone are a function of the key, and a key met again has
-    passed, since the first failure ends the call.  Limits of a category
+    Each distinct image limit is decided once per target object, by
+    `is_limiting_cone` on F.target, and kept in F.target's `_limiting`
+    table, which `validate_assignment` and every other call share.  Its
+    key names the image: ("t", F t), ("p", F a, F b, F p, F p1, F p2) or
+    ("e", F f, F g, F e, F incl, F(f . incl)), the pair F f, F g taken
+    between their endpoints in F.target.  A key kept as a pass is
+    skipped; one kept as a failure fails again.  Limits of a category
     other than F's source are refused."""
     C, D = F.source, F.target
     if src_limits.cat != C:
         raise ValueError("limits of %s given for a functor from %s"
                          % (src_limits.cat.name, C.name))
     ob, mor = F.obj_map, F.mor_map
-    seen = set()
-
-    def limiting(dia, cone):
-        return is_limiting_cone(D, map_diagram(F, dia), map_cone(F, cone))
-
-    if src_limits.terminal is not None:
-        if not limiting(empty_diagram(), Cone(src_limits.terminal, {})):
-            return False, empty_diagram()
+    known = _verdicts(D)
+    t = src_limits.terminal
+    if t is not None and not _decided(known, D, ("t", ob[t])):
+        return False, empty_diagram()
     for (a, b), (p, p1, p2) in sorted(src_limits.products.items()):
         key = ("p", ob[a], ob[b], ob[p], mor[p1], mor[p2])
-        if key in seen:
-            continue
-        seen.add(key)
-        dia = discrete_pair(a, b)
-        if not limiting(dia, Cone(p, {"l": p1, "r": p2})):
-            return False, dia
+        if not known.get(key) and not _decided(known, D, key):
+            return False, discrete_pair(a, b)
     for (f, g), (e, incl) in sorted(src_limits.equalizers.items()):
-        r = C.comp[(f, incl)]
-        key = ("e", mor[f], mor[g], ob[e], mor[incl], mor[r])
-        if key in seen:
-            continue
-        seen.add(key)
-        dia = parallel_pair(C, f, g)
-        if not limiting(dia, Cone(e, {"l": incl, "r": r})):
-            return False, dia
+        key = ("e", mor[f], mor[g], ob[e], mor[incl], mor[C.comp[(f, incl)]])
+        if not known.get(key) and not _decided(known, D, key):
+            return False, parallel_pair(C, f, g)
     return True, None

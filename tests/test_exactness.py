@@ -3,20 +3,26 @@
 Each image cone is decided by is_limiting_cone on the target: by a
 down-set test when the target is thin, with no cone enumerated, and
 exhaustively otherwise.  The target needs no limit assignment.  Both must
-give the oracle's (ok, counterexample).  Each distinct image limit, keyed
-by its kind and its image, is decided once per call.
+give the oracle's (ok, counterexample).  Each distinct limit, keyed by its
+kind and its names, is decided once per category object, across parse-time
+validation and every check_exact call.
 """
 
+from collections import Counter
+
 import pytest
-from hypothesis import given, settings
+from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import oracle_kernel as oracle
 from conftest import FIXTURE_DIR
-from sitecolim import limits, standard
+from sitecolim import limits, sites, standard
+from sitecolim.cli import main
 from sitecolim.colim import build_pseudocolimit, colim_limit_assignment
 from sitecolim.cones import enumerate_pseudocones
 from sitecolim.core import (FinCat, Functor, Presentation, build_category,
-                            enumerate_functors, identity_functor)
+                            enumerate_functors, identity_functor,
+                            validate_category, validate_functor)
 from sitecolim.fixtures import CategoryBlock, DiagramBlock, parse
 from sitecolim.limits import (LimitAssignment, check_exact, discrete_pair,
                               empty_diagram, parallel_pair,
@@ -242,63 +248,154 @@ def test_other_categorys_limits_are_refused(two_cat, diamond):
 
 
 # ---------------------------------------------------------------------------
-# each distinct image limit is decided once per call
+# each distinct limit is decided once per category object
+
+
+def limit_key(D, cone):
+    """The key under which check_exact and validate_assignment keep the
+    verdict on the limit of D at `cone`."""
+    legs = tuple(cone.legs[n] for n in sorted(cone.legs))
+    if not D.nodes:
+        return ("t", cone.apex)
+    if not D.edges:
+        return ("p", D.nodes["l"], D.nodes["r"], cone.apex) + legs
+    return ("e", D.edges["f"][2], D.edges["g"][2], cone.apex) + legs
 
 
 @pytest.fixture
 def limit_tests(monkeypatch):
-    """(target, image diagram and cone) of every is_limiting_cone call."""
+    """(category, key) of every is_limiting_cone call."""
     calls = []
     real = limits.is_limiting_cone
 
     def spy(C, D, cone):
-        calls.append((C.name, tuple(sorted(D.nodes.items())),
-                      tuple(sorted(D.edges.items())), cone.apex,
-                      tuple(sorted(cone.legs.items()))))
+        calls.append((C, limit_key(D, cone)))
         return real(C, D, cone)
 
     monkeypatch.setattr(limits, "is_limiting_cone", spy)
     return calls
 
 
-def image_keys(F, src, bad):
-    """The (kind, image) keys of the chosen cones of `src` in check_exact's
-    order, up to the failing source diagram `bad`, and how many cones
-    that is."""
-    C, ob, mor = F.source, F.obj_map, F.mor_map
-    chosen = []
-    if src.terminal is not None:
-        chosen.append((empty_diagram(), ("t", ob[src.terminal])))
-    for (a, b), (p, p1, p2) in sorted(src.products.items()):
-        chosen.append((discrete_pair(a, b),
-                       ("p", ob[a], ob[b], ob[p], mor[p1], mor[p2])))
-    for (f, g), (e, incl) in sorted(src.equalizers.items()):
-        r = C.comp[(f, incl)]
-        chosen.append((parallel_pair(C, f, g),
-                       ("e", mor[f], mor[g], ob[e], mor[incl], mor[r])))
-    keys = []
-    for dia, key in chosen:
-        keys.append(key)
-        if dia == bad:
-            break
-    return set(keys), len(keys)
+def decided_twice(calls):
+    """(category name, key) of each limit decided more than once on one
+    category object.  `calls` holds the objects, so no id is reused."""
+    counts = Counter((id(C), key) for C, key in calls)
+    return sorted((C.name, key) for C, key in calls
+                  if counts[(id(C), key)] > 1)
 
 
 @pytest.mark.parametrize("vertex", ["one.cat", "two.cat", "diamond.cat"])
-def test_one_decision_per_image_limit(vertex, limit_tests):
-    """Over the functors verify-site checks for exactness, check_exact
-    makes one is_limiting_cone call per distinct key, none twice, and
-    fewer calls than it passes chosen cones."""
-    decided = passed = 0
-    for F, src in site_cases("covereddiamond.diag", vertex):
-        limit_tests.clear()
-        got = check_exact(F, src)
+def test_one_decision_per_image_limit(vertex, limit_tests, monkeypatch):
+    """Over one in-process verify-site run, parse-time validation and every
+    check_exact call together decide each limit at most once per category
+    object, some check_exact calls decide nothing at all, and each still
+    gives the oracle's answer."""
+    checked = []
+    real = sites.check_exact
+
+    def spy(F, src):
+        before = len(limit_tests)
+        got = real(F, src)
+        checked.append((F, src, got, len(limit_tests) - before))
+        return got
+
+    monkeypatch.setattr(sites, "check_exact", spy)
+    res = CliRunner().invoke(main, ["--fixture-dir", str(FIXTURE_DIR),
+                                    "verify-site", "covereddiamond.diag",
+                                    "--vertex", vertex])
+    assert res.exit_code == 0, res.output
+    assert checked and decided_twice(limit_tests) == []
+    assert 0 in {decided for *_, decided in checked}
+    for F, src, got, _ in checked:
         assert got == oracle.check_exact(F, src), F.name
-        keys, cones = image_keys(F, src, got[1])
-        assert len(set(limit_tests)) == len(limit_tests) == len(keys)
-        decided += len(keys)
-        passed += cones
-    assert decided < passed
+
+
+def named_poset(name, arrows):
+    """The thin category on the objects of `arrows` (name -> (source,
+    target)), which must be closed under composition, with identities
+    id_<object>."""
+    objs = sorted({o for ends in arrows.values() for o in ends})
+    ends = dict(arrows, **{"id_" + o: (o, o) for o in objs})
+    named = {e: m for m, e in ends.items()}
+    return FinCat(name, objs, {m: e[0] for m, e in ends.items()},
+                  {m: e[1] for m, e in ends.items()},
+                  {o: "id_" + o for o in objs},
+                  {(g, f): named[(ends[f][0], ends[g][1])]
+                   for f in ends for g in ends if ends[f][1] == ends[g][0]})
+
+
+@pytest.mark.parametrize("first", ["low", "high"])
+def test_verdicts_are_kept_per_category_object(first, limit_tests):
+    """Two categories named c share every object and morphism name: P is
+    the product of A and B in `low`, where W -> P, and not in `high`,
+    where P -> W.  A verdict made on one is never read for the other,
+    whichever is decided first."""
+    arrows = {"pa": ("P", "A"), "pb": ("P", "B"), "wa": ("W", "A"),
+              "wb": ("W", "B")}
+    low = named_poset("c", dict(arrows, w=("W", "P")))
+    high = named_poset("c", dict(arrows, w=("P", "W")))
+    assert validate_category(low) == validate_category(high) == []
+    assert low.objects == high.objects and low != high
+    assert sorted(low.mor_src) == sorted(high.mor_src)
+    span = named_poset("span", {"pa": ("P", "A"), "pb": ("P", "B")})
+    src = LimitAssignment(span, products={("A", "B"): ("P", "pa", "pb")})
+    cases = {"low": (low, [], (True, None)),
+             "high": (high, ["chosen product of (A, B) is not a product"],
+                      (False, discrete_pair("A", "B")))}
+    for name in (first, {"low": "high", "high": "low"}[first]):
+        C, violations, exact = cases[name]
+        F = Functor("into_" + name, span, C, {o: o for o in span.objects},
+                    {m: m for m in span.mor_src})
+        assert check_exact(F, src) == oracle.check_exact(F, src) == exact
+        assert validate_assignment(LimitAssignment(
+            C, products=src.products)) == violations
+    assert len(limit_tests) == 2 and decided_twice(limit_tests) == []
+
+
+def finset_points():
+    """one -> finset_1x at X, which keeps no terminal, and at 1, which is
+    exact, with one's limits."""
+    C, _ = finset_1x()
+    one = standard.one()
+    return (poset_limits(one),
+            Functor("pick_X", one, C, {"o": "X"}, {"id_o": "id_X"}),
+            Functor("pick_1", one, C, {"o": "1"}, {"id_o": "id_1"}))
+
+
+def diamond_maps():
+    """b_to_top, which keeps no meet of a and b, and the identity, with
+    the diamond's limits."""
+    D = standard.diamond()
+    return poset_limits(D), b_to_top(D), identity_functor(D)
+
+
+@pytest.mark.parametrize("case", [diamond_maps, finset_points],
+                         ids=lambda c: c.__name__)
+def test_a_failure_is_never_kept_as_a_pass(case, limit_tests):
+    """A non-exact functor checked twice, then again after an exact
+    functor into the same target object has filled its table, fails at
+    the oracle's first failing diagram every time."""
+    src, bad, good = case()
+    assert bad.target is good.target
+    for F in (bad, bad, good, bad):
+        got = check_exact(F, src)
+        assert got == oracle.check_exact(F, src)
+        assert got[0] == (F is good) and (got[1] is None) == got[0]
+    assert decided_twice(limit_tests) == []
+
+
+def test_a_non_functor_leaves_the_table_sound():
+    """A map that sends the equalized pair's domain A to B, as no functor
+    does, is checked on the image its key names, so the identity checked
+    after it into the same object still gets the oracle's answer."""
+    _, src = walking_equalizer()
+    S = src.cat
+    ident = identity_functor(S)
+    bad = Functor("bad", S, S, dict(ident.obj_map, A="B"), ident.mor_map)
+    assert validate_functor(bad)
+    check_exact(bad, src)
+    assert check_exact(ident, src) == oracle.check_exact(ident, src) == (
+        True, None)
 
 
 def test_kinds_are_keyed_apart(one_cat, limit_tests):
@@ -312,7 +409,6 @@ def test_kinds_are_keyed_apart(one_cat, limit_tests):
     x = FinCat("x", ("x",), {"x": "x"}, {"x": "x"}, {"x": "x"},
                {("x", "x"): "x"})
     F = Functor("to_x", one_cat, x, {"o": "x"}, {"id_o": "x"})
-    limit_tests.clear()
     assert check_exact(F, src) == oracle.check_exact(F, src) == (True, None)
     assert len(limit_tests) == 3
 
@@ -358,4 +454,22 @@ def is_meet_semilattice(C):
 def test_poset_functors_match_oracle(S, T):
     src = poset_limits(S)
     for F in enumerate_functors(S, T):
+        assert check_exact(F, src) == oracle.check_exact(F, src), F.name
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(fibers("T"), st.lists(fibers("S").filter(is_meet_semilattice),
+                             min_size=1, max_size=3),
+       st.booleans(), st.randoms(use_true_random=False))
+def test_warm_table_matches_oracle(T, sources, validate_first, order):
+    """Functors from a few meet-semilattices into one target object, in a
+    drawn order and then once more: each check_exact call, made on a
+    verdict table that T's own validation and the earlier calls have
+    filled, gives the oracle's answer."""
+    if validate_first and is_meet_semilattice(T):
+        assert validate_assignment(poset_limits(T)) == []
+    cases = [(F, src) for S in sources for src in [poset_limits(S)]
+             for F in enumerate_functors(S, T)]
+    order.shuffle(cases)
+    for F, src in cases + cases:
         assert check_exact(F, src) == oracle.check_exact(F, src), F.name

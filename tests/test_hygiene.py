@@ -3,7 +3,8 @@ it never uses, every import sits at module level, no public function or
 class is there only for the tests, every function the benchmark's tracer
 names exists, importing the CLI loads every module the benchmark reads,
 only `core` compares objects by identity, and FinCat's constructor takes
-only the data that defines a category.
+only the data that defines a category, while its derived tables stay out
+of construction, `repr` and comparison.
 
 A stdlib-only stand-in for an unused-import lint.  `__init__.py` is left
 out of the unused-import check because its imports are the package's
@@ -11,6 +12,7 @@ public re-exports, and its re-exports do not count as uses.
 """
 
 import ast
+import dataclasses
 import inspect
 import os
 import subprocess
@@ -268,3 +270,13 @@ def test_fincat_takes_only_its_defining_data():
     to its constructor."""
     assert list(inspect.signature(FinCat).parameters) == [
         "name", "objects", "mor_src", "mor_tgt", "identities", "comp"]
+
+
+def test_fincat_derived_tables_are_hidden():
+    """Every underscore field of FinCat, the derived tables and the
+    verdict table `_limiting` among them, is declared init=False,
+    repr=False, compare=False: none enters construction, `repr` or
+    dataclass comparison."""
+    hidden = [f for f in dataclasses.fields(FinCat) if f.name.startswith("_")]
+    assert "_limiting" in {f.name for f in hidden}
+    assert [f.name for f in hidden if f.init or f.repr or f.compare] == []

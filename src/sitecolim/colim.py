@@ -474,7 +474,7 @@ class BicolimReport:
     objects_bijective: bool
     morphisms_bijective: bool
     strict_triangle: bool  # factor_cone is a section of postcomposition
-    # set by verify_site_pseudocolimit: every factored cone is continuous
+    # set given `continuous`: every cone's factorization passes that test
     factored_functors_continuous: bool | None = None
 
     @property
@@ -485,32 +485,46 @@ class BicolimReport:
 
 def verify_bicolimit(R: PseudocolimitResult, X: FinCat,
                      budget: Budget | None = None, funcs=None,
-                     cones=None) -> BicolimReport:
+                     cones=None, continuous=None) -> BicolimReport:
     """Check that postcomposition with lambda is an isomorphism of
     categories Functors(L, X) -> Pseudocones(F, X), by enumeration.  Each
     hom-set of pseudocones is enumerated once per call, and kept under the
     positions of its two cone keys: each distinct key gets one position,
-    images first.  A transformation xi maps to the modification
-    {A: {x: xi[lambda_A(x)]}}.
+    images first, and a cone with that key, built (postcompose_cone) only
+    for an image that no cone equals.  A transformation xi maps to the
+    modification {A: {x: xi[lambda_A(x)]}}.
 
     Given `funcs` and `cones`, the check runs between those full
-    subcategories instead of enumerating all functors L -> X and all
-    pseudocones with vertex X (see verify_site_pseudocolimit)."""
+    subcategories instead (see verify_site_pseudocolimit); given
+    `continuous`, it also tests each cone's factorization with it."""
     bud = budget if budget is not None else Budget()
     if funcs is None:
         funcs = list(enumerate_functors(R.category, X, bud))
     if cones is None:
         cones = enumerate_pseudocones(R.diagram, X, bud)
-    images = [postcompose_cone(R.cone, t) for t in funcs]
-    image_keys = [c.key() for c in images]
+    # postcompose_cone(R.cone, t).key(), read off lambda's tables
+    legs = [(A, sorted(leg.obj_map.items()), sorted(leg.mor_map.items()))
+            for A, leg in sorted(R.cone.legs.items())]
+    cells = [(u, sorted(n.components.items()))
+             for u, n in sorted(R.cone.coherence.items())]
+
+    def image_key(t):
+        ob, mor = t.obj_map, t.mor_map
+        return (tuple((A, (tuple([(x, ob[o]) for x, o in objs]),
+                           tuple([(m, mor[n]) for m, n in mors])))
+                      for A, objs, mors in legs),
+                tuple((u, tuple([(x, mor[m]) for x, m in comps]))
+                      for u, comps in cells))
+
+    image_keys = [image_key(t) for t in funcs]
     cone_keys = [c.key() for c in cones]
-    position = {}  # cone key -> index of its first cone in `distinct`
-    distinct = []
-    for c, k in itertools.chain(zip(images, image_keys),
-                                zip(cones, cone_keys)):
-        if k not in position:
-            position[k] = len(distinct)
-            distinct.append(c)
+    # equal keys mean equal legs and cells, so any cone or functor will do
+    cone_of = dict(zip(cone_keys, cones))
+    image_of = dict(zip(image_keys, funcs))
+    position = {k: i for i, k in enumerate(dict.fromkeys(image_keys
+                                                         + cone_keys))}
+    distinct = [cone_of.get(k) or postcompose_cone(R.cone, image_of[k])
+                for k in position]
     image_pos = [position[k] for k in image_keys]
     cone_pos = [position[k] for k in cone_keys]
     objects_bijective = (len(set(image_pos)) == len(funcs)
@@ -526,8 +540,6 @@ def verify_bicolimit(R: PseudocolimitResult, X: FinCat,
             distinct[a], distinct[b], bud))
 
     # postcompose_cell(R.cone, xi).key(), read off the leg tables
-    legs = [(A, sorted(leg.obj_map.items()))
-            for A, leg in sorted(R.cone.legs.items())]
     f_mor = 0
     morphisms_bijective = True
     for s, ps in zip(funcs, image_pos):
@@ -535,14 +547,18 @@ def verify_bicolimit(R: PseudocolimitResult, X: FinCat,
             nats = enumerate_nat_trans(s, t, bud)
             f_mor += len(nats)
             mapped = [tuple((A, tuple((x, xi.components[o]) for x, o in objs))
-                            for A, objs in legs) for xi in nats]
+                            for A, objs, _ in legs) for xi in nats]
             if (len(set(mapped)) != len(nats)
                     or sorted(mapped) != mod_keys(ps, pt)):
                 morphisms_bijective = False
     c_mor = sum(len(mod_keys(a, b)) for a in cone_pos for b in cone_pos)
+    # a cone equal to t . lambda factors as t . phi, as above
+    factored = None if continuous is None else all(
+        continuous(compose_functors(image_of[k], phi) if k in image_of
+                   else factor_cone(R, c)) for c, k in zip(cones, cone_keys))
     return BicolimReport(X.name, len(funcs), len(cones), f_mor, c_mor,
                          objects_bijective, morphisms_bijective,
-                         strict_triangle)
+                         strict_triangle, factored)
 
 
 # ---------------------------------------------------------------------------

@@ -474,7 +474,8 @@ def enumerate_functors(C: FinCat, D: FinCat, budget: Budget | None = None,
     bud = budget if budget is not None else Budget()
     objs = sorted(C.objects)
     all_mors = C.morphisms()
-    mors = [m for m in all_mors if not C.is_identity(m)]
+    id_mors = {m for o, m in C.identities.items() if C.mor_src.get(m) == o}
+    mors = [m for m in all_mors if m not in id_mors]
     obj_rank = {o: i for i, o in enumerate(objs)}
     obj_watches = [[] for _ in objs]
     if same_hom_sizes:

@@ -251,7 +251,7 @@ def check_exact(F: Functor, src_limits: LimitAssignment):
     """True iff F carries every chosen limiting cone of its source to a
     limiting cone in its target.  Returns (ok, counterexample diagram or
     None): the first failing source diagram, terminal first, then the
-    products and the equalizers in sorted order.
+    products and the equalizers in sorted order (sorted once one fails).
 
     Each distinct image limit is decided once per target object, by
     `is_limiting_cone` on F.target, and kept in F.target's `_limiting`
@@ -259,23 +259,29 @@ def check_exact(F: Functor, src_limits: LimitAssignment):
     key names the image: ("t", F t), ("p", F a, F b, F p, F p1, F p2) or
     ("e", F f, F g, F e, F incl, F(f . incl)), the pair F f, F g taken
     between their endpoints in F.target.  A key kept as a pass is
-    skipped; one kept as a failure fails again.  Limits of a category
-    other than F's source are refused."""
+    skipped; one kept as a failure fails again.  An equalizer of (f, f)
+    by an isomorphism, as every equalizer of a thin source is, gets no
+    key: an isomorphism equalizes (f, f), and F keeps isomorphisms.
+    Limits of a category other than F's source are refused."""
     C, D = F.source, F.target
     if src_limits.cat != C:
         raise ValueError("limits of %s given for a functor from %s"
                          % (src_limits.cat.name, C.name))
-    ob, mor = F.obj_map, F.mor_map
+    ob, mor, src, ids = F.obj_map, F.mor_map, C.mor_src, C.identities
     known = _verdicts(D)
     t = src_limits.terminal
     if t is not None and not _decided(known, D, ("t", ob[t])):
         return False, empty_diagram()
-    for (a, b), (p, p1, p2) in sorted(src_limits.products.items()):
-        key = ("p", ob[a], ob[b], ob[p], mor[p1], mor[p2])
-        if not known.get(key) and not _decided(known, D, key):
-            return False, discrete_pair(a, b)
-    for (f, g), (e, incl) in sorted(src_limits.equalizers.items()):
-        key = ("e", mor[f], mor[g], ob[e], mor[incl], mor[C.comp[(f, incl)]])
-        if not known.get(key) and not _decided(known, D, key):
-            return False, parallel_pair(C, f, g)
+    keyed = [((0, a, b), ("p", ob[a], ob[b], ob[p], mor[p1], mor[p2]))
+             for (a, b), (p, p1, p2) in src_limits.products.items()] + [
+        ((1, f, g), ("e", mor[f], mor[g], ob[e], mor[incl],
+                     mor[C.comp[(f, incl)]]))
+        for (f, g), (e, incl) in src_limits.equalizers.items()
+        if f != g or (src[incl], C.mor_tgt[incl]) != (e, src[f])
+        or incl != ids[e] and not C.is_iso(incl)]
+    for _, k in keyed:
+        if not known.get(k) and not _decided(known, D, k):
+            eq, x, y = next(n for n, key in sorted(keyed)
+                            if not _decided(known, D, key))
+            return False, parallel_pair(C, x, y) if eq else discrete_pair(x, y)
     return True, None

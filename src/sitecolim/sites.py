@@ -15,7 +15,7 @@ from .core import (Budget, FinCat, Functor, enumerate_functors,
                    once_per_object)
 from .cones import enumerate_pseudocones
 from .colim import (BicolimReport, PseudocolimitResult, build_pseudocolimit,
-                    colim_limit_assignment, factor_cone, verify_bicolimit)
+                    colim_limit_assignment, verify_bicolimit)
 from .limits import Diagram, LimitAssignment, check_exact, chosen_limit
 from .twocat import TwoDiagram
 
@@ -164,17 +164,16 @@ def verify_site_pseudocolimit(D: SiteDiagram, colim: Site,
     """verify_bicolimit between site morphisms out of the colimit site and
     pseudocones whose legs are all site morphisms; also checks that each
     factored functor preserving the generating covers is continuous
-    outright."""
+    outright.  Cones share legs: each (leg, site) is tested once."""
     bud = budget if budget is not None else Budget()
+    once = once_per_object()
     funcs = [t for t in enumerate_functors(colim.cat, X.cat, bud)
              if not site_morphism_violations(t, colim, X)]
     cones = [h for h in enumerate_pseudocones(D.diagram, X.cat, bud)
-             if not any(site_morphism_violations(h.legs[A], D.sites[A], X)
-                        for A in sorted(h.legs))]
-    rep = verify_bicolimit(R, X.cat, bud, funcs, cones)
-    rep.factored_functors_continuous = all(
-        check_continuous(factor_cone(R, h), colim, X)[0] for h in cones)
-    return rep
+             if not any(once(site_morphism_violations, h.legs[A], D.sites[A],
+                             X) for A in sorted(h.legs))]
+    return verify_bicolimit(R, X.cat, bud, funcs, cones,
+                            lambda f: check_continuous(f, colim, X)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ pairs of 2-cells; every pair of spans is compared, and each comparison
 and composite searches the index for its common refinement afresh; and
 the universal-property verifier enumerates the modifications between two
 images, and again between every two cones, and whiskers each
-transformation with the colimit cone; the pseudocone enumerator enumerates every coherence cell afresh
+transformation with the colimit cone, and the site verifier factors every
+cone with factor_cone; the pseudocone enumerator enumerates every coherence cell afresh
 for each leg combination; the equivalence search tests every functor,
 not only those that preserve hom-set sizes; build_category saturates to a fixpoint,
 rewriting in both directions; the standard categories and
@@ -55,6 +56,7 @@ from sitecolim.core import (Budget, FinCat, Functor, NatTrans,
 from sitecolim.errors import NotFiltered, NotLiftable, SaturationExceeded
 from sitecolim.limits import (Cone, Diagram, discrete_pair, empty_diagram,
                               parallel_pair)
+from sitecolim.sites import check_continuous, site_morphism_violations
 from sitecolim.standard import poset_category
 from sitecolim.twocat import TwoCat, two_cat_from_cat
 
@@ -892,6 +894,23 @@ def verify_bicolimit(R, X, budget=None, funcs=None, cones=None):
     return BicolimReport(X.name, len(funcs), len(cones), f_mor, c_mor,
                          objects_bijective, morphisms_bijective,
                          strict_triangle)
+
+
+def verify_site_pseudocolimit(D, colim, R, X, budget=None):
+    """The site verifier on the reference verifier above: site morphisms
+    out of the colimit site against the cones whose legs are all site
+    morphisms, each leg tested afresh, and every cone factored with
+    factor_cone for the continuity check."""
+    bud = budget if budget is not None else Budget()
+    funcs = [t for t in core.enumerate_functors(colim.cat, X.cat, bud)
+             if not site_morphism_violations(t, colim, X)]
+    cones = [h for h in enumerate_pseudocones(D.diagram, X.cat, bud)
+             if not any(site_morphism_violations(h.legs[A], D.sites[A], X)
+                        for A in sorted(h.legs))]
+    rep = verify_bicolimit(R, X.cat, bud, funcs, cones)
+    rep.factored_functors_continuous = all(
+        check_continuous(factor_cone(R, h), colim, X)[0] for h in cones)
+    return rep
 
 
 # ---------------------------------------------------------------------------

@@ -399,9 +399,11 @@ def test_a_non_functor_leaves_the_table_sound():
 
 
 def test_kinds_are_keyed_apart(one_cat, limit_tests):
-    """Into one object whose identity bears the object's name, the product
-    and the equalizer of `one` have the same image names; only their kind
-    tells them apart, so three cones are decided, not two."""
+    """Into one object whose identity bears the object's name, the
+    terminal and the product of `one` and the equalizer of the walking
+    equalizer's pair (f, g) have the same image names; only their kind
+    tells them apart, so three cones are decided, not two.  `one`'s own
+    equalizer, of (id_o, id_o) by an isomorphism, needs no decision."""
     src = poset_limits(one_cat)
     assert (src.terminal, src.products, src.equalizers) == (
         "o", {("o", "o"): ("o", "id_o", "id_o")},
@@ -410,7 +412,63 @@ def test_kinds_are_keyed_apart(one_cat, limit_tests):
                {("x", "x"): "x"})
     F = Functor("to_x", one_cat, x, {"o": "x"}, {"id_o": "x"})
     assert check_exact(F, src) == oracle.check_exact(F, src) == (True, None)
-    assert len(limit_tests) == 3
+    _, eq = walking_equalizer()
+    G = Functor("eq_to_x", eq.cat, x, {o: "x" for o in eq.cat.objects},
+                {m: "x" for m in eq.cat.mor_src})
+    assert check_exact(G, eq) == oracle.check_exact(G, eq) == (True, None)
+    assert sorted(key for _, key in limit_tests) == [
+        ("e",) + ("x",) * 5, ("p",) + ("x",) * 5, ("t", "x")]
+
+
+def test_equalizers_on_a_non_thin_source(limit_tests):
+    """On finset_1x, the pair (swap, swap) chosen with the isomorphism
+    swap needs no decision.  With the non-isomorphism p0, or with swap
+    at an apex it does not leave, it is decided and fails.  The pair
+    (id_X, p0 . bang), whose equalizer p0 is a real one, is decided and
+    passes, and (id_X, swap) with the isomorphism id_X, which does not
+    equalize it, is decided and fails, as the oracle says."""
+    C, _ = finset_1x()
+    const0 = C.comp[("p0", "bang")]
+    F = identity_functor(C)
+
+    def decided(equalizers):
+        limit_tests.clear()
+        src = LimitAssignment(C, equalizers=equalizers)
+        got = check_exact(F, src)
+        assert got == oracle.check_exact(F, src)
+        return got, [key for _, key in limit_tests]
+
+    assert decided({("swap", "swap"): ("X", "swap"),
+                    ("id_X", const0): ("1", "p0")}) == (
+        (True, None), [("e", "id_X", const0, "1", "p0", "p0")])
+    assert decided({("swap", "swap"): ("1", "p0")}) == (
+        (False, parallel_pair(C, "swap", "swap")),
+        [("e", "swap", "swap", "1", "p0", "p1")])
+    assert decided({("swap", "swap"): ("1", "swap")}) == (
+        (False, parallel_pair(C, "swap", "swap")),
+        [("e", "swap", "swap", "1", "swap", "id_X")])
+    assert decided({("id_X", "swap"): ("X", "id_X")}) == (
+        (False, parallel_pair(C, "id_X", "swap")),
+        [("e", "id_X", "swap", "X", "id_X", "id_X")])
+
+
+def test_first_failure_in_sorted_order(diamond):
+    """b_to_top keeps neither the product of (a, b) nor that of (b, a).
+    Listed in reverse, the products still fail at (a, b), the first in
+    sorted order."""
+    src = poset_limits(diamond)
+    failing = [ab for ab in src.products
+               if not check_exact(b_to_top(diamond), LimitAssignment(
+                   diamond, products={ab: src.products[ab]}))[0]]
+    assert sorted(failing) == [("a", "b"), ("b", "a")]
+    backwards = LimitAssignment(diamond, src.terminal, src.tmap,
+                                dict(reversed(src.products.items())),
+                                dict(reversed(src.equalizers.items())))
+    assert list(backwards.products)[-1] < list(backwards.products)[0]
+    for limits_ in (src, backwards):
+        got = check_exact(b_to_top(diamond), limits_)
+        assert got == oracle.check_exact(b_to_top(diamond), limits_) == (
+            False, discrete_pair("a", "b"))
 
 
 def test_legs_are_keyed(exhaustive_calls):

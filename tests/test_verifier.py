@@ -5,7 +5,10 @@ The library enumerates each hom-set of pseudocones once per verify call
 and maps a transformation to its modification through the leg tables;
 oracle_kernel.verify_bicolimit enumerates the modifications between two
 images and again between every two cones, and whiskers each
-transformation with the colimit cone.  The library's enumerate_pseudocones
+transformation with the colimit cone; oracle_kernel.verify_site_pseudocolimit
+factors every cone with factor_cone, where the library reads each image
+key off lambda's tables and factors a cone equal to an image t . lambda as
+t . phi.  The library's enumerate_pseudocones
 reads the coherence candidates of a 1-cell from a per-call table;
 oracle_kernel's enumerates them afresh for every leg combination.  Both
 must give the same cones, modifications and reports, and the library must
@@ -26,7 +29,8 @@ from sitecolim.core import (Budget, Functor, compose_functors,
                             enumerate_functors, enumerate_nat_trans,
                             nat_is_invertible)
 from sitecolim.fixtures import parse
-from sitecolim.sites import (SiteDiagram, build_colim_site,
+from sitecolim.limits import LimitAssignment
+from sitecolim.sites import (SiteDiagram, build_colim_site, trivial_site,
                              verify_site_pseudocolimit)
 
 from conftest import FIXTURE_DIR
@@ -100,20 +104,115 @@ def test_failing_report_matches_reference():
     assert got_budget.used <= want_budget.used
 
 
-def test_site_report_matches_reference(monkeypatch):
+def _covereddiamond_site(vertex):
+    """covereddiamond's site diagram, its colimit site and result, and the
+    site of the fixture category `vertex`."""
     block = parse((FIXTURE_DIR / "covereddiamond.diag").read_text())[
         "covereddiamond"]
     D = SiteDiagram(block.diagram,
                     {A: b.site for A, b in block.fiber_blocks.items()})
-    X = parse((FIXTURE_DIR / "one.cat").read_text())["one"].site
+    X = parse((FIXTURE_DIR / ("%s.cat" % vertex)).read_text())[vertex].site
+    return (D, *build_colim_site(D), X)
+
+
+def test_site_report_matches_reference():
+    """The whole report, continuity of the factored cones included, and
+    no more Budget than the reference, which factors every cone with
+    factor_cone."""
+    for vertex in ("one", "two", "diamond"):
+        D, S, R, X = _covereddiamond_site(vertex)
+        got_budget, want_budget = Budget(), Budget()
+        got = verify_site_pseudocolimit(D, S, R, X, got_budget)
+        want = oracle.verify_site_pseudocolimit(D, S, R, X, want_budget)
+        assert got == want, vertex
+        assert got.isomorphism and got.factored_functors_continuous
+        assert got_budget.used <= want_budget.used
+
+
+def test_each_distinct_leg_tested_once(monkeypatch):
+    """The 32 pseudocones of const_two_diagram into z2, a site with no
+    chosen limit, share 6 leg functors: verify-site tests each (functor,
+    source site) as a site morphism once, and gives the reference's
+    report."""
+    dia, Z = standard.const_two_diagram(), z2()
+    D = SiteDiagram(dia, {A: trivial_site(C, standard.poset_limits(
+        C, lambda a, b: bool(C.hom(a, b)))) for A, C in dia.fibers.items()})
     S, R = build_colim_site(D)
-    got_budget, want_budget = Budget(), Budget()
-    got = verify_site_pseudocolimit(D, S, R, X, got_budget)
-    monkeypatch.setattr(sites, "verify_bicolimit", oracle.verify_bicolimit)
-    want = verify_site_pseudocolimit(D, S, R, X, want_budget)
-    assert got == want
-    assert got.isomorphism and got.factored_functors_continuous
-    assert got_budget.used <= want_budget.used
+    X = trivial_site(Z, LimitAssignment(Z))
+    want = oracle.verify_site_pseudocolimit(D, S, R, X)
+    calls = []
+    real = sites.site_morphism_violations
+
+    def counted(f, source, target):
+        calls.append((f, source))
+        return real(f, source, target)
+
+    monkeypatch.setattr(sites, "site_morphism_violations", counted)
+    assert verify_site_pseudocolimit(D, S, R, X) == want
+    legs = [(f, s) for f, s in calls if s is not S]
+    assert len({(id(f), id(s)) for f, s in legs}) == len(legs) == 2
+    assert len(enumerate_pseudocones(dia, Z)) == 32
+
+
+def _spy(monkeypatch, name):
+    """The first argument of every call to colim.<name>."""
+    calls = []
+    real = getattr(colim, name)
+
+    def counted(first, *rest):
+        calls.append(first)
+        return real(first, *rest)
+
+    monkeypatch.setattr(colim, name, counted)
+    return calls
+
+
+def test_matched_cones_are_not_factored_again(monkeypatch):
+    """When every cone is an image, a verify-site run factors lambda and
+    no cone; with no functor to match them, every cone is factored."""
+    calls = _spy(monkeypatch, "factor_cone")
+    for vertex in ("one", "two", "diamond"):
+        D, S, R, X = _covereddiamond_site(vertex)
+        calls.clear()
+        rep = verify_site_pseudocolimit(D, S, R, X)
+        assert rep.isomorphism and rep.cone_objects
+        assert len(calls) == 1
+    R, X = _built(standard.const_two_diagram), standard.two()
+    found = enumerate_pseudocones(R.diagram, X)
+    calls.clear()
+    rep = colim.verify_bicolimit(R, X, funcs=[], cones=found,
+                                 continuous=lambda f: True)
+    assert rep.factored_functors_continuous and len(calls) == len(found)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_matched_cones_factor_as_t_phi(case):
+    """Each cone's factorization, as verify_bicolimit hands it to
+    `continuous`, has the tables of factor_cone's, in the cones' order."""
+    diagram, vertex, extra = CASES[case]
+    R, X = _built(diagram), vertex()
+    kw = extra(R, X) if extra else {}
+    cs = kw.get("cones") or enumerate_pseudocones(R.diagram, X)
+    seen = []
+    rep = colim.verify_bicolimit(
+        R, X, cones=cs,
+        continuous=lambda f: seen.append((f.obj_map, f.mor_map)) or True)
+    assert rep.factored_functors_continuous
+    assert seen == [(f.obj_map, f.mor_map)
+                    for f in (colim.factor_cone(R, h) for h in cs)]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_images_built_only_when_unmatched(case, monkeypatch):
+    """An image that some cone equals is never built as a cone; the lists
+    that leave out the first cone leave one image unmatched."""
+    diagram, vertex, extra = CASES[case]
+    R, X = _built(diagram), vertex()
+    kw = extra(R, X) if extra else {}
+    built = _spy(monkeypatch, "postcompose_cone")
+    got = colim.verify_bicolimit(R, X, **kw)
+    assert got == oracle.verify_bicolimit(R, X, **kw)
+    assert len(built) == (1 if extra else 0)
 
 
 def test_lambda_factored_once(monkeypatch):

@@ -251,7 +251,7 @@ def check_exact(F: Functor, src_limits: LimitAssignment):
     """True iff F carries every chosen limiting cone of its source to a
     limiting cone in its target.  Returns (ok, counterexample diagram or
     None): the first failing source diagram, terminal first, then the
-    products and the equalizers in sorted order (sorted once one fails).
+    products and the equalizers in sorted order.
 
     Each distinct image limit is decided once per target object, by
     `is_limiting_cone` on F.target, and kept in F.target's `_limiting`
@@ -267,21 +267,20 @@ def check_exact(F: Functor, src_limits: LimitAssignment):
     if src_limits.cat != C:
         raise ValueError("limits of %s given for a functor from %s"
                          % (src_limits.cat.name, C.name))
-    ob, mor, src, ids = F.obj_map, F.mor_map, C.mor_src, C.identities
+    ob, mor, src, tgt = F.obj_map, F.mor_map, C.mor_src, C.mor_tgt
     known = _verdicts(D)
     t = src_limits.terminal
     if t is not None and not _decided(known, D, ("t", ob[t])):
         return False, empty_diagram()
-    keyed = [((0, a, b), ("p", ob[a], ob[b], ob[p], mor[p1], mor[p2]))
-             for (a, b), (p, p1, p2) in src_limits.products.items()] + [
-        ((1, f, g), ("e", mor[f], mor[g], ob[e], mor[incl],
-                     mor[C.comp[(f, incl)]]))
-        for (f, g), (e, incl) in src_limits.equalizers.items()
-        if f != g or (src[incl], C.mor_tgt[incl]) != (e, src[f])
-        or incl != ids[e] and not C.is_iso(incl)]
-    for _, k in keyed:
-        if not known.get(k) and not _decided(known, D, k):
-            eq, x, y = next(n for n, key in sorted(keyed)
-                            if not _decided(known, D, key))
-            return False, parallel_pair(C, x, y) if eq else discrete_pair(x, y)
+    for (a, b), (p, p1, p2) in sorted(src_limits.products.items()):
+        key = ("p", ob[a], ob[b], ob[p], mor[p1], mor[p2])
+        if not known.get(key) and not _decided(known, D, key):
+            return False, discrete_pair(a, b)
+    for (f, g), (e, incl) in sorted(src_limits.equalizers.items()):
+        if (f == g and (src.get(incl), tgt.get(incl)) == (e, src.get(f))
+                and (incl == C.identities[e] or C.is_iso(incl))):
+            continue
+        key = ("e", mor[f], mor[g], ob[e], mor[incl], mor[C.comp[(f, incl)]])
+        if not known.get(key) and not _decided(known, D, key):
+            return False, parallel_pair(C, f, g)
     return True, None

@@ -471,6 +471,20 @@ def test_first_failure_in_sorted_order(diamond):
             False, discrete_pair("a", "b"))
 
 
+def test_entries_after_a_failure_are_not_read(diamond):
+    """A product and an equalizer that name what b_to_top cannot map, both
+    sorted after the failing product of (a, b), are never read: the check
+    still returns (a, b), and raises only once (a, b) passes."""
+    src = poset_limits(diamond)
+    odd = LimitAssignment(diamond, src.terminal, src.tmap,
+                          {**src.products, ("zz", "zz"): ("zz", "p", "q")},
+                          {**src.equalizers, ("zz", "zz"): ("zz", "zz")})
+    assert check_exact(b_to_top(diamond), odd) == (
+        False, discrete_pair("a", "b"))
+    with pytest.raises(KeyError):
+        check_exact(identity_functor(diamond), odd)
+
+
 def test_legs_are_keyed(exhaustive_calls):
     """Two products of the same image pair with the same apex and first
     leg: the first second leg is id_X, a product 1 x X, the second a

@@ -9,7 +9,8 @@ the classes are the transitive closure of that single-step relation.  The
 index is finite and 2-filtered, so some object T receives a 1-cell from
 every object: every span is one single step from its transport to apex T,
 and the spans at T are joined along the transports and conjugations that
-generate the relation (build_pseudocolimit gives the proof).
+generate the relation (build_pseudocolimit gives the proof).  The spans
+out of an object are found per index object along the morphisms leaving it.
 
 A composite of spans is taken at a common refinement too.  Which
 refinement two spans compose at depends on their index data alone, so
@@ -64,16 +65,21 @@ def identity_span(F: TwoDiagram, A, x):
     return Span(A, x, A, x, A, i, i, F.fibers[A].identities[x])
 
 
-def all_spans(A, x, B, y, rows):
-    """Every span (C, u, v, f) from (A, x) to (B, y), in sorted order, each
-    paired with the key (c.u, c.v, F(c)f) of its transport to T along
-    c = c_C (build_pseudocolimit), given the build's sorted apex rows for
-    (A, B): C, u, v, C's hom-sets, F(u) and F(v) on objects, c.u, c.v and
-    F(c) on morphisms."""
-    out = []
-    for apex, u, v, hom, umap, vmap, cu, cv, cmor in rows:
-        for f in hom(umap[x], vmap[y]):
-            out.append((Span(A, x, B, y, apex, u, v, f), (cu, cv, cmor[f])))
+def all_spans(A, x, B, rows):
+    """y -> every span (C, u, v, f) from (A, x) to (B, y), in sorted order,
+    each paired with the key (c.u, c.v, F(c)f) of its transport to T along
+    c = c_C (build_pseudocolimit); a y with no span has no entry.  Given
+    the build's sorted apex rows for (A, B): C, u, v, the morphisms out of
+    each object of C's fiber with their targets (sorted), F(u) on objects,
+    the objects y of B's fiber over each object under F(v) (sorted), c.u,
+    c.v and F(c) on morphisms."""
+    out = {}
+    new = tuple.__new__
+    for apex, u, v, outs, umap, vpre, cu, cv, cmor in rows:
+        for f, t in outs.get(umap[x], ()):
+            for y in vpre.get(t, ()):
+                s = new(Span, (A, x, B, y, apex, u, v, f))
+                out.setdefault(y, []).append((s, (cu, cv, cmor[f])))
     return out
 
 
@@ -285,9 +291,12 @@ def build_pseudocolimit(F: TwoDiagram,
     along their generating steps only.  The all-pairs quotient is kept as
     the reference in tests/oracle_kernel.py.
 
-    The table of apex rows per pair of index objects carries each apex's
-    transport to T, so all_spans gives every span with the key of T(s).
-    A pair of objects with no spans stops there.  The union-find over the
+    all_spans runs once per object (A, x) of L and index object B, along
+    the apex rows of (A, B): each row walks the morphisms leaving (Fu)x in
+    the apex fiber and reads off the y with (Fv)y at their targets, through
+    out-lists and preimage maps made once per build, and carries the apex's
+    transport to T, so each span comes with the key of T(s).  A pair of
+    objects with no spans stops after its charge.  The union-find over the
     T-spans of a pair runs only when the index has a generating step (a
     non-identity endomorphism of T, or a non-identity invertible 2-cell
     between 1-cells into T); without one, no two T-spans are joined, and a
@@ -309,9 +318,11 @@ def build_pseudocolimit(F: TwoDiagram,
     index_objs = sorted(F.index.objects())
     objs = []
     obj_info = {}
+    # index object A -> (x, name of (A, x)) for x in A's fiber, sorted
+    members = {A: [(x, obj_name(A, x)) for x in sorted(F.fibers[A].objects)]
+               for A in index_objs}
     for A in index_objs:
-        for x in sorted(F.fibers[A].objects):
-            p = obj_name(A, x)
+        for x, p in members[A]:
             if p in obj_info:
                 raise NameCollision("colimit object %s names both (%s, %s) "
                                     "and (%s, %s)" % (p, *obj_info[p], A, x))
@@ -326,10 +337,21 @@ def build_pseudocolimit(F: TwoDiagram,
     c = {C: C1.hom(C, T)[0] for C in index_objs}
     c[T] = C1.identities[T]
     cmor = {C: F.on1[c[C]].mor_map for C in index_objs}
+    # C -> fiber object -> [(f, tgt f)] for the f leaving it, sorted
+    outs = {}
+    for C in index_objs:
+        fib, out = F.fibers[C], outs.setdefault(C, {})
+        for f in fib.morphisms():
+            out.setdefault(fib.mor_src[f], []).append((f, fib.mor_tgt[f]))
+    # 1-cell v : B -> C -> object of C's fiber -> its preimages y, sorted
+    pre = {}
+    for v in F.index.one_cells():
+        vmap = pre[v] = {}
+        for y, _ in members[C1.mor_src[v]]:
+            vmap.setdefault(F.on1[v].obj_map[y], []).append(y)
     # (A, B) -> a row per (C, u : A -> C, v : B -> C), sorted (all_spans)
-    rows = {(A, B): [(C, u, v, F.fibers[C].hom, F.on1[u].obj_map,
-                      F.on1[v].obj_map, C1.comp[(c[C], u)],
-                      C1.comp[(c[C], v)], cmor[C])
+    rows = {(A, B): [(C, u, v, outs[C], F.on1[u].obj_map, pre[v],
+                      C1.comp[(c[C], u)], C1.comp[(c[C], v)], cmor[C])
                      for C in index_objs
                      for u in C1.hom(A, C) for v in C1.hom(B, C)]
             for A in index_objs for B in index_objs}
@@ -349,48 +371,49 @@ def build_pseudocolimit(F: TwoDiagram,
     mor_tgt = {}
     for p in objs:
         A, x = obj_info[p]
-        for q in objs:
-            B, y = obj_info[q]
-            spans = all_spans(A, x, B, y, rows[(A, B)])
-            bud.charge(len(spans) + 1)
-            if not spans:
-                continue
-            at_T = [key for s, key in spans if s[4] == T]
-            bud.charge(len(spans) - len(at_T))
-            if steps:
-                find, union = union_find(at_T)
-                for key in at_T:
-                    u, v, f = key
-                    for e in loops:
-                        bud.charge()
-                        union(key, (C1.comp[(e, u)], C1.comp[(e, v)],
-                                    F.on1[e].mor_map[f]))
-                    for a, u2 in conjugates[u]:
-                        bud.charge()
-                        union(key, (u2, v, fT.comp[
-                            (f, fT.inverse(F.on2[a].components[x]))]))
-                    for b, v2 in conjugates[v]:
-                        bud.charge()
-                        union(key, (u, v2,
-                                    fT.comp[(F.on2[b].components[y], f)]))
-            # spans come sorted, so naming classes on their first member
-            # orders them by least member, each with its members sorted
-            named = {}  # class root -> class name
-            for s, key in spans:
-                root = find(key) if steps else key
-                name = named.get(root)
-                if name is None:
-                    name = named[root] = "%s>%s#%d" % (p, q, len(named))
-                    if name in class_members:
-                        raise NameCollision(
-                            "colimit morphism %s names a class %s -> %s and "
-                            "one %s -> %s" % (name, mor_src[name],
-                                              mor_tgt[name], p, q))
-                    class_members[name] = []
-                    mor_src[name] = p
-                    mor_tgt[name] = q
-                class_members[name].append(s)
-                span_class[s] = name
+        for B in index_objs:
+            by_y = all_spans(A, x, B, rows[(A, B)])
+            for y, q in members[B]:
+                spans = by_y.get(y, ())
+                bud.charge(len(spans) + 1)
+                if not spans:
+                    continue
+                at_T = [key for s, key in spans if s[4] == T]
+                bud.charge(len(spans) - len(at_T))
+                if steps:
+                    find, union = union_find(at_T)
+                    for key in at_T:
+                        u, v, f = key
+                        for e in loops:
+                            bud.charge()
+                            union(key, (C1.comp[(e, u)], C1.comp[(e, v)],
+                                        F.on1[e].mor_map[f]))
+                        for a, u2 in conjugates[u]:
+                            bud.charge()
+                            union(key, (u2, v, fT.comp[
+                                (f, fT.inverse(F.on2[a].components[x]))]))
+                        for b, v2 in conjugates[v]:
+                            bud.charge()
+                            union(key, (u, v2,
+                                        fT.comp[(F.on2[b].components[y], f)]))
+                # spans come sorted, so naming classes on their first member
+                # orders them by least member, each with its members sorted
+                named = {}  # class root -> class name
+                for s, key in spans:
+                    root = find(key) if steps else key
+                    name = named.get(root)
+                    if name is None:
+                        name = named[root] = "%s>%s#%d" % (p, q, len(named))
+                        if name in class_members:
+                            raise NameCollision(
+                                "colimit morphism %s names a class %s -> %s "
+                                "and one %s -> %s" % (name, mor_src[name],
+                                                      mor_tgt[name], p, q))
+                        class_members[name] = []
+                        mor_src[name] = p
+                        mor_tgt[name] = q
+                    class_members[name].append(s)
+                    span_class[s] = name
     class_members = {n: tuple(ms) for n, ms in class_members.items()}
     identities = {}
     for p in objs:
@@ -643,7 +666,9 @@ def colim_limit_assignment(R: PseudocolimitResult,
     For a = (B, y) and b = (B', y'), lift_diagram lifts the discrete pair
     to the first apex A in sorted order with 1-cells from both B and B',
     along the first u : B -> A and u' : B' -> A.  That lift depends on
-    (B, B') alone, so it is made once per pair of index objects in a call.
+    (B, B') alone, so F(u) and F(u') on objects, A's chosen products and
+    lambda_A on objects are read once per pair of index objects in a call,
+    and b runs over L's objects grouped by index object, in L's order.
     The product of a and b is A's chosen product of (Fu)y and (Fu')y',
     pushed along lambda_A to an object P of L; as L is thin, each leg is
     the one morphism of its hom-set, L(P, a) or L(P, b)."""
@@ -654,26 +679,35 @@ def colim_limit_assignment(R: PseudocolimitResult,
         pair = min(L._hom[k] for k in L._plural)[:2]
         raise IncompleteAssignment("the colimit is not thin: %s and %s "
                                    "are parallel" % pair)
-    tmap = {o: L._hom[(o, term.apex)][0] for o in L.objects}
-    lifts = {}  # (B, B') -> (A, u, u')
+    hom = L._hom
+    tmap = {o: hom[(o, term.apex)][0] for o in L.objects}
+    groups = {}  # index object B' -> [(b, y')] for b = (B', y'), L's order
+    for b, (B2, y2) in R.obj_info.items():
+        groups.setdefault(B2, []).append((b, y2))
+    # (B, B') -> F(u), F(u') and lambda_A on objects and A's assignment
+    lifts = {}
     products = {}
     for a in L.objects:
         B, y = R.obj_info[a]
-        for b in L.objects:
-            B2, y2 = R.obj_info[b]
-            if (B, B2) not in lifts:
-                A, pick, _ = lift_diagram(R, discrete_pair(a, b))
-                lifts[B, B2] = A, pick["l"], pick["r"]
-            A, u, u2 = lifts[B, B2]
-            if A not in fiber_limits:
-                raise IncompleteAssignment("fiber %s has no limit assignment"
-                                           % A)
-            key = (F.on1[u].obj_map[y], F.on1[u2].obj_map[y2])
-            if key not in fiber_limits[A].products:
-                raise IncompleteAssignment("no chosen product for %s in %s"
-                                           % (key, fiber_limits[A].cat.name))
-            p = R.cone.legs[A].obj_map[fiber_limits[A].products[key][0]]
-            products[(a, b)] = (p, L._hom[(p, a)][0], L._hom[(p, b)][0])
+        for B2, group in groups.items():
+            lift = lifts.get((B, B2))
+            if lift is None:
+                A, pick, _ = lift_diagram(R, discrete_pair(a, group[0][0]))
+                if A not in fiber_limits:
+                    raise IncompleteAssignment(
+                        "fiber %s has no limit assignment" % A)
+                lift = lifts[B, B2] = (
+                    F.on1[pick["l"]].obj_map, F.on1[pick["r"]].obj_map,
+                    fiber_limits[A], R.cone.legs[A].obj_map)
+            umap, u2map, lim, lam = lift
+            fy = umap[y]
+            for b, y2 in group:
+                key = (fy, u2map[y2])
+                if key not in lim.products:
+                    raise IncompleteAssignment("no chosen product for %s in %s"
+                                               % (key, lim.cat.name))
+                p = lam[lim.products[key][0]]
+                products[(a, b)] = (p, hom[(p, a)][0], hom[(p, b)][0])
     equalizers = {(f, f): (L.mor_src[f], L.identities[L.mor_src[f]])
                   for f in L.morphisms()}
     return LimitAssignment(L, term.apex, tmap, products, equalizers)

@@ -14,7 +14,8 @@ and composite searches the index for its common refinement afresh; and
 the universal-property verifier enumerates the modifications between two
 images, and again between every two cones, and whiskers each
 transformation with the colimit cone, and the site verifier factors every
-cone with factor_cone; the pseudocone enumerator enumerates every coherence cell afresh
+cone with factor_cone, and the colimit's chosen products were read
+pair by pair of objects; the pseudocone enumerator enumerates every coherence cell afresh
 for each leg combination; the equivalence search tests every functor,
 not only those that preserve hom-set sizes; build_category saturates to a fixpoint,
 rewriting in both directions; the standard categories and
@@ -45,7 +46,8 @@ import random
 from sitecolim import cones as library_cones
 from sitecolim import core
 from sitecolim.colim import (BicolimReport, PseudocolimitResult, Span,
-                             factor_cone, identity_span, obj_name)
+                             colim_finite_limit, factor_cone, identity_span,
+                             lift_diagram, obj_name)
 from sitecolim.cones import (Modification, Pseudocone, postcompose_cell,
                              postcompose_cone)
 from sitecolim.core import (Budget, FinCat, Functor, NatTrans,
@@ -53,9 +55,10 @@ from sitecolim.core import (Budget, FinCat, Functor, NatTrans,
                             identity_nat, nat_is_invertible, union_find,
                             validate_functor, validate_nat_trans, vcomp_nat,
                             whisker_nat_functor)
-from sitecolim.errors import NotFiltered, NotLiftable, SaturationExceeded
-from sitecolim.limits import (Cone, Diagram, discrete_pair, empty_diagram,
-                              parallel_pair)
+from sitecolim.errors import (IncompleteAssignment, NotFiltered, NotLiftable,
+                              SaturationExceeded)
+from sitecolim.limits import (Cone, Diagram, LimitAssignment, discrete_pair,
+                              empty_diagram, parallel_pair)
 from sitecolim.sites import check_continuous, site_morphism_violations
 from sitecolim.standard import poset_category
 from sitecolim.twocat import TwoCat, two_cat_from_cat
@@ -911,6 +914,43 @@ def verify_site_pseudocolimit(D, colim, R, X, budget=None):
     rep.factored_functors_continuous = all(
         check_continuous(factor_cone(R, h), colim, X)[0] for h in cones)
     return rep
+
+
+def colim_limit_assignment(R, fiber_limits):
+    """The colimit's chosen limits as the library made them before it read
+    each pair of index objects' maps once: the pair (a, b) is lifted once
+    per pair of index objects, and every other lookup is made per pair of
+    objects of L."""
+    L = R.category
+    F = R.diagram
+    term = colim_finite_limit(R, empty_diagram(), fiber_limits)
+    if L._plural:
+        pair = min(L._hom[k] for k in L._plural)[:2]
+        raise IncompleteAssignment("the colimit is not thin: %s and %s "
+                                   "are parallel" % pair)
+    tmap = {o: L._hom[(o, term.apex)][0] for o in L.objects}
+    lifts = {}  # (B, B') -> (A, u, u')
+    products = {}
+    for a in L.objects:
+        B, y = R.obj_info[a]
+        for b in L.objects:
+            B2, y2 = R.obj_info[b]
+            if (B, B2) not in lifts:
+                A, pick, _ = lift_diagram(R, discrete_pair(a, b))
+                lifts[B, B2] = A, pick["l"], pick["r"]
+            A, u, u2 = lifts[B, B2]
+            if A not in fiber_limits:
+                raise IncompleteAssignment("fiber %s has no limit assignment"
+                                           % A)
+            key = (F.on1[u].obj_map[y], F.on1[u2].obj_map[y2])
+            if key not in fiber_limits[A].products:
+                raise IncompleteAssignment("no chosen product for %s in %s"
+                                           % (key, fiber_limits[A].cat.name))
+            p = R.cone.legs[A].obj_map[fiber_limits[A].products[key][0]]
+            products[(a, b)] = (p, L._hom[(p, a)][0], L._hom[(p, b)][0])
+    equalizers = {(f, f): (L.mor_src[f], L.identities[L.mor_src[f]])
+                  for f in L.morphisms()}
+    return LimitAssignment(L, term.apex, tmap, products, equalizers)
 
 
 # ---------------------------------------------------------------------------

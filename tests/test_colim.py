@@ -2,6 +2,8 @@ import re
 
 import pytest
 
+import oracle_kernel as oracle
+from conftest import FIXTURE_DIR
 from sitecolim import standard
 from sitecolim.colim import (build_pseudocolimit, colim_finite_limit,
                              colim_limit_assignment, factor_cone,
@@ -15,11 +17,13 @@ from sitecolim.core import (Budget, NatTrans, Presentation, build_category,
 from sitecolim.errors import (BudgetExceeded, IncompleteAssignment,
                               IncompleteDiagram, NameCollision, NotFiltered,
                               SitecolimError)
-from sitecolim.fixtures import parse
+from sitecolim.fixtures import DiagramBlock, parse
 from sitecolim.limits import (Diagram, LimitAssignment, check_exact,
                               discrete_pair, empty_diagram, is_limiting_cone,
                               parallel_pair, validate_assignment)
 from sitecolim.twocat import constant_diagram, two_cat_from_cat
+from test_exactness import poset_limits
+from test_span_layer import CASES
 
 
 class NoSolution(SitecolimError):
@@ -352,3 +356,86 @@ def test_diagram_with_a_violation_is_refused(fixture_dir, old, new, message):
     assert env.violations["consttwo"]
     with pytest.raises(IncompleteDiagram, match="^%s$" % message):
         build_pseudocolimit(env["consttwo"].diagram)
+
+
+def corpus_site_diagrams():
+    """name -> (diagram, fiber limits) for every diagram of the corpus whose
+    fibers all carry a limit assignment."""
+    out = {}
+    for path in sorted(FIXTURE_DIR.glob("*.diag")):
+        for name, v in parse(path.read_text()).items():
+            if (isinstance(v, DiagramBlock) and v.fiber_blocks and all(
+                    b.limits is not None for b in v.fiber_blocks.values())):
+                out["%s:%s" % (path.name, name)] = (v.diagram, {
+                    A: b.limits for A, b in v.fiber_blocks.items()})
+    return out
+
+
+def case_fiber_limits(dia):
+    """Each thin fiber's poset limits; a fiber with parallel morphisms
+    gets an unvalidated assignment that names a terminal only."""
+    return {A: poset_limits(C) if C._thin
+            else LimitAssignment(C, C.objects[-1], {}, {}, {})
+            for A, C in dia.fibers.items()}
+
+
+def limit_inputs():
+    """(name, diagram, fiber limits): every site diagram of the corpus and
+    every diagram of test_span_layer.CASES, each as it is, without its
+    last index object's assignment, and without one chosen product of its
+    first fiber."""
+    out = [(name, dia, fl) for name, (dia, fl)
+           in sorted(corpus_site_diagrams().items())]
+    out += [(name, CASES[name](), None) for name in sorted(CASES)]
+    cases = []
+    for name, dia, fl in out:
+        fl = fl or case_fiber_limits(dia)
+        last = max(dia.fibers)
+        first = min(dia.fibers)
+        short = dict(fl)
+        lim = short[first]
+        short[first] = LimitAssignment(lim.cat, lim.terminal, lim.tmap, dict(
+            list(lim.products.items())[1:]), lim.equalizers)
+        cases += [(name, dia, fl),
+                  (name + "-no_" + last, dia, {A: v for A, v in fl.items()
+                                               if A != last}),
+                  (name + "-short_" + first, dia, short)]
+    return cases
+
+
+LIMIT_INPUTS = limit_inputs()
+
+
+def assignment_outcome(make, R, fl):
+    """The whole assignment make(R, fl) builds, its tables in insertion
+    order, or the type and text of its refusal."""
+    try:
+        A = make(R, fl)
+    except SitecolimError as e:
+        return type(e).__name__, str(e)
+    return (A.cat is R.category, A.terminal, list(A.tmap.items()),
+            list(A.products.items()), list(A.equalizers.items()))
+
+
+@pytest.mark.parametrize("name, dia, fl", LIMIT_INPUTS,
+                         ids=[case[0] for case in LIMIT_INPUTS])
+def test_limit_assignment_matches_reference(name, dia, fl):
+    """colim_limit_assignment, which reads each pair of index objects'
+    maps once, gives the reference's assignment entry for entry and in
+    order, or refuses with the same text."""
+    R = build_pseudocolimit(dia)
+    assert (assignment_outcome(colim_limit_assignment, R, fl)
+            == assignment_outcome(oracle.colim_limit_assignment, R, fl))
+
+
+def test_limit_inputs_reach_every_refusal():
+    """The inputs above give complete assignments and each refusal of
+    colim_limit_assignment."""
+    got = [assignment_outcome(colim_limit_assignment,
+                              build_pseudocolimit(dia), fl)
+           for _, dia, fl in LIMIT_INPUTS]
+    texts = [o[1] for o in got if len(o) == 2]
+    assert any(len(o) == 5 for o in got)
+    for start in ("the colimit is not thin", "fiber ", "no chosen product",
+                  "no fiber terminal is terminal"):
+        assert any(t.startswith(start) for t in texts), start

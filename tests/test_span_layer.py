@@ -9,7 +9,8 @@ the library's table recomposed in a seeded apex order must equal the
 oracle's table built in that order.  The oracle compares every pair of
 spans, the library joins the spans at the weakly terminal apex T along
 their generating steps, so the library's Budget count is computed here
-from the index and the oracle's spans.  The library composes without a
+from the index and the oracle's spans, and the sequence of Budget
+charges of four builds is pinned by digest.  The library composes without a
 refinement search wherever a hom-set of the colimit holds one class; the
 searches it does make are counted through the index's
 invertible_cells_between.  The seeded recomposition runs the build's
@@ -20,6 +21,7 @@ one class: its table is read off the hom blocks, not stored, is charged
 in one call, and compares with another thin table block by block.
 """
 
+import hashlib
 import random
 from unittest import mock
 
@@ -424,9 +426,12 @@ def test_thin_table_is_charged_at_once(case, monkeypatch):
 def test_all_spans_sorted(case, monkeypatch):
     """build_pseudocolimit names classes in first-member order and keeps
     their members in span order; both rely on all_spans returning its
-    spans sorted.  Each span comes with the key (c.u, c.v, F(c)f) of its
-    transport to T along c, the first 1-cell s.apex -> T, or the identity
-    at T; and all_spans is the build's only producer of spans."""
+    spans sorted.  It is called once per object (A, x) of L and index
+    object B, in that order, and maps each y with a span (A, x) -> (B, y),
+    and no other, to the reference's spans, each a Span with the key
+    (c.u, c.v, F(c)f) of its transport to T along c, the first 1-cell
+    s.apex -> T, or the identity at T; and all_spans is the build's only
+    producer of spans."""
     F = CASES[case]()
     calls = []
     produce = colim.all_spans
@@ -440,15 +445,58 @@ def test_all_spans_sorted(case, monkeypatch):
     R = colim.build_pseudocolimit(F)
     C1 = F.index.cells1
     T = weakly_terminal(F)
-    assert len(calls) == len(R.category.objects) ** 2
-    for args, out in calls:
-        spans = [s for s, _ in out]
-        assert spans == sorted(spans)
-        assert spans == oracle.all_spans(F, *args[:4])
-        for s, key in out:
-            c = C1.hom(s.apex, T)[0] if s.apex != T else C1.identities[T]
-            assert key == (C1.comp[(c, s.left)], C1.comp[(c, s.right)],
-                           F.on1[c].mor_map[s.mor])
+    index = sorted(F.index.objects())
+    assert len(calls) == len(R.category.objects) * len(index)
+    assert [args[:3] for args, _ in calls] == [
+        (*R.obj_info[p], B) for p in R.category.objects for B in index]
+    for (A, x, B, _), out in calls:
+        want = {y: oracle.all_spans(F, A, x, B, y)
+                for y in F.fibers[B].objects}
+        assert set(out) == {y for y, spans in want.items() if spans}
+        for y, pairs in out.items():
+            spans = [s for s, _ in pairs]
+            assert spans == sorted(spans) == want[y]
+            assert all(type(s) is colim.Span for s in spans)
+            for s, key in pairs:
+                c = C1.hom(s.apex, T)[0] if s.apex != T else C1.identities[T]
+                assert key == (C1.comp[(c, s.left)], C1.comp[(c, s.right)],
+                               F.on1[c].mor_map[s.mor])
+    assert list(R.span_class) == [s for (_, _, B, _), out in calls
+                                  for y in sorted(F.fibers[B].objects)
+                                  for s, _ in out.get(y, ())]
+
+
+# sha256 of every Budget.charge argument of a build, in order and joined
+# by spaces: the sequence the build made when it searched the spans pair by pair
+# of objects, which fixes Budget.used and the text of every overrun
+CHARGES = {
+    "consttwo":
+        "98116379632a30e9d78b76f79fc2c7fe03dc8fe970ddbe9b77b89ee1762e8ac0",
+    "swapchain":
+        "e348d462e4acb9f45f1698782b6b86296c38bf0f8e4ff71c3e20bc24bc08e345",
+    "constz2":
+        "4a9b20a60d164b025deb4092cc719c19842c75ad9dc3421505e8b5128ddd867d",
+    "walkingiso_z2":
+        "9e041519963f57fd13af002e34f2499dd8f7065f22352551ed5277e9a904295a",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHARGES))
+def test_build_charges_are_pinned(case, monkeypatch):
+    """The build charges its Budget in the pinned sequence: one charge of
+    len(spans) + 1 per object pair, an empty pair included, and the same
+    transport, generating-step and composition charges after."""
+    charges = []
+    charge = Budget.charge
+
+    def recorded(budget, n=1):
+        charges.append(n)
+        return charge(budget, n)
+
+    monkeypatch.setattr(Budget, "charge", recorded)
+    colim.build_pseudocolimit(CASES[case]())
+    digest = hashlib.sha256(" ".join(map(str, charges)).encode())
+    assert digest.hexdigest() == CHARGES[case]
 
 
 @pytest.mark.parametrize("case", sorted(STANDARD))

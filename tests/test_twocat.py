@@ -310,6 +310,19 @@ def test_check_2filtered_matches_reference(A):
     assert check_2filtered(A) == oracle.check_2filtered(A)
 
 
+def test_check_2filtered_skips_the_diagonal(monkeypatch):
+    """On a valid 2-category F2 holds for u = v and F3 for g = h, so on a
+    chain, whose hom-sets and 2-cell hom-sets hold one element each,
+    check_2filtered asks for no invertible 2-cell and whiskers nothing."""
+    A = two_cat_from_cat(standard.chain_cat(9))
+    calls = []
+    for name in ("invertible_cells_between", "whisker_post"):
+        monkeypatch.setattr(A, name, lambda *args, name=name: calls.append(
+            (name, args)) or getattr(TwoCat, name)(A, *args))
+    assert check_2filtered(A) == (True, None) == oracle.check_2filtered(A)
+    assert calls == []
+
+
 def test_f2_fails_with_a_non_invertible_cell():
     A = walking_two_cell()
     assert A.two_cells_between("f", "g") == ("theta",)

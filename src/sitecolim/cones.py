@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 from .core import (Budget, FinCat, Functor, NatTrans, compose_functors,
                    enumerate_functors, enumerate_nat_trans, identity_nat,
-                   invert_nat, nat_is_invertible, vcomp_nat,
-                   whisker_nat_functor)
+                   invert_nat, nat_is_invertible, once_per_object,
+                   vcomp_nat, whisker_nat_functor)
 from .errors import NonInvertibleComponent
 from .twocat import TwoDiagram
 
@@ -171,38 +171,71 @@ def enumerate_pseudocones(F: TwoDiagram, X: FinCat,
                           budget: Budget | None = None):
     """All pseudocones of F with vertex X, in a deterministic order.
 
-    Legs range over all functors fiber -> X; coherence over invertible
-    transformations per non-identity 1-cell (pc0 pins the identities), then
-    pc1/pc2 filter.  The candidates for h_u : h_A => h_B . Fu depend only on
-    u and the two legs, so they are read from one table per call, keyed by
-    u and the legs' positions in their leg_choices lists, and each
-    composite h_B . Fu from a second one, keyed by u and the position of
-    h_B; both live as long as the call.  An empty list is kept too: it
-    rules out every leg combination that contains that pair, and the walk
-    over combinations then skips all those that agree on the leg positions
-    read so far.
-
-    The legs, the coherence boundaries and pc0 hold by construction and
-    the cells are invertible by the filter; pc1 and pc2 are checked only
-    when X is not thin, so into a thin X every candidate is kept.
+    Legs range over all functors fiber -> X, enumerated once per fiber
+    object; each later index object with that fiber is charged what the
+    enumeration charged, stopping one past the limit as single charges
+    would.  An invertible h_u : h_A => h_B . Fu needs h_A x isomorphic to
+    h_B Fu x at every x, so an uncharged depth-first walk over the leg
+    positions, in lexicographic order, tests each non-identity 1-cell at
+    the later of its two positions: the isomorphism classes in X of the
+    leg's images of the fiber's sorted objects against those of h_B . Fu,
+    kept per (u, position of h_B).  A combination that passes reads the
+    invertible candidates for each h_u (pc0 pins the identities) from one
+    table per call, keyed by u and the two legs' positions; an empty list
+    rules out the combinations that agree on the positions read so far,
+    and the walk resumes past them all.  pc1 and pc2 are checked only when
+    X is not thin, so into a thin X every candidate is kept.
     """
     bud = budget if budget is not None else Budget()
     A = F.index
     C1 = A.cells1
     objs = sorted(A.objects())
     rank = {B: i for i, B in enumerate(objs)}
-    leg_choices = [list(enumerate_functors(F.fibers[B], X, bud))
-                   for B in objs]
+    iso_class = {x: min(y for y in X.objects
+                        if any(map(X.is_iso, X.hom(y, x)))) for x in X.objects}
+
+    def legs_of(C):
+        used, legs = bud.used, list(enumerate_functors(C, X, bud))
+        return legs, [tuple(iso_class[h.obj_map[x]] for x in sorted(C.objects))
+                      for h in legs], bud.used - used
+
+    once, leg_choices, classes = once_per_object(), [], []
+    for B in objs:
+        used = bud.used
+        legs, cls, cost = once(legs_of, F.fibers[B])
+        if bud.used == used:  # the legs of an earlier index object
+            bud.charge(min(cost, bud.limit - used + 1))
+        leg_choices.append(legs)
+        classes.append(cls)
     non_id = [(u, rank[C1.mor_src[u]], rank[C1.mor_tgt[u]])
               for u in A.one_cells() if u not in C1.identities.values()]
+    watches = [[] for _ in objs]  # the 1-cells tested at each position
+    for u, a, b in non_id:
+        watches[max(a, b)].append((u, a, b, F.on1[u].obj_map,
+                                   sorted(F.fibers[objs[a]].objects)))
+    target_classes = {}  # (u, leg index at tgt u) -> classes of h_B . Fu
     coherence_cands = {}  # (u, leg index at src u, at tgt u) -> list
     composites = {}  # (u, leg index at tgt u) -> that leg after Fu
     thin = X._thin
     results = []
-    if not all(leg_choices):
-        return results
-    picks = [0] * len(objs)  # an odometer over the leg combinations
-    while True:
+    picks, i = [-1] * len(objs), 0  # picks[:i] pass their tests; -1 is unset
+    while i >= 0:
+        if i < len(objs):
+            picks[i] += 1
+            if picks[i] == len(leg_choices[i]):
+                picks[i], i = -1, i - 1
+                continue
+            for u, a, b, Fu, fiber in watches[i]:
+                want = target_classes.get((u, picks[b]))
+                if want is None:
+                    h_B = leg_choices[b][picks[b]].obj_map
+                    want = target_classes[(u, picks[b])] = tuple(
+                        iso_class[h_B[Fu[x]]] for x in fiber)
+                if classes[a][picks[a]] != want:
+                    break
+            else:
+                i += 1
+            continue
         legs = dict(zip(objs, (c[p] for c, p in zip(leg_choices, picks))))
         cell_choices = []
         read = -1  # the highest leg position the keys so far read
@@ -233,14 +266,10 @@ def enumerate_pseudocones(F: TwoDiagram, X: FinCat,
                 if thin or check_pseudocone(cone)[0]:
                     results.append(cone)
         # the combinations that agree with picks up to `read` reach the
-        # same keys and break at the same 1-cell: advance past them all
-        for i in range(read, -1, -1):
-            if picks[i] + 1 < len(leg_choices[i]):
-                picks[i] += 1
-                picks[i + 1:] = [0] * (len(objs) - i - 1)
-                break
-        else:
-            return results
+        # same keys and break at the same 1-cell: resume past them all
+        picks[read + 1:] = [-1] * (len(objs) - read - 1)
+        i = read
+    return results
 
 
 def enumerate_modifications(g: Pseudocone, h: Pseudocone,

@@ -164,13 +164,15 @@ def verify_site_pseudocolimit(D: SiteDiagram, colim: Site,
     """verify_bicolimit between site morphisms out of the colimit site and
     pseudocones whose legs are all site morphisms; also checks that each
     factored functor preserving the generating covers is continuous
-    outright."""
+    outright.  The cones share their leg objects, so a once_per_object
+    memo tests each distinct (leg, site) once."""
     bud = budget if budget is not None else Budget()
     funcs = [t for t in enumerate_functors(colim.cat, X.cat, bud)
              if not site_morphism_violations(t, colim, X)]
+    once = once_per_object()
     cones = [h for h in enumerate_pseudocones(D.diagram, X.cat, bud)
-             if not any(site_morphism_violations(h.legs[A], D.sites[A], X)
-                        for A in sorted(h.legs))]
+             if not any(once(site_morphism_violations, h.legs[A],
+                             D.sites[A], X) for A in sorted(h.legs))]
     return verify_bicolimit(R, X.cat, bud, funcs, cones,
                             lambda f: check_continuous(f, colim, X)[0])
 

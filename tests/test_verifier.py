@@ -9,8 +9,10 @@ transformation with the colimit cone; oracle_kernel.verify_site_pseudocolimit
 factors every cone with factor_cone, where the library reads each image
 key off lambda's tables and factors a cone equal to an image t . lambda as
 t . phi.  The library's enumerate_pseudocones
-reads the coherence candidates of a 1-cell from a per-call table;
-oracle_kernel's enumerates them afresh for every leg combination.  Both
+enumerates the legs once per fiber object, searches coherence cells only
+for leg combinations whose legs agree up to isomorphism along every
+1-cell, and reads them from a per-call table; oracle_kernel's enumerates
+them afresh for every leg combination.  Both
 must give the same cones, modifications and reports, and the library must
 spend no more Budget.
 """
@@ -20,20 +22,23 @@ import dataclasses
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
 import oracle_kernel as oracle
-from sitecolim import colim, cones, standard
+from sitecolim import colim, cones, sites, standard
 from sitecolim.cones import (enumerate_modifications, enumerate_pseudocones,
                              postcompose_cone)
 from sitecolim.core import (Budget, Functor, compose_functors,
                             enumerate_functors, enumerate_nat_trans,
                             nat_is_invertible)
+from sitecolim.errors import BudgetExceeded
 from sitecolim.fixtures import parse
 from sitecolim.sites import (SiteDiagram, build_colim_site,
                              verify_site_pseudocolimit)
 
 from conftest import FIXTURE_DIR
-from test_kernel import z2
+from strategies import diagrams
+from test_kernel import z2, z2_terminal
 from test_span_layer import const_z2, walking_iso_z2
 
 
@@ -126,6 +131,26 @@ def test_site_report_matches_reference():
         assert got == want, vertex
         assert got.isomorphism and got.factored_functors_continuous
         assert got_budget.used <= want_budget.used
+
+
+def test_each_leg_tested_once_as_a_site_morphism(monkeypatch):
+    """verify-site covereddiamond into two: the cones share their leg
+    objects, and no (functor, site) pair is tested twice in one call."""
+    calls = []
+    real = sites.site_morphism_violations
+
+    def spy(t, S, X):
+        calls.append((t, S))
+        return real(t, S, X)
+
+    monkeypatch.setattr(sites, "site_morphism_violations", spy)
+    D, S, R, X = _covereddiamond_site("two")
+    rep = verify_site_pseudocolimit(D, S, R, X)
+    assert rep.isomorphism
+    assert not any(t is u and s is v for i, (t, s) in enumerate(calls)
+                   for u, v in calls[:i])
+    legs = [(t, s) for t, s in calls if s is not S]
+    assert len(legs) < rep.cone_objects * len(D.diagram.index.objects())
 
 
 def _spy(monkeypatch, name):
@@ -229,6 +254,68 @@ def test_pseudocones_match_reference(case):
     assert got_budget.used <= want_budget.used
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(diagrams())
+def test_pseudocones_match_reference_on_random_diagrams(F):
+    """Vertices thin and not, chaotic_pair's two objects isomorphic."""
+    for vertex in (standard.one, standard.two, z2, z2_terminal,
+                   standard.parallel_pair_cat, standard.chaotic_pair):
+        X = vertex()
+        got_budget, want_budget = Budget(), Budget()
+        got = enumerate_pseudocones(F, X, got_budget)
+        want = oracle.enumerate_pseudocones(F, X, want_budget)
+        assert _named_keys(got) == _named_keys(want), X.name
+        assert got_budget.used <= want_budget.used, X.name
+
+
+def _overrun(F, X, limit):
+    try:
+        enumerate_pseudocones(F, X, Budget(limit))
+    except BudgetExceeded as exc:
+        return str(exc)
+    return None
+
+
+SHARED_FIBERS = {
+    "consttwo": (standard.const_two_diagram,
+                 (standard.one, standard.two, standard.diamond)),
+    "inclchain": (standard.inclusion_chain_diagram,
+                  (standard.two, standard.diamond)),
+    "walkingiso": (standard.walking_iso_diagram,
+                   (standard.two, standard.chaotic_pair)),
+    "swapchain": (standard.swap_chain_diagram, (standard.two,)),
+    "constz2": (const_z2, (z2, standard.chaotic_pair)),
+    "walkingiso_z2": (walking_iso_z2, (z2, standard.two)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHARED_FIBERS))
+def test_shared_fibers_charge_as_copies(case):
+    """Index objects that share a fiber object share one leg list; with a
+    separate copy of the fiber at each index object nothing is shared, and
+    the cones, the Budget and the overrun at every limit are the same."""
+    diagram, vertices = SHARED_FIBERS[case]
+    F = diagram()
+    copied = dataclasses.replace(F, fibers={
+        A: dataclasses.replace(C) for A, C in F.fibers.items()})
+    objs = sorted(F.index.objects())
+    for vertex in vertices:
+        X = vertex()
+        shared_budget, copied_budget = Budget(), Budget()
+        got = enumerate_pseudocones(F, X, shared_budget)
+        want = enumerate_pseudocones(copied, X, copied_budget)
+        assert _named_keys(got) == _named_keys(want), X.name
+        assert shared_budget.used == copied_budget.used, X.name
+        for A, B in itertools.combinations(objs, 2):
+            assert (got[0].legs[A] is got[0].legs[B]) == (
+                F.fibers[A] is F.fibers[B])
+            assert want[0].legs[A] is not want[0].legs[B]
+        for limit in range(shared_budget.used):
+            assert _overrun(F, X, limit) == _overrun(copied, X, limit) \
+                == "enumeration used %d candidates (budget %d)" % (
+                    limit + 1, limit), (X.name, limit)
+
+
 @pytest.mark.parametrize("case", ENUMERATION_CASES)
 def test_modifications_match_reference(case):
     """Every hom-set of pseudocones: the same list in the same order for
@@ -271,23 +358,32 @@ def test_z2_cases_reject_candidates(case, rejected, monkeypatch):
 
 def _coherence_keys(F, X):
     """The (u, leg at src u, leg at tgt u) the pseudocone search reaches,
-    legs by position: in each leg combination, in order, the non-identity
-    1-cells up to the first with no invertible candidate."""
+    legs by position among the oracle's, each with the two functors whose
+    transformations it enumerates: in each leg combination that sends x
+    and Fu x to isomorphic objects of X for every non-identity 1-cell u and
+    every x, the non-identity 1-cells in order up to the first with no
+    invertible candidate."""
     C1 = F.index.cells1
     objs = sorted(F.index.objects())
     legs = {B: list(enumerate_functors(F.fibers[B], X)) for B in objs}
+    iso = {(p, q) for p in X.objects for q in X.objects
+           if any(map(X.is_iso, X.hom(p, q)))}
     non_id = [u for u in F.index.one_cells()
               if u not in C1.identities.values()]
-    keys = set()
+    keys = {}
     for combo in itertools.product(*(range(len(legs[B])) for B in objs)):
         pick = dict(zip(objs, combo))
+        h = {B: legs[B][pick[B]] for B in objs}
+        if not all((h[C1.mor_src[u]].obj_map[x],
+                    h[C1.mor_tgt[u]].obj_map[F.on1[u].obj_map[x]]) in iso
+                   for u in non_id for x in F.fibers[C1.mor_src[u]].objects):
+            continue
         for u in non_id:
             a, b = C1.mor_src[u], C1.mor_tgt[u]
-            keys.add((u, pick[a], pick[b]))
-            cands = enumerate_nat_trans(
-                legs[a][pick[a]],
-                compose_functors(legs[b][pick[b]], F.on1[u]))
-            if not any(map(nat_is_invertible, cands)):
+            source, target = h[a], compose_functors(h[b], F.on1[u])
+            keys[(u, pick[a], pick[b])] = source, target
+            if not any(map(nat_is_invertible,
+                           enumerate_nat_trans(source, target))):
                 break
     return keys
 
@@ -304,14 +400,26 @@ def _count_nat_trans_calls(monkeypatch):
 
 def test_each_coherence_list_enumerated_once(monkeypatch):
     """consttwo x diamond: enumerate_pseudocones enumerates one list per
-    (u, leg, leg) key; verify_bicolimit adds one per index object for each
-    pair of cones, and one per pair of functors."""
+    (u, leg, leg) key that the iso-compatible walk reaches, on the key's
+    two functors, and gives the oracle's cones; verify_bicolimit adds one
+    per index object for each pair of cones, and one per pair of
+    functors."""
     R, X = _built(standard.const_two_diagram), standard.diamond()
     keys = _coherence_keys(R.diagram, X)
-    calls = _count_nat_trans_calls(monkeypatch)
+    assert len(keys) == 27
+    seen = collections.Counter()
+
+    def spy(F, G, budget=None):
+        seen[F.key(), G.key()] += 1
+        return enumerate_nat_trans(F, G, budget)
+
+    monkeypatch.setattr(cones, "enumerate_nat_trans", spy)
     found = enumerate_pseudocones(R.diagram, X)
-    assert sum(calls.values()) == len(keys)
-    calls.clear()
+    assert seen == collections.Counter(
+        (F.key(), G.key()) for F, G in keys.values())
+    assert _named_keys(found) == _named_keys(
+        oracle.enumerate_pseudocones(R.diagram, X))
+    calls = _count_nat_trans_calls(monkeypatch)
     rep = colim.verify_bicolimit(R, X)
     assert rep.isomorphism
     assert sum(calls.values()) == (

@@ -316,8 +316,7 @@ def build_pseudocolimit(F: TwoDiagram,
             raise IncompleteDiagram("no transformation at %s" % g)
     bud = budget if budget is not None else Budget()
     index_objs = sorted(F.index.objects())
-    objs = []
-    obj_info = {}
+    obj_info = {}  # in L's object order
     # index object A -> (x, name of (A, x)) for x in A's fiber, sorted
     members = {A: [(x, obj_name(A, x)) for x in sorted(F.fibers[A].objects)]
                for A in index_objs}
@@ -326,7 +325,6 @@ def build_pseudocolimit(F: TwoDiagram,
             if p in obj_info:
                 raise NameCollision("colimit object %s names both (%s, %s) "
                                     "and (%s, %s)" % (p, *obj_info[p], A, x))
-            objs.append(p)
             obj_info[p] = (A, x)
 
     C1 = F.index.cells1
@@ -369,8 +367,7 @@ def build_pseudocolimit(F: TwoDiagram,
     class_members = {}
     mor_src = {}
     mor_tgt = {}
-    for p in objs:
-        A, x = obj_info[p]
+    for p, (A, x) in obj_info.items():
         for B in index_objs:
             by_y = all_spans(A, x, B, rows[(A, B)])
             for y, q in members[B]:
@@ -416,14 +413,13 @@ def build_pseudocolimit(F: TwoDiagram,
                     span_class[s] = name
     class_members = {n: tuple(ms) for n, ms in class_members.items()}
     identities = {}
-    for p in objs:
-        A, x = obj_info[p]
+    for p, (A, x) in obj_info.items():
         identities[p] = span_class[identity_span(F, A, x)]
 
     comp = compose_spans(F, class_members, span_class, mor_src, mor_tgt,
                          index_objs, bud)
 
-    L = FinCat("colim_%s" % F.name, tuple(objs), mor_src, mor_tgt,
+    L = FinCat("colim_%s" % F.name, tuple(obj_info), mor_src, mor_tgt,
                identities, comp)
 
     legs = {}

@@ -182,9 +182,9 @@ def enumerate_pseudocones(F: TwoDiagram, X: FinCat,
     kept per (u, position of h_B).  A combination that passes reads the
     invertible candidates for each h_u (pc0 pins the identities) from one
     table per call, keyed by u and the two legs' positions; an empty list
-    rules out the combinations that agree on the positions read so far,
-    and the walk resumes past them all.  pc1 and pc2 are checked only when
-    X is not thin, so into a thin X every candidate is kept.
+    rules out that combination only, and the walk moves on to the next.
+    pc1 and pc2 are checked only when X is not thin, so into a thin X
+    every candidate is kept.
     """
     bud = budget if budget is not None else Budget()
     A = F.index
@@ -215,7 +215,6 @@ def enumerate_pseudocones(F: TwoDiagram, X: FinCat,
                                    sorted(F.fibers[objs[a]].objects)))
     target_classes = {}  # (u, leg index at tgt u) -> classes of h_B . Fu
     coherence_cands = {}  # (u, leg index at src u, at tgt u) -> list
-    composites = {}  # (u, leg index at tgt u) -> that leg after Fu
     thin = X._thin
     results = []
     picks, i = [-1] * len(objs), 0  # picks[:i] pass their tests; -1 is unset
@@ -238,16 +237,11 @@ def enumerate_pseudocones(F: TwoDiagram, X: FinCat,
             continue
         legs = dict(zip(objs, (c[p] for c, p in zip(leg_choices, picks))))
         cell_choices = []
-        read = -1  # the highest leg position the keys so far read
         for u, a, b in non_id:
-            read = max(read, a, b)
             key = (u, picks[a], picks[b])
             cands = coherence_cands.get(key)
             if cands is None:
-                target = composites.get((u, picks[b]))
-                if target is None:
-                    target = composites[(u, picks[b])] = compose_functors(
-                        legs[objs[b]], F.on1[u])
+                target = compose_functors(legs[objs[b]], F.on1[u])
                 cands = coherence_cands[key] = [
                     n for n in enumerate_nat_trans(legs[objs[a]], target, bud)
                     if nat_is_invertible(n)]
@@ -255,7 +249,6 @@ def enumerate_pseudocones(F: TwoDiagram, X: FinCat,
                 break
             cell_choices.append(cands)
         else:
-            read = len(objs) - 1
             for cells in itertools.product(*cell_choices):
                 bud.charge()
                 coherence = {u: n for (u, _, _), n in zip(non_id, cells)}
@@ -265,10 +258,7 @@ def enumerate_pseudocones(F: TwoDiagram, X: FinCat,
                                   coherence)
                 if thin or check_pseudocone(cone)[0]:
                     results.append(cone)
-        # the combinations that agree with picks up to `read` reach the
-        # same keys and break at the same 1-cell: resume past them all
-        picks[read + 1:] = [-1] * (len(objs) - read - 1)
-        i = read
+        i = len(objs) - 1
     return results
 
 

@@ -43,15 +43,15 @@ class FinCat:
     identities: dict[str, str]
     comp: Mapping[tuple[str, str], str]
     # tables derived from the six above: the first three are set by
-    # __post_init__, the others on first use; _limiting keeps each limit
-    # verdict, so each distinct limit is decided once per category object
+    # __post_init__, the next three on first use; _limiting, made with the
+    # category, keeps each limit verdict, decided once per category object
     _hom: dict = field(init=False, repr=False, compare=False)
     _plural: set = field(init=False, repr=False, compare=False)
     _thin: bool = field(init=False, repr=False, compare=False)
     _inv: dict = field(init=False, default=None, repr=False, compare=False)
     _squares: list = field(init=False, default=None, repr=False, compare=False)
     _below: dict = field(init=False, default=None, repr=False, compare=False)
-    _limiting: dict = field(init=False, default=None, repr=False,
+    _limiting: dict = field(init=False, default_factory=dict, repr=False,
                             compare=False)
 
     def __post_init__(self):

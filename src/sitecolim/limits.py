@@ -90,17 +90,12 @@ def is_limiting_cone(C: FinCat, D: Diagram, cone: Cone) -> bool:
     return True
 
 
-def _verdicts(C: FinCat) -> dict:
-    """C's table of is_limiting_cone verdicts, made on first use."""
-    if C._limiting is None:
-        C._limiting = {}
-    return C._limiting
-
-
-def _decided(known, C, key):
+def _decided(C, key):
     """Whether the limit that `key` names is limiting in C: ("t", apex),
     ("p", a, b, p, p1, p2) or ("e", f, g, e, incl, f . incl).  Read from
-    C's verdict table `known`, or decided and kept there."""
+    C's verdict table `_limiting`, or decided by `is_limiting_cone` and
+    kept there."""
+    known = C._limiting
     verdict = known.get(key)
     if verdict is None:
         kind, *names = key
@@ -169,11 +164,10 @@ def validate_assignment(A: LimitAssignment) -> list[str]:
         return ["complete assignment on a non-thin category: %s and %s are "
                 "parallel %s -> %s" % (f, g, C.mor_src[f], C.mor_tgt[f])]
     out = []
-    known = _verdicts(C)
     if A.terminal is not None:
         if _unknown(C, [A.terminal]) is not None:
             out.append("chosen terminal %s is not an object" % A.terminal)
-        elif not _decided(known, C, ("t", A.terminal)):
+        elif not _decided(C, ("t", A.terminal)):
             out.append("chosen terminal %s is not terminal" % A.terminal)
     for o, m in A.tmap.items():
         bad = _unknown(C, [o], [m])
@@ -188,7 +182,7 @@ def validate_assignment(A: LimitAssignment) -> list[str]:
         bad = _unknown(C, [a, b, p], [p1, p2])
         if bad is not None:
             out.append("%s names unknown %s" % (what, bad))
-        elif not _decided(known, C, ("p", a, b, p, p1, p2)):
+        elif not _decided(C, ("p", a, b, p, p1, p2)):
             out.append("%s is not a product" % what)
     for (f, g), (e, incl) in A.equalizers.items():
         what = "chosen equalizer of (%s, %s)" % (f, g)
@@ -202,7 +196,7 @@ def validate_assignment(A: LimitAssignment) -> list[str]:
                        % (what, incl, e, C.mor_src[f]))
         elif C.comp[(f, incl)] != C.comp[(g, incl)]:
             out.append("%s does not equalize" % what)
-        elif not _decided(known, C, ("e", f, g, e, incl, C.comp[(f, incl)])):
+        elif not _decided(C, ("e", f, g, e, incl, C.comp[(f, incl)])):
             out.append("%s is not an equalizer" % what)
     return out
 
@@ -268,19 +262,18 @@ def check_exact(F: Functor, src_limits: LimitAssignment):
         raise ValueError("limits of %s given for a functor from %s"
                          % (src_limits.cat.name, C.name))
     ob, mor, src, tgt = F.obj_map, F.mor_map, C.mor_src, C.mor_tgt
-    known = _verdicts(D)
     t = src_limits.terminal
-    if t is not None and not _decided(known, D, ("t", ob[t])):
+    if t is not None and not _decided(D, ("t", ob[t])):
         return False, empty_diagram()
     for (a, b), (p, p1, p2) in sorted(src_limits.products.items()):
         key = ("p", ob[a], ob[b], ob[p], mor[p1], mor[p2])
-        if not known.get(key) and not _decided(known, D, key):
+        if not _decided(D, key):
             return False, discrete_pair(a, b)
     for (f, g), (e, incl) in sorted(src_limits.equalizers.items()):
         if (f == g and (src.get(incl), tgt.get(incl)) == (e, src.get(f))
                 and (incl == C.identities[e] or C.is_iso(incl))):
             continue
         key = ("e", mor[f], mor[g], ob[e], mor[incl], mor[C.comp[(f, incl)]])
-        if not known.get(key) and not _decided(known, D, key):
+        if not _decided(D, key):
             return False, parallel_pair(C, f, g)
     return True, None

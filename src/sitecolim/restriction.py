@@ -35,8 +35,6 @@ def finite_limit_closure(limits: LimitAssignment, S) -> frozenset:
                 if C.mor_src[m] in cur and C.mor_tgt[m] in cur]
         for f in mors:
             for g in C.hom(C.mor_src[f], C.mor_tgt[f]):
-                if g not in mors:
-                    continue
                 eq = limits.equalizers.get((f, g))
                 if eq is not None:
                     new.add(eq[0])

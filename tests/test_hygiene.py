@@ -1,10 +1,10 @@
 """Source hygiene: no module of the package or of the tests imports a name
-it never uses, every import sits at module level, no public function or
-class is there only for the tests, every function the benchmark's tracer
-names exists, importing the CLI loads every module the benchmark reads,
-only `core` compares objects by identity, and FinCat's constructor takes
-only the data that defines a category, while its derived tables stay out
-of construction, `repr` and comparison.
+it never uses, every import sits at module level, no public function,
+class, method or property is there only for the tests, every function the
+benchmark's tracer names exists, importing the CLI loads every module the
+benchmark reads, only `core` compares objects by identity, and FinCat's
+constructor takes only the data that defines a category, while its
+derived tables stay out of construction, `repr` and comparison.
 
 A stdlib-only stand-in for an unused-import lint.  `__init__.py` is left
 out of the unused-import check because its imports are the package's
@@ -30,6 +30,8 @@ MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 TEST_MODULES = sorted((ROOT / "tests").glob("*.py"))
 # the paper's API that only the acceptance gate calls
 TEST_ONLY_ALLOWED = {"conjugate", "trivial_site"}
+# the acceptance gate calls the first, README's usage example the second
+TEST_ONLY_METHODS_ALLOWED = {"FinCat.is_identity", "BicolimReport.isomorphism"}
 
 
 def unused_imports(source):
@@ -114,13 +116,24 @@ def referenced_names(source):
     return found
 
 
-def unreferenced_definitions(modules, users, allowed=()):
-    """(module, name) for each public function or class of `modules`
-    (name -> source) that no source in `users` references."""
+def public_methods(source):
+    """Class.method for each public method or property of a public
+    top-level class."""
+    return ["%s.%s" % (c.name, m.name) for c in ast.parse(source).body
+            if isinstance(c, ast.ClassDef) and not c.name.startswith("_")
+            for m in c.body
+            if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+
+
+def unreferenced_definitions(modules, users, allowed=(),
+                             definitions=public_definitions):
+    """(module, name) for each of the `definitions` of `modules`
+    (name -> source) whose last dotted part no source in `users`
+    references."""
     used = set().union(*map(referenced_names, users))
     return sorted((m, f) for m, source in modules.items()
-                  for f in public_definitions(source)
-                  if f not in used and f not in allowed)
+                  for f in definitions(source)
+                  if f.rpartition(".")[2] not in used and f not in allowed)
 
 
 def test_unreferenced_functions_detected():
@@ -141,6 +154,21 @@ def test_unreferenced_functions_detected():
         ("lib", "K"), ("lib", "Record"), ("lib", "only_tests")]
 
 
+def test_unreferenced_methods_detected():
+    lib = ("class K:\n"
+           "    def used(self):\n        return self.helper()\n"
+           "    def helper(self):\n        pass\n"
+           "    @property\n    def unread(self):\n        pass\n"
+           "    def only_tests(self):\n        pass\n"
+           "    def allowed(self):\n        pass\n"
+           "    def _private(self):\n        pass\n"
+           "class _Hidden:\n    def method(self):\n        pass\n")
+    users = [lib, "k.used()\n"]
+    assert unreferenced_definitions({"lib": lib}, users, {"K.allowed"},
+                                    public_methods) == [
+        ("lib", "K.only_tests"), ("lib", "K.unread")]
+
+
 def test_no_test_only_functions():
     users = [p.read_text() for p in MODULES]
     users += [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
@@ -148,6 +176,19 @@ def test_no_test_only_functions():
     modules = {p.name: p.read_text() for p in MODULES
                if p.name != "standard.py"}
     assert unreferenced_definitions(modules, users, TEST_ONLY_ALLOWED) == []
+
+
+def test_no_test_only_methods():
+    """The same sources as above.  Methods and properties are matched by
+    name, so one whose name another attribute shares counts as
+    referenced."""
+    users = [p.read_text() for p in MODULES]
+    users += [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    users.append((ROOT / "fixtures" / "gen.py").read_text())
+    modules = {p.name: p.read_text() for p in MODULES
+               if p.name != "standard.py"}
+    assert unreferenced_definitions(modules, users, TEST_ONLY_METHODS_ALLOWED,
+                                    public_methods) == []
 
 
 def assigned_literal(source, name):

@@ -316,6 +316,49 @@ def test_shared_fibers_charge_as_copies(case):
                     limit + 1, limit), (X.name, limit)
 
 
+EMPTY_COHERENCE = {
+    ("consttwo", "parallel_pair_cat"): (standard.const_two_diagram,
+                                        standard.parallel_pair_cat, 66),
+    ("inclchain", "parallel_pair_cat"): (standard.inclusion_chain_diagram,
+                                         standard.parallel_pair_cat, 46),
+    ("walkingiso", "parallel_pair_cat"): (standard.walking_iso_diagram,
+                                          standard.parallel_pair_cat, 44),
+    ("diamondchain", "parallel_pair_cat"): (standard.diamond_chain_diagram,
+                                            standard.parallel_pair_cat, 509),
+    ("const_z2", "z2"): (const_z2, z2, 45),
+    ("const_z2", "z2_terminal"): (const_z2, z2_terminal, 55),
+    ("walking_iso_z2", "z2"): (walking_iso_z2, z2, 26),
+    ("walking_iso_z2", "z2_terminal"): (walking_iso_z2, z2_terminal, 33),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMPTY_COHERENCE),
+                         ids="-".join)
+def test_empty_coherence_lists_match_reference(case, monkeypatch):
+    """Leg combinations whose classes agree but whose coherence list is
+    empty: each such combination is ruled out alone, with the oracle's
+    cones, a pinned Budget and the overrun at every limit below it."""
+    diagram, vertex, used = EMPTY_COHERENCE[case]
+    empty = []
+    search = cones.enumerate_nat_trans
+
+    def spied(f, g, budget):
+        found = list(search(f, g, budget))
+        empty.append(not any(map(nat_is_invertible, found)))
+        return found
+
+    monkeypatch.setattr(cones, "enumerate_nat_trans", spied)
+    F, X = diagram(), vertex()
+    budget = Budget()
+    got = enumerate_pseudocones(F, X, budget)
+    assert any(empty)
+    assert _named_keys(got) == _named_keys(oracle.enumerate_pseudocones(F, X))
+    assert budget.used == used
+    for limit in range(used):
+        assert _overrun(F, X, limit) == \
+            "enumeration used %d candidates (budget %d)" % (limit + 1, limit)
+
+
 @pytest.mark.parametrize("case", ENUMERATION_CASES)
 def test_modifications_match_reference(case):
     """Every hom-set of pseudocones: the same list in the same order for

@@ -41,7 +41,7 @@ from .cones import (Pseudocone, check_pseudocone, enumerate_modifications,
 from .errors import (IllFormedCone, IncompleteAssignment, IncompleteDiagram,
                      NameCollision, NotFiltered, NotLiftable)
 from .limits import (Cone, Diagram, LimitAssignment, chosen_limit,
-                     discrete_pair, empty_diagram)
+                     empty_diagram)
 from .twocat import TwoDiagram, check_2filtered
 
 
@@ -659,7 +659,7 @@ def colim_limit_assignment(R: PseudocolimitResult,
     raises IncompleteAssignment before any product is read, and each
     equalizer is (f, f) -> (src f, id).
 
-    For a = (B, y) and b = (B', y'), lift_diagram lifts the discrete pair
+    For a = (B, y) and b = (B', y'), the pair lifts as in lift_diagram:
     to the first apex A in sorted order with 1-cells from both B and B',
     along the first u : B -> A and u' : B' -> A.  That lift depends on
     (B, B') alone, so F(u) and F(u') on objects, A's chosen products and
@@ -683,17 +683,23 @@ def colim_limit_assignment(R: PseudocolimitResult,
     # (B, B') -> F(u), F(u') and lambda_A on objects and A's assignment
     lifts = {}
     products = {}
+    cells, apexes = F.index.cells1.hom, sorted(F.index.objects())
     for a in L.objects:
         B, y = R.obj_info[a]
         for B2, group in groups.items():
             lift = lifts.get((B, B2))
             if lift is None:
-                A, pick, _ = lift_diagram(R, discrete_pair(a, group[0][0]))
+                A = next((A for A in apexes
+                          if cells(B, A) and cells(B2, A)), None)
+                if A is None:
+                    raise NotLiftable("diagram does not lift to a single "
+                                      "fiber")
                 if A not in fiber_limits:
                     raise IncompleteAssignment(
                         "fiber %s has no limit assignment" % A)
                 lift = lifts[B, B2] = (
-                    F.on1[pick["l"]].obj_map, F.on1[pick["r"]].obj_map,
+                    F.on1[cells(B, A)[0]].obj_map,
+                    F.on1[cells(B2, A)[0]].obj_map,
                     fiber_limits[A], R.cone.legs[A].obj_map)
             umap, u2map, lim, lam = lift
             fy = umap[y]

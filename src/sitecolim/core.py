@@ -132,7 +132,8 @@ def validate_category(C: FinCat) -> list[str]:
         if o in seen:
             out.append("duplicate object %s" % o)
         seen.add(o)
-    for m in C.morphisms():
+    mors = C.morphisms()
+    for m in mors:
         if C.mor_src[m] not in seen:
             out.append("morphism %s has unknown source %s" % (m, C.mor_src[m]))
         if C.mor_tgt[m] not in seen:
@@ -154,7 +155,6 @@ def validate_category(C: FinCat) -> list[str]:
                        % (g, f))
     if out:
         return out
-    mors = C.morphisms()
     out_of = {}  # object -> the morphisms leaving it, in `mors` order
     for m in mors:
         out_of.setdefault(C.mor_src[m], []).append(m)
@@ -213,6 +213,14 @@ def once_per_object():
         return memo[key][1]
 
     return once
+
+
+def number_by_identity(table):
+    """Each key of the mapping `table` -> the number of its value: values
+    compared by identity are numbered 0, 1, ... as they first appear.
+    The numbers hold while `table` keeps its values alive."""
+    first = {}  # id of a value -> its number
+    return {k: first.setdefault(id(v), len(first)) for k, v in table.items()}
 
 
 def union_find(items):

@@ -107,35 +107,48 @@ class Environment(dict):
         return v
 
 
-def _tokens(text):
-    for i, raw in enumerate(text.splitlines(), 1):
-        tokens = raw.split("#", 1)[0].split()
-        if tokens:
-            yield i, tokens
-
-
 def parse(text: str, env: Environment | None = None) -> Environment:
-    """Parse a fixture file into (a copy of) the environment."""
+    """Parse a fixture file into (a copy of) the environment.  One pass
+    splits each line, files it under its block and reads its entry: the
+    keyword and the names before its first `:`, `=` or `->`, or the
+    keyword alone.  A block's first repeated entry raises at its turn;
+    object, generator and cover lines may repeat."""
     env = (Environment() if env is None else
            Environment(env, env.violations, env.presheaf_blocks))
-    lines = list(_tokens(text))
-    if not lines or lines[0][1] != HEADER.split():
-        raise FixtureError("missing '%s' header" % HEADER,
-                           lines[0][0] if lines else 1)
-    blocks = []
-    cur = None
-    for ln, toks in lines[1:]:
-        if toks[0].startswith("["):
-            if len(toks) != 2 or toks[1] == "]" or not toks[1].endswith("]"):
+    lines = enumerate(text.splitlines(), 1)  # the header is the first line
+    ln, t = next(((ln, t) for ln, raw in lines  # with a token
+                  if (t := raw.split("#", 1)[0].split())), (1, None))
+    if t != HEADER.split():
+        raise FixtureError("missing '%s' header" % HEADER, ln)
+    blocks = []  # [kind, name, header line, body, first repeat or None]
+    body = None
+    for ln, raw in lines:
+        t = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if not t:
+            continue
+        if t[0][0] == "[":
+            if len(t) != 2 or t[1] == "]" or not t[1].endswith("]"):
                 raise FixtureError("malformed block header", ln)
-            cur = (toks[0][1:], toks[1][:-1], ln, [])
-            blocks.append(cur)
+            body, first = [], {}  # entry -> the line that set it
+            blocks.append([t[0][1:], t[1][:-1], ln, body, None])
+        elif body is None:
+            raise FixtureError("content before first block", ln)
         else:
-            if cur is None:
-                raise FixtureError("content before first block", ln)
-            cur[3].append((ln, toks))
+            body.append((ln, t))
+            if t[0] in {"object", "generator", "cover"}:
+                continue
+            for end, tok in enumerate(t):
+                if tok in {":", "=", "->"}:
+                    break
+            else:
+                end = 1
+            key = " ".join(t[:end])
+            if key not in first:
+                first[key] = ln
+            elif not blocks[-1][4]:  # the block's first repeat is raised
+                blocks[-1][4] = ("%s repeats line %d" % (key, first[key]), ln)
     defined = set()
-    for kind, name, ln, body in blocks:
+    for kind, name, ln, body, repeat in blocks:
         builder = _BUILDERS.get(kind)
         if builder is None:
             raise FixtureError("unknown block kind %s" % kind, ln)
@@ -143,29 +156,10 @@ def parse(text: str, env: Environment | None = None) -> Environment:
             raise FixtureError("block name %s repeated in one file" % name,
                                ln)
         defined.add(name)
-        _check_repeats(body)
+        if repeat:
+            raise FixtureError(*repeat)
         env[name], env.violations[name] = builder(name, ln, body, env)
     return env
-
-
-def _check_repeats(body):
-    """Raise on a line that sets an entry an earlier line of the block set:
-    its keyword and the names before its first `:`, `=` or `->`, or the
-    keyword alone on a line with none of them.  object, generator and
-    cover lines add an entry each and may repeat."""
-    first = {}  # entry -> the line that set it
-    for ln, t in body:
-        if t[0] in {"object", "generator", "cover"}:
-            continue
-        for end, tok in enumerate(t):
-            if tok in {":", "=", "->"}:
-                break
-        else:
-            end = 1
-        key = " ".join(t[:end])
-        if key in first:
-            raise FixtureError("%s repeats line %d" % (key, first[key]), ln)
-        first[key] = ln
 
 
 def _own(messages):

@@ -81,8 +81,9 @@ def is_limiting_cone(C: FinCat, D: Diagram, cone: Cone) -> bool:
     if not is_cone(C, D, cone):
         return False
     if C._thin:
-        return set(C.objects).intersection(
-            *map(C.below, D.nodes.values())) <= C.below(cone.apex)
+        downs = list(map(C.below, D.nodes.values()))
+        return C.below(cone.apex).issuperset(
+            downs.pop().intersection(*downs) if downs else C.objects)
     for w in C.objects:
         for other in enumerate_cones(C, D, w):
             if len(mediators(C, cone, other)) != 1:
@@ -178,12 +179,13 @@ def validate_assignment(A: LimitAssignment) -> list[str]:
         elif C.mor_src[m] != o or C.mor_tgt[m] != A.terminal:
             out.append("tmap at %s has wrong endpoints" % o)
     for (a, b), (p, p1, p2) in A.products.items():
-        what = "chosen product of (%s, %s)" % (a, b)
         bad = _unknown(C, [a, b, p], [p1, p2])
         if bad is not None:
-            out.append("%s names unknown %s" % (what, bad))
+            out.append("chosen product of (%s, %s) names unknown %s"
+                       % (a, b, bad))
         elif not _decided(C, ("p", a, b, p, p1, p2)):
-            out.append("%s is not a product" % what)
+            out.append("chosen product of (%s, %s) is not a product"
+                       % (a, b))
     for (f, g), (e, incl) in A.equalizers.items():
         what = "chosen equalizer of (%s, %s)" % (f, g)
         bad = _unknown(C, [e], [f, g, incl])

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 from operator import eq
 
 from .core import (FinCat, Functor, NatTrans, compose_functors,
-                   identity_functor, identity_nat, once_per_object,
-                   validate_category, validate_functor, validate_nat_trans,
-                   vcomp_nat)
+                   identity_functor, identity_nat, number_by_identity,
+                   once_per_object, validate_category, validate_functor,
+                   validate_nat_trans, vcomp_nat)
 
 
 @dataclass
@@ -100,14 +100,18 @@ def validate_two_cat(A: TwoCat) -> list[str]:
     out = validate_category(horizontal)
     if out:
         return ["horizontal layer: %s" % v for v in out]
-    for b, a in _by_right(A.hcomp):
+    bad = []  # (a, b) for each mislabelled b * a, in table order
+    for b, a in A.hcomp:
         c = A.hcomp[(b, a)]
         if (A.two_src[c] != C.comp[(A.two_src[b], A.two_src[a])]
                 or A.two_tgt[c] != C.comp[(A.two_tgt[b], A.two_tgt[a])]):
-            out.append("horizontal composite %s * %s mislabelled" % (b, a))
-    if out:
-        return out
+            bad.append((a, b))
+    if bad:
+        return ["horizontal composite %s * %s mislabelled" % (b, a)
+                for a, b in sorted(bad)]
     plural = A.vertical._plural
+    if not plural:
+        return out
     for v, u in _by_right([vu for vu, w in C.comp.items()
                            if (w, w) in plural]):
         if A.hcomp[(A.two_id[v], A.two_id[u])] != A.two_id[C.comp[(v, u)]]:
@@ -159,7 +163,7 @@ class TwoDiagram:
 
 def constant_diagram(index: TwoCat, C: FinCat, name=None) -> TwoDiagram:
     """Every 1-cell shares one identity functor, and every 2-cell one
-    identity transformation, as check_two_functor's memo expects."""
+    identity transformation, so check_two_functor decides each law once."""
     one = identity_functor(C)
     cell = identity_nat(one)
     on1 = dict.fromkeys(index.one_cells(), one)
@@ -172,15 +176,17 @@ def check_two_functor(F: TwoDiagram):
     """Strict functoriality at all three levels.  (ok, counterexample).
 
     Each law is decided once per tuple of functor and transformation
-    objects it reads: a diagram read from a fixture shares one functor
-    among many 1-cells and one identity transformation among the identity
-    2-cells over one transition.  With thin fibers only, the 2-cell laws
-    are skipped: both sides are by then transformations between the same
+    objects it reads, numbered by identity, in the order the tuples first
+    appear: a diagram read from a fixture shares one functor among many
+    1-cells and one identity transformation among the identity 2-cells
+    over one transition.  With thin fibers only, the 2-cell laws are
+    skipped: both sides are by then transformations between the same
     functors.  That assumes a valid index (validate_two_cat), which the
     fixture parser checks first and the library constructors build."""
     A = F.index
     C1 = A.cells1
     once = once_per_object()
+    n1, n2 = number_by_identity(F.on1), number_by_identity(F.on2)
 
     def horizontal(gamma, beta, alpha):
         """Whether gamma is the horizontal composite beta * alpha, with
@@ -198,6 +204,7 @@ def check_two_functor(F: TwoDiagram):
     for B in A.objects():
         if B not in F.fibers:
             return False, "no fiber at %s" % B
+    valid = set()  # the numbers of the functors found valid
     for u in A.one_cells():
         f = F.on1.get(u)
         if f is None:
@@ -205,36 +212,51 @@ def check_two_functor(F: TwoDiagram):
         if (f.source != F.fibers[C1.mor_src[u]]
                 or f.target != F.fibers[C1.mor_tgt[u]]):
             return False, "functor at %s has wrong boundary" % u
-        if once(validate_functor, f):
+        if n1[u] not in valid and validate_functor(f):
             return False, "functor at %s is invalid" % u
+        valid.add(n1[u])
     for B in A.objects():
         if not once(eq, F.on1[C1.identities[B]],
                     once(identity_functor, F.fibers[B])):
             return False, "identity 1-cell at %s not sent to identity" % B
-    for (v, u), w in C1.comp.items():
-        if not once(eq, F.on1[w], once(compose_functors, F.on1[v], F.on1[u])):
-            return False, "composition %s . %s not preserved" % (v, u)
+    if vu := _first_broken(C1.comp, n1, F.on1,
+                           lambda w, v, u: w == once(compose_functors, v, u)):
+        return False, "composition %s . %s not preserved" % vu
+    seen = set()  # (g, u, v) by number
     for g in A.two_cells():
         n = F.on2.get(g)
         if n is None:
             return False, "no transformation at %s" % g
         u, v = A.parallel(g)
-        if not (once(eq, n.source, F.on1[u]) and once(eq, n.target, F.on1[v])):
+        if (key := (n2[g], n1[u], n1[v])) in seen:
+            continue
+        seen.add(key)
+        if not (n.source == F.on1[u] and n.target == F.on1[v]):
             return False, "transformation at %s has wrong boundary" % g
-        if once(validate_nat_trans, n):
+        if validate_nat_trans(n):
             return False, "transformation at %s is invalid" % g
     if all(F.fibers[B]._thin for B in A.objects()):
         return True, None
     for u in A.one_cells():
         if not once(eq, F.on2[A.two_id[u]], once(identity_nat, F.on1[u])):
             return False, "identity 2-cell at %s not sent to identity" % u
-    for (h, g), k in A.vcomp.items():
-        if not once(eq, F.on2[k], once(vcomp_nat, F.on2[h], F.on2[g])):
-            return False, "vertical composition %s . %s not preserved" % (h, g)
-    for (b, a), c in A.hcomp.items():
-        if not once(horizontal, F.on2[c], F.on2[b], F.on2[a]):
-            return False, "horizontal composition %s * %s not preserved" % (b, a)
+    if hg := _first_broken(A.vcomp, n2, F.on2,
+                           lambda k, h, g: k == once(vcomp_nat, h, g)):
+        return False, "vertical composition %s . %s not preserved" % hg
+    if ba := _first_broken(A.hcomp, n2, F.on2, horizontal):
+        return False, "horizontal composition %s * %s not preserved" % ba
     return True, None
+
+
+def _first_broken(table, numbers, values, law):
+    """The first key (g, f) of a composition table, h = table[(g, f)],
+    where law(values[h], values[g], values[f]) fails, or None; decided
+    once per distinct triple of numbers, in table order."""
+    first = {}  # (h, g, f) by number -> the first entry with them
+    for gf, h in table.items():
+        first.setdefault((numbers[h], numbers[gf[0]], numbers[gf[1]]), (gf, h))
+    return next((gf for gf, h in first.values()
+                 if not law(values[h], values[gf[0]], values[gf[1]])), None)
 
 
 def check_2filtered(A: TwoCat):

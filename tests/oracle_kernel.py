@@ -22,18 +22,21 @@ rewriting in both directions; the standard categories and
 2-categories are written out table by table; exactness decides each
 image cone against every competing cone at every object of the target;
 and a limit assignment's chosen cones are decided the same way, complete
-or not.
+or not; and the fixture reader tokenizes every line before it files
+the lines under their blocks, and scans each block for a repeated entry
+in a second pass.
 They must keep giving the same functors, transformations,
 verdicts, messages, colimit categories, span classes, verification reports,
 presented categories, standard tables, exactness counterexamples,
-equivalence witnesses and Budget
+equivalence witnesses, fixture environments, fixture errors and Budget
 counts (the verifier: no fewer; the span layer, which compares only the
 spans at a weakly terminal apex: the count test_span_layer.build_budget
 computes) as the library's watch-list kernel, table-level checks, indexed validators, boundary index of 2-cells,
 per-build refinement tables, once-per-hom-set verifier, per-call coherence
 table, one-pass saturation, presentations, the down-set limit test
-that decides every limiting cone in a thin category, and the witness
-search over the functors that preserve hom-set sizes.
+that decides every limiting cone in a thin category, the witness
+search over the functors that preserve hom-set sizes, and the one-pass
+fixture reader.
 The modification enumerator is the library's, frozen so that the reference
 verifier does not run the code it checks; `hcomp_nat`, which only the
 reference 2-functor check uses, and `whisker_functor_nat`, which only the
@@ -44,7 +47,7 @@ import itertools
 import random
 
 from sitecolim import cones as library_cones
-from sitecolim import core
+from sitecolim import core, fixtures
 from sitecolim.colim import (BicolimReport, PseudocolimitResult, Span,
                              colim_finite_limit, factor_cone, identity_span,
                              lift_diagram, obj_name)
@@ -55,8 +58,9 @@ from sitecolim.core import (Budget, FinCat, Functor, NatTrans,
                             identity_nat, nat_is_invertible, union_find,
                             validate_functor, validate_nat_trans, vcomp_nat,
                             whisker_nat_functor)
-from sitecolim.errors import (IncompleteAssignment, NotFiltered, NotLiftable,
-                              SaturationExceeded)
+from sitecolim.errors import (FixtureError, IncompleteAssignment, NotFiltered,
+                              NotLiftable, SaturationExceeded)
+from sitecolim.fixtures import HEADER, Environment
 from sitecolim.limits import (Cone, Diagram, LimitAssignment, discrete_pair,
                               empty_diagram, parallel_pair)
 from sitecolim.sites import check_continuous, site_morphism_violations
@@ -1290,3 +1294,65 @@ def validate_assignment(A):
                                            "r": C.comp[(f, incl)]})):
             out.append("%s is not an equalizer" % what)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the fixture reader in two passes: every line is tokenized first, then
+# each block's lines are scanned for a repeated entry just before the
+# block is built; the block builders are the library's
+
+
+def _tokens(text):
+    for i, raw in enumerate(text.splitlines(), 1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield i, tokens
+
+
+def parse(text, env=None):
+    env = (Environment() if env is None else
+           Environment(env, env.violations, env.presheaf_blocks))
+    lines = list(_tokens(text))
+    if not lines or lines[0][1] != HEADER.split():
+        raise FixtureError("missing '%s' header" % HEADER,
+                           lines[0][0] if lines else 1)
+    blocks = []
+    cur = None
+    for ln, toks in lines[1:]:
+        if toks[0].startswith("["):
+            if len(toks) != 2 or toks[1] == "]" or not toks[1].endswith("]"):
+                raise FixtureError("malformed block header", ln)
+            cur = (toks[0][1:], toks[1][:-1], ln, [])
+            blocks.append(cur)
+        else:
+            if cur is None:
+                raise FixtureError("content before first block", ln)
+            cur[3].append((ln, toks))
+    defined = set()
+    for kind, name, ln, body in blocks:
+        builder = fixtures._BUILDERS.get(kind)
+        if builder is None:
+            raise FixtureError("unknown block kind %s" % kind, ln)
+        if name in defined:
+            raise FixtureError("block name %s repeated in one file" % name,
+                               ln)
+        defined.add(name)
+        _check_repeats(body)
+        env[name], env.violations[name] = builder(name, ln, body, env)
+    return env
+
+
+def _check_repeats(body):
+    first = {}
+    for ln, t in body:
+        if t[0] in {"object", "generator", "cover"}:
+            continue
+        for end, tok in enumerate(t):
+            if tok in {":", "=", "->"}:
+                break
+        else:
+            end = 1
+        key = " ".join(t[:end])
+        if key in first:
+            raise FixtureError("%s repeats line %d" % (key, first[key]), ln)
+        first[key] = ln

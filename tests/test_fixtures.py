@@ -1,4 +1,5 @@
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -6,10 +7,11 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+import oracle_kernel as oracle
 from sitecolim import cli, fixtures
 from sitecolim.cli import main
 from sitecolim.core import Functor, validate_category
-from sitecolim.errors import FixtureError
+from sitecolim.errors import FixtureError, SitecolimError
 from sitecolim.fixtures import (CategoryBlock, DiagramBlock, Environment,
                                 parse, print_category, print_functor,
                                 print_presheaf, print_twocat, render)
@@ -482,3 +484,61 @@ def test_empty_cover_sheaves(fixture_dir, tmp_path):
     for line in ("sheaf pt true", "sheaf none false", "sheaf two false",
                  "counterexample none o\n", "counterexample two o\n"):
         assert line in res.output
+
+
+def _outcome(reader, text):
+    """What `reader` makes of `text`: its error's class and text, or the
+    blocks (with their names) and violations of the environment."""
+    try:
+        env = reader(text)
+    except SitecolimError as e:
+        return type(e).__name__, str(e), getattr(e, "line", None)
+    return repr(dict(env)), env.violations, env.presheaf_blocks.keys()
+
+
+def _mutations(text, seed, per_kind=12):
+    """Copies of `text` with one line changed: blanked, duplicated, two of
+    its tokens swapped, a token of the file inserted into it, or one of
+    its tokens deleted."""
+    rng = random.Random(seed)
+    lines = text.splitlines()
+    vocab = sorted({tok for line in lines for tok in line.split()}
+                   | {"#", "[", "]", "[x", "y]"})
+    for _ in range(per_kind):
+        for kind in ("blank", "duplicate", "swap", "insert", "delete"):
+            i = rng.randrange(len(lines))
+            toks = lines[i].split()
+            if kind == "blank":
+                new = [""]
+            elif kind == "duplicate":
+                new = [lines[i], lines[i]]
+            elif kind == "swap" and len(toks) > 1:
+                a, b = rng.sample(range(len(toks)), 2)
+                toks[a], toks[b] = toks[b], toks[a]
+                new = [" ".join(toks)]
+            elif kind == "insert":
+                toks.insert(rng.randrange(len(toks) + 1), rng.choice(vocab))
+                new = [" ".join(toks)]
+            elif kind == "delete" and toks:
+                del toks[rng.randrange(len(toks))]
+                new = [" ".join(toks)]
+            else:
+                continue
+            yield "\n".join(lines[:i] + new + lines[i + 1:]) + "\n"
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_one_pass_reader_matches_two_pass_reader(fixture_dir, name):
+    """parse, which splits each line once and reads its entry in the same
+    pass, raises the same error at the same line as the two-pass reader,
+    or gives the same blocks and violations, on every corpus fixture,
+    the fixture with its last block's lines repeated (every entry of that
+    block repeats; the first repeat is the one raised) and seeded
+    one-line mutations of it."""
+    text = (fixture_dir / name).read_text()
+    seed = ALL_FIXTURES.index(name)
+    last_body = text.rstrip("\n").rsplit("\n[", 1)[1].split("\n", 1)[1]
+    for mutated in [text, text + last_body + "\n",
+                    *_mutations(text, seed)]:
+        assert (_outcome(parse, mutated)
+                == _outcome(oracle.parse, mutated)), mutated

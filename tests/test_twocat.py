@@ -158,6 +158,95 @@ def test_constant_diagram_shares_its_identities(monkeypatch):
     assert check_two_functor(dia) == oracle.check_two_functor(dia)
 
 
+def chain9_swap_text():
+    """Diamond fibers over chain9, the 1-cell i -> j sent to the a <-> b
+    swap when j - i is odd and to the named identity when it is even and
+    positive; the parser fills in the identity 1-cells and 2-cells."""
+    index = two_cat_from_cat(standard.chain_cat(9), "chain9")
+    C1 = index.cells1
+    D = standard.diamond()
+    ident = identity_functor(D)
+    ident.name = "ident"
+    step = {u: int(C1.mor_tgt[u]) - int(C1.mor_src[u])
+            for u in index.one_cells()}
+    return render([
+        print_twocat(index), print_category(CategoryBlock(D)),
+        print_functor(standard.diamond_swap()), print_functor(ident),
+        ["[diagram swap9]", "index chain9"]
+        + ["fiber %s = diamond" % A for A in index.objects()]
+        + ["transition %s = %s" % (u, "swap" if n % 2 else "ident")
+           for u, n in step.items() if n]])
+
+
+def _compose_calls(monkeypatch):
+    calls = []
+    real = twocat.compose_functors
+
+    def counted(*args):
+        calls.append(tuple(map(id, args)))
+        return real(*args)
+
+    monkeypatch.setattr(twocat, "compose_functors", counted)
+    return calls
+
+
+def test_swap_diagram_composes_each_distinct_pair_once(monkeypatch):
+    """The parsed swap diagram over chain9 holds three functors (swap, the
+    named identity and the parser's identity), so the 165 composition
+    entries read few distinct pairs, and check_two_functor composes each
+    pair once."""
+    dia = parse(chain9_swap_text())["swap9"].diagram
+    pairs = {(id(dia.on1[v]), id(dia.on1[u]))
+             for v, u in dia.index.cells1.comp}
+    calls = _compose_calls(monkeypatch)
+    assert check_two_functor(dia) == (True, None)
+    assert sorted(calls) == sorted(pairs)
+    assert len(dia.index.cells1.comp) == 165 and len(calls) < 10
+    assert check_two_functor(dia) == oracle.check_two_functor(dia)
+
+
+def _swap_chain3(on1_0_2):
+    """The swap diagram over chain3 with `on1_0_2` at 0_2, its composition
+    table ordered so that the entry 1_2 . 0_1 comes last."""
+    dia = standard.swap_chain_diagram()
+    comp = dia.index.cells1.comp
+    last = comp.pop(("1_2", "0_1"))
+    comp[("1_2", "0_1")] = last
+    dia.on1["0_2"] = on1_0_2(dia)
+    return dia
+
+
+def test_broken_last_composite_is_reported():
+    """Sending 0_2 to the swap breaks 1_2 . 0_1 alone, since swap . swap
+    is the identity; as the last entry of the table it is still found and
+    named."""
+    dia = _swap_chain3(lambda d: d.on1["0_1"])
+    assert list(dia.index.cells1.comp)[-1] == ("1_2", "0_1")
+    want = (False, "composition 1_2 . 0_1 not preserved")
+    assert check_two_functor(dia) == oracle.check_two_functor(dia) == want
+    dia = _swap_chain3(lambda d: d.on1["id_0"])
+    assert check_two_functor(dia) == (True, None)
+
+
+def test_shared_functor_boundary_checked_per_one_cell():
+    """The swap at 0_1 and 1_2, one functor object, over fiber two at 2:
+    it fits the boundary of 0_1 but not that of 1_2, and the second
+    boundary is still checked, after 0_2 (sent to a functor into two)
+    passes."""
+    dia = standard.swap_chain_diagram()
+    D, T = dia.fibers["0"], standard.two()
+    dia.fibers["2"] = T
+    assert dia.on1["0_1"] is dia.on1["1_2"]
+    want = (False, "functor at 0_2 has wrong boundary")
+    assert check_two_functor(dia) == oracle.check_two_functor(dia) == want
+    ob = {"bot": "0", "a": "0", "b": "0", "top": "1"}
+    dia.on1["0_2"] = Functor("collapse", D, T, ob, {
+        m: T.hom(ob[D.mor_src[m]], ob[D.mor_tgt[m]])[0]
+        for m in D.morphisms()})
+    want = (False, "functor at 1_2 has wrong boundary")
+    assert check_two_functor(dia) == oracle.check_two_functor(dia) == want
+
+
 def test_broken_diagram_detected(consttwo, two_cat):
     dia = constant_diagram(standard.chain3_twocat(), two_cat, "broken")
     from sitecolim.core import Functor

@@ -15,8 +15,9 @@ are three sweeps:
 - after the first line of each kind, an inserted copy whose first name is
   `zz`: an entry at a name its block lacks, which `validate` must reject.
 
-An edited `one.cat`, `two.cat` or `diamond.cat` is also read as the
-`--vertex` of `verify-bicolim` and `verify-site`.  For every run:
+An edited `one.cat`, `two.cat`, `diamond.cat` or `z2.cat` is also read
+as the `--vertex` of `verify-bicolim` and `verify-site`.  No command but
+`validate` reads a `.cone` file.  For every run:
 
 - no exception other than `SystemExit` escapes the command;
 - the exit code is one of 0 pass, 1 verified failure, 2 input error,
@@ -46,7 +47,7 @@ FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 DIAGRAM_COMMANDS = [["colim"], ["site-colim"], ["restrict"],
                     ["verify-bicolim", "--vertex", "one.cat"],
                     ["verify-site", "--vertex", "one.cat"]]
-COMMANDS = {".cat": [], ".2cat": [], ".diag": DIAGRAM_COMMANDS,
+COMMANDS = {".cat": [], ".2cat": [], ".cone": [], ".diag": DIAGRAM_COMMANDS,
             ".pre": [["sheaf-check"]]}
 
 # The constant diagram of sites on `one` over chain3, read together with
@@ -172,7 +173,7 @@ def sweep(name, mutations, tmp_path, commands, rejected=False):
 
 FIXTURES = sorted(p.name for p in FIXTURE_DIR.iterdir()
                   if p.suffix in COMMANDS)
-VERTICES = ["one.cat", "two.cat", "diamond.cat"]
+VERTICES = ["one.cat", "two.cat", "diamond.cat", "z2.cat"]
 
 
 def commands_for(name):

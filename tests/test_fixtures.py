@@ -17,11 +17,15 @@ from sitecolim.fixtures import (CategoryBlock, DiagramBlock, Environment,
                                 print_presheaf, print_twocat, render)
 from sitecolim.sites import Presheaf, check_sheaf
 from sitecolim.twocat import TwoCat, check_two_functor
+from strategies import z2_idempotent_twocat
+from test_kernel import z2
 
 ALL_FIXTURES = ["one.cat", "two.cat", "chaotic.cat", "diamond.cat",
                 "chain3.2cat", "consttwo.diag", "inclchain.diag",
                 "swapchain.diag", "walkingiso.diag", "notfiltered.diag",
-                "covereddiamond.diag", "sheaves.pre", "nonsheaf.pre"]
+                "covereddiamond.diag", "sheaves.pre", "nonsheaf.pre",
+                "z2.cat", "finset2.cat", "constz2.diag", "flipcone.cone",
+                "consttwoop.diag", "z2idem.diag"]
 
 
 def print_environment(env: Environment) -> str:
@@ -73,6 +77,24 @@ def test_corpus_cell_lines(fixture_dir):
     dia = env["walkingiso"].diagram
     assert dia.on2["g"] is env["ididtwo"] is dia.on2["ginv"]
     assert sorted(dia.on2) == sorted(dia.index.two_cells())
+
+
+def test_non_thin_corpus_is_the_tests_structures(fixture_dir):
+    """z2.cat holds test_kernel's z2 and z2idem.diag's index is
+    strategies' z2_idempotent_twocat, table for table; finset2.cat has
+    a plural hom-set, an equalizer for each of its 25 parallel pairs and
+    no products."""
+    assert parse((fixture_dir / "z2.cat").read_text())["z2"].cat == z2()
+    got = parse((fixture_dir / "z2idem.diag").read_text())["z2_idempotent"]
+    want = z2_idempotent_twocat("z", "a")
+    assert got.name == want.name
+    for table in ("objects", "mor_src", "mor_tgt", "identities", "comp"):
+        assert getattr(got.cells1, table) == getattr(want.cells1, table)
+    for table in ("two_src", "two_tgt", "two_id", "vcomp", "hcomp"):
+        assert getattr(got, table) == getattr(want, table)
+    block = parse((fixture_dir / "finset2.cat").read_text())["finset2"]
+    assert len(block.cat.hom("2", "2")) == 4
+    assert len(block.limits.equalizers) == 25 and block.limits.products == {}
 
 
 def test_missing_header():

@@ -87,6 +87,26 @@ CASES = {
     "budget-verify-bicolim-consttwo-diamond-modifications": (
         ["--budget", "1194"],
         ["verify-bicolim", "consttwo.diag", "--vertex", "diamond.cat"], 3),
+    # the non-thin corpus: z2 has an automorphism, finset2 a plural
+    # hom-set under every equalizer, and z2idem's index an endomorphism of
+    # its weakly terminal object and an invertible 2-cell
+    "validate-z2": ([], ["validate", "z2.cat"], 0),
+    "validate-finset2": ([], ["validate", "finset2.cat"], 0),
+    "validate-constz2": ([], ["validate", "constz2.diag"], 0),
+    "validate-flipcone": ([], ["validate", "flipcone.cone"], 0),
+    "validate-consttwoop": ([], ["validate", "consttwoop.diag"], 0),
+    "validate-z2idem": ([], ["validate", "z2idem.diag"], 0),
+    "validate-walkingiso": ([], ["validate", "walkingiso.diag"], 0),
+    "colim-constz2": ([], ["colim", "constz2.diag"], 0),
+    "colim-z2idem": ([], ["colim", "z2idem.diag"], 0),
+    "seed-colim-constz2": (["--seed", "3"], ["colim", "constz2.diag"], 0),
+    "verify-bicolim-constz2-z2": (
+        [], ["verify-bicolim", "constz2.diag", "--vertex", "z2.cat"], 0),
+    # the quotient charges 47 candidates and the composition table 108,
+    # every block of it holding two classes: the budget runs out inside
+    # the refinement search
+    "budget-colim-constz2-refinement": (
+        ["--budget", "100"], ["colim", "constz2.diag"], 3),
 }
 
 

@@ -173,12 +173,11 @@ def validate_category(C: FinCat) -> list[str]:
                 out.append("missing composite %s . %s" % (g, f))
             elif not composable and h is not None:
                 out.append("spurious composite %s . %s" % (g, f))
-            elif h is not None:
-                if h not in C.mor_src:
-                    out.append("composite %s . %s = %s is not a morphism" % (g, f, h))
-                elif (C.mor_src[h] != C.mor_src[f]
-                      or C.mor_tgt[h] != C.mor_tgt[g]):
-                    out.append("composite %s . %s = %s has wrong endpoints" % (g, f, h))
+            elif h not in C.mor_src:
+                out.append("composite %s . %s = %s is not a morphism" % (g, f, h))
+            elif (C.mor_src[h] != C.mor_src[f]
+                  or C.mor_tgt[h] != C.mor_tgt[g]):
+                out.append("composite %s . %s = %s has wrong endpoints" % (g, f, h))
     if out:
         return out
     for f in sorted(f for ends in C._plural for f in C._hom[ends]):

@@ -45,10 +45,6 @@ class NonInvertibleComponent(SitecolimError):
     """A component required to be invertible is not."""
 
 
-class ClosureViolation(SitecolimError):
-    """A subcategory family is not closed under the required operations."""
-
-
 class FixtureError(SitecolimError):
     """A fixture file is malformed or references an unknown name."""
 

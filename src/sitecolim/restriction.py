@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import FinCat, Functor, NatTrans, once_per_object
-from .errors import ClosureViolation
 from .limits import LimitAssignment, check_exact
 from .twocat import TwoDiagram
 
@@ -101,10 +100,6 @@ class RestrictionResult:
 
 
 def _restrict_functor(F: Functor, sub_src: FinCat, sub_tgt: FinCat) -> Functor:
-    for o in sub_src.objects:
-        if F.obj_map[o] not in sub_tgt.objects:
-            raise ClosureViolation("functor %s leaves the subcategory at %s"
-                                   % (F.name, o))
     return Functor("%s|" % F.name, sub_src, sub_tgt,
                    {o: F.obj_map[o] for o in sub_src.objects},
                    {m: F.mor_map[m] for m in sub_src.morphisms()})

@@ -122,12 +122,6 @@ def point_twocat() -> TwoCat:
     return two_cat_from_cat(one(), "point")
 
 
-def parallel_pair_cat() -> FinCat:
-    """Two objects with two parallel non-identity arrows (not filtered)."""
-    pres = Presentation(("s", "t"), (("f", "s", "t"), ("g", "s", "t")))
-    return build_category(pres, 1, "parallel_pair")
-
-
 def discrete_pair_twocat() -> TwoCat:
     return two_cat_from_cat(
         build_category(Presentation(("x", "y"), ()), 1, "discrete_pair"))

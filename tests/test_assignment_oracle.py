@@ -29,9 +29,10 @@ from test_kernel import z2
 from test_limits import _with, split_idempotent
 
 
-def corpus_assignments():
+def corpus_assignments(complete=True):
     """(file:category, assignment) for every distinct limit assignment a
-    corpus file gives a category or a fiber."""
+    corpus file gives a category or a fiber, complete or (`complete`
+    False) partial."""
     out = {}
     for path in sorted(FIXTURE_DIR.iterdir()):
         if path.suffix not in (".cat", ".diag", ".pre", ".2cat"):
@@ -41,7 +42,8 @@ def corpus_assignments():
                       else list(v.fiber_blocks.values())
                       if isinstance(v, DiagramBlock) else [])
             for b in blocks:
-                if b.limits is not None:
+                if (b.limits is not None
+                        and b.limits.is_complete() == complete):
                     out.setdefault(id(b.limits), (
                         "%s:%s" % (path.name, b.cat.name), b.limits))
     return list(out.values())
@@ -71,6 +73,15 @@ def _agree(A):
                          ids=[label for label, _ in NAMED])
 def test_named_assignments_match_reference(A):
     assert A.is_complete()
+    assert _agree(A) == []
+
+
+@pytest.mark.parametrize("A", [A for _, A in corpus_assignments(False)],
+                         ids=[label for label, _ in corpus_assignments(False)])
+def test_partial_corpus_assignments_match_reference(A):
+    """finset2.cat chooses its terminal and its equalizers, but no product:
+    2 x 2 is not among its objects."""
+    assert not A.is_complete()
     assert _agree(A) == []
 
 
@@ -200,7 +211,7 @@ def covereddiamond_colimit():
 
 
 THIN = POSETS + [covereddiamond_colimit()]
-NOT_THIN = [z2(), standard.parallel_pair_cat(), split_idempotent()]
+NOT_THIN = [z2(), oracle.parallel_pair_cat(), split_idempotent()]
 
 
 def small_diagrams(C):

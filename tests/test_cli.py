@@ -292,6 +292,20 @@ def test_restrict(runner, fixture_dir):
     assert "objects 0 a b bot top" in res.output
 
 
+def test_restrict_without_generator_sets_exits_two(runner, fixture_dir,
+                                                  tmp_path):
+    """Every fiber of covereddiamond.diag has its limits: with its
+    `generators` lines gone, the generator sets are what restrict lacks."""
+    lines = (fixture_dir / "covereddiamond.diag").read_text().splitlines(
+        keepends=True)
+    path = tmp_path / "nogenerators.diag"
+    path.write_text("".join(line for line in lines
+                            if not line.startswith("generators ")))
+    res = run(runner, fixture_dir, "restrict", str(path))
+    assert res.exit_code == 2, res.output
+    assert "error diagram has no generator sets\n" in res.output
+
+
 def test_sheaf_check_pass_and_fail(runner, fixture_dir):
     res = run(runner, fixture_dir, "sheaf-check", "sheaves.pre")
     assert res.exit_code == 0

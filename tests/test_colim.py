@@ -9,14 +9,15 @@ from sitecolim.colim import (build_pseudocolimit, colim_finite_limit,
                              colim_limit_assignment, factor_cone,
                              lift_diagram, obj_name, recompose,
                              reindex_iso, verify_bicolimit)
-from sitecolim.cones import enumerate_modifications, enumerate_pseudocones
+from sitecolim.cones import (Pseudocone, enumerate_modifications,
+                             enumerate_pseudocones)
 from sitecolim.core import (Budget, NatTrans, Presentation, build_category,
                             enumerate_nat_trans, equivalence_witness,
                             validate_category, validate_functor,
                             validate_nat_trans)
-from sitecolim.errors import (BudgetExceeded, IncompleteAssignment,
-                              IncompleteDiagram, NameCollision, NotFiltered,
-                              SitecolimError)
+from sitecolim.errors import (BudgetExceeded, IllFormedCone,
+                              IncompleteAssignment, IncompleteDiagram,
+                              NameCollision, NotFiltered, SitecolimError)
 from sitecolim.fixtures import DiagramBlock, parse
 from sitecolim.limits import (Diagram, LimitAssignment, check_exact,
                               discrete_pair, empty_diagram, is_limiting_cone,
@@ -117,6 +118,14 @@ def test_factor_cone_strict_triangle(consttwo_colim, two_cat):
         assert validate_functor(ell) == []
         back = postcompose_cone(consttwo_colim.cone, ell)
         assert back.key() == h.key()
+
+
+def test_factor_cone_refuses_a_non_pseudocone(consttwo_colim, two_cat):
+    h = enumerate_pseudocones(consttwo_colim.diagram, two_cat)[0]
+    legs = {A: leg for A, leg in h.legs.items() if A != "0"}
+    broken = Pseudocone("broken", h.diagram, h.vertex, legs, h.coherence)
+    with pytest.raises(IllFormedCone, match="leg at 0"):
+        factor_cone(consttwo_colim, broken)
 
 
 def test_factor_cell_unique(consttwo_colim, two_cat):

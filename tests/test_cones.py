@@ -150,6 +150,18 @@ def test_conjugate_rejects_noninvertible(consttwo, two_cat):
         conjugate(const0, phi)
 
 
+def test_conjugate_rejects_a_component_off_the_leg(consttwo, two_cat):
+    cones = enumerate_pseudocones(consttwo, two_cat)
+    const0 = next(c for c in cones
+                  if set(c.legs["0"].obj_map.values()) == {"0"})
+    ident = next(c for c in cones
+                 if c.legs["0"].obj_map == {"0": "0", "1": "1"})
+    phi = {A: identity_nat(ident.legs[A]) for A in const0.legs}
+    with pytest.raises(ValueError, match="component at 0 does not start "
+                                         "at the leg"):
+        conjugate(const0, phi)
+
+
 def test_conjugate_is_unique_coherence(consttwo):
     """Brute force: the conjugated coherence is the only one making phi a
     modification."""

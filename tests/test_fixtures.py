@@ -222,6 +222,19 @@ def test_cone_block_without_a_leg(fixture_dir, tmp_path):
     assert "violation c leg at 0 missing or mislabelled" in res.output
 
 
+def test_unknown_cone_line_is_refused(fixture_dir):
+    text = (fixture_dir / "consttwo.diag").read_text() + _cone("012")
+    with pytest.raises(FixtureError, match="unknown cone line apex"):
+        parse(text + "apex two\n")
+
+
+def test_index_naming_a_category_is_refused(fixture_dir):
+    text = (fixture_dir / "consttwo.diag").read_text()
+    with pytest.raises(FixtureError,
+                       match="two is a CategoryBlock, not one of TwoCat"):
+        parse(text.replace("index chain3\n", "index two\n"))
+
+
 def test_cone_block_over_a_broken_diagram(fixture_dir):
     text = (fixture_dir / "consttwo.diag").read_text()
     env = parse(text.replace("comp a . id_0 = a\n", "") + _cone("012"))

@@ -50,14 +50,14 @@ def _with_oracle(monkeypatch, name, reference, seen):
 # (diagram, vertex, equations some candidate cone violates)
 CONE_CASES = [
     (standard.const_two_diagram, z2, {"pc1"}),
-    (standard.const_two_diagram, standard.parallel_pair_cat, set()),
+    (standard.const_two_diagram, oracle.parallel_pair_cat, set()),
     (standard.const_two_diagram, standard.two, set()),
     (standard.inclusion_chain_diagram, z2, {"pc1"}),
     (standard.inclusion_chain_diagram, standard.chaotic_pair, set()),
     (standard.swap_chain_diagram, standard.two, set()),
-    (standard.swap_chain_diagram, standard.parallel_pair_cat, set()),
+    (standard.swap_chain_diagram, oracle.parallel_pair_cat, set()),
     (standard.walking_iso_diagram, z2, {"pc2"}),
-    (standard.walking_iso_diagram, standard.parallel_pair_cat, set()),
+    (standard.walking_iso_diagram, oracle.parallel_pair_cat, set()),
 ]
 
 
@@ -170,7 +170,7 @@ class _CountedTable(dict):
 
 @pytest.mark.parametrize("target, thin", [
     (standard.diamond, True), (standard.two, True),
-    (standard.chaotic_pair, True), (standard.parallel_pair_cat, False),
+    (standard.chaotic_pair, True), (oracle.parallel_pair_cat, False),
     (z2, False)])
 @pytest.mark.parametrize("source", [standard.diamond(), standard.chain_cat(3)],
                          ids=["diamond", "chain3"])
@@ -225,7 +225,7 @@ def _with_table(C, comp):
 @pytest.mark.parametrize("make", [
     standard.one, standard.two, standard.diamond, standard.chaotic_pair,
     lambda: standard.chain_cat(5), z2, split_idempotent,
-    standard.parallel_pair_cat],
+    oracle.parallel_pair_cat],
     ids=["one", "two", "diamond", "chaotic_pair", "chain5", "z2",
          "split_idempotent", "parallel_pair"])
 def test_laws_read_the_table_only_in_plural_hom_sets(make):
@@ -317,7 +317,7 @@ class _ReadLog(_CountedTable):
 
 @pytest.mark.parametrize("make", [
     standard.diamond, lambda: standard.chain_cat(4), standard.chaotic_pair,
-    z2, split_idempotent, standard.parallel_pair_cat],
+    z2, split_idempotent, oracle.parallel_pair_cat],
     ids=["diamond", "chain4", "chaotic_pair", "z2", "split_idempotent",
          "parallel_pair"])
 def test_full_faithfulness_reads_only_plural_hom_sets(make):

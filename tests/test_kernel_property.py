@@ -24,7 +24,7 @@ from test_kernel import walking_iso_flip, z2  # noqa: E402
 from test_twocat import walking_two_cell, z2_loop_twocat  # noqa: E402
 
 NAMED = [standard.one(), standard.two(), standard.chaotic_pair(),
-         standard.diamond(), standard.parallel_pair_cat(),
+         standard.diamond(), oracle.parallel_pair_cat(),
          standard.chain_cat(3)]
 
 
@@ -81,7 +81,7 @@ def test_nat_trans_match_reference(C, D, data):
 # chaotic_pair (every nonempty hom-set a singleton, though not a poset),
 # and parallel_pair and z2, which have parallel morphisms
 thin_or_not = st.one_of(posets(), st.sampled_from(
-    [standard.chaotic_pair(), standard.parallel_pair_cat(), z2()]))
+    [standard.chaotic_pair(), oracle.parallel_pair_cat(), z2()]))
 
 
 def _overrun(run, limit):

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+import oracle_kernel as oracle
 from sitecolim import limits, standard
 from sitecolim.core import (Functor, Presentation, build_category,
                             identity_functor)
@@ -144,7 +145,7 @@ def test_complete_assignment_on_a_non_thin_category(monkeypatch):
 
 
 def test_equalizer_that_does_not_equalize():
-    P = standard.parallel_pair_cat()
+    P = oracle.parallel_pair_cat()
     bad = LimitAssignment(P, equalizers={("f", "g"): ("s", "id_s")})
     assert validate_assignment(bad) == [
         "chosen equalizer of (f, g) does not equalize"]

@@ -86,7 +86,7 @@ def test_build_category_matches_reference(drawn, bound):
 
 
 @pytest.mark.parametrize("name", [
-    "one", "two", "chaotic_pair", "diamond", "parallel_pair_cat",
+    "one", "two", "chaotic_pair", "diamond",
     "discrete_pair_twocat", "walking_iso_twocat"])
 def test_standard_constructor_matches_reference(name):
     got, want = getattr(standard, name)(), getattr(oracle, name)()

@@ -4,7 +4,7 @@ from sitecolim import restriction, sites, standard
 from sitecolim.cones import Pseudocone
 from sitecolim.core import (Functor, NatTrans, compose_functors,
                             identity_functor, identity_nat)
-from sitecolim.errors import ClosureViolation
+from sitecolim.errors import SitecolimError
 from sitecolim.restriction import AmbientDiagram
 from sitecolim.sites import (Presheaf, Site, SiteDiagram, build_colim_site,
                              check_continuous, check_sheaf, family_is_cover,
@@ -12,6 +12,10 @@ from sitecolim.sites import (Presheaf, Site, SiteDiagram, build_colim_site,
                              validate_presheaf, validate_site,
                              verify_site_pseudocolimit)
 from sitecolim.twocat import TwoDiagram, check_two_functor
+
+
+class ClosureViolation(SitecolimError):
+    """A subcategory family is not closed under the required operations."""
 
 
 def restrict_pseudocone(h, inclusions, restricted):
@@ -132,6 +136,16 @@ def test_site_at_a_name_the_index_lacks_is_named(diamondchain, diamond_limits):
     S = trivial_site(diamond_limits.cat, diamond_limits)
     D = SiteDiagram(diamondchain, {A: S for A in ("0", "1", "2", "zz")})
     assert D.validate() == ["site zz: zz is not an index object"]
+
+
+def test_site_on_another_category_is_named(diamondchain, covered_diamond):
+    """A fiber whose site is over another category, or that has none, is
+    reported before any build could read it."""
+    one = standard.one()
+    S = trivial_site(one, standard.poset_limits(one, lambda x, y: x == y))
+    D = SiteDiagram(diamondchain, {"0": covered_diamond, "1": S})
+    assert D.validate() == ["fiber 1 has no matching site",
+                            "fiber 2 has no matching site"]
 
 
 def _cbot_chain3(diamond):

@@ -283,7 +283,7 @@ def test_discrete_pair_fails_f1():
 
 
 def test_parallel_pair_fails_f2():
-    A = two_cat_from_cat(standard.parallel_pair_cat())
+    A = two_cat_from_cat(oracle.parallel_pair_cat())
     ok, datum = check_2filtered(A)
     assert not ok
     assert datum[0] == "F2"
@@ -291,7 +291,7 @@ def test_parallel_pair_fails_f2():
 
 def test_classical_filtered_agrees():
     assert classical_filtered(standard.chain_cat(3))
-    assert not classical_filtered(standard.parallel_pair_cat())
+    assert not classical_filtered(oracle.parallel_pair_cat())
     # for 1-categories with identity 2-cells, both notions agree
     for C in (standard.one(), standard.chain_cat(2), standard.chaotic_pair()):
         ok, _ = check_2filtered(two_cat_from_cat(C))
@@ -336,7 +336,7 @@ def test_validate_refuses_broken_horizontal_unit_law(tmp_path):
 def walking_two_cell():
     """The parallel pair f, g : s -> t with one non-invertible 2-cell
     theta : f => g, so F2 fails although a 2-cell joins f and g."""
-    A = two_cat_from_cat(standard.parallel_pair_cat(), "walking_two_cell")
+    A = two_cat_from_cat(oracle.parallel_pair_cat(), "walking_two_cell")
     two_src = dict(A.two_src, theta="f")
     two_tgt = dict(A.two_tgt, theta="g")
     vcomp, hcomp = dict(A.vcomp), dict(A.hcomp)
@@ -365,7 +365,7 @@ STANDARD_TWO_CATS = [
     two_cat_from_cat(standard.one()), two_cat_from_cat(standard.two()),
     two_cat_from_cat(standard.chaotic_pair()),
     two_cat_from_cat(standard.diamond()),
-    two_cat_from_cat(standard.parallel_pair_cat()),
+    two_cat_from_cat(oracle.parallel_pair_cat()),
     two_cat_from_cat(standard.chain_cat(5)),
     z2_loop_twocat(), walking_two_cell()]
 ALL_TWO_CATS = STANDARD_TWO_CATS + corpus_indices()

@@ -259,7 +259,7 @@ def test_pseudocones_match_reference(case):
 def test_pseudocones_match_reference_on_random_diagrams(F):
     """Vertices thin and not, chaotic_pair's two objects isomorphic."""
     for vertex in (standard.one, standard.two, z2, z2_terminal,
-                   standard.parallel_pair_cat, standard.chaotic_pair):
+                   oracle.parallel_pair_cat, standard.chaotic_pair):
         X = vertex()
         got_budget, want_budget = Budget(), Budget()
         got = enumerate_pseudocones(F, X, got_budget)
@@ -318,13 +318,13 @@ def test_shared_fibers_charge_as_copies(case):
 
 EMPTY_COHERENCE = {
     ("consttwo", "parallel_pair_cat"): (standard.const_two_diagram,
-                                        standard.parallel_pair_cat, 66),
+                                        oracle.parallel_pair_cat, 66),
     ("inclchain", "parallel_pair_cat"): (standard.inclusion_chain_diagram,
-                                         standard.parallel_pair_cat, 46),
+                                         oracle.parallel_pair_cat, 46),
     ("walkingiso", "parallel_pair_cat"): (standard.walking_iso_diagram,
-                                          standard.parallel_pair_cat, 44),
+                                          oracle.parallel_pair_cat, 44),
     ("diamondchain", "parallel_pair_cat"): (standard.diamond_chain_diagram,
-                                            standard.parallel_pair_cat, 509),
+                                            oracle.parallel_pair_cat, 509),
     ("const_z2", "z2"): (const_z2, z2, 45),
     ("const_z2", "z2_terminal"): (const_z2, z2_terminal, 55),
     ("walking_iso_z2", "z2"): (walking_iso_z2, z2, 26),

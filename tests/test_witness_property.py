@@ -14,7 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import oracle_kernel as oracle  # noqa: E402
-from sitecolim import core, standard  # noqa: E402
+from sitecolim import core  # noqa: E402
 from sitecolim.core import (FinCat, enumerate_functors,  # noqa: E402
                             equivalence_witness)
 from strategies import fibers  # noqa: E402
@@ -27,7 +27,7 @@ def named(C, name):
 
 def categories(name):
     return st.one_of(fibers(name), st.builds(
-        lambda: named(standard.parallel_pair_cat(), name)))
+        lambda: named(oracle.parallel_pair_cat(), name)))
 
 
 @st.composite

@@ -76,8 +76,11 @@ def test_named_assignments_match_reference(A):
     assert _agree(A) == []
 
 
-@pytest.mark.parametrize("A", [A for _, A in corpus_assignments(False)],
-                         ids=[label for label, _ in corpus_assignments(False)])
+PARTIAL = corpus_assignments(complete=False)
+
+
+@pytest.mark.parametrize("A", [A for _, A in PARTIAL],
+                         ids=[label for label, _ in PARTIAL])
 def test_partial_corpus_assignments_match_reference(A):
     """finset2.cat chooses its terminal and its equalizers, but no product:
     2 x 2 is not among its objects."""

@@ -162,6 +162,17 @@ Z2 = FinCat("z2", ("*",), {"e": "*", "s": "*"}, {"e": "*", "s": "*"},
             {"*": "e"}, {("e", "e"): "e", ("e", "s"): "s", ("s", "e"): "s",
                          ("s", "s"): "e"})
 
+# z2 at x, and an object o that receives one morphism m from x: its hom
+# blocks x -> o and o -> o hold one morphism and x -> x two
+Z2_TERMINAL = FinCat(
+    "z2_terminal", ("x", "o"),
+    {"id_x": "x", "s": "x", "m": "x", "id_o": "o"},
+    {"id_x": "x", "s": "x", "m": "o", "id_o": "o"},
+    {"x": "id_x", "o": "id_o"},
+    {("id_x", "id_x"): "id_x", ("s", "id_x"): "s", ("id_x", "s"): "s",
+     ("s", "s"): "id_x", ("m", "id_x"): "m", ("m", "s"): "m",
+     ("id_o", "m"): "m", ("id_o", "id_o"): "id_o"})
+
 
 def finset_le2():
     """FinSet restricted to the sets 0, 1 and 2, with the terminal 1 and
@@ -226,6 +237,17 @@ CONSTZ2 = [
                 [("0_1", "idz2"), ("1_2", "idz2"), ("0_2", "idz2")]),
 ]
 write("constz2.diag", CONSTZ2)
+
+# the constant z2_terminal over chain3: one composition table holds
+# entries of one-class and of two-class hom blocks
+write("constz2t.diag", [
+    print_twocat(CHAIN3),
+    print_category(CategoryBlock(Z2_TERMINAL)),
+    ident_functor_block("idz2t", Z2_TERMINAL),
+    chain3_diag("constz2t", [("0", "z2_terminal"), ("1", "z2_terminal"),
+                             ("2", "z2_terminal")],
+                [("0_1", "idz2t"), ("1_2", "idz2t"), ("0_2", "idz2t")]),
+])
 
 # a pseudocone from constz2 to z2 whose coherences are the automorphism s
 # on both steps and the identity on their composite.  No command besides

@@ -25,7 +25,7 @@ ALL_FIXTURES = ["one.cat", "two.cat", "chaotic.cat", "diamond.cat",
                 "swapchain.diag", "walkingiso.diag", "notfiltered.diag",
                 "covereddiamond.diag", "sheaves.pre", "nonsheaf.pre",
                 "z2.cat", "finset2.cat", "constz2.diag", "flipcone.cone",
-                "consttwoop.diag", "z2idem.diag"]
+                "consttwoop.diag", "z2idem.diag", "constz2t.diag"]
 
 
 def print_environment(env: Environment) -> str:

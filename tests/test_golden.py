@@ -107,6 +107,18 @@ CASES = {
     # the refinement search
     "budget-colim-constz2-refinement": (
         ["--budget", "100"], ["colim", "constz2.diag"], 3),
+    # constz2t's colimit has 6 objects, 36 morphisms and 216 composites,
+    # 108 of them in blocks of one class and 108 in blocks of two.  The
+    # quotient charges 112 candidates and the build 328: the first budget
+    # runs out inside the composition table, the second in the seeded
+    # recomposition
+    "validate-constz2t": ([], ["validate", "constz2t.diag"], 0),
+    "colim-constz2t": ([], ["colim", "constz2t.diag"], 0),
+    "seed-colim-constz2t": (["--seed", "3"], ["colim", "constz2t.diag"], 0),
+    "budget-colim-constz2t-compose": (
+        ["--budget", "200"], ["colim", "constz2t.diag"], 3),
+    "budget-seed-colim-constz2t": (
+        ["--budget", "400", "--seed", "3"], ["colim", "constz2t.diag"], 3),
 }
 
 

@@ -14,15 +14,13 @@ out of an object are found per index object along the morphisms leaving it.
 
 A composite of spans is taken at a common refinement too.  Which
 refinement two spans compose at depends on their index data alone, so
-compose_spans searches it once per distinct key of that data and a
-hom-set with one class needs no search at all.  If every hom-set holds
-one class, L is thin, each composite is forced, and no table is stored:
-L.comp reads it off the hom-sets.  The classes do not depend
-on the order in which composing refinements are searched, so the --seed
-check (recompose) runs this same pass over a build's classes with the
-apexes in a shuffled order and compares the table it gets with the
-build's: only the entries of hom-sets with two or more classes are
-searched again, and a thin L's table is compared block by block.
+compose_spans searches it once per distinct key of that data.  If every
+hom-set holds one class, L is thin, each composite is forced, and no
+table is stored: L.comp reads it off the hom-sets.  The classes do not
+depend on the order in which composing refinements are searched, so the
+--seed check (recompose) runs this same pass over a build's classes with
+the apexes in a shuffled order and compares the table it gets with the
+build's; on a thin L there is nothing to compare, and the CLI skips it.
 """
 
 from __future__ import annotations
@@ -106,8 +104,7 @@ def span_related(F: TwoDiagram, s: Span, t: Span) -> bool:
 class _ThinComp(Mapping):
     """A thin L's composition table, read off its hom blocks: comp[(g, f)]
     is the one class of the block (src f, tgt g) if tgt f = src g, and any
-    other key is missing.  It iterates in compose_spans' order, and two
-    thin tables compare equal when their blocks hold the same classes."""
+    other key is missing.  It iterates in compose_spans' order."""
 
     def __init__(self, blocks, leaving, mor_src, mor_tgt):
         self._blocks, self._leaving = blocks, leaving
@@ -126,21 +123,11 @@ class _ThinComp(Mapping):
     def __iter__(self):
         for (_, q), block1 in self._blocks.items():
             m1 = block1[0][0]
-            for _, block2 in self._leaving.get(q, ()):
+            for block2 in self._leaving.get(q, ()):
                 yield block2[0][0], m1
 
     def __len__(self):
         return self._len
-
-    def _classes(self):
-        return {pq: block[0][0] for pq, block in self._blocks.items()}
-
-    def __eq__(self, other):
-        # a thin table is fixed by its block map, and its identity entries
-        # give the block map back: two thin tables need no entry walk
-        if isinstance(other, _ThinComp):
-            return self._classes() == other._classes()
-        return Mapping.__eq__(self, other)
 
 
 def _refinement_search(F: TwoDiagram, span_class, apex_order, bud: Budget):
@@ -195,44 +182,34 @@ def compose_spans(F: TwoDiagram, class_members, span_class, mor_src,
                   mor_tgt, apex_order, bud: Budget):
     """The composition table of the colimit: comp[(m2, m1)] for every
     composable pair of classes, in the order (p, q), r, m1, m2 of its hom
-    blocks, and charges `bud` once per entry.  Where the block (p, r) holds
-    one class, every entry p -> q -> r is that class, with no refinement
-    searched: any composite of spans p -> q and q -> r is a span p -> r.
-    If every block holds one class, the table is a _ThinComp over the
-    blocks, charged in one call that ends at the count, or overruns at the
-    entry, of one call per entry.  Elsewhere each entry composes
-    the least members of its classes at the first common refinement in
+    blocks, and charges `bud` once per entry.  If every block holds one
+    class, the table is a _ThinComp over the blocks, charged in one call
+    that ends at the count, or overruns at the entry, of one call per
+    entry.  Otherwise every entry, one-class blocks included, composes the
+    least members of its classes at the first common refinement in
     `apex_order` (_refinement_search), searched once per distinct
     (s.apex, s.right, t.apex, t.left) in a call.  The composite's class
     does not depend on the members chosen or on the order:
     tests/test_span_layer.py composes every member pair of every composable
     class pair and checks each lands in the class L.comp records, and
     recompose runs this pass again in a shuffled apex order."""
-    # (p, q) -> [(class, least member)] and p -> [(q, block (p, q))]
+    # (p, q) -> [(class, least member)] and p -> [block (p, q) for each q]
     blocks = {}
     for name, members in class_members.items():
         blocks.setdefault((mor_src[name], mor_tgt[name]), []).append(
             (name, members[0]))
     leaving = {}
-    for (p, q), block in blocks.items():
-        leaving.setdefault(p, []).append((q, block))
+    for (p, _), block in blocks.items():
+        leaving.setdefault(p, []).append(block)
     if all(len(block) == 1 for block in blocks.values()):
         comp = _ThinComp(blocks, leaving, mor_src, mor_tgt)
         bud.charge(min(len(comp), bud.limit - bud.used + 1))
         return comp
     fill = _refinement_search(F, span_class, apex_order, bud)
-    charge = bud.charge
     comp = {}
-    for (p, q), block1 in blocks.items():
-        for r, block2 in leaving.get(q, ()):
-            only = blocks[(p, r)]
-            if len(only) == 1:
-                for m1, _ in block1:
-                    for m2, _ in block2:
-                        charge()
-                        comp[(m2, m1)] = only[0][0]
-            else:
-                fill(comp, block1, block2)
+    for (_, q), block1 in blocks.items():
+        for block2 in leaving.get(q, ()):
+            fill(comp, block1, block2)
     return comp
 
 
@@ -446,7 +423,9 @@ def recompose(R: PseudocolimitResult, apex_seed, budget: Budget):
     """R's composition table made again by compose_spans over R's classes,
     with the apexes searched in an order shuffled by `apex_seed`; equal to
     R.category.comp when composition is well defined on classes.  The
-    quotient does not read the apex order, so it is not recomputed."""
+    quotient does not read the apex order, so it is not recomputed.  A
+    thin L's table is forced by its classes, so only an L with a hom-set
+    of two or more classes has anything to check."""
     apex_order = sorted(R.diagram.index.objects())
     random.Random(apex_seed).shuffle(apex_order)
     L = R.category

@@ -223,20 +223,31 @@ def test_verify_site_fails_on_strict_triangle(runner, fixture_dir,
 
 
 @pytest.mark.parametrize("command", [
-    ["colim", "consttwo.diag"],
-    ["verify-bicolim", "consttwo.diag", "--vertex", "two.cat"],
+    ["colim", "constz2.diag"],
+    ["verify-bicolim", "constz2.diag", "--vertex", "z2.cat"],
     ["site-colim", "covereddiamond.diag"],
     ["verify-site", "covereddiamond.diag", "--vertex", "one.cat"],
 ], ids=lambda c: c[0])
 def test_unstable_seed_fails(runner, fixture_dir, monkeypatch, command):
     """A seeded recomposition whose table differs is reported as
-    `seed_stable false` and fails the run."""
-    monkeypatch.setattr(cli, "recompose", lambda R, seed, budget: {})
+    `seed_stable false` and fails the run.  A site colimit is thin, so its
+    table is forced: the seeded check recomposes nothing and reports
+    `seed_stable true`."""
+    seeds = []
+    monkeypatch.setattr(cli, "recompose",
+                        lambda R, seed, budget: seeds.append(seed) or {})
     res = runner.invoke(main, ["--fixture-dir", str(fixture_dir), "--seed",
                                "7"] + command)
-    assert res.exit_code == 1, res.output
-    assert "seed 7\nseed_stable false\n" in res.output
-    assert res.output.endswith("outcome fail\n")
+    if command[0] in ("site-colim", "verify-site"):
+        assert res.exit_code == 0, res.output
+        assert "seed 7\nseed_stable true\n" in res.output
+        assert res.output.endswith("outcome pass\n")
+        assert seeds == []
+    else:
+        assert res.exit_code == 1, res.output
+        assert "seed 7\nseed_stable false\n" in res.output
+        assert res.output.endswith("outcome fail\n")
+        assert seeds == [7]
 
 
 def test_seeded_colim_builds_once(runner, fixture_dir, monkeypatch):
@@ -258,8 +269,9 @@ def test_seeded_colim_builds_once(runner, fixture_dir, monkeypatch):
 def test_seeded_check_runs_the_builds_pass(runner, fixture_dir,
                                           monkeypatch):
     """--seed runs compose_spans, the build's composition pass, a second
-    time: first in sorted apex order for the build, then in the order
-    Random(7) shuffles it to."""
+    time on constz2, whose hom-sets hold two classes: first in sorted apex
+    order for the build, then in the order Random(7) shuffles it to.  On
+    the thin swapchain it runs once, for the build."""
     orders = []
     compose = colim.compose_spans
 
@@ -268,12 +280,15 @@ def test_seeded_check_runs_the_builds_pass(runner, fixture_dir,
         return compose(*args)
 
     monkeypatch.setattr(colim, "compose_spans", spied)
-    res = run(runner, fixture_dir, "--seed", "7", "colim", "swapchain.diag")
-    assert res.exit_code == 0, res.output
-    assert "seed_stable true\n" in res.output
     shuffled = ["0", "1", "2"]
     random.Random(7).shuffle(shuffled)
-    assert orders == [["0", "1", "2"], shuffled]
+    for name, want in [("constz2.diag", [["0", "1", "2"], shuffled]),
+                       ("swapchain.diag", [["0", "1", "2"]])]:
+        orders.clear()
+        res = run(runner, fixture_dir, "--seed", "7", "colim", name)
+        assert res.exit_code == 0, res.output
+        assert "seed_stable true\n" in res.output
+        assert orders == want
 
 
 def test_value_named_false_is_not_a_verdict(runner, fixture_dir, tmp_path):
@@ -322,15 +337,15 @@ def test_seeded_colim_stable(runner, fixture_dir):
     assert "seed_stable true" in res.output
 
 
-@pytest.mark.parametrize("budget, code", [(1178, 3), (1179, 0)])
+@pytest.mark.parametrize("budget, code", [(262, 3), (263, 0)])
 def test_budget_caps_seed_check(runner, fixture_dir, budget, code):
     """--budget caps the seeded recomposition together with the build:
-    747 candidates for the build plus 432 for recomposing."""
+    155 candidates for the build of constz2 plus 108 for recomposing."""
     res = run(runner, fixture_dir, "--budget", str(budget), "--seed", "42",
-              "colim", "swapchain.diag")
+              "colim", "constz2.diag")
     assert res.exit_code == code, res.output
     if code == 3:
-        assert ("error enumeration used 1179 candidates (budget 1178)\n"
+        assert ("error enumeration used 263 candidates (budget 262)\n"
                 in res.output)
     else:
         assert "seed_stable true\n" in res.output
